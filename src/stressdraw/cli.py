@@ -13,6 +13,8 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BadParams, InputError, NumericError, PreconditionError, StressDrawError
 from .graph import (
@@ -24,13 +26,11 @@ from .graph import (
 )
 from .metrics import compute_metrics, metrics_json
 from .morph import best_row, kaleidoscope, rows_to_csv, worst_row, xy_morph
-from .solver import Drawing, regular_polygon, tutte
-from .spread import spread_drawing, spread_pipeline
+from .solver import Drawing, OuterPolygon, regular_polygon, tutte
+from .spread import spread_pipeline
 from .svg import render_svg
 from .treespread import best_r, bfs_spread, schnyder_spread
 from .uniform import uniform_pipeline
-
-METHODS = ("tutte", "xspread", "yspread", "xymorph", "bfs", "schnyder", "uniform")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -77,35 +77,53 @@ def _parse_r(raw: str) -> float:
         raise BadParams(f"--r must be a number or 'best', got {raw!r}") from None
 
 
-def _drawing_for_method(
-    emb: PlanarEmbedding, args: argparse.Namespace
-) -> tuple[Drawing, dict[str, object]]:
-    poly = regular_polygon(emb.outer_face, args.radius)
-    angle = math.radians(args.angle)
-    extra: dict[str, object] = {}
-    if args.method == "tutte":
-        return tutte(emb, poly), extra
-    if args.method == "xspread":
-        return spread_drawing(emb, poly, angle)[1], extra
-    if args.method == "yspread":
-        return spread_drawing(emb, poly, angle + math.pi / 2.0)[1], extra
-    if args.method == "xymorph":
-        return xy_morph(emb, poly, angle, args.t)[1], extra
-    if args.method in ("bfs", "schnyder"):
-        if args.r == "best":
-            r, drawing, _rho = best_r(emb, poly, args.method, args.a)
-            extra["r"] = r
-            return drawing, extra
-        return (bfs_spread if args.method == "bfs" else schnyder_spread)(
-            emb, poly, args.a, _parse_r(args.r)
-        ), extra
-    result = uniform_pipeline(emb)
-    return result.drawing, extra
+@dataclass
+class _Context:
+    """One graph and the method parameters, with the unit-weight reference
+    drawing computed at most once."""
+
+    emb: PlanarEmbedding
+    poly: OuterPolygon
+    angle: float = 0.0  # radians
+    t: float = 0.5
+    a: float = 1.0
+    r: str = "5"
+
+    @cached_property
+    def reference(self) -> Drawing:
+        return tutte(self.emb, self.poly)
+
+
+def _decay(c: _Context, method: str) -> tuple[Drawing, int | None]:
+    if c.r == "best":
+        r, drawing, _rho = best_r(c.emb, c.poly, method, c.a)
+        return drawing, r
+    spread = bfs_spread if method == "bfs" else schnyder_spread
+    return spread(c.emb, c.poly, c.a, _parse_r(c.r)), None
+
+
+def _spread(c: _Context, direction: float) -> tuple[Drawing, int | None]:
+    return spread_pipeline(c.emb, c.poly, direction, reference=c.reference).drawing, None
+
+
+# Every drawing method by CLI name: the drawing, and the decay base that
+# `--r best` chose (None otherwise).
+METHODS = {
+    "tutte": lambda c: (c.reference, None),
+    "xspread": lambda c: _spread(c, c.angle),
+    "yspread": lambda c: _spread(c, c.angle + math.pi / 2.0),
+    "xymorph": lambda c: (xy_morph(c.emb, c.poly, c.angle, c.t, reference=c.reference)[1], None),
+    "bfs": lambda c: _decay(c, "bfs"),
+    "schnyder": lambda c: _decay(c, "schnyder"),
+    "uniform": lambda c: (uniform_pipeline(c.emb).drawing, None),
+}
 
 
 def cmd_draw(args: argparse.Namespace) -> int:
     emb = load_graph(args.graph)
-    drawing, extra = _drawing_for_method(emb, args)
+    poly = regular_polygon(emb.outer_face, args.radius)
+    ctx = _Context(emb, poly, math.radians(args.angle), args.t, args.a, args.r)
+    drawing, chosen_r = METHODS[args.method](ctx)
     met = compute_metrics(drawing, emb)
 
     out_svg = args.out_svg
@@ -116,13 +134,10 @@ def cmd_draw(args: argparse.Namespace) -> int:
     if args.out_metrics:
         _write_text(args.out_metrics, metrics_json(met) + "\n")
     if args.out_coords:
-        coords = {
-            str(v): [drawing.positions[v][0], drawing.positions[v][1]]
-            for v in range(emb.n)
-        }
+        coords = {str(v): xy for v, xy in enumerate(drawing.positions.tolist())}
         _write_text(args.out_coords, json.dumps(coords, indent=1) + "\n")
 
-    chosen = f" r={extra['r']}" if "r" in extra else ""
+    chosen = f" r={chosen_r}" if chosen_r is not None else ""
     print(
         f"method={args.method}{chosen} n={emb.n} m={emb.m} "
         f"edge_length_ratio={met.edge_length_ratio:.6f} "
@@ -135,14 +150,15 @@ def cmd_draw(args: argparse.Namespace) -> int:
 
 def cmd_kaleidoscope(args: argparse.Namespace) -> int:
     emb = load_graph(args.graph)
-    poly = regular_polygon(emb.outer_face, args.radius)
-    rows = kaleidoscope(emb, poly, args.step)
+    ctx = _Context(emb, regular_polygon(emb.outer_face, args.radius))
+    rows = kaleidoscope(emb, ctx.poly, args.step)
     _write_text(args.out_csv, rows_to_csv(rows))
     best = best_row(rows)
     worst = worst_row(rows)
     for path, row in ((args.best_svg, best), (args.worst_svg, worst)):
         if path:
-            _w, drawing = xy_morph(emb, poly, math.radians(row.angle_degrees))
+            ctx.angle = math.radians(row.angle_degrees)
+            drawing, _r = METHODS["xymorph"](ctx)
             _write_text(path, render_svg(drawing, emb))
     print(
         f"rows={len(rows)} csv={args.out_csv} "
@@ -152,36 +168,28 @@ def cmd_kaleidoscope(args: argparse.Namespace) -> int:
     return 0
 
 
-GALLERY_HEADER = "graph,tutte,x_spread,y_spread,xy_morph,bfs_spread,bfs_r"
+# gallery column label and the method drawn in it
+GALLERY_COLUMNS = (("tutte", "tutte"), ("x_spread", "xspread"), ("y_spread", "yspread"),
+                   ("xy_morph", "xymorph"), ("bfs_spread", "bfs"))
 
 
 def _gallery_row(emb: PlanarEmbedding, name: str, out_dir: str, radius: float, a: float) -> str:
-    poly = regular_polygon(emb.outer_face, radius)
-    ref = tutte(emb, poly)
-    x = spread_pipeline(emb, poly, 0.0, reference=ref)
-    y = spread_pipeline(emb, poly, math.pi / 2.0, reference=ref)
-    drawings: list[tuple[str, Drawing]] = [
-        ("tutte", ref),
-        ("x_spread", x.drawing),
-        ("y_spread", y.drawing),
-        ("xy_morph", xy_morph(emb, poly, 0.0, reference=ref)[1]),
-    ]
-    r, bfs_drawing, _rho = best_r(emb, poly, "bfs", a)
-    drawings.append(("bfs_spread", bfs_drawing))
+    ctx = _Context(emb, regular_polygon(emb.outer_face, radius), a=a, r="best")
+    drawings = {label: METHODS[method](ctx) for label, method in GALLERY_COLUMNS}
     cells = [name]
-    for label, drawing in drawings:
+    for label, (drawing, _r) in drawings.items():
         met = compute_metrics(drawing, emb)
         _write_text(
             os.path.join(out_dir, f"{name}.{label}.svg"), render_svg(drawing, emb)
         )
         cells.append(f"{met.edge_length_ratio:.6f}")
-    cells.append(str(r))
+    cells.append(str(drawings["bfs_spread"][1]))
     return ",".join(cells)
 
 
 def cmd_gallery(args: argparse.Namespace) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
-    lines = [GALLERY_HEADER]
+    lines = ["graph," + ",".join(label for label, _ in GALLERY_COLUMNS) + ",bfs_r"]
     for path in args.graphs:
         name = os.path.splitext(os.path.basename(path))[0]
         try:
@@ -226,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("draw", help="draw one graph with one method")
     d.add_argument("graph", help="graph JSON path")
-    d.add_argument("--method", required=True, choices=METHODS)
+    d.add_argument("--method", required=True, choices=list(METHODS))
     d.add_argument("--angle", type=float, default=0.0, help="spread direction, degrees")
     d.add_argument("--t", type=float, default=0.5, help="morph parameter in [0, 1]")
     d.add_argument("--a", type=float, default=1.0, help="depth weight scale")

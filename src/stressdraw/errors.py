@@ -48,7 +48,7 @@ class BadParams(InputError):
 # --- preconditions ----------------------------------------------------------
 
 class NonPositiveWeight(PreconditionError):
-    """An interior-incident edge weight is zero, negative, or missing."""
+    """An interior-incident edge weight is zero, negative, or missing (wrong-length array)."""
 
 
 class DegeneratePosition(PreconditionError):
@@ -64,7 +64,7 @@ class ZeroGap(PreconditionError):
 
 
 class EdgeSetMismatch(PreconditionError):
-    """Two weight maps to be combined cover different edge sets."""
+    """Two weight arrays to be combined differ in shape."""
 
 
 class NotTriangulation(PreconditionError):

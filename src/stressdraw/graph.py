@@ -14,7 +14,10 @@ import logging
 import random
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .errors import (
     EulerViolation,
@@ -55,6 +58,8 @@ class PlanarEmbedding:
     rotation[v] holds the neighbors of v in cyclic (counterclockwise)
     order. outer_face is one of the cycles produced by traverse_faces,
     up to rotation and reflection.
+    Edges and faces are computed once per object; position i of every (m,)
+    weight array in the package belongs to edge i of edge_array.
     """
 
     n: int
@@ -73,8 +78,29 @@ class PlanarEmbedding:
 
     def edges(self) -> list[Edge]:
         """All undirected edges, canonical keys, sorted."""
-        out = {edge_key(v, w) for v in range(self.n) for w in self.rotation[v]}
-        return sorted(out)
+        return list(map(tuple, self.edge_array.tolist()))
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """(m, 2) int array of the edges() keys, in edges() order."""
+        tail = np.repeat(np.arange(self.n), [len(r) for r in self.rotation])
+        head = np.fromiter((w for r in self.rotation for w in r), dtype=np.intp, count=len(tail))
+        codes = np.unique(np.minimum(tail, head) * self.n + np.maximum(tail, head))
+        return np.column_stack((codes // self.n, codes % self.n))
+
+    @cached_property
+    def faces(self) -> list[Face]:
+        """traverse_faces(self), computed once."""
+        return traverse_faces(self)
+
+    @cached_property
+    def outer_index(self) -> int:
+        """Position of outer_face, up to rotation and reflection, in faces."""
+        key = _cycle_key(self.outer_face)
+        for i, face in enumerate(self.faces):
+            if _cycle_key(face.vertices) == key:
+                return i
+        raise InvalidEmbedding("outer face is not a face of the embedding")
 
     def adjacency(self) -> list[set[int]]:
         return [set(r) for r in self.rotation]
@@ -97,6 +123,10 @@ def _cycle_key(seq: tuple[int, ...]) -> tuple[int, ...]:
 # face traversal and validation
 # ---------------------------------------------------------------------------
 
+def _is_vertex_id(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)  # JSON true is no id
+
+
 def _check_rotation(emb: PlanarEmbedding) -> None:
     if emb.n < 3:
         raise MalformedRotation(f"need at least 3 vertices, got {emb.n}")
@@ -107,7 +137,7 @@ def _check_rotation(emb: PlanarEmbedding) -> None:
             raise MalformedRotation(f"vertex {v} has no neighbors")
         seen: set[int] = set()
         for w in rot:
-            if not isinstance(w, int) or not 0 <= w < emb.n:
+            if not _is_vertex_id(w) or not 0 <= w < emb.n:
                 raise MalformedRotation(f"vertex {v} lists invalid neighbor {w!r}")
             if w == v:
                 raise MalformedRotation(f"self-loop at vertex {v}")
@@ -235,14 +265,14 @@ def validate(emb: PlanarEmbedding) -> None:
     _check_rotation(emb)
     if not _connected(emb.adjacency(), emb.n):
         raise InvalidEmbedding("graph is disconnected")
-    faces = traverse_faces(emb)
+    emb.faces  # raises on an Euler violation
     if len(emb.outer_face) < 3:
         raise InvalidEmbedding(f"outer face has {len(emb.outer_face)} vertices")
+    if not all(map(_is_vertex_id, emb.outer_face)):
+        raise InvalidEmbedding(f"outer face {list(emb.outer_face)!r} lists a non-integer id")
     if len(set(emb.outer_face)) != len(emb.outer_face):
         raise InvalidEmbedding("outer face repeats a vertex")
-    keys = {_cycle_key(f.vertices) for f in faces}
-    if _cycle_key(emb.outer_face) not in keys:
-        raise InvalidEmbedding("outer face is not a face of the embedding")
+    emb.outer_index  # raises when the outer face is not traversed
     if emb.n == 3:
         return  # triangle: valid degenerate case, nothing interior to solve
     if not validate_three_connected(emb):
@@ -283,10 +313,18 @@ def worst_case_graph(k: int) -> PlanarEmbedding:
         outer_face=(),
     )
     target = {u, w, 0}
-    for face in traverse_faces(emb):
+    for face in emb.faces:
         if len(face) == 3 and set(face.vertices) == target:
-            return replace(emb, outer_face=face.vertices)
+            return _with_outer_face(emb, face.vertices)
     raise AssertionError("outer triangle not found in worst-case construction")
+
+
+def _with_outer_face(emb: PlanarEmbedding, outer: tuple[int, ...]) -> PlanarEmbedding:
+    """emb with another outer face, keeping the cached traversal: the faces
+    depend only on the rotation system."""
+    out = replace(emb, outer_face=outer)
+    out.__dict__["faces"] = emb.faces
+    return out
 
 
 def _insert_after(rot: list[int], anchor: int, new: int) -> None:
@@ -423,13 +461,12 @@ def generate_planar(
         rotation=tuple(tuple(r) for r in rot),
         outer_face=(),
     )
-    faces = traverse_faces(emb)
-    longest = max(len(f) for f in faces)
+    longest = max(len(f) for f in emb.faces)
     outer = min(
-        (f.vertices for f in faces if len(f) == longest),
+        (f.vertices for f in emb.faces if len(f) == longest),
         key=_cycle_key,
     )
-    emb = replace(emb, outer_face=outer)
+    emb = _with_outer_face(emb, outer)
     validate(emb)
     return emb
 

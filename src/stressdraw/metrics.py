@@ -2,13 +2,12 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ZeroLengthEdge
-from .graph import PlanarEmbedding, _cycle_key, traverse_faces
+from .graph import PlanarEmbedding
 
 # Cross products below this fraction of the squared radius count as collinear.
 CONVEXITY_RTOL = 1e-9
@@ -26,21 +25,20 @@ class DrawingMetrics:
     max_edge_length: float
 
 
-def _edge_lengths(d, emb: PlanarEmbedding) -> list[float]:
-    out = []
-    for u, v in emb.edges():
-        (xu, yu), (xv, yv) = d.positions[u], d.positions[v]
-        out.append(math.hypot(xu - xv, yu - yv))
-    return out
+def _length_range(d, emb: PlanarEmbedding) -> tuple[float, float]:
+    """Shortest and longest edge length; ZeroLengthEdge when the shortest is 0."""
+    ends = d.positions[emb.edge_array]
+    lengths = np.hypot(*(ends[:, 0] - ends[:, 1]).T)
+    shortest = float(lengths.min())
+    if shortest == 0.0:
+        raise ZeroLengthEdge("drawing contains an edge of zero length")
+    return shortest, float(lengths.max())
 
 
 def edge_length_ratio(d, emb: PlanarEmbedding) -> float:
     """Longest edge length divided by shortest; always >= 1."""
-    lengths = _edge_lengths(d, emb)
-    shortest = min(lengths)
-    if shortest == 0.0:
-        raise ZeroLengthEdge("drawing contains an edge of zero length")
-    return max(lengths) / shortest
+    shortest, longest = _length_range(d, emb)
+    return longest / shortest
 
 
 def crossing_count(d, emb: PlanarEmbedding) -> int:
@@ -50,14 +48,13 @@ def crossing_count(d, emb: PlanarEmbedding) -> int:
     normalized to a unit box so the CROSSING_EPS degeneracy cutoff is
     scale-free; touching or collinear contacts never count.
     """
-    edges = emb.edges()
-    m = len(edges)
+    ends = emb.edge_array
+    m = len(ends)
     if m < 2:
         return 0
-    pts = np.array([d.positions[v] for v in range(emb.n)], dtype=float)
+    pts = d.positions
     span = max(float(np.ptp(pts[:, 0])), float(np.ptp(pts[:, 1])), 1e-300)
     pts = (pts - pts.min(axis=0)) / span
-    ends = np.array(edges)
     a = pts[ends[:, 0]]
     b = pts[ends[:, 1]]
     i, j = np.triu_indices(m, k=1)
@@ -90,32 +87,20 @@ def faces_convex(d, emb: PlanarEmbedding) -> bool:
     sign; magnitudes within CONVEXITY_RTOL * radius^2 pass as collinear.
     """
     tol = CONVEXITY_RTOL * d.polygon.radius ** 2
-    outer_key = _cycle_key(emb.outer_face)
-    for face in traverse_faces(emb):
-        if _cycle_key(face.vertices) == outer_key:
-            continue
-        verts = face.vertices
-        k = len(verts)
-        pos_seen = neg_seen = False
-        for idx in range(k):
-            ox, oy = d.positions[verts[idx]]
-            px, py = d.positions[verts[(idx + 1) % k]]
-            qx, qy = d.positions[verts[(idx + 2) % k]]
-            c = (px - ox) * (qy - py) - (py - oy) * (qx - px)
-            if c > tol:
-                pos_seen = True
-            elif c < -tol:
-                neg_seen = True
-            if pos_seen and neg_seen:
-                return False
-    return True
+    inner = [f.vertices for i, f in enumerate(emb.faces) if i != emb.outer_index]
+    if not inner:
+        return True
+    corners = [(f[j - 2], f[j - 1], f[j]) for f in inner for j in range(len(f))]
+    o, p, q = d.positions[np.array(corners).T]
+    c = (p[:, 0] - o[:, 0]) * (q[:, 1] - p[:, 1]) - (p[:, 1] - o[:, 1]) * (q[:, 0] - p[:, 0])
+    starts = np.cumsum([0] + [len(f) for f in inner[:-1]])
+    turns_left = np.logical_or.reduceat(c > tol, starts)
+    turns_right = np.logical_or.reduceat(c < -tol, starts)
+    return not (turns_left & turns_right).any()
 
 
 def compute_metrics(d, emb: PlanarEmbedding) -> DrawingMetrics:
-    lengths = _edge_lengths(d, emb)
-    shortest, longest = min(lengths), max(lengths)
-    if shortest == 0.0:
-        raise ZeroLengthEdge("drawing contains an edge of zero length")
+    shortest, longest = _length_range(d, emb)
     return DrawingMetrics(
         edge_length_ratio=longest / shortest,
         crossing_count=crossing_count(d, emb),

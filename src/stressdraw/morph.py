@@ -4,24 +4,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BadParams, EdgeSetMismatch
-from .graph import Edge, PlanarEmbedding
+from .graph import PlanarEmbedding
 from .metrics import edge_length_ratio
 from .solver import Drawing, OuterPolygon, solve_stress, tutte
 from .spread import spread_pipeline
 
 
 def morph_weights(
-    w0: dict[Edge, float],
-    w1: dict[Edge, float],
+    w0: np.ndarray,
+    w1: np.ndarray,
     t: float = 0.5,
-) -> dict[Edge, float]:
+) -> np.ndarray:
     """Per-edge (1-t)*w0 + t*w1. Endpoints reproduce the inputs exactly."""
-    if set(w0) != set(w1):
-        raise EdgeSetMismatch("weight maps cover different edge sets")
+    if np.shape(w0) != np.shape(w1):
+        raise EdgeSetMismatch(f"weight arrays of shapes {np.shape(w0)} and {np.shape(w1)}")
     if not 0.0 <= t <= 1.0:
         raise BadParams(f"t must lie in [0, 1], got {t}")
-    return {e: (1.0 - t) * w0[e] + t * w1[e] for e in w0}
+    return (1.0 - t) * np.asarray(w0) + t * np.asarray(w1)
 
 
 def xy_morph(
@@ -30,7 +32,7 @@ def xy_morph(
     angle: float = 0.0,
     t: float = 0.5,
     reference: Drawing | None = None,
-) -> tuple[dict[Edge, float], Drawing]:
+) -> tuple[np.ndarray, Drawing]:
     """Blend the spreads along `angle` and `angle + pi/2`, then solve.
 
     The default t = 1/2 averages the two weightings. Both spreads start

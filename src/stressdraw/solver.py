@@ -10,6 +10,7 @@ effect on the system.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import (
     ResidualExceeded,
     SingularSystem,
 )
-from .graph import Edge, PlanarEmbedding, edge_key
+from .graph import PlanarEmbedding
 
 # Hard cap on the equilibrium residual, relative to the polygon radius.
 RESIDUAL_RTOL = 1e-8
@@ -50,9 +51,10 @@ class OuterPolygon:
 
 @dataclass(frozen=True)
 class Drawing:
-    """Vertex positions together with the pinned polygon that produced them."""
+    """Vertex positions, an (n, 2) array indexed by vertex id, together with
+    the pinned polygon that produced them."""
 
-    positions: dict[int, tuple[float, float]]
+    positions: np.ndarray
     polygon: OuterPolygon
     residual: float
 
@@ -73,90 +75,82 @@ def regular_polygon(outer_face: tuple[int, ...], radius: float = 1.0) -> OuterPo
 
 def equilibrium_residual(
     emb: PlanarEmbedding,
-    weights: dict[Edge, float],
-    positions: dict[int, tuple[float, float]],
-    pinned: set[int],
+    weights: np.ndarray,
+    positions: np.ndarray,
+    pinned: Iterable[int],
 ) -> float:
     """Max absolute per-coordinate imbalance over the interior vertices."""
-    worst = 0.0
-    for u in range(emb.n):
-        if u in pinned:
-            continue
-        sx = sy = 0.0
-        xu, yu = positions[u]
-        for v in emb.rotation[u]:
-            w = weights[edge_key(u, v)]
-            xv, yv = positions[v]
-            sx += w * (xu - xv)
-            sy += w * (yu - yv)
-        worst = max(worst, abs(sx), abs(sy))
-    return worst
+    tail, head = emb.edge_array.T
+    pull = np.asarray(weights)[:, None] * (positions[tail] - positions[head])
+    force = np.zeros((emb.n, 2))
+    np.add.at(force, tail, pull)
+    np.subtract.at(force, head, pull)
+    force[list(pinned)] = 0.0
+    return float(np.abs(force).max())
 
 
 def solve_stress(
     emb: PlanarEmbedding,
-    weights: dict[Edge, float],
+    weights: np.ndarray,
     poly: OuterPolygon,
 ) -> Drawing:
     """Solve the weighted equilibrium system with the outer face pinned.
 
-    One sparse LU factorization of the interior weighted Laplacian is
-    reused for both coordinates, followed by a few iterative-refinement
-    passes. The result must meet the hard residual bound
-    RESIDUAL_RTOL * poly.radius or ResidualExceeded is raised.
+    weights is an (m,) array aligned with emb.edges(). One sparse LU
+    factorization of the interior weighted Laplacian is reused for both
+    coordinates, followed by a few iterative-refinement passes. The result
+    must meet the hard residual bound RESIDUAL_RTOL * poly.radius or
+    ResidualExceeded is raised.
     """
-    pinned = set(poly.positions)
-    if set(emb.outer_face) != pinned:
+    if set(emb.outer_face) != set(poly.positions):
         raise PreconditionError("polygon does not pin exactly the outer face")
-    interior = [v for v in range(emb.n) if v not in pinned]
-    tol = RESIDUAL_RTOL * poly.radius
-    if not interior:
-        return Drawing(dict(poly.positions), poly, 0.0)
-
-    index = {v: i for i, v in enumerate(interior)}
+    edges = emb.edge_array
+    if np.shape(weights) != (len(edges),):
+        raise NonPositiveWeight(f"need {len(edges)} edge weights, got shape {np.shape(weights)}")
+    pinned = list(poly.positions)
+    positions = np.zeros((emb.n, 2))
+    positions[pinned] = list(poly.positions.values())
+    row_of = np.zeros(emb.n, dtype=np.intp)
+    row_of[pinned] = -1
+    interior = np.flatnonzero(row_of == 0)
     k = len(interior)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    rhs = np.zeros((k, 2))
-    for u in interior:
-        i = index[u]
-        diag = 0.0
-        for v in emb.rotation[u]:
-            w = weights.get(edge_key(u, v))
-            if w is None or not w > 0 or not math.isfinite(w):
-                raise NonPositiveWeight(
-                    f"edge {edge_key(u, v)} needs a positive finite weight, got {w!r}"
-                )
-            diag += w
-            if v in pinned:
-                px, py = poly.positions[v]
-                rhs[i, 0] += w * px
-                rhs[i, 1] += w * py
-            else:
-                rows.append(i)
-                cols.append(index[v])
-                vals.append(-w)
-        rows.append(i)
-        cols.append(i)
-        vals.append(diag)
+    row_of[interior] = np.arange(k)
+    # every edge seen from each interior end: a row of the system
+    tail = np.concatenate((edges[:, 0], edges[:, 1]))
+    head = np.concatenate((edges[:, 1], edges[:, 0]))
+    w = np.concatenate((weights, weights)).astype(float)
+    live = row_of[tail] >= 0
+    tail, head, w = tail[live], head[live], w[live]
+    bad = np.flatnonzero(~((w > 0) & np.isfinite(w)))
+    if bad.size:
+        u, v = sorted((int(tail[bad[0]]), int(head[bad[0]])))
+        raise NonPositiveWeight(f"edge {(u, v)} needs a positive finite weight, got {w[bad[0]]!r}")
+    tol = RESIDUAL_RTOL * poly.radius
+    if not k:
+        return Drawing(positions, poly, 0.0)
 
-    lap = csc_matrix((vals, (rows, cols)), shape=(k, k))
+    row, col = row_of[tail], row_of[head]
+    inner = col >= 0
+    diag = np.arange(k)
+    system = csc_matrix(
+        (np.concatenate((-w[inner], np.bincount(row, w, k))),
+         (np.concatenate((row[inner], diag)), np.concatenate((col[inner], diag)))),
+        shape=(k, k),
+    )
+    pull = w[~inner, None] * positions[head[~inner]]
+    rhs = np.column_stack([np.bincount(row[~inner], pull[:, c], k) for c in (0, 1)])
     try:
-        lu = splu(lap)
+        lu = splu(system)
     except RuntimeError as exc:
         raise SingularSystem(f"interior system could not be factorized: {exc}") from exc
     sol = lu.solve(rhs)
     for _ in range(3):
-        gap = rhs - lap @ sol
+        gap = rhs - system @ sol
         if np.abs(gap).max() <= 0.01 * tol:
             break
         sol += lu.solve(gap)
 
-    positions = dict(poly.positions)
-    for u in interior:
-        i = index[u]
-        positions[u] = (float(sol[i, 0]), float(sol[i, 1]))
+    positions[interior] = sol
     residual = equilibrium_residual(emb, weights, positions, pinned)
     if residual > tol:
         raise ResidualExceeded(
@@ -165,8 +159,8 @@ def solve_stress(
     return Drawing(positions, poly, residual)
 
 
-def unit_weights(emb: PlanarEmbedding) -> dict[Edge, float]:
-    return {e: 1.0 for e in emb.edges()}
+def unit_weights(emb: PlanarEmbedding) -> np.ndarray:
+    return np.ones(len(emb.edge_array))
 
 
 def tutte(emb: PlanarEmbedding, poly: OuterPolygon) -> Drawing:

@@ -16,6 +16,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     DegeneratePosition,
     NotStOrientation,
@@ -23,7 +25,7 @@ from .errors import (
     ResidualExceeded,
     ZeroGap,
 )
-from .graph import Edge, PlanarEmbedding, edge_key
+from .graph import PlanarEmbedding, edge_key
 from .solver import Drawing, OuterPolygon, solve_stress, tutte
 
 # Minimum pairwise x-gap, relative to the polygon radius.
@@ -44,23 +46,15 @@ def rotate_drawing(d: Drawing, angle: float) -> Drawing:
     if angle == 0.0:
         return d
     c, s = math.cos(angle), math.sin(angle)
-
-    def rot(p: tuple[float, float]) -> tuple[float, float]:
-        x, y = p
-        return (c * x - s * y, s * x + c * y)
-
-    poly = OuterPolygon(
-        order=d.polygon.order,
-        positions={v: rot(p) for v, p in d.polygon.positions.items()},
-    )
-    positions = {v: rot(p) for v, p in d.positions.items()}
+    turn = np.array([[c, s], [-s, c]])  # row vectors times turn
+    corners = (np.array(list(d.polygon.positions.values())) @ turn).tolist()
+    poly = OuterPolygon(d.polygon.order, dict(zip(d.polygon.positions, map(tuple, corners))))
     # the per-coordinate sup norm can grow by at most sqrt(2) under rotation
-    return Drawing(positions, poly, d.residual * math.sqrt(2))
+    return Drawing(d.positions @ turn, poly, d.residual * math.sqrt(2))
 
 
 def _min_x_gap(d: Drawing) -> float:
-    xs = sorted(p[0] for p in d.positions.values())
-    return min(b - a for a, b in zip(xs, xs[1:]))
+    return float(np.diff(np.sort(d.positions[:, 0])).min())
 
 
 def ensure_general_position(d: Drawing, max_tries: int = MAX_ROTATIONS) -> tuple[Drawing, float]:
@@ -124,7 +118,7 @@ class StOrientation:
 
 def st_orient(d: Drawing, emb: PlanarEmbedding) -> StOrientation:
     """Orient edges from smaller to larger x and grow the two BFS trees."""
-    xs = {v: d.positions[v][0] for v in range(emb.n)}
+    xs = d.positions[:, 0].tolist()
     order = tuple(sorted(range(emb.n), key=xs.__getitem__))
     for a, b in zip(order, order[1:]):
         if not xs[a] < xs[b]:
@@ -239,15 +233,16 @@ def spread_weights(
     o: StOrientation,
     targets: dict[int, float],
     counts: dict[tuple[int, int], int],
-) -> dict[Edge, float]:
-    """Weight each edge with path count / target gap."""
-    weights: dict[Edge, float] = {}
+) -> np.ndarray:
+    """Weight each edge with path count / target gap, as an (m,) array in
+    sorted edge-key order, the order of the embedding's edges()."""
+    keyed: list[tuple[tuple[int, int], float]] = []
     for u, v in o.directed_edges():
         gap = targets[v] - targets[u]
         if gap <= 0:
             raise ZeroGap(f"edge ({u}, {v}) has non-positive target gap {gap!r}")
-        weights[edge_key(u, v)] = counts[(u, v)] / gap
-    return weights
+        keyed.append((edge_key(u, v), counts[(u, v)] / gap))
+    return np.array([w for _, w in sorted(keyed)])
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +253,7 @@ def spread_weights(
 class SpreadResult:
     """Everything the spread pipeline produced for one direction."""
 
-    weights: dict[Edge, float]
+    weights: np.ndarray        # (m,), aligned with emb.edges()
     drawing: Drawing           # solved against the original polygon
     frame: Drawing             # same drawing rotated into the spread frame
     targets: dict[int, float]  # x-targets in the spread frame
@@ -289,19 +284,10 @@ def spread_pipeline(
     weights = spread_weights(o, targets, counts)
     drawing = solve_stress(emb, weights, poly)
     frame = rotate_drawing(drawing, angle)
-    miss = max(abs(frame.positions[v][0] - targets[v]) for v in range(emb.n))
+    miss = float(np.abs(frame.positions[:, 0] - [targets[v] for v in range(emb.n)]).max())
     if miss > TARGET_RTOL * poly.radius:
         raise ResidualExceeded(
             f"spread drawing misses its targets by {miss:.3e}"
         )
     return SpreadResult(weights, drawing, frame, targets, o, angle, ref)
 
-
-def spread_drawing(
-    emb: PlanarEmbedding,
-    poly: OuterPolygon,
-    direction: float = 0.0,
-) -> tuple[dict[Edge, float], Drawing]:
-    """Spread weights and the resulting drawing for one direction."""
-    res = spread_pipeline(emb, poly, direction)
-    return res.weights, res.drawing

@@ -1,6 +1,8 @@
 """Minimal SVG 1.1 rendering: segments for edges, dots for vertices."""
 from __future__ import annotations
 
+import numpy as np
+
 from .graph import PlanarEmbedding
 from .solver import Drawing
 
@@ -10,24 +12,21 @@ DOT_RADIUS = 3.0
 STROKE_WIDTH = 1.0
 
 
-def _fit(drawing: Drawing) -> dict[int, tuple[float, float]]:
+def _fit(drawing: Drawing) -> list[list[float]]:
     """Map world coordinates into the viewBox, preserving aspect ratio.
 
     Uniform scale, bounding box centered, y flipped so up stays up.
     """
     pts = drawing.positions
-    xs = [p[0] for p in pts.values()]
-    ys = [p[1] for p in pts.values()]
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
+    xmin, ymin = pts.min(axis=0).tolist()
+    xmax, ymax = pts.max(axis=0).tolist()
     span = max(xmax - xmin, ymax - ymin, 1e-12)
     scale = (VIEW - 2.0 * MARGIN) / span
     xoff = (VIEW - (xmax - xmin) * scale) / 2.0
     yoff = (VIEW - (ymax - ymin) * scale) / 2.0
-    return {
-        v: (xoff + (x - xmin) * scale, VIEW - yoff - (y - ymin) * scale)
-        for v, (x, y) in pts.items()
-    }
+    x = xoff + (pts[:, 0] - xmin) * scale
+    y = VIEW - yoff - (pts[:, 1] - ymin) * scale
+    return np.column_stack((x, y)).tolist()
 
 
 def render_svg(drawing: Drawing, emb: PlanarEmbedding) -> str:
@@ -36,7 +35,7 @@ def render_svg(drawing: Drawing, emb: PlanarEmbedding) -> str:
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="0 0 {VIEW:g} {VIEW:g}">'
     ]
-    for u, v in emb.edges():
+    for u, v in emb.edge_array.tolist():
         x1, y1 = mapped[u]
         x2, y2 = mapped[v]
         parts.append(

@@ -11,8 +11,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BadParams, NotTriangulation, StressDrawError
-from .graph import Edge, PlanarEmbedding, edge_key, traverse_faces
+from .graph import Edge, PlanarEmbedding, edge_key
 from .metrics import edge_length_ratio
 from .solver import Drawing, OuterPolygon, solve_stress
 
@@ -21,8 +23,9 @@ from .solver import Drawing, OuterPolygon, solve_stress
 # BFS depths
 # ---------------------------------------------------------------------------
 
-def bfs_depths(emb: PlanarEmbedding) -> dict[Edge, int]:
-    """Edge depth from a multi-source BFS out of the outer face.
+def bfs_depths(emb: PlanarEmbedding) -> np.ndarray:
+    """Edge depth from a multi-source BFS out of the outer face, as an (m,)
+    int array aligned with emb.edges().
 
     Conceptually a super-vertex adjacent to every outer vertex starts the
     search, so outer vertices sit at level 0. An edge's depth is
@@ -36,23 +39,21 @@ def bfs_depths(emb: PlanarEmbedding) -> dict[Edge, int]:
             if w not in level:
                 level[w] = level[v] + 1
                 queue.append(w)
-    return {
-        (u, v): min(level[u], level[v]) + 1
-        for u, v in emb.edges()
-    }
+    levels = np.array([level[v] for v in range(emb.n)])
+    return levels[emb.edge_array].min(axis=1) + 1
 
 
 def depth_weights(
-    depths: dict[Edge, int],
+    depths: np.ndarray,
     a: float = 1.0,
     r: float = 5.0,
-) -> dict[Edge, float]:
+) -> np.ndarray:
     """Exponential decay a / r**depth; requires a > 0 and r > 1."""
     if not a > 0:
         raise BadParams(f"a must be positive, got {a}")
     if not r > 1:
         raise BadParams(f"r must exceed 1, got {r}")
-    return {e: a / r**d for e, d in depths.items()}
+    return a / float(r) ** np.asarray(depths)
 
 
 def bfs_spread(
@@ -87,7 +88,7 @@ def _require_triangulation(emb: PlanarEmbedding) -> None:
         raise NotTriangulation(
             f"outer face must be a triangle, got length {len(emb.outer_face)}"
         )
-    for face in traverse_faces(emb):
+    for face in emb.faces:
         if len(face) != 3:
             raise NotTriangulation("every face must be a triangle")
 
@@ -180,8 +181,9 @@ def schnyder_wood(emb: PlanarEmbedding) -> SchnyderWood:
     return SchnyderWood((r1, r2, r3), colors, parent)
 
 
-def schnyder_depths(emb: PlanarEmbedding, wood: SchnyderWood | None = None) -> dict[Edge, int]:
-    """Depth of every edge within its own tree of the realizer.
+def schnyder_depths(emb: PlanarEmbedding, wood: SchnyderWood | None = None) -> np.ndarray:
+    """Depth of every edge within its own tree of the realizer, as an (m,)
+    int array aligned with emb.edges().
 
     An edge's depth is the number of tree edges from the root up to and
     including itself; the three outer edges are assigned depth 1.
@@ -204,7 +206,8 @@ def schnyder_depths(emb: PlanarEmbedding, wood: SchnyderWood | None = None) -> d
             vdepth[(node, c)] = d
         return vdepth[(v, c)]
 
-    depths: dict[Edge, int] = {}
+    position = {e: i for i, e in enumerate(emb.edges())}
+    depths = np.ones(len(position), dtype=int)  # the uncolored outer edges
     for e, c in wood.colors.items():
         u, v = e
         # the parent end of the edge is the one nearer the root
@@ -212,10 +215,7 @@ def schnyder_depths(emb: PlanarEmbedding, wood: SchnyderWood | None = None) -> d
             child = u
         else:
             child = v
-        depths[e] = depth_of(child, c)
-    a, b, c3 = wood.roots
-    for e in (edge_key(a, b), edge_key(b, c3), edge_key(c3, a)):
-        depths[e] = 1
+        depths[position[e]] = depth_of(child, c)
     return depths
 
 

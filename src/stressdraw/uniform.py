@@ -12,13 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     NoValidTopBottom,
     PreconditionError,
     ResidualExceeded,
     StressDrawError,
 )
-from .graph import Edge, PlanarEmbedding
+from .graph import PlanarEmbedding
 from .solver import Drawing, OuterPolygon, regular_polygon, solve_stress, tutte
 from .spread import (
     TARGET_RTOL,
@@ -31,30 +33,6 @@ from .spread import (
 
 # steepest slope angle used by the caps around the leftmost/rightmost vertex
 CAP_ANGLE_DEG = 80.0
-
-
-# ---------------------------------------------------------------------------
-# st-indices from geometry
-# ---------------------------------------------------------------------------
-
-def _orientation_and_indices(
-    emb: PlanarEmbedding,
-    reference: Drawing | None = None,
-) -> tuple[StOrientation, dict[int, int]]:
-    if reference is None:
-        reference = tutte(emb, regular_polygon(emb.outer_face))
-    pos, _ = ensure_general_position(reference)
-    o = st_orient(pos, emb)
-    return o, {v: o.rank[v] + 1 for v in o.order}
-
-
-def st_indices(emb: PlanarEmbedding, reference: Drawing | None = None) -> dict[int, int]:
-    """1-based x-rank of every vertex in a general-positioned unit drawing.
-
-    The leftmost vertex gets 1, the rightmost n; orienting every edge from
-    lower to higher index is an st-orientation for the chosen outer face.
-    """
-    return _orientation_and_indices(emb, reference)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +174,7 @@ def convex_outer_placement(outer: tuple[int, ...], indices: dict[int, int]) -> O
 class UniformResult:
     """Weights, drawing, and the pieces the construction derived them from."""
 
-    weights: dict[Edge, float]
+    weights: np.ndarray  # (m,), aligned with emb.edges()
     drawing: Drawing
     indices: dict[int, int]
     orientation: StOrientation
@@ -210,19 +188,22 @@ def uniform_pipeline(
     """Solve with path-count weights against the constructed outer polygon.
 
     Targets are the indices themselves, so no rotation is involved: the
-    solved x-coordinates must come out as 1..n directly.
+    solved x-coordinates must come out as 1..n directly. indices holds each
+    vertex's 1-based x-rank in the general-positioned unit drawing, an
+    st-numbering for the outer face.
     """
-    o, indices = _orientation_and_indices(emb, reference)
+    if reference is None:
+        reference = tutte(emb, regular_polygon(emb.outer_face))
+    pos, _ = ensure_general_position(reference)
+    o = st_orient(pos, emb)
+    indices = {v: o.rank[v] + 1 for v in o.order}
     poly = convex_outer_placement(emb.outer_face, indices)
     targets = {v: float(indices[v]) for v in range(emb.n)}
     counts = count_paths(o)
     weights = spread_weights(o, targets, counts)
     drawing = solve_stress(emb, weights, poly)
-    miss = max(abs(drawing.positions[v][0] - targets[v]) for v in range(emb.n))
+    miss = float(np.abs(drawing.positions[:, 0] - [targets[v] for v in range(emb.n)]).max())
     if miss > TARGET_RTOL * poly.radius:
         raise ResidualExceeded(f"uniform drawing misses its x-targets by {miss:.3e}")
     return UniformResult(weights, drawing, indices, o, poly)
 
-
-def uniform_drawing(emb: PlanarEmbedding, reference: Drawing | None = None) -> Drawing:
-    return uniform_pipeline(emb, reference).drawing

@@ -96,10 +96,15 @@ def enumerate_canonical_paths(o: StOrientation) -> dict[tuple[int, int], int]:
 
 def dense_stress_positions(
     emb: PlanarEmbedding,
-    weights: dict[tuple[int, int], float],
+    weights: np.ndarray,
     poly: OuterPolygon,
-) -> dict[int, tuple[float, float]]:
-    """Independent dense solve of the equilibrium system via numpy."""
+) -> np.ndarray:
+    """Independent dense solve of the equilibrium system via numpy.
+
+    weights[i] belongs to emb.edges()[i]; the system is assembled vertex by
+    vertex from the rotation, with pinned-pinned edges never read.
+    """
+    weight_of = dict(zip(emb.edges(), weights.tolist()))
     pinned = dict(poly.positions)
     interior = [v for v in range(emb.n) if v not in pinned]
     idx = {v: i for i, v in enumerate(interior)}
@@ -109,7 +114,7 @@ def dense_stress_positions(
     for v in interior:
         i = idx[v]
         for u in emb.rotation[v]:
-            w = weights[edge_key(u, v)]
+            w = weight_of[edge_key(u, v)]
             a[i, i] += w
             if u in idx:
                 a[i, idx[u]] -= w
@@ -117,16 +122,15 @@ def dense_stress_positions(
                 rhs[i, 0] += w * pinned[u][0]
                 rhs[i, 1] += w * pinned[u][1]
     sol = np.linalg.solve(a, rhs)
-    out: dict[int, tuple[float, float]] = dict(pinned)
+    out = np.zeros((emb.n, 2))
+    for v, xy in pinned.items():
+        out[v] = xy
     for v in interior:
-        out[v] = (float(sol[idx[v], 0]), float(sol[idx[v], 1]))
+        out[v] = sol[idx[v]]
     return out
 
 
-def max_position_gap(
-    p: dict[int, tuple[float, float]], q: dict[int, tuple[float, float]]
-) -> float:
-    assert p.keys() == q.keys()
-    return max(
-        max(abs(p[v][0] - q[v][0]), abs(p[v][1] - q[v][1])) for v in p
-    )
+def max_position_gap(p: np.ndarray, q: np.ndarray) -> float:
+    """Largest per-coordinate difference between two (n, 2) position arrays."""
+    assert p.shape == q.shape
+    return float(np.abs(p - q).max())

@@ -13,6 +13,7 @@ import statistics
 import time
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from conftest import enumerate_canonical_paths
@@ -89,7 +90,7 @@ def test_criterion_01_equilibrium_residual_and_speed(suite, capsys):
         for (emb, poly), d in zip(suite, drawings):
             assert d.residual <= RESIDUAL_RTOL * poly.radius
             recomputed = sd.equilibrium_residual(
-                emb, dict(sd.unit_weights(emb)), d.positions, set(poly.order))
+                emb, sd.unit_weights(emb), d.positions, set(poly.order))
             assert recomputed <= RESIDUAL_RTOL * poly.radius
 
 
@@ -124,7 +125,7 @@ def test_criterion_03_exact_spread_targets(suite_drawings, capsys):
                 assert abs(res.frame.positions[v][0] - x) <= tol
             uni = row["uniform"]
             utol = TARGET_RTOL * uni.polygon.radius
-            xs = sorted(p[0] for p in uni.drawing.positions.values())
+            xs = sorted(uni.drawing.positions[:, 0].tolist())
             for i, x in enumerate(xs, start=1):
                 assert abs(x - i) <= utol
 
@@ -272,10 +273,10 @@ def test_criterion_10_morph_is_linear_in_weights(octahedron, capsys):
                 emb, poly, math.pi / 2.0, reference=ref).weights
             for t in (0.0, 0.25, 0.5, 1.0):
                 got, _ = sd.xy_morph(emb, poly, 0.0, t, reference=ref)
-                assert got.keys() == w0.keys()
-                for e in w0:
-                    assert got[e] == (1.0 - t) * w0[e] + t * w1[e]
+                assert got.shape == w0.shape == (emb.m,)
+                for e, (a, b) in enumerate(zip(w0.tolist(), w1.tolist())):
+                    assert got[e] == (1.0 - t) * a + t * b
             exact0, _ = sd.xy_morph(emb, poly, 0.0, 0.0, reference=ref)
             exact1, _ = sd.xy_morph(emb, poly, 0.0, 1.0, reference=ref)
-            assert exact0 == w0
-            assert exact1 == w1
+            assert np.array_equal(exact0, w0)
+            assert np.array_equal(exact1, w1)

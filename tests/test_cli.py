@@ -2,11 +2,22 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
-from stressdraw import load_graph, validate, validate_three_connected
-from stressdraw.cli import run
+from stressdraw import (
+    best_row,
+    edge_length_ratio,
+    kaleidoscope,
+    load_graph,
+    regular_polygon,
+    render_svg,
+    validate,
+    validate_three_connected,
+    xy_morph,
+)
+from stressdraw.cli import METHODS, run
 
 
 @pytest.fixture
@@ -127,6 +138,27 @@ def test_draw_rejects_bad_r(graph_path, capsys):
     assert "BadParams" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", list(METHODS))
+def test_draw_every_method_planar_convex(tri_path, tmp_path, method):
+    mpath = tmp_path / "m.json"
+    assert run(["draw", str(tri_path), "--method", method,
+                "--out-svg", str(tmp_path / "d.svg"),
+                "--out-metrics", str(mpath)]) == 0
+    metrics = json.loads(mpath.read_text())
+    assert metrics["crossing_count"] == 0
+    assert metrics["all_faces_convex"] is True
+
+
+def test_draw_non_integer_vertex_id_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "n": 4, "rotation": [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]],
+        "outer_face": [0, "x", 1],
+    }))
+    assert run(["draw", str(bad), "--method", "tutte"]) == 2
+    assert "InvalidEmbedding" in capsys.readouterr().err
+
+
 def test_draw_missing_file_exits_2(tmp_path, capsys):
     assert run(["draw", str(tmp_path / "nope.json"), "--method", "tutte"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -149,6 +181,18 @@ def test_kaleidoscope_csv_and_svgs(graph_path, tmp_path, capsys):
     ratios = [float(l.split(",")[1]) for l in lines[1:]]
     assert f"best_ratio={min(ratios):.6f}" in out
     assert best.exists() and worst.exists()
+
+
+def test_kaleidoscope_best_svg_is_xy_morph_at_best_angle(graph_path, tmp_path):
+    best = tmp_path / "best.svg"
+    assert run(["kaleidoscope", str(graph_path), "--step", "15",
+                "--out-csv", str(tmp_path / "rows.csv"),
+                "--best-svg", str(best)]) == 0
+    emb = load_graph(graph_path)
+    poly = regular_polygon(emb.outer_face)
+    angle = best_row(kaleidoscope(emb, poly, 15.0)).angle_degrees
+    _, drawing = xy_morph(emb, poly, math.radians(angle))
+    assert best.read_text() == render_svg(drawing, emb)
 
 
 def test_kaleidoscope_deterministic(graph_path, tmp_path):
@@ -189,3 +233,13 @@ def test_gallery_summary_and_failure_row(graph_path, tri_path, tmp_path, capsys)
         assert cells[6] == str(int(cells[6]))
         for label in ("tutte", "x_spread", "y_spread", "xy_morph", "bfs_spread"):
             assert (out_dir / f"{name}.{label}.svg").exists()
+
+
+def test_gallery_xy_morph_cell_matches_library(graph_path, tmp_path):
+    out_dir = tmp_path / "gal"
+    assert run(["gallery", str(graph_path), "--out-dir", str(out_dir)]) == 0
+    header, row = (out_dir / "summary.csv").read_text().strip().split("\n")
+    cell = row.split(",")[header.split(",").index("xy_morph")]
+    emb = load_graph(graph_path)
+    _, drawing = xy_morph(emb, regular_polygon(emb.outer_face), 0.0)
+    assert cell == f"{edge_length_ratio(drawing, emb):.6f}"

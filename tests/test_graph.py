@@ -216,3 +216,31 @@ def test_load_rejects_malformed(tmp_path):
     p.write_text(json.dumps({"n": 3, "rotation": "nope", "outer_face": [0, 1, 2]}))
     with pytest.raises(InvalidEmbedding):
         load_graph(p)
+
+
+def _k4_json(rotation0=None, outer=None):
+    data = {"n": 4, "rotation": [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]],
+            "outer_face": [0, 2, 1]}
+    if rotation0 is not None:
+        data["rotation"][0] = rotation0
+    if outer is not None:
+        data["outer_face"] = outer
+    return data
+
+
+@pytest.mark.parametrize("data, error", [
+    (_k4_json(rotation0=[True, 2, 3]), MalformedRotation),
+    (_k4_json(rotation0=[1.0, 2, 3]), MalformedRotation),
+    (_k4_json(outer=[0, 2.0, 1]), InvalidEmbedding),
+    (_k4_json(outer=[False, 2, 1]), InvalidEmbedding),
+    (_k4_json(outer=[0, "x", 1]), InvalidEmbedding),
+    (_k4_json(outer=[0, None, 1]), InvalidEmbedding),
+    (_k4_json(outer=[0, [2], 1]), InvalidEmbedding),
+], ids=["rotation-true", "rotation-float", "outer-float", "outer-false",
+        "outer-string", "outer-null", "outer-list"])
+def test_from_dict_rejects_non_integer_ids(data, error):
+    """JSON booleans, floats and other non-integers are not vertex ids,
+    although true == 1 and 2.0 == 2 in Python."""
+    from_dict(_k4_json())
+    with pytest.raises(error):
+        from_dict(data)

@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 import json
-import math
 
+import numpy as np
 import pytest
 
 from stressdraw import (
@@ -28,7 +28,7 @@ def _square():
         (0, 1, 2, 3),
         {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (1.0, 1.0), 3: (0.0, 1.0)},
     )
-    return emb, Drawing(dict(poly.positions), poly, 0.0)
+    return emb, Drawing(np.array([poly.positions[v] for v in range(4)]), poly, 0.0)
 
 
 def test_unit_square_ratio_one():
@@ -39,14 +39,14 @@ def test_unit_square_ratio_one():
 def test_ratio_is_max_over_min():
     emb = PlanarEmbedding(3, ((1,), (0, 2), (1,)), (0, 2))
     poly = OuterPolygon((0, 2), {0: (0.0, 0.0), 2: (2.5, 0.0)})
-    d = Drawing({0: (0.0, 0.0), 1: (2.0, 0.0), 2: (2.5, 0.0)}, poly, 0.0)
+    d = Drawing(np.array([(0.0, 0.0), (2.0, 0.0), (2.5, 0.0)]), poly, 0.0)
     assert abs(edge_length_ratio(d, emb) - 4.0) < 1e-12
 
 
 def test_zero_length_edge_rejected():
     emb = PlanarEmbedding(3, ((1,), (0, 2), (1,)), (0, 2))
     poly = OuterPolygon((0, 2), {0: (0.0, 0.0), 2: (1.0, 0.0)})
-    d = Drawing({0: (0.0, 0.0), 1: (0.0, 0.0), 2: (1.0, 0.0)}, poly, 0.0)
+    d = Drawing(np.array([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)]), poly, 0.0)
     with pytest.raises(ZeroLengthEdge):
         edge_length_ratio(d, emb)
 
@@ -55,7 +55,7 @@ def _two_segments(p1, p3):
     # two disjoint edges 0-2 and 1-3; only crossing_count sees this one
     emb = PlanarEmbedding(4, ((2,), (3,), (0,), (1,)), (0, 2))
     poly = OuterPolygon((0, 2), {0: (0.0, 0.0), 2: (2.0, 0.0)})
-    pos = {0: (0.0, 0.0), 2: (2.0, 0.0), 1: p1, 3: p3}
+    pos = np.array([(0.0, 0.0), p1, (2.0, 0.0), p3])
     return emb, Drawing(pos, poly, 0.0)
 
 
@@ -67,7 +67,7 @@ def test_proper_crossing_detected():
 def test_shared_endpoint_not_a_crossing():
     emb = PlanarEmbedding(3, ((1,), (0, 2), (1,)), (0, 2))
     poly = OuterPolygon((0, 2), {0: (0.0, 0.0), 2: (1.0, 0.0)})
-    d = Drawing({0: (0.0, 0.0), 1: (0.5, 0.5), 2: (1.0, 0.0)}, poly, 0.0)
+    d = Drawing(np.array([(0.0, 0.0), (0.5, 0.5), (1.0, 0.0)]), poly, 0.0)
     assert crossing_count(d, emb) == 0
 
 
@@ -96,7 +96,7 @@ def test_faces_convex_detects_dented_quad(two_ring_wheel):
     d = tutte(two_ring_wheel, poly)
     assert faces_convex(d, two_ring_wheel)
     # reflecting an inner-ring vertex through the hub dents a ring quad
-    pos = dict(d.positions)
+    pos = d.positions.copy()
     hx, hy = pos[0]
     x, y = pos[1]
     pos[1] = (2 * hx - x, 2 * hy - y)
@@ -132,6 +132,6 @@ def test_ratio_similarity_invariance(octahedron):
     base = edge_length_ratio(d, octahedron)
     rotated = rotate_drawing(d, 1.1)
     assert abs(edge_length_ratio(rotated, octahedron) - base) < 1e-9
-    moved = {v: (3.0 * x + 7.0, 3.0 * y - 2.0) for v, (x, y) in d.positions.items()}
+    moved = 3.0 * d.positions + [7.0, -2.0]
     shifted = Drawing(moved, d.polygon, d.residual)
     assert abs(edge_length_ratio(shifted, octahedron) - base) < 1e-9

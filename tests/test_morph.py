@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from stressdraw import (
@@ -26,43 +27,43 @@ from stressdraw import (
 
 
 def test_morph_endpoints_are_exact():
-    w0 = {(0, 1): 2.0, (1, 2): 5.0}
-    w1 = {(0, 1): 6.0, (1, 2): 1.0}
-    assert morph_weights(w0, w1, 0.0) == w0
-    assert morph_weights(w0, w1, 1.0) == w1
+    w0 = np.array([2.0, 5.0])
+    w1 = np.array([6.0, 1.0])
+    assert np.array_equal(morph_weights(w0, w1, 0.0), w0)
+    assert np.array_equal(morph_weights(w0, w1, 1.0), w1)
 
 
 def test_morph_midpoint():
-    w0 = {(0, 1): 2.0}
-    w1 = {(0, 1): 6.0}
-    assert morph_weights(w0, w1, 0.5) == {(0, 1): 4.0}
+    w0 = np.array([2.0])
+    w1 = np.array([6.0])
+    assert np.array_equal(morph_weights(w0, w1, 0.5), [4.0])
 
 
 def test_morph_identical_inputs_fixed_point():
-    w = {(0, 1): 3.25, (2, 3): 0.5}
+    w = np.array([3.25, 0.5])
     for t in (0.0, 0.25, 0.5, 1.0):
-        assert morph_weights(w, w, t) == w
+        assert np.array_equal(morph_weights(w, w, t), w)
 
 
 def test_morph_is_convex_combination():
     """morph(t) == (1-t)*w0 + t*w1 bitwise, same expression order."""
-    w0 = {(0, 1): 2.0, (1, 2): 0.3, (0, 2): 7.5}
-    w1 = {(0, 1): 9.0, (1, 2): 4.4, (0, 2): 0.2}
+    w0 = [2.0, 0.3, 7.5]
+    w1 = [9.0, 4.4, 0.2]
     for t in (0.0, 0.25, 1.0 / 3.0, 0.5, 0.875, 1.0):
-        got = morph_weights(w0, w1, t)
-        for e in w0:
+        got = morph_weights(np.array(w0), np.array(w1), t)
+        for e in range(3):
             assert got[e] == (1.0 - t) * w0[e] + t * w1[e]
 
 
 def test_morph_rejects_mismatched_edges():
     with pytest.raises(EdgeSetMismatch):
-        morph_weights({(0, 1): 1.0}, {(0, 2): 1.0}, 0.5)
+        morph_weights(np.array([1.0, 1.0]), np.array([1.0]), 0.5)
     with pytest.raises(EdgeSetMismatch):
-        morph_weights({(0, 1): 1.0}, {(0, 1): 1.0, (0, 2): 1.0}, 0.5)
+        morph_weights(np.array([1.0]), np.array([1.0, 1.0]), 0.5)
 
 
 def test_morph_rejects_bad_t():
-    w = {(0, 1): 1.0}
+    w = np.array([1.0])
     for t in (-0.1, 1.1, float("nan")):
         with pytest.raises(BadParams):
             morph_weights(w, w, t)
@@ -73,7 +74,7 @@ def test_xy_morph_blends_perpendicular_spreads(octahedron):
     w0 = spread_pipeline(octahedron, poly, direction=0.0).weights
     w1 = spread_pipeline(octahedron, poly, direction=math.pi / 2).weights
     got, d = xy_morph(octahedron, poly, angle=0.0, t=0.5)
-    assert got == morph_weights(w0, w1, 0.5)
+    assert np.array_equal(got, morph_weights(w0, w1, 0.5))
     assert crossing_count(d, octahedron) == 0
     assert faces_convex(d, octahedron)
 
@@ -81,7 +82,7 @@ def test_xy_morph_blends_perpendicular_spreads(octahedron):
 def test_xy_morph_at_t_zero_is_pure_x_spread(octahedron):
     poly = regular_polygon(octahedron.outer_face)
     w, _ = xy_morph(octahedron, poly, angle=0.0, t=0.0)
-    assert w == spread_pipeline(octahedron, poly, direction=0.0).weights
+    assert np.array_equal(w, spread_pipeline(octahedron, poly, direction=0.0).weights)
 
 
 def test_morph_beats_tutte_on_nested_triangles():

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from conftest import dense_stress_positions, max_position_gap
@@ -12,12 +13,19 @@ from stressdraw import (
     OuterPolygon,
     PlanarEmbedding,
     PreconditionError,
+    bfs_depths,
+    depth_weights,
     edge_key,
     equilibrium_residual,
+    generate_planar,
     regular_polygon,
+    schnyder_depths,
     solve_stress,
+    spread_pipeline,
     tutte,
+    uniform_pipeline,
     unit_weights,
+    xy_morph,
 )
 
 
@@ -66,7 +74,8 @@ def test_single_interior_weighted_average():
     x = (w01*0 + w12*1) / (w01 + w12) = 3/4 for weights 1 and 3."""
     emb = PlanarEmbedding(3, ((1,), (0, 2), (1,)), (0, 2))
     poly = OuterPolygon((0, 2), {0: (0.0, 0.0), 2: (1.0, 0.0)})
-    d = solve_stress(emb, {(0, 1): 1.0, (1, 2): 3.0}, poly)
+    assert emb.edges() == [(0, 1), (1, 2)]
+    d = solve_stress(emb, np.array([1.0, 3.0]), poly)
     assert abs(d.positions[1][0] - 0.75) < 1e-12
     assert abs(d.positions[1][1]) < 1e-12
 
@@ -75,7 +84,7 @@ def test_octahedron_matches_dense_oracle(octahedron):
     poly = regular_polygon(octahedron.outer_face)
     w = unit_weights(octahedron)
     d = tutte(octahedron, poly)
-    oracle = dense_stress_positions(octahedron, dict(w), poly)
+    oracle = dense_stress_positions(octahedron, w, poly)
     assert max_position_gap(d.positions, oracle) < 1e-9
     # the inner triangle sits strictly inside the outer one
     for v in (3, 4, 5):
@@ -84,9 +93,7 @@ def test_octahedron_matches_dense_oracle(octahedron):
 
 def test_weighted_octahedron_matches_dense_oracle(octahedron):
     poly = regular_polygon(octahedron.outer_face)
-    w = {}
-    for i, e in enumerate(sorted(dict(unit_weights(octahedron)))):
-        w[e] = 0.5 + 0.25 * i
+    w = 0.5 + 0.25 * np.arange(octahedron.m)
     d = solve_stress(octahedron, w, poly)
     oracle = dense_stress_positions(octahedron, w, poly)
     assert max_position_gap(d.positions, oracle) < 1e-9
@@ -94,32 +101,51 @@ def test_weighted_octahedron_matches_dense_oracle(octahedron):
 
 def test_residual_field_is_recomputable(octahedron):
     poly = regular_polygon(octahedron.outer_face)
-    w = dict(unit_weights(octahedron))
+    w = unit_weights(octahedron)
     d = tutte(octahedron, poly)
     r = equilibrium_residual(octahedron, w, d.positions, set(poly.order))
     assert d.residual == r
     assert r <= 1e-8 * poly.radius
 
 
+def test_residual_matches_vertex_loop(two_ring_wheel):
+    """Off equilibrium, the residual is the largest per-vertex, per-axis
+    sum of w * (p_u - p_v) over the interior vertices."""
+    emb = two_ring_wheel
+    poly = regular_polygon(emb.outer_face)
+    w = 0.5 + 0.25 * np.arange(emb.m)
+    pos = tutte(emb, poly).positions + np.random.default_rng(5).normal(0, 0.1, (emb.n, 2))
+    weight_of = dict(zip(emb.edges(), w.tolist()))
+    want = 0.0
+    for u in set(range(emb.n)) - set(poly.order):
+        for axis in (0, 1):
+            force = sum(weight_of[edge_key(u, v)] * (pos[u][axis] - pos[v][axis])
+                        for v in emb.rotation[u])
+            want = max(want, abs(force))
+    assert want > 0.01
+    got = equilibrium_residual(emb, w, pos, set(poly.order))
+    assert abs(got - want) <= 1e-12 * want
+
+
 def test_scale_equivariance(octahedron):
     """Scaling every weight by the same constant leaves positions fixed."""
     poly = regular_polygon(octahedron.outer_face)
-    w = dict(unit_weights(octahedron))
+    w = unit_weights(octahedron)
     base = solve_stress(octahedron, w, poly)
-    scaled = solve_stress(octahedron, {e: 3.7 * v for e, v in w.items()}, poly)
+    scaled = solve_stress(octahedron, 3.7 * w, poly)
     assert max_position_gap(base.positions, scaled.positions) < 1e-12
 
 
 def test_weight_validation(k4):
     poly = regular_polygon(k4.outer_face)
-    w = dict(unit_weights(k4))
+    w = unit_weights(k4)
+    i = k4.edges().index(edge_key(0, 3))
     for bad in (0.0, -1.0, float("nan")):
-        broken = dict(w)
-        broken[edge_key(0, 3)] = bad
+        broken = w.copy()
+        broken[i] = bad
         with pytest.raises(NonPositiveWeight):
             solve_stress(k4, broken, poly)
-    missing = dict(w)
-    del missing[edge_key(0, 3)]
+    missing = np.delete(w, i)
     with pytest.raises(NonPositiveWeight):
         solve_stress(k4, missing, poly)
 
@@ -127,19 +153,48 @@ def test_weight_validation(k4):
 def test_polygon_must_pin_exactly_the_outer_face(k4):
     poly = OuterPolygon((0, 1), {0: (0.0, 1.0), 1: (1.0, 0.0)})
     with pytest.raises(PreconditionError):
-        solve_stress(k4, dict(unit_weights(k4)), poly)
+        solve_stress(k4, unit_weights(k4), poly)
 
 
 def test_no_interior_vertices():
     tri = PlanarEmbedding(3, ((1, 2), (2, 0), (0, 1)), (0, 1, 2))
     poly = regular_polygon((0, 1, 2))
     d = tutte(tri, poly)
-    assert d.positions == poly.positions
+    assert np.array_equal(d.positions, [poly.positions[v] for v in range(3)])
     assert d.residual == 0.0
 
 
 def test_tutte_is_unit_weight_solve(octahedron):
     poly = regular_polygon(octahedron.outer_face)
     a = tutte(octahedron, poly)
-    b = solve_stress(octahedron, dict(unit_weights(octahedron)), poly)
-    assert a.positions == b.positions
+    b = solve_stress(octahedron, unit_weights(octahedron), poly)
+    assert np.array_equal(a.positions, b.positions)
+
+
+def _method_weights(emb):
+    """(name, weights, polygon) for the weight array of every method."""
+    poly = regular_polygon(emb.outer_face)
+    ref = tutte(emb, poly)
+    out = [
+        ("xspread", spread_pipeline(emb, poly, 0.0, reference=ref).weights, poly),
+        ("yspread", spread_pipeline(emb, poly, math.pi / 2, reference=ref).weights, poly),
+        ("xymorph", xy_morph(emb, poly, 0.0, 0.5, reference=ref)[0], poly),
+        ("bfs", depth_weights(bfs_depths(emb), 1.0, 3.0), poly),
+    ]
+    if emb.m == 3 * emb.n - 6:
+        out.append(("schnyder", depth_weights(schnyder_depths(emb), 1.0, 3.0), poly))
+    uni = uniform_pipeline(emb, reference=ref)
+    out.append(("uniform", uni.weights, uni.polygon))
+    return out
+
+
+@pytest.mark.parametrize("n, m, seed", [(12, 30, 61), (16, 38, 62), (20, 54, 63)])
+def test_method_weights_match_dense_oracle(n, m, seed):
+    """Per-edge weights of every method, pinned-pinned edges included, solve
+    to the independent dense solution."""
+    emb = generate_planar(n, m, seed=seed)
+    for name, w, poly in _method_weights(emb):
+        assert w.shape == (emb.m,), name
+        d = solve_stress(emb, w, poly)
+        gap = max_position_gap(d.positions, dense_stress_positions(emb, w, poly))
+        assert gap < 1e-9, (name, gap)

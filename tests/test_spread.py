@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from conftest import enumerate_canonical_paths
@@ -20,7 +21,6 @@ from stressdraw import (
     faces_convex,
     regular_polygon,
     rotate_drawing,
-    spread_drawing,
     spread_pipeline,
     spread_weights,
     st_orient,
@@ -38,7 +38,7 @@ def _path_graph():
         (0, 4),
     )
     poly = OuterPolygon((0, 4), {0: (0.0, 0.0), 4: (1.0, 0.0)})
-    pos = {v: (v / 4 if v != 1 else 0.3, 0.0) for v in range(5)}
+    pos = np.array([(v / 4 if v != 1 else 0.3, 0.0) for v in range(5)])
     return emb, poly, Drawing(pos, poly, 0.0)
 
 
@@ -50,7 +50,7 @@ def _house_graph():
         (0, 3),
     )
     poly = OuterPolygon((0, 3), {0: (0.0, 0.0), 3: (3.0, 0.0)})
-    pos = {0: (0.0, 0.0), 1: (1.0, 0.2), 2: (2.0, -0.1), 3: (3.0, 0.0)}
+    pos = np.array([(0.0, 0.0), (1.0, 0.2), (2.0, -0.1), (3.0, 0.0)])
     return emb, poly, Drawing(pos, poly, 0.0)
 
 
@@ -60,25 +60,25 @@ def test_general_position_keeps_good_drawing(octahedron):
     d = rotate_drawing(tutte(octahedron, poly), 0.3)
     fixed, angle = ensure_general_position(d)
     assert angle == 0.0
-    assert fixed.positions == d.positions
+    assert np.array_equal(fixed.positions, d.positions)
 
 
 def test_general_position_rotates_axis_aligned_square():
     emb = PlanarEmbedding(4, ((1, 3), (0, 2), (1, 3), (2, 0)), (0, 1, 2, 3))
     poly = regular_polygon(emb.outer_face)
-    d = Drawing(dict(poly.positions), poly, 0.0)
-    xs = sorted(p[0] for p in d.positions.values())
+    d = Drawing(np.array([poly.positions[v] for v in range(4)]), poly, 0.0)
+    xs = sorted(d.positions[:, 0].tolist())
     assert any(abs(a - b) < 1e-12 for a, b in zip(xs, xs[1:]))
     fixed, angle = ensure_general_position(d)
     assert angle != 0.0
-    fx = sorted(p[0] for p in fixed.positions.values())
+    fx = sorted(fixed.positions[:, 0].tolist())
     assert all(b - a > 1e-9 for a, b in zip(fx, fx[1:]))
 
 
 def test_general_position_gives_up_on_coincident_points(k4):
     poly = regular_polygon(k4.outer_face)
-    pos = dict(poly.positions)
-    pos[3] = pos[k4.outer_face[0]]
+    # vertices 0, 1, 2 are pinned; 3 sits on top of the first of them
+    pos = np.array([poly.positions[v] for v in (0, 1, 2, k4.outer_face[0])])
     with pytest.raises(DegeneratePosition):
         ensure_general_position(Drawing(pos, poly, 0.0))
 
@@ -112,7 +112,7 @@ def test_st_orient_acyclic_on_octahedron(octahedron):
 def test_st_orient_rejects_interior_extreme():
     emb = PlanarEmbedding(3, ((1,), (0, 2), (1,)), (0, 2))
     poly = OuterPolygon((0, 2), {0: (0.5, 0.0), 2: (1.0, 0.0)})
-    d = Drawing({0: (0.5, 0.0), 1: (0.0, 0.0), 2: (1.0, 0.0)}, poly, 0.0)
+    d = Drawing(np.array([(0.5, 0.0), (0.0, 0.0), (1.0, 0.0)]), poly, 0.0)
     with pytest.raises(NotStOrientation):
         st_orient(d, emb)
 
@@ -120,7 +120,7 @@ def test_st_orient_rejects_interior_extreme():
 def test_targets_single_interior():
     emb = PlanarEmbedding(3, ((1,), (0, 2), (1,)), (0, 2))
     poly = OuterPolygon((0, 2), {0: (0.0, 0.0), 2: (1.0, 0.0)})
-    d = Drawing({0: (0.0, 0.0), 1: (0.3, 0.0), 2: (1.0, 0.0)}, poly, 0.0)
+    d = Drawing(np.array([(0.0, 0.0), (0.3, 0.0), (1.0, 0.0)]), poly, 0.0)
     o = st_orient(d, emb)
     t = target_x(o, poly)
     assert t[0] == 0.0 and t[2] == 1.0
@@ -178,9 +178,10 @@ def test_spread_weights_formula():
     t = target_x(o, poly)
     counts = count_paths(o)
     w = spread_weights(o, t, counts)
+    assert w.shape == (emb.m,)
     gap = t[1] - t[0]
-    assert abs(w[(0, 1)] - 3.0 / gap) < 1e-12
-    assert all(v > 0 for v in w.values())
+    assert abs(w[emb.edges().index((0, 1))] - 3.0 / gap) < 1e-12
+    assert all(v > 0 for v in w)
 
 
 def test_spread_weights_zero_gap():
@@ -199,7 +200,7 @@ def test_pipeline_hits_targets_exactly(k4, octahedron):
         tol = TARGET_RTOL * poly.radius
         for v, x in res.targets.items():
             assert abs(res.frame.positions[v][0] - x) <= tol
-        assert all(w > 0 for w in res.weights.values())
+        assert all(w > 0 for w in res.weights)
 
 
 def test_pipeline_direction_rotates_frame(octahedron):
@@ -219,16 +220,17 @@ def test_spread_drawing_planar_on_generated():
     for seed in (21, 22, 23):
         emb = generate_planar(16, 36, seed=seed)
         poly = regular_polygon(emb.outer_face)
-        w, d = spread_drawing(emb, poly)
+        res = spread_pipeline(emb, poly)
+        w, d = res.weights, res.drawing
         assert crossing_count(d, emb) == 0
         assert faces_convex(d, emb)
-        assert all(v > 0 for v in w.values())
+        assert all(v > 0 for v in w)
 
 
 def test_rotate_drawing_round_trip(octahedron):
     poly = regular_polygon(octahedron.outer_face)
     d = tutte(octahedron, poly)
     r = rotate_drawing(rotate_drawing(d, 0.7), -0.7)
-    for v in d.positions:
+    for v in range(octahedron.n):
         assert abs(r.positions[v][0] - d.positions[v][0]) < 1e-12
         assert abs(r.positions[v][1] - d.positions[v][1]) < 1e-12

@@ -22,13 +22,12 @@ def test_render_flips_y_axis(octahedron):
     """The topmost vertex of the drawing gets the smallest pixel y."""
     d = tutte(octahedron, regular_polygon(octahedron.outer_face))
     text = render_svg(d, octahedron)
-    top = max(d.positions, key=lambda v: d.positions[v][1])
+    top = int(d.positions[:, 1].argmax())
     circles = re.findall(r'<circle cx="([-0-9.]+)" cy="([-0-9.]+)"', text)
     assert len(circles) == octahedron.n
     ys = [float(cy) for _, cy in circles]
-    # rendering preserves vertex order of the positions dict
-    order = list(d.positions)
-    assert ys[order.index(top)] == min(ys)
+    # circles are rendered in vertex order
+    assert ys[top] == min(ys)
 
 
 def test_render_is_deterministic(octahedron):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from collections import deque
 
+import numpy as np
 import pytest
 
 from conftest import max_position_gap
@@ -42,14 +43,20 @@ def _bfs_levels(emb):
     return level
 
 
+def _by_edge(emb, values):
+    """An (m,) array as a map from edge key, through emb.edges()."""
+    assert values.shape == (emb.m,)
+    return dict(zip(emb.edges(), values.tolist()))
+
+
 def test_bfs_depths_k4(k4):
-    assert bfs_depths(k4) == {
+    assert _by_edge(k4, bfs_depths(k4)) == {
         (0, 1): 1, (0, 2): 1, (1, 2): 1, (0, 3): 1, (1, 3): 1, (2, 3): 1,
     }
 
 
 def test_bfs_depths_two_ring_wheel(two_ring_wheel):
-    d = bfs_depths(two_ring_wheel)
+    d = _by_edge(two_ring_wheel, bfs_depths(two_ring_wheel))
     # outer ring and spokes touch the boundary; inner ring and hub do not
     for e in ((5, 6), (6, 7), (7, 8), (5, 8), (1, 5), (2, 6), (3, 7), (4, 8)):
         assert d[edge_key(*e)] == 1
@@ -60,7 +67,7 @@ def test_bfs_depths_two_ring_wheel(two_ring_wheel):
 def test_bfs_depths_match_level_recomputation(two_ring_wheel):
     for emb in (two_ring_wheel, generate_planar(24, 58, seed=41)):
         level = _bfs_levels(emb)
-        got = bfs_depths(emb)
+        got = _by_edge(emb, bfs_depths(emb))
         for v in range(emb.n):
             for u in emb.rotation[v]:
                 if u < v:
@@ -68,14 +75,14 @@ def test_bfs_depths_match_level_recomputation(two_ring_wheel):
 
 
 def test_depth_weights_decay():
-    w = depth_weights({(0, 1): 1, (1, 2): 2, (2, 3): 3}, a=1.0, r=5.0)
-    assert abs(w[(0, 1)] - 0.2) < 1e-15
-    assert abs(w[(1, 2)] - 0.04) < 1e-15
-    assert w[(0, 1)] > w[(1, 2)] > w[(2, 3)] > 0
+    w = depth_weights(np.array([1, 2, 3]), a=1.0, r=5.0)
+    assert abs(w[0] - 0.2) < 1e-15
+    assert abs(w[1] - 0.04) < 1e-15
+    assert w[0] > w[1] > w[2] > 0
 
 
 def test_depth_weights_rejects_bad_params():
-    d = {(0, 1): 1}
+    d = np.array([1])
     with pytest.raises(BadParams):
         depth_weights(d, a=0.0)
     with pytest.raises(BadParams):
@@ -146,7 +153,7 @@ def test_schnyder_wood_invariants_on_generated():
 
 
 def test_schnyder_depths_octahedron_frozen(octahedron):
-    d = schnyder_depths(octahedron)
+    d = _by_edge(octahedron, schnyder_depths(octahedron))
     assert d == {
         (0, 5): 1, (2, 5): 1, (4, 5): 2, (2, 4): 1, (0, 3): 1,
         (3, 4): 2, (3, 5): 2, (1, 3): 1, (1, 4): 1,
@@ -156,7 +163,7 @@ def test_schnyder_depths_octahedron_frozen(octahedron):
 
 def test_schnyder_depths_accepts_precomputed_wood(octahedron):
     w = schnyder_wood(octahedron)
-    assert schnyder_depths(octahedron, w) == schnyder_depths(octahedron)
+    assert np.array_equal(schnyder_depths(octahedron, w), schnyder_depths(octahedron))
 
 
 def test_schnyder_requires_triangulation(two_ring_wheel):

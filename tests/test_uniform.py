@@ -1,6 +1,7 @@
 """Integer x-targets with a constructed convex frame that meets them exactly."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from stressdraw import (
@@ -11,8 +12,8 @@ from stressdraw import (
     edge_length_ratio,
     faces_convex,
     generate_planar,
-    st_indices,
-    uniform_drawing,
+    regular_polygon,
+    tutte,
     uniform_pipeline,
 )
 
@@ -38,13 +39,13 @@ def _strictly_convex(poly) -> bool:
 
 
 def test_st_indices_is_permutation(octahedron):
-    idx = st_indices(octahedron)
+    idx = uniform_pipeline(octahedron).indices
     assert sorted(idx) == list(range(6))
     assert sorted(idx.values()) == list(range(1, 7))
 
 
 def test_st_indices_deterministic(octahedron):
-    assert st_indices(octahedron) == st_indices(octahedron)
+    assert uniform_pipeline(octahedron).indices == uniform_pipeline(octahedron).indices
 
 
 def test_triangle_placement():
@@ -97,7 +98,7 @@ def test_pipeline_octahedron_x_are_the_indices(octahedron):
     tol = TARGET_RTOL * res.polygon.radius
     for v, idx in res.indices.items():
         assert abs(res.drawing.positions[v][0] - idx) <= tol
-    xs = sorted(p[0] for p in res.drawing.positions.values())
+    xs = sorted(res.drawing.positions[:, 0].tolist())
     for i, x in enumerate(xs, start=1):
         assert abs(x - i) <= tol
     assert crossing_count(res.drawing, octahedron) == 0
@@ -110,7 +111,7 @@ def test_pipeline_on_generated_graphs():
         emb = generate_planar(n, m, seed=seed)
         res = uniform_pipeline(emb)
         tol = TARGET_RTOL * res.polygon.radius
-        xs = sorted(p[0] for p in res.drawing.positions.values())
+        xs = sorted(res.drawing.positions[:, 0].tolist())
         for i, x in enumerate(xs, start=1):
             assert abs(x - i) <= tol
         assert crossing_count(res.drawing, emb) == 0
@@ -122,13 +123,15 @@ def test_pipeline_on_generated_graphs():
 def test_pipeline_outer_positions_come_from_polygon(octahedron):
     res = uniform_pipeline(octahedron)
     for v in res.polygon.order:
-        assert res.drawing.positions[v] == res.polygon.positions[v]
+        assert tuple(res.drawing.positions[v].tolist()) == res.polygon.positions[v]
 
 
 def test_uniform_drawing_matches_pipeline(octahedron):
-    d = uniform_drawing(octahedron)
+    """A precomputed unit-weight reference gives the default drawing."""
+    ref = tutte(octahedron, regular_polygon(octahedron.outer_face))
+    d = uniform_pipeline(octahedron, reference=ref).drawing
     res = uniform_pipeline(octahedron)
-    assert d.positions == res.drawing.positions
+    assert np.array_equal(d.positions, res.drawing.positions)
 
 
 def test_pipeline_deterministic():
@@ -136,4 +139,4 @@ def test_pipeline_deterministic():
     a = uniform_pipeline(emb)
     b = uniform_pipeline(emb)
     assert a.indices == b.indices
-    assert a.drawing.positions == b.drawing.positions
+    assert np.array_equal(a.drawing.positions, b.drawing.positions)

@@ -13,6 +13,7 @@ import json
 import logging
 import random
 from collections import deque
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -89,6 +90,12 @@ class PlanarEmbedding:
         return np.column_stack((codes // self.n, codes % self.n))
 
     @cached_property
+    def _rotation_index(self) -> list[dict[int, int]]:
+        """_rotation_index[v][w]: position of w in rotation[v]. Building it
+        checks the rotation system, once per embedding."""
+        return _check_rotation(self)
+
+    @cached_property
     def faces(self) -> list[Face]:
         """traverse_faces(self), computed once."""
         return traverse_faces(self)
@@ -127,27 +134,32 @@ def _is_vertex_id(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)  # JSON true is no id
 
 
-def _check_rotation(emb: PlanarEmbedding) -> None:
+def _check_rotation(emb: PlanarEmbedding) -> list[dict[int, int]]:
+    """Raise MalformedRotation unless the rotation is a simple symmetric
+    adjacency structure; return each vertex's neighbor positions."""
     if emb.n < 3:
         raise MalformedRotation(f"need at least 3 vertices, got {emb.n}")
     if len(emb.rotation) != emb.n:
         raise MalformedRotation("rotation table length differs from n")
+    index: list[dict[int, int]] = []
     for v, rot in enumerate(emb.rotation):
         if not rot:
             raise MalformedRotation(f"vertex {v} has no neighbors")
-        seen: set[int] = set()
-        for w in rot:
+        pos: dict[int, int] = {}
+        for i, w in enumerate(rot):
             if not _is_vertex_id(w) or not 0 <= w < emb.n:
                 raise MalformedRotation(f"vertex {v} lists invalid neighbor {w!r}")
             if w == v:
                 raise MalformedRotation(f"self-loop at vertex {v}")
-            if w in seen:
+            if w in pos:
                 raise MalformedRotation(f"parallel edge {v}-{w}")
-            seen.add(w)
+            pos[w] = i
+        index.append(pos)
     for v, rot in enumerate(emb.rotation):
         for w in rot:
-            if v not in emb.rotation[w]:
+            if v not in index[w]:
                 raise MalformedRotation(f"edge {v}-{w} is not symmetric")
+    return index
 
 
 def traverse_faces(emb: PlanarEmbedding) -> list[Face]:
@@ -159,8 +171,7 @@ def traverse_faces(emb: PlanarEmbedding) -> list[Face]:
     clockwise. Raises EulerViolation when the face count contradicts
     n - m + f = 2, i.e. the rotation system is not a sphere embedding.
     """
-    _check_rotation(emb)
-    pos = [{w: i for i, w in enumerate(rot)} for rot in emb.rotation]
+    pos = emb._rotation_index
     used: set[tuple[int, int]] = set()
     faces: list[Face] = []
     for v0 in range(emb.n):
@@ -182,7 +193,7 @@ def traverse_faces(emb: PlanarEmbedding) -> list[Face]:
     return faces
 
 
-def _connected(adj: list[set[int]], n: int) -> bool:
+def _connected(adj: Sequence[Iterable[int]], n: int) -> bool:
     seen = {0}
     queue = deque([0])
     while queue:
@@ -242,6 +253,9 @@ def validate_three_connected(emb: PlanarEmbedding) -> bool:
 
     Requires n >= 4; a triangle counts as not 3-connected even though the
     rest of the package tolerates it as the degenerate no-interior case.
+    A sphere embedding is decided from its faces in O(m) (see
+    _faces_meet_properly); a rotation system that does not traverse to one
+    gets a biconnectivity search with each vertex removed, O(n*m).
     """
     n = emb.n
     if n < 4:
@@ -251,7 +265,55 @@ def validate_three_connected(emb: PlanarEmbedding) -> bool:
         return False
     if not _connected(adj, n):
         return False
-    return all(_biconnected_without(adj, n, a) for a in range(n))
+    try:
+        faces = emb.faces
+    except (MalformedRotation, EulerViolation):
+        return all(_biconnected_without(adj, n, a) for a in range(n))
+    return _faces_meet_properly(faces, n)
+
+
+def _faces_meet_properly(faces: list[Face], n: int) -> bool:
+    """Whether every face is a simple cycle and any two faces share at most
+    one vertex, or exactly the two ends of an edge that lies on both.
+
+    With n >= 4, minimum degree 3 and a connected sphere embedding, this is
+    3-connectivity: a 2-cut {u, v} lies on a closed curve through two faces
+    that both hold u and v. Two faces sharing u and v form a 4-cycle
+    face-u-face-v in the vertex-face incidence graph. Each 4-cycle is found
+    from its first node in decreasing-degree order, by counting the paths
+    of length two to the nodes after it (Chiba & Nishizeki 1985); the
+    incidence graph of a plane graph is planar, so this takes O(m) even
+    around high-degree hubs. Faces are nodes n, n+1, ...
+    """
+    inc: list[list[int]] = [[] for _ in range(n)] + [list(f.vertices) for f in faces]
+    sides: dict[Edge, list[int]] = {}  # the faces along each edge
+    for f, face in enumerate(faces, start=n):
+        vs = face.vertices
+        if len(set(vs)) != len(vs):
+            return False
+        for j, v in enumerate(vs):
+            inc[v].append(f)
+            sides.setdefault(edge_key(vs[j - 1], v), []).append(f)
+    order = sorted(range(len(inc)), key=lambda x: -len(inc[x]))
+    rank = [0] * len(inc)
+    for r, x in enumerate(order):
+        rank[x] = r
+    for x in order:
+        common: dict[int, list[int]] = {}
+        for y in inc[x]:
+            if rank[y] > rank[x]:
+                for z in inc[y]:
+                    if rank[z] > rank[x]:
+                        common.setdefault(z, []).append(y)
+        for z, ys in common.items():
+            if len(ys) == 1:
+                continue
+            if len(ys) > 2:
+                return False
+            pair, shared = ((x, z), ys) if x < n else (ys, (x, z))
+            if sorted(sides.get(edge_key(*pair), ())) != sorted(shared):
+                return False
+    return True
 
 
 def validate(emb: PlanarEmbedding) -> None:
@@ -262,8 +324,8 @@ def validate(emb: PlanarEmbedding) -> None:
     the traversed faces, and 3-connectedness (triangles pass as the
     degenerate base case).
     """
-    _check_rotation(emb)
-    if not _connected(emb.adjacency(), emb.n):
+    emb._rotation_index  # raises on a malformed rotation
+    if not _connected(emb.rotation, emb.n):
         raise InvalidEmbedding("graph is disconnected")
     emb.faces  # raises on an Euler violation
     if len(emb.outer_face) < 3:
@@ -320,9 +382,10 @@ def worst_case_graph(k: int) -> PlanarEmbedding:
 
 
 def _with_outer_face(emb: PlanarEmbedding, outer: tuple[int, ...]) -> PlanarEmbedding:
-    """emb with another outer face, keeping the cached traversal: the faces
-    depend only on the rotation system."""
+    """emb with another outer face, keeping the checked rotation and the
+    cached traversal: both depend only on the rotation system."""
     out = replace(emb, outer_face=outer)
+    out.__dict__["_rotation_index"] = emb._rotation_index
     out.__dict__["faces"] = emb.faces
     return out
 

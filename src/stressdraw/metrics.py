@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroLengthEdge
+from .errors import InputError, ZeroLengthEdge
 from .graph import PlanarEmbedding
 
 # Cross products below this fraction of the squared radius count as collinear.
@@ -14,6 +14,14 @@ CONVEXITY_RTOL = 1e-9
 # Orientation signs within this tolerance (after normalizing coordinates to a
 # unit box) are treated as degenerate contacts, not proper crossings.
 CROSSING_EPS = 1e-12
+# Shewchuk's static error bound for an orientation determinant, (3 + 16e)e
+# with e = 2**-53: when the computed det exceeds it times |left| + |right|
+# (its two products), the exact det of the stored floats has the same sign.
+# The smallest normal float is added so that underflow cannot fake a sign.
+_ORIENT_ERRBOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+_ORIENT_FLOOR = float(np.finfo(float).tiny)
+# Edge pairs per block of the all-pairs test: the size of its temporaries.
+_PAIR_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -44,9 +52,13 @@ def edge_length_ratio(d, emb: PlanarEmbedding) -> float:
 def crossing_count(d, emb: PlanarEmbedding) -> int:
     """Number of properly crossing edge pairs, shared endpoints excluded.
 
-    All-pairs strict orientation tests, vectorized. Coordinates are first
-    normalized to a unit box so the CROSSING_EPS degeneracy cutoff is
-    scale-free; touching or collinear contacts never count.
+    Coordinates are first normalized to a unit box so the CROSSING_EPS
+    degeneracy cutoff is scale-free. A drawing whose faces certify it
+    crossing-free (_certified_planar, O(m)) has count 0. Any other drawing
+    gets all-pairs strict orientation tests, vectorized over blocks of
+    rows; touching or collinear contacts never count. A pair counted there
+    has |det| > CROSSING_EPS, far above the float error, so it crosses in
+    exact arithmetic too, which a certified drawing never does.
     """
     ends = emb.edge_array
     m = len(ends)
@@ -55,29 +67,89 @@ def crossing_count(d, emb: PlanarEmbedding) -> int:
     pts = d.positions
     span = max(float(np.ptp(pts[:, 0])), float(np.ptp(pts[:, 1])), 1e-300)
     pts = (pts - pts.min(axis=0)) / span
-    a = pts[ends[:, 0]]
-    b = pts[ends[:, 1]]
-    i, j = np.triu_indices(m, k=1)
-    shared = (
-        (ends[i, 0] == ends[j, 0])
-        | (ends[i, 0] == ends[j, 1])
-        | (ends[i, 1] == ends[j, 0])
-        | (ends[i, 1] == ends[j, 1])
+    if _certified_planar(pts, emb):
+        return 0
+    ax, ay = pts[ends[:, 0]].T
+    bx, by = pts[ends[:, 1]].T
+    dx, dy = bx - ax, by - ay
+
+    def cross(e, qx, qy):  # orientation of point q against edge e
+        return dx[e] * (qy - ay[e]) - dy[e] * (qx - ax[e])
+
+    count = 0
+    rows = max(1, _PAIR_BLOCK // m)
+    for r0 in range(0, m - 1, rows):
+        i = np.arange(r0, min(r0 + rows, m - 1))[:, None]
+        j = np.arange(r0 + 1, m)[None, :]
+        t1 = cross(i, ax[j], ay[j])
+        t2 = cross(i, bx[j], by[j])
+        t3 = cross(j, ax[i], ay[i])
+        t4 = cross(j, bx[i], by[i])
+        eps = CROSSING_EPS
+        opposite_ij = ((t1 > eps) & (t2 < -eps)) | ((t1 < -eps) & (t2 > eps))
+        opposite_ji = ((t3 > eps) & (t4 < -eps)) | ((t3 < -eps) & (t4 > eps))
+        shared = (
+            (ends[i, 0] == ends[j, 0])
+            | (ends[i, 0] == ends[j, 1])
+            | (ends[i, 1] == ends[j, 0])
+            | (ends[i, 1] == ends[j, 1])
+        )
+        count += int(np.count_nonzero(opposite_ij & opposite_ji & ~shared & (j > i)))
+    return count
+
+
+def _orientation(o: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Exact sign of each triangle (o, p, q) of (k, 2) point arrays: 1
+    counterclockwise, -1 clockwise, 0 when the float filter cannot tell."""
+    left = (p[:, 0] - o[:, 0]) * (q[:, 1] - o[:, 1])
+    right = (p[:, 1] - o[:, 1]) * (q[:, 0] - o[:, 0])
+    det = left - right
+    bound = _ORIENT_ERRBOUND * (np.abs(left) + np.abs(right)) + _ORIENT_FLOOR
+    return (det > bound).astype(int) - (det < -bound)
+
+
+def _certified_planar(pts: np.ndarray, emb: PlanarEmbedding) -> bool:
+    """Whether the drawing's faces prove it has no proper crossing, in O(m).
+
+    Holds when every face is a simple cycle, the outer face is drawn as a
+    strictly convex polygon that winds once, and every fan triangle of
+    every inner face turns the other way round than the outer traversal,
+    all with exact signs. A component without the outer face would be a
+    closed surface whose fan triangles sum to signed area 0, impossible
+    when all share one strict sign; so the graph is connected, its inner
+    faces cover each point inside the outer polygon exactly once (Floater
+    2003; Gortler, Gotsman & Thurston 2006), and two properly crossing
+    edges would cover the points near the crossing twice.
+    """
+    try:
+        faces, outer = emb.faces, emb.outer_index
+    except (InputError, TypeError):  # no sphere traversal, or no such outer face
+        return False
+    lengths = np.array([len(f) for f in faces])
+    flat = np.fromiter(
+        (v for f in faces for v in f.vertices), dtype=np.intp, count=int(lengths.sum())
     )
-
-    def cross(o, p, q):
-        return (p[:, 0] - o[:, 0]) * (q[:, 1] - o[:, 1]) - (
-            p[:, 1] - o[:, 1]
-        ) * (q[:, 0] - o[:, 0])
-
-    t1 = cross(a[i], b[i], a[j])
-    t2 = cross(a[i], b[i], b[j])
-    t3 = cross(a[j], b[j], a[i])
-    t4 = cross(a[j], b[j], b[i])
-    eps = CROSSING_EPS
-    opposite_ij = ((t1 > eps) & (t2 < -eps)) | ((t1 < -eps) & (t2 > eps))
-    opposite_ji = ((t3 > eps) & (t4 < -eps)) | ((t3 < -eps) & (t4 > eps))
-    return int(np.count_nonzero(opposite_ij & opposite_ji & ~shared))
+    face_of = np.repeat(np.arange(len(faces)), lengths)
+    if lengths.min() < 3 or np.unique(face_of * emb.n + flat).size != flat.size:
+        return False
+    ring = np.array(faces[outer].vertices)
+    turns = _orientation(pts[np.roll(ring, 1)], pts[ring], pts[np.roll(ring, -1)])
+    if turns[0] == 0 or (turns != turns[0]).any():
+        return False
+    step = pts[np.roll(ring, -1)] - pts[ring]
+    prev = np.roll(step, 1, axis=0)
+    turning = np.arctan2(
+        prev[:, 0] * step[:, 1] - prev[:, 1] * step[:, 0], (prev * step).sum(axis=1)
+    ).sum()
+    if abs(turning) > 3.0 * np.pi:  # 2*pi per winding
+        return False
+    starts = np.cumsum(lengths) - lengths
+    corner = np.arange(len(flat)) - starts[face_of]
+    mid = np.flatnonzero(
+        (corner >= 1) & (corner <= lengths[face_of] - 2) & (face_of != outer)
+    )
+    fans = _orientation(pts[flat[starts[face_of[mid]]]], pts[flat[mid]], pts[flat[mid + 1]])
+    return bool((fans == -turns[0]).all())
 
 
 def faces_convex(d, emb: PlanarEmbedding) -> bool:

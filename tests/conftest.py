@@ -8,10 +8,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from stressdraw import PlanarEmbedding, edge_key
+from stressdraw.metrics import CROSSING_EPS
 from stressdraw.solver import OuterPolygon
 from stressdraw.spread import StOrientation
+
+# Property tests draw the same bounded set of examples on every run and keep
+# no example database between runs.
+settings.register_profile(
+    "stressdraw", derandomize=True, max_examples=60, deadline=None, database=None
+)
+settings.load_profile("stressdraw")
 
 
 @pytest.fixture
@@ -74,6 +83,31 @@ def brute_three_connected(emb: PlanarEmbedding) -> bool:
             if not _connected_without(adj, n, {a, b}):
                 return False
     return True
+
+
+def brute_crossing_count(positions: np.ndarray, emb: PlanarEmbedding) -> int:
+    """Properly crossing edge pairs by the definition the package uses: both
+    ends of each edge strictly on opposite sides of the other edge's line,
+    beyond CROSSING_EPS in a unit box, no endpoint shared. Every pair is
+    tested; nothing is certified or blocked."""
+    ends = np.array(emb.edges())
+    if len(ends) < 2:
+        return 0
+    span = max(float(np.ptp(positions[:, 0])), float(np.ptp(positions[:, 1])), 1e-300)
+    pts = (positions - positions.min(axis=0)) / span
+    i, j = np.triu_indices(len(ends), k=1)
+    a, b, c, e = pts[ends[i, 0]], pts[ends[i, 1]], pts[ends[j, 0]], pts[ends[j, 1]]
+
+    def side(o, p, q):
+        return (p[:, 0] - o[:, 0]) * (q[:, 1] - o[:, 1]) - (p[:, 1] - o[:, 1]) * (q[:, 0] - o[:, 0])
+
+    def straddles(s1, s2):
+        return ((s1 > CROSSING_EPS) & (s2 < -CROSSING_EPS)) | (
+            (s1 < -CROSSING_EPS) & (s2 > CROSSING_EPS))
+
+    disjoint = (ends[i, :, None] != ends[j, None, :]).all(axis=(1, 2))
+    crossing = straddles(side(a, b, c), side(a, b, e)) & straddles(side(c, e, a), side(c, e, b))
+    return int(np.count_nonzero(crossing & disjoint))
 
 
 def enumerate_canonical_paths(o: StOrientation) -> dict[tuple[int, int], int]:

@@ -2,11 +2,18 @@
 from __future__ import annotations
 
 import json
+import math
+import random
+import time
 
+import networkx as nx
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import brute_three_connected
 
+from stressdraw import graph
 from stressdraw import (
     EulerViolation,
     InfeasibleParams,
@@ -136,6 +143,123 @@ def test_three_connectivity_matches_brute_oracle(two_ring_wheel):
         cases.append(generate_planar(n, m, seed=100 + i))
     for emb in cases:
         assert validate_three_connected(emb) == brute_three_connected(emb)
+
+
+def _thinned_triangulation(n: int, seed: int, share: float, keep_degree: bool) -> PlanarEmbedding:
+    """A random triangulation less a random share of its edges, deleted
+    without checking 3-connectivity. With keep_degree, deletions that would
+    leave a vertex of degree below 3 are skipped, so about half the graphs
+    fail only through a 2-cut; without, most fail through a low degree."""
+    tri = generate_planar(n, 3 * n - 6, seed=seed)
+    rot = [list(r) for r in tri.rotation]
+    edges = tri.edges()
+    random.Random(seed).shuffle(edges)
+    for u, v in edges[: int(share * len(edges))]:
+        if keep_degree and min(len(rot[u]), len(rot[v])) <= 3:
+            continue
+        rot[u].remove(v)
+        rot[v].remove(u)
+    return PlanarEmbedding(n, tuple(map(tuple, rot)), ())
+
+
+@given(n=st.integers(4, 11), seed=st.integers(0, 10**6), share=st.floats(0.0, 0.5),
+       keep_degree=st.booleans())
+def test_three_connectivity_matches_brute_on_thinned_triangulations(n, seed, share, keep_degree):
+    emb = _thinned_triangulation(n, seed, share, keep_degree)
+    assert validate_three_connected(emb) == brute_three_connected(emb)
+
+
+@given(n=st.integers(12, 40), seed=st.integers(0, 10**6), share=st.floats(0.0, 0.5))
+def test_three_connectivity_matches_networkx(n, seed, share):
+    emb = _thinned_triangulation(n, seed, share, keep_degree=True)
+    g = nx.Graph(emb.edges())
+    g.add_nodes_from(range(n))
+    assert validate_three_connected(emb) == (nx.node_connectivity(g) >= 3)
+
+
+def _plane(points, edges, outer=()) -> PlanarEmbedding:
+    """The embedding of a straight-line drawing: neighbors sorted by angle."""
+    nbrs: list[list[int]] = [[] for _ in points]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+
+    def angle(v, w):
+        return math.atan2(points[w][1] - points[v][1], points[w][0] - points[v][0])
+
+    rot = tuple(tuple(sorted(ws, key=lambda w: angle(v, w))) for v, ws in enumerate(nbrs))
+    return PlanarEmbedding(len(points), rot, outer)
+
+
+def _three_lobes() -> PlanarEmbedding:
+    """Hubs 0, 1, 2 joined pairwise by a lobe p-q (a 4-cycle with chord):
+    the outer and the inner 6-face share all three hubs."""
+    hub = [(2 * math.cos(a), 2 * math.sin(a)) for a in (math.pi / 2, 7 * math.pi / 6, -math.pi / 6)]
+    mid = (5 * math.pi / 6, 3 * math.pi / 2, math.pi / 6)
+    points = hub + [(2.5 * math.cos(a), 2.5 * math.sin(a)) for a in mid] + [
+        (math.cos(a), math.sin(a)) for a in mid]
+    edges = []
+    for k in range(3):
+        u, v, p, q = k, (k + 1) % 3, 3 + k, 6 + k
+        edges += [(u, p), (p, v), (u, q), (q, v), (p, q)]
+    return _plane(points, edges)
+
+
+def _two_k4(bridge: bool) -> PlanarEmbedding:
+    """Two tetrahedra sharing vertex 0, or joined by the bridge 0-4."""
+    left = [(0.0, 0.0), (-2.0, 1.0), (-2.0, -1.0), (-1.4, 0.0)]
+    right = [(1.0, 0.0), (3.0, 1.0), (3.0, -1.0), (2.4, 0.0)]
+    k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    if bridge:
+        edges = k4 + [(u + 4, v + 4) for u, v in k4] + [(0, 4)]
+        return _plane(left + right, edges)
+    shift = {0: 0, 1: 4, 2: 5, 3: 6}
+    return _plane(left + right[1:], k4 + [(shift[u], shift[v]) for u, v in k4])
+
+
+@pytest.mark.parametrize("build", [_three_lobes, lambda: _two_k4(True), lambda: _two_k4(False)],
+                         ids=["faces-share-three", "bridge", "cut-vertex"])
+def test_two_cut_sphere_embeddings_not_three_connected(build):
+    """Minimum degree 3, connected, Euler-consistent, yet not 3-connected:
+    decided from the faces alone."""
+    emb = build()
+    assert min(map(len, emb.rotation)) >= 3
+    emb.faces  # a sphere embedding
+    assert not brute_three_connected(emb)
+    assert not validate_three_connected(emb)
+
+
+def test_validate_is_linear_around_hubs():
+    """Two apexes of degree 2001: face-based 3-connectivity and the
+    position-map rotation check keep validate far from quadratic."""
+    hub = worst_case_graph(2000)
+    emb = PlanarEmbedding(hub.n, hub.rotation, hub.outer_face)
+    start = time.perf_counter()
+    validate(emb)
+    assert validate_three_connected(emb)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_validate_checks_rotation_once(monkeypatch, octahedron):
+    calls = []
+    check = graph._check_rotation
+    monkeypatch.setattr(graph, "_check_rotation", lambda emb: calls.append(emb) or check(emb))
+    validate(PlanarEmbedding(octahedron.n, octahedron.rotation, octahedron.outer_face))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("rotation, message", [
+    (((1, 2), (2,), (0, 1, 1)), "parallel edge 2-1"),
+    (((1, 2), (2, 0), (0,)), "edge 1-2 is not symmetric"),
+    (((1, 2, 0), (2, 0, 0), (0, 1)), "self-loop at vertex 0"),
+    (((1, 7), (2, 0, 2), (0, 1)), "vertex 0 lists invalid neighbor 7"),
+    (((), (2,), (1,)), "vertex 0 has no neighbors"),
+    (((1, 2), (0, 2), (0, 1), (0,)), "edge 3-0 is not symmetric"),
+])
+def test_rotation_errors_keep_their_order(rotation, message):
+    """Per-vertex faults are reported vertex by vertex before any asymmetry."""
+    with pytest.raises(MalformedRotation, match=f"^{message}$"):
+        validate(PlanarEmbedding(len(rotation), rotation, (0, 1, 2)))
 
 
 def test_worst_case_shape():

@@ -2,9 +2,13 @@
 from __future__ import annotations
 
 import json
+import math
+import random
 
 import numpy as np
 import pytest
+
+from conftest import brute_crossing_count
 
 from stressdraw import (
     Drawing,
@@ -15,11 +19,15 @@ from stressdraw import (
     crossing_count,
     edge_length_ratio,
     faces_convex,
+    generate_planar,
     metrics_json,
     regular_polygon,
     rotate_drawing,
     tutte,
+    validate,
 )
+from stressdraw.cli import METHODS, _Context
+from stressdraw.metrics import _certified_planar
 
 
 def _square():
@@ -135,3 +143,115 @@ def test_ratio_similarity_invariance(octahedron):
     moved = 3.0 * d.positions + [7.0, -2.0]
     shifted = Drawing(moved, d.polygon, d.residual)
     assert abs(edge_length_ratio(shifted, octahedron) - base) < 1e-9
+
+
+def _certified(d, emb) -> bool:
+    """The certificate on crossing_count's unit-box coordinates."""
+    pts = d.positions
+    span = max(float(np.ptp(pts[:, 0])), float(np.ptp(pts[:, 1])))
+    return _certified_planar((pts - pts.min(axis=0)) / span, emb)
+
+
+def _method_drawings(sizes):
+    """Every CLI method's drawing on generated graphs; every third graph is
+    a triangulation, the only input schnyder accepts."""
+    for i, n in enumerate(sizes):
+        tri = i % 3 == 0
+        emb = generate_planar(n, 3 * n - 6 if tri else (5 * n) // 2, seed=60 + i)
+        ctx = _Context(emb, regular_polygon(emb.outer_face), r="2")
+        for name, method in METHODS.items():
+            if name != "schnyder" or tri:
+                yield emb, method(ctx)[0]
+
+
+def test_every_method_certifies_and_matches_brute():
+    for emb, d in _method_drawings([12, 20, 31, 45, 64, 80]):
+        assert _certified(d, emb)
+        assert crossing_count(d, emb) == brute_crossing_count(d.positions, emb) == 0
+
+
+def test_folded_drawings_match_brute():
+    """Moving one interior vertex somewhere else folds most drawings; on
+    the n = 130 graph the all-pairs test runs in two row blocks."""
+    rng = random.Random(7)
+    crossed = total = 0
+    for emb, d in _method_drawings([12, 25, 130]):
+        inner = sorted(set(range(emb.n)) - set(emb.outer_face))
+        pos = d.positions.copy()
+        pos[rng.choice(inner)] = rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)
+        folded = Drawing(pos, d.polygon, d.residual)
+        count = crossing_count(folded, emb)
+        assert count == brute_crossing_count(pos, emb)
+        assert count == 0 or not _certified(folded, emb)
+        crossed += count > 0
+        total += 1
+    assert crossed > total // 2
+
+
+def test_pentagram_rim_does_not_certify():
+    """A wheel whose rim is drawn as a pentagram: every corner turns the same
+    way, but the outer face winds twice."""
+    rim = (1, 2, 3, 4, 5)
+    emb = PlanarEmbedding(
+        6, (rim, (0, 5, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 1)), (1, 5, 4, 3, 2)
+    )
+    pos = np.array([(0.0, 0.0)] + [
+        (math.cos(4 * math.pi * k / 5), math.sin(4 * math.pi * k / 5)) for k in range(5)
+    ])
+    d = Drawing(pos, OuterPolygon(rim, {v: tuple(pos[v]) for v in rim}), 0.0)
+    validate(emb)
+    assert not _certified(d, emb)
+    assert crossing_count(d, emb) == brute_crossing_count(pos, emb) == 10
+
+
+@pytest.mark.parametrize("where", ["outer", "inner"])
+def test_straight_angle_falls_back(where):
+    """An exactly straight angle leaves a corner or fan triangle with
+    orientation 0, so the count comes from the all-pairs test, unchanged."""
+    emb = PlanarEmbedding(
+        5, ((1, 2, 3, 4), (0, 4, 2), (0, 1, 3), (0, 2, 4), (0, 3, 1)), (1, 4, 3, 2)
+    )
+    pos = np.array([(0.5, 0.5), (0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    if where == "outer":
+        emb = PlanarEmbedding(
+            6, ((1, 2, 3, 4, 5), (0, 5, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 1)),
+            (1, 5, 4, 3, 2),
+        )
+        pos = np.array([(1.0, 0.5), (0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0)])
+    else:
+        pos[0] = (0.5, 0.0)  # the hub lies on the rim edge 1-2
+    d = Drawing(pos, regular_polygon(emb.outer_face), 0.0)
+    validate(emb)
+    assert not _certified(d, emb)
+    assert crossing_count(d, emb) == brute_crossing_count(pos, emb) == 0
+
+
+@pytest.mark.parametrize("p1, p3, crossings", [
+    ((1.0, -1.0), (1.0, 1.0), 1),
+    ((1.0, 0.0), (1.0, 1.0), 0),
+    ((1.0, 0.0), (3.0, 0.0), 0),
+])
+def test_two_segments_keep_their_count(p1, p3, crossings):
+    """The disjoint-edges embedding does not traverse, so it never certifies."""
+    emb, d = _two_segments(p1, p3)
+    assert not _certified(d, emb)
+    assert crossing_count(d, emb) == brute_crossing_count(d.positions, emb) == crossings
+
+
+def test_metrics_at_n_5000():
+    """15k edges: the all-pairs test would need about 11 GB; the faces
+    certify the drawing in linear time."""
+    emb = generate_planar(5000, 14994, seed=1)
+    m = compute_metrics(tutte(emb, regular_polygon(emb.outer_face)), emb)
+    assert m.crossing_count == 0
+    assert m.all_faces_convex
+
+
+@pytest.mark.parametrize("outer", [(0, 3, 4), (0, None, 1)], ids=["not-a-face", "non-integer"])
+def test_outer_face_outside_the_traversal_falls_back(octahedron, outer):
+    """crossing_count takes unvalidated embeddings: an outer face that names
+    no traversed face leaves nothing to certify, and the count still comes."""
+    d = tutte(octahedron, regular_polygon(octahedron.outer_face))
+    emb = PlanarEmbedding(octahedron.n, octahedron.rotation, outer)
+    assert not _certified(d, emb)
+    assert crossing_count(d, emb) == brute_crossing_count(d.positions, emb) == 0

@@ -57,23 +57,35 @@ def kaleidoscope(
     poly: OuterPolygon,
     step_degrees: float = 5.0,
 ) -> list[KaleidoscopeRow]:
-    """Edge-length ratio of the xy-morph at angles 0, step, ..., 90 inclusive."""
+    """Edge-length ratio of the xy-morph at angles 0, step, ..., 90 inclusive.
+
+    Each row blends the spreads along its angle and the angle + 90 degrees,
+    so directions meet across rows (0 + 90 is the 90-degree row's own
+    direction); every distinct direction is spread once.
+    """
     if not 0.0 < step_degrees <= 90.0:
         raise BadParams(f"step must lie in (0, 90], got {step_degrees}")
     ref = tutte(emb, poly)
-    rows: list[KaleidoscopeRow] = []
+    spreads: dict[float, np.ndarray] = {}
+
+    def spread(direction: float) -> np.ndarray:
+        if direction not in spreads:
+            spreads[direction] = spread_pipeline(emb, poly, direction, reference=ref).weights
+        return spreads[direction]
+
+    angles: list[float] = []
     k = 0
-    while True:
-        deg = k * step_degrees
-        if deg > 90.0 + 1e-9:
-            break
-        deg = min(deg, 90.0)
-        _, d = xy_morph(emb, poly, math.radians(deg), reference=ref)
-        rows.append(KaleidoscopeRow(deg, edge_length_ratio(d, emb)))
+    while k * step_degrees <= 90.0 + 1e-9:
+        angles.append(min(k * step_degrees, 90.0))
         k += 1
-    if rows[-1].angle_degrees < 90.0:
-        _, d = xy_morph(emb, poly, math.radians(90.0), reference=ref)
-        rows.append(KaleidoscopeRow(90.0, edge_length_ratio(d, emb)))
+    if angles[-1] < 90.0:
+        angles.append(90.0)
+    rows: list[KaleidoscopeRow] = []
+    for deg in angles:
+        angle = math.radians(deg)
+        weights = morph_weights(spread(angle), spread(angle + math.pi / 2))
+        d = solve_stress(emb, weights, poly)
+        rows.append(KaleidoscopeRow(deg, edge_length_ratio(d, emb)))
     return rows
 
 

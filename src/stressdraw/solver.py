@@ -96,49 +96,39 @@ def solve_stress(
 ) -> Drawing:
     """Solve the weighted equilibrium system with the outer face pinned.
 
-    weights is an (m,) array aligned with emb.edges(). One sparse LU
-    factorization of the interior weighted Laplacian is reused for both
-    coordinates, followed by a few iterative-refinement passes. The result
-    must meet the hard residual bound RESIDUAL_RTOL * poly.radius or
-    ResidualExceeded is raised.
+    weights is an (m,) array aligned with emb.edges(). The system's
+    sparsity pattern comes from the embedding, which builds it once, so a
+    solve only places its weights. One sparse LU factorization of the
+    interior weighted Laplacian is reused for both coordinates, followed by
+    a few iterative-refinement passes. The result must meet the hard
+    residual bound RESIDUAL_RTOL * poly.radius or ResidualExceeded is
+    raised.
     """
     if set(emb.outer_face) != set(poly.positions):
         raise PreconditionError("polygon does not pin exactly the outer face")
-    edges = emb.edge_array
-    if np.shape(weights) != (len(edges),):
-        raise NonPositiveWeight(f"need {len(edges)} edge weights, got shape {np.shape(weights)}")
+    m = len(emb.edge_array)
+    if np.shape(weights) != (m,):
+        raise NonPositiveWeight(f"need {m} edge weights, got shape {np.shape(weights)}")
+    pattern = emb._laplacian_pattern
+    # the weight of every edge seen from each interior end: a row of the system
+    w = np.asarray(weights, dtype=float)[pattern.half]
+    bad = np.flatnonzero(~((w > 0) & np.isfinite(w)))
+    if bad.size:
+        u, v = emb.edge_array[pattern.half[bad[0]]].tolist()
+        raise NonPositiveWeight(f"edge {(u, v)} needs a positive finite weight, got {w[bad[0]]!r}")
     pinned = list(poly.positions)
     positions = np.zeros((emb.n, 2))
     positions[pinned] = list(poly.positions.values())
-    row_of = np.zeros(emb.n, dtype=np.intp)
-    row_of[pinned] = -1
-    interior = np.flatnonzero(row_of == 0)
-    k = len(interior)
-    row_of[interior] = np.arange(k)
-    # every edge seen from each interior end: a row of the system
-    tail = np.concatenate((edges[:, 0], edges[:, 1]))
-    head = np.concatenate((edges[:, 1], edges[:, 0]))
-    w = np.concatenate((weights, weights)).astype(float)
-    live = row_of[tail] >= 0
-    tail, head, w = tail[live], head[live], w[live]
-    bad = np.flatnonzero(~((w > 0) & np.isfinite(w)))
-    if bad.size:
-        u, v = sorted((int(tail[bad[0]]), int(head[bad[0]])))
-        raise NonPositiveWeight(f"edge {(u, v)} needs a positive finite weight, got {w[bad[0]]!r}")
     tol = RESIDUAL_RTOL * poly.radius
+    k = len(pattern.interior)
     if not k:
         return Drawing(positions, poly, 0.0)
 
-    row, col = row_of[tail], row_of[head]
-    inner = col >= 0
-    diag = np.arange(k)
-    system = csc_matrix(
-        (np.concatenate((-w[inner], np.bincount(row, w, k))),
-         (np.concatenate((row[inner], diag)), np.concatenate((col[inner], diag)))),
-        shape=(k, k),
-    )
-    pull = w[~inner, None] * positions[head[~inner]]
-    rhs = np.column_stack([np.bincount(row[~inner], pull[:, c], k) for c in (0, 1)])
+    values = np.concatenate((-w[pattern.inner], np.bincount(pattern.row, w, k)))
+    system = csc_matrix((values[pattern.perm], pattern.indices, pattern.indptr), shape=(k, k))
+    out = pattern.boundary
+    pull = w[out, None] * positions[pattern.boundary_head]
+    rhs = np.column_stack([np.bincount(pattern.row[out], pull[:, c], k) for c in (0, 1)])
     try:
         lu = splu(system)
     except RuntimeError as exc:
@@ -150,7 +140,7 @@ def solve_stress(
             break
         sol += lu.solve(gap)
 
-    positions[interior] = sol
+    positions[pattern.interior] = sol
     residual = equilibrium_residual(emb, weights, positions, pinned)
     if residual > tol:
         raise ResidualExceeded(

@@ -9,14 +9,20 @@ each edge with paths / target gap. Solving the stress system with those
 weights reproduces the targets exactly, because every canonical path
 contributes a balanced +1/-1 to the x-equilibrium of each vertex it passes
 through.
+
+Every step works on numpy arrays over the embedding's edge array: the
+orientation is a pair of (m,) tail/head arrays aligned with emb.edges(),
+each BFS tree an (n,) parent array, and targets, path counts and weights
+come out as (n,), (m,) and (m,) arrays.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import (
     DegeneratePosition,
@@ -25,7 +31,7 @@ from .errors import (
     ResidualExceeded,
     ZeroGap,
 )
-from .graph import PlanarEmbedding, edge_key
+from .graph import PlanarEmbedding
 from .solver import Drawing, OuterPolygon, solve_stress, tutte
 
 # Minimum pairwise x-gap, relative to the polygon radius.
@@ -85,164 +91,166 @@ class StOrientation:
     """Edges oriented by increasing x, with one BFS tree out of the source
     and one into the sink.
 
-    order lists the vertices sorted by x; t1_parent maps every non-source
-    vertex to its tree predecessor (an in-neighbor), tn_parent maps every
-    non-sink vertex to its tree successor (an out-neighbor). BFS ties are
-    broken toward the lowest vertex id.
+    order lists the vertices sorted by x and rank is its inverse, both
+    (n,) arrays. Edge i of emb.edges() points from tail[i] to head[i],
+    (m,) arrays with rank[tail] < rank[head]; out_deg and in_deg count
+    the edges leaving and entering each vertex. t1_parent holds every
+    non-source vertex's tree predecessor (an in-neighbor), tn_parent every
+    non-sink vertex's tree successor (an out-neighbor), both (n,) arrays
+    with -1 at the root. BFS ties are broken toward the lowest vertex id.
     """
 
-    order: tuple[int, ...]
-    rank: dict[int, int]
-    out_nbrs: tuple[tuple[int, ...], ...]
-    in_nbrs: tuple[tuple[int, ...], ...]
-    t1_parent: dict[int, int]
-    tn_parent: dict[int, int]
+    order: np.ndarray
+    rank: np.ndarray
+    tail: np.ndarray
+    head: np.ndarray
+    out_deg: np.ndarray
+    in_deg: np.ndarray
+    t1_parent: np.ndarray
+    tn_parent: np.ndarray
 
     @property
     def source(self) -> int:
-        return self.order[0]
+        return int(self.order[0])
 
     @property
     def sink(self) -> int:
-        return self.order[-1]
+        return int(self.order[-1])
 
-    def directed_edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(len(self.out_nbrs)) for v in self.out_nbrs[u]]
 
-    def out_deg(self, v: int) -> int:
-        return len(self.out_nbrs[v])
+def _bfs_trees(
+    emb: PlanarEmbedding, rank: np.ndarray, out_deg: np.ndarray, in_deg: np.ndarray,
+    source: int, sink: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Parent arrays, -1 at the root, of the BFS along out-edges from the
+    source and along in-edges from the sink.
 
-    def in_deg(self, v: int) -> int:
-        return len(self.in_nbrs[v])
+    Both searches run as one: vertex v is node v along out-edges and node
+    n + v along in-edges, and node 2n leads to the source and to n + sink.
+    The two halves share no arc, so each keeps its own dequeue order.
+    Neighbors are listed in increasing id order, so the first dequeued
+    vertex, lowest id among equals, becomes the parent.
+    """
+    n = emb.n
+    frm, to = emb._arcs
+    out = rank[to] > rank[frm]
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate((out_deg, in_deg, [2])))), dtype=np.int32)
+    indices = np.concatenate((to[out], to[~out] + n, [source, n + sink]), dtype=np.int32)
+    arcs = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(2 * n + 1, 2 * n + 1))
+    reached, parent = breadth_first_order(arcs, 2 * n, directed=True, return_predecessors=True)
+    if len(reached) != 2 * n + 1:
+        raise NotStOrientation("orientation does not reach every vertex")
+    parent = parent.astype(np.intp)
+    t1_parent, tn_parent = parent[:n], parent[n:2 * n] - n
+    t1_parent[source] = tn_parent[sink] = -1
+    return t1_parent, tn_parent
 
 
 def st_orient(d: Drawing, emb: PlanarEmbedding) -> StOrientation:
     """Orient edges from smaller to larger x and grow the two BFS trees."""
-    xs = d.positions[:, 0].tolist()
-    order = tuple(sorted(range(emb.n), key=xs.__getitem__))
-    for a, b in zip(order, order[1:]):
-        if not xs[a] < xs[b]:
-            raise DegeneratePosition(f"vertices {a} and {b} share x={xs[a]!r}")
-    rank = {v: i for i, v in enumerate(order)}
-    out_nbrs = tuple(
-        tuple(sorted(w for w in emb.rotation[v] if rank[w] > rank[v]))
-        for v in range(emb.n)
-    )
-    in_nbrs = tuple(
-        tuple(sorted(w for w in emb.rotation[v] if rank[w] < rank[v]))
-        for v in range(emb.n)
-    )
-    source, sink = order[0], order[-1]
-    for v in range(emb.n):
-        if v != source and not in_nbrs[v]:
-            raise NotStOrientation(f"vertex {v} has no incoming edge")
-        if v != sink and not out_nbrs[v]:
-            raise NotStOrientation(f"vertex {v} has no outgoing edge")
-
-    def bfs(root: int, step_nbrs: tuple[tuple[int, ...], ...]) -> dict[int, int]:
-        parent: dict[int, int] = {}
-        seen = {root}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in step_nbrs[v]:
-                if w not in seen:
-                    seen.add(w)
-                    parent[w] = v
-                    queue.append(w)
-        if len(seen) != emb.n:
-            raise NotStOrientation("orientation does not reach every vertex")
-        return parent
-
-    t1_parent = bfs(source, out_nbrs)
-    tn_parent = bfs(sink, in_nbrs)
-    return StOrientation(order, rank, out_nbrs, in_nbrs, t1_parent, tn_parent)
+    xs = d.positions[:, 0]
+    order = np.argsort(xs, kind="stable")
+    tied = np.flatnonzero(~(xs[order[1:]] > xs[order[:-1]]))
+    if tied.size:
+        a, b = order[tied[0]], order[tied[0] + 1]
+        raise DegeneratePosition(f"vertices {a} and {b} share x={float(xs[a])!r}")
+    n = emb.n
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    lo, hi = emb.edge_array.T
+    forward = rank[lo] < rank[hi]
+    tail, head = np.where(forward, lo, hi), np.where(forward, hi, lo)
+    out_deg = np.bincount(tail, minlength=n)
+    in_deg = np.bincount(head, minlength=n)
+    source, sink = int(order[0]), int(order[-1])
+    no_in, no_out = in_deg == 0, out_deg == 0
+    no_in[source] = no_out[sink] = False
+    stuck = np.flatnonzero(no_in | no_out)
+    if stuck.size:
+        v = stuck[0]
+        raise NotStOrientation(
+            f"vertex {v} has no {'incoming' if no_in[v] else 'outgoing'} edge"
+        )
+    t1_parent, tn_parent = _bfs_trees(emb, rank, out_deg, in_deg, source, sink)
+    return StOrientation(order, rank, tail, head, out_deg, in_deg, t1_parent, tn_parent)
 
 
 # ---------------------------------------------------------------------------
 # targets, path counts, weights
 # ---------------------------------------------------------------------------
 
-def target_x(o: StOrientation, poly: OuterPolygon) -> dict[int, float]:
-    """Target x for every vertex: pinned vertices keep their polygon x,
-    each maximal run of interior vertices between consecutive pinned
-    values a < b is spaced evenly at a + j*(b-a)/(len+1)."""
-    fixed = {v: poly.positions[v][0] for v in poly.positions}
-    targets: dict[int, float] = {}
-    run: list[int] = []
-    last: float | None = None
-    for v in o.order:
-        if v in fixed:
-            b = fixed[v]
-            if run:
-                assert last is not None
-                if not b > last:
-                    raise PreconditionError("pinned x-values are not increasing")
-                span = b - last
-                for j, u in enumerate(run, start=1):
-                    targets[u] = last + j * span / (len(run) + 1)
-                run = []
-            last = b
-            targets[v] = b
-        else:
-            if last is None:
-                raise PreconditionError(
-                    "leftmost vertex is interior; drawing is not pinned-convex"
-                )
-            run.append(v)
-    if run:
+def target_x(o: StOrientation, poly: OuterPolygon) -> np.ndarray:
+    """Target x for every vertex, an (n,) array: pinned vertices keep their
+    polygon x, each maximal run of L interior vertices between consecutive
+    pinned values a < b is spaced evenly at a + j*(b-a)/(L+1), j = 1..L."""
+    targets = np.zeros(len(o.order))
+    pinned = np.zeros(len(o.order), dtype=bool)
+    corners = list(poly.positions)
+    targets[corners] = [xy[0] for xy in poly.positions.values()]
+    pinned[corners] = True
+    in_order = pinned[o.order]
+    if not in_order[0]:
+        raise PreconditionError(
+            "leftmost vertex is interior; drawing is not pinned-convex"
+        )
+    at = np.flatnonzero(in_order)  # positions of the pinned vertices in order
+    x = targets[o.order[at]]
+    run = np.diff(at) - 1  # interior vertices between consecutive pinned ones
+    if np.any((run > 0) & ~(x[1:] > x[:-1])):
+        raise PreconditionError("pinned x-values are not increasing")
+    if not in_order[-1]:
         raise PreconditionError(
             "rightmost vertex is interior; drawing is not pinned-convex"
         )
+    inner = np.flatnonzero(~in_order)
+    k = np.searchsorted(at, inner) - 1  # the run each interior vertex is in
+    span = x[1:] - x[:-1]
+    targets[o.order[inner]] = x[k] + (inner - at[k]) * span[k] / (run[k] + 1)
     return targets
 
 
-def count_paths(o: StOrientation) -> dict[tuple[int, int], int]:
-    """Number of canonical source-to-sink paths through each directed edge.
+def count_paths(o: StOrientation) -> np.ndarray:
+    """Number of canonical source-to-sink paths through each edge, an (m,)
+    int array aligned with o.tail and o.head.
 
     The canonical path of edge e = (a, b) walks the source tree from the
     source to a, crosses e, then walks the sink tree from b to the sink.
     The count for a directed edge (u, v) is 1 for its own path, plus, when
     (u, v) is a source-tree edge, the out-degrees summed over the subtree
     below v, plus, when it is a sink-tree edge, the in-degrees summed over
-    the subtree below u. Both sums accumulate bottom-up in linear time.
+    the subtree below u. Both sums accumulate bottom-up in linear time;
+    they are integers, so the order of the additions cannot change them.
     """
-    n = len(o.order)
-    s1 = [o.out_deg(v) for v in range(n)]
-    for v in reversed(o.order):  # children (larger x) before parents
-        p = o.t1_parent.get(v)
-        if p is not None:
-            s1[p] += s1[v]
-    sn = [o.in_deg(v) for v in range(n)]
-    for v in o.order:  # children (smaller x) before parents
-        p = o.tn_parent.get(v)
-        if p is not None:
-            sn[p] += sn[v]
-    counts: dict[tuple[int, int], int] = {}
-    for u, v in o.directed_edges():
-        c = 1
-        if o.t1_parent.get(v) == u:
-            c += s1[v]
-        if o.tn_parent.get(u) == v:
-            c += sn[u]
-        counts[(u, v)] = c
-    return counts
+    order = o.order.tolist()
+    # one spare slot at the end takes the roots' additions to parent -1
+    s1, sn = o.out_deg.tolist() + [0], o.in_deg.tolist() + [0]
+    up1, upn = o.t1_parent.tolist(), o.tn_parent.tolist()
+    # source-tree children have larger x than their parent, sink-tree ones smaller
+    for v, w in zip(reversed(order), order):
+        s1[up1[v]] += s1[v]
+        sn[upn[w]] += sn[w]
+    s1, sn = np.array(s1[:-1]), np.array(sn[:-1])
+    t, h = o.tail, o.head
+    return (1 + np.where(o.t1_parent[h] == t, s1[h], 0)
+            + np.where(o.tn_parent[t] == h, sn[t], 0))
 
 
 def spread_weights(
     o: StOrientation,
-    targets: dict[int, float],
-    counts: dict[tuple[int, int], int],
+    targets: np.ndarray,
+    counts: np.ndarray,
 ) -> np.ndarray:
     """Weight each edge with path count / target gap, as an (m,) array in
-    sorted edge-key order, the order of the embedding's edges()."""
-    keyed: list[tuple[tuple[int, int], float]] = []
-    for u, v in o.directed_edges():
-        gap = targets[v] - targets[u]
-        if gap <= 0:
-            raise ZeroGap(f"edge ({u}, {v}) has non-positive target gap {gap!r}")
-        keyed.append((edge_key(u, v), counts[(u, v)] / gap))
-    return np.array([w for _, w in sorted(keyed)])
+    the order of the embedding's edges()."""
+    targets = np.asarray(targets)
+    gap = targets[o.head] - targets[o.tail]
+    bad = np.flatnonzero(gap <= 0)
+    if bad.size:
+        i = bad[0]
+        raise ZeroGap(
+            f"edge ({o.tail[i]}, {o.head[i]}) has non-positive target gap {float(gap[i])!r}"
+        )
+    return counts / gap
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +264,7 @@ class SpreadResult:
     weights: np.ndarray        # (m,), aligned with emb.edges()
     drawing: Drawing           # solved against the original polygon
     frame: Drawing             # same drawing rotated into the spread frame
-    targets: dict[int, float]  # x-targets in the spread frame
+    targets: np.ndarray        # (n,) x-targets in the spread frame
     orientation: StOrientation
     angle: float               # rotation from original frame to spread frame
     reference: Drawing         # unit-weight drawing the pipeline started from
@@ -284,7 +292,7 @@ def spread_pipeline(
     weights = spread_weights(o, targets, counts)
     drawing = solve_stress(emb, weights, poly)
     frame = rotate_drawing(drawing, angle)
-    miss = float(np.abs(frame.positions[:, 0] - [targets[v] for v in range(emb.n)]).max())
+    miss = float(np.abs(frame.positions[:, 0] - targets).max())
     if miss > TARGET_RTOL * poly.radius:
         raise ResidualExceeded(
             f"spread drawing misses its targets by {miss:.3e}"

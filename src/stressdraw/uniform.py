@@ -196,13 +196,13 @@ def uniform_pipeline(
         reference = tutte(emb, regular_polygon(emb.outer_face))
     pos, _ = ensure_general_position(reference)
     o = st_orient(pos, emb)
-    indices = {v: o.rank[v] + 1 for v in o.order}
+    indices = {v: i for i, v in enumerate(o.order.tolist(), start=1)}
     poly = convex_outer_placement(emb.outer_face, indices)
-    targets = {v: float(indices[v]) for v in range(emb.n)}
+    targets = (o.rank + 1).astype(float)
     counts = count_paths(o)
     weights = spread_weights(o, targets, counts)
     drawing = solve_stress(emb, weights, poly)
-    miss = float(np.abs(drawing.positions[:, 0] - [targets[v] for v in range(emb.n)]).max())
+    miss = float(np.abs(drawing.positions[:, 0] - targets).max())
     if miss > TARGET_RTOL * poly.radius:
         raise ResidualExceeded(f"uniform drawing misses its x-targets by {miss:.3e}")
     return UniformResult(weights, drawing, indices, o, poly)

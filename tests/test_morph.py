@@ -100,6 +100,26 @@ def test_kaleidoscope_row_count(octahedron):
     assert all(r.ratio >= 1.0 for r in rows)
 
 
+@pytest.mark.parametrize("step, spreads", [(5.0, 37), (7.0, 27), (90.0, 3)])
+def test_kaleidoscope_spreads_each_direction_once(monkeypatch, step, spreads):
+    """Rows blend the spreads along angle and angle + 90 degrees; the 90
+    degree direction serves two rows and is spread once. Every row equals
+    the xy-morph at its angle."""
+    from stressdraw import morph
+
+    emb = generate_planar(14, 32, seed=31)
+    poly = regular_polygon(emb.outer_face)
+    calls = []
+    monkeypatch.setattr(morph, "spread_pipeline",
+                        lambda *a, **k: calls.append(a[2]) or spread_pipeline(*a, **k))
+    rows = kaleidoscope(emb, poly, step)
+    assert len(calls) == len(set(calls)) == spreads
+    ref = tutte(emb, poly)
+    for row in rows:
+        _, d = xy_morph(emb, poly, math.radians(row.angle_degrees), reference=ref)
+        assert row.ratio == edge_length_ratio(d, emb)
+
+
 def test_kaleidoscope_appends_endpoint_when_step_misses(octahedron):
     poly = regular_polygon(octahedron.outer_face)
     rows = kaleidoscope(octahedron, poly, step_degrees=7.0)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_stress_positions, max_position_gap
+from conftest import dense_stress_positions, max_position_gap, scratch_solve_stress
 
 from stressdraw import (
     NonPositiveWeight,
@@ -198,3 +198,49 @@ def test_method_weights_match_dense_oracle(n, m, seed):
         d = solve_stress(emb, w, poly)
         gap = max_position_gap(d.positions, dense_stress_positions(emb, w, poly))
         assert gap < 1e-9, (name, gap)
+
+
+@pytest.mark.parametrize("n, m, seed", [(12, 30, 61), (40, 100, 64), (60, 174, 65)])
+def test_cached_pattern_matches_scratch_assembly(n, m, seed):
+    """Solves through the embedding's cached system pattern give the same
+    positions and residual, bit for bit, as assembling the matrix from
+    scratch, for spread and BFS decay weights."""
+    emb = generate_planar(n, m, seed=seed)
+    poly = regular_polygon(emb.outer_face)
+    for w in (
+        spread_pipeline(emb, poly, 0.3).weights,
+        spread_pipeline(emb, poly, 2.0).weights,
+        depth_weights(bfs_depths(emb), 1.0, 5.0),
+        depth_weights(bfs_depths(emb), 2.0, 1.5),
+    ):
+        got, want = solve_stress(emb, w, poly), scratch_solve_stress(emb, w, poly)
+        assert np.array_equal(got.positions, want.positions)
+        assert got.residual == want.residual
+
+
+def test_pattern_built_once_per_embedding(monkeypatch):
+    from stressdraw import graph
+
+    calls = []
+    build = graph._build_laplacian_pattern
+    monkeypatch.setattr(graph, "_build_laplacian_pattern", lambda emb: calls.append(emb) or build(emb))
+    emb = generate_planar(20, 50, seed=66)
+    poly = regular_polygon(emb.outer_face)
+    xy_morph(emb, poly, 0.4)  # a reference, two spreads and the blend: four solves
+    solve_stress(emb, depth_weights(bfs_depths(emb), 1.0, 5.0), poly)
+    assert calls == [emb]
+
+
+def test_pattern_follows_the_outer_face():
+    """Equal n and m, different outer faces: each embedding gets its own
+    pattern, and each solve matches the scratch assembly."""
+    emb = generate_planar(20, 54, seed=67)
+    other = next(f.vertices for f in emb.faces if set(f.vertices) != set(emb.outer_face))
+    twin = PlanarEmbedding(emb.n, emb.rotation, other)
+    assert (twin.n, twin.m) == (emb.n, emb.m)
+    for e in (emb, twin, emb):
+        poly = regular_polygon(e.outer_face)
+        got, want = tutte(e, poly), scratch_solve_stress(e, unit_weights(e), poly)
+        assert np.array_equal(got.positions, want.positions)
+        assert set(e._laplacian_pattern.interior.tolist()) == set(range(e.n)) - set(e.outer_face)
+    assert emb._laplacian_pattern is not twin._laplacian_pattern

@@ -335,10 +335,10 @@ def validate_three_connected(emb: PlanarEmbedding) -> bool:
         faces = emb.faces
     except (MalformedRotation, EulerViolation):
         return all(_biconnected_without(adj, n, a) for a in range(n))
-    return _faces_meet_properly(faces, n)
+    return _faces_meet_properly([f.vertices for f in faces])
 
 
-def _faces_meet_properly(faces: list[Face], n: int) -> bool:
+def _faces_meet_properly(faces: Sequence[Sequence[int]]) -> bool:
     """Whether every face is a simple cycle and any two faces share at most
     one vertex, or exactly the two ends of an edge that lies on both.
 
@@ -348,35 +348,41 @@ def _faces_meet_properly(faces: list[Face], n: int) -> bool:
     face-u-face-v in the vertex-face incidence graph. Each 4-cycle is found
     from its first node in decreasing-degree order, by counting the paths
     of length two to the nodes after it (Chiba & Nishizeki 1985); the
-    incidence graph of a plane graph is planar, so this takes O(m) even
-    around high-degree hubs. Faces are nodes n, n+1, ...
+    incidence graph of a plane graph is planar, so this takes time linear
+    in the total length of the faces passed, even around high-degree hubs.
+    Vertices are nodes v >= 0, face i is node ~i.
     """
-    inc: list[list[int]] = [[] for _ in range(n)] + [list(f.vertices) for f in faces]
+    inc: dict[int, Sequence[int]] = {}  # face -> its vertices, vertex -> a list of its faces
     sides: dict[Edge, list[int]] = {}  # the faces along each edge
-    for f, face in enumerate(faces, start=n):
-        vs = face.vertices
+    for f, vs in enumerate(faces):
         if len(set(vs)) != len(vs):
             return False
-        for j, v in enumerate(vs):
-            inc[v].append(f)
-            sides.setdefault(edge_key(vs[j - 1], v), []).append(f)
-    order = sorted(range(len(inc)), key=lambda x: -len(inc[x]))
-    rank = [0] * len(inc)
-    for r, x in enumerate(order):
-        rank[x] = r
+        f = ~f
+        inc[f] = vs
+        u = vs[-1]
+        for v in vs:
+            if v in inc:
+                inc[v].append(f)
+            else:
+                inc[v] = [f]
+            sides.setdefault((u, v) if u < v else (v, u), []).append(f)
+            u = v
+    order = sorted(inc, key=lambda x: -len(inc[x]))
+    rank = dict(zip(order, range(len(order))))
     for x in order:
+        rx = rank[x]
         common: dict[int, list[int]] = {}
         for y in inc[x]:
-            if rank[y] > rank[x]:
+            if rank[y] > rx:
                 for z in inc[y]:
-                    if rank[z] > rank[x]:
+                    if rank[z] > rx:
                         common.setdefault(z, []).append(y)
         for z, ys in common.items():
             if len(ys) == 1:
                 continue
             if len(ys) > 2:
                 return False
-            pair, shared = ((x, z), ys) if x < n else (ys, (x, z))
+            pair, shared = ((x, z), ys) if x >= 0 else (ys, (x, z))
             if sorted(sides.get(edge_key(*pair), ())) != sorted(shared):
                 return False
     return True
@@ -460,83 +466,62 @@ def _insert_after(rot: list[int], anchor: int, new: int) -> None:
     rot.insert(rot.index(anchor) + 1, new)
 
 
-def _random_triangulation(n: int, rng: random.Random) -> list[list[int]]:
-    """Grow a triangulation by dropping each new vertex into a random face."""
+def _random_triangulation(n: int, rng: random.Random) -> tuple[list[list[int]], list[list[int]]]:
+    """Grow a triangulation by dropping each new vertex into a random face.
+    Returns the rotation and the faces, each in traversal order."""
     rot: dict[int, list[int]] = {0: [1, 2], 1: [2, 0], 2: [0, 1]}
-    faces: list[tuple[int, int, int]] = [(0, 1, 2), (0, 2, 1)]
+    faces = [[0, 1, 2], [0, 2, 1]]
     for new in range(3, n):
         a, b, c = faces.pop(rng.randrange(len(faces)))
         _insert_after(rot[a], c, new)
         _insert_after(rot[b], a, new)
         _insert_after(rot[c], b, new)
         rot[new] = [a, c, b]
-        faces += [(a, b, new), (b, c, new), (c, a, new)]
-    return [rot[v] for v in range(n)]
+        faces += [[a, b, new], [b, c, new], [c, a, new]]
+    return [rot[v] for v in range(n)], faces
 
 
-def _disjoint_paths_at_least(adj: list[set[int]], s: int, t: int, k: int) -> bool:
-    """At least k internally vertex-disjoint s-t paths (unit-capacity flow)."""
-    cap: dict[tuple[int, int], int] = {}
-    nbrs: dict[int, list[int]] = {}
-
-    def arc(a: int, b: int, c: int) -> None:
-        cap[(a, b)] = cap.get((a, b), 0) + c
-        if (b, a) not in cap:
-            cap[(b, a)] = 0
-        nbrs.setdefault(a, []).append(b)
-        nbrs.setdefault(b, []).append(a)
-
-    for v, vs in enumerate(adj):
-        arc(2 * v, 2 * v + 1, k if v in (s, t) else 1)
-        for w in vs:
-            arc(2 * v + 1, 2 * w, 1)
-    src, snk = 2 * s + 1, 2 * t
-    flow = 0
-    while flow < k:
-        prev: dict[int, int | None] = {src: None}
-        queue = deque([src])
-        while queue and snk not in prev:
-            a = queue.popleft()
-            for b in nbrs.get(a, ()):
-                if b not in prev and cap[(a, b)] > 0:
-                    prev[b] = a
-                    queue.append(b)
-        if snk not in prev:
-            return False
-        b = snk
-        while prev[b] is not None:
-            a = prev[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
-            b = a
-        flow += 1
-    return True
+def _merged_face(
+    rot: Sequence[Sequence[int]], faces: dict[int, list[int]], face_of: dict[Edge, int], u: int, v: int,
+) -> list[int] | None:
+    """The face left by deleting edge uv from a 3-connected plane graph
+    (faces: cycles in traversal order; face_of: the face of each directed
+    edge), or None when the graph would lose 3-connectivity. Only that face
+    is new, so it alone must meet the faces around it properly."""
+    f1, f2 = face_of[(u, v)], face_of[(v, u)]
+    c1, c2 = faces[f1], faces[f2]
+    i, j = c1.index(u), c2.index(v)
+    # u, the v->u face after u, v, the u->v face after v
+    merged = [u] + (c2[j:] + c2[:j])[2:] + [v] + (c1[i:] + c1[:i])[2:]
+    around = {face_of[(a, b)] for a in merged for b in rot[a]} - {f1, f2}
+    return merged if _faces_meet_properly([merged] + [faces[g] for g in around]) else None
 
 
 def _generate_once(n: int, m: int, rng: random.Random) -> tuple[list[list[int]], int]:
-    rot = _random_triangulation(n, rng)
-    adj = [set(r) for r in rot]
+    rot, triangles = _random_triangulation(n, rng)
+    faces = dict(enumerate(triangles))
+    face_of = {(f[j - 1], v): i for i, f in faces.items() for j, v in enumerate(f)}
+    candidates = sorted(e for e in face_of if e[0] < e[1])
     m_cur = 3 * n - 6
     while m_cur > m:
-        candidates = sorted(
-            {edge_key(v, w) for v in range(n) for w in adj[v]}
-        )
-        rng.shuffle(candidates)
-        removed = False
-        for u, v in candidates:
-            if len(adj[u]) <= 3 or len(adj[v]) <= 3:
+        shuffled = candidates.copy()
+        rng.shuffle(shuffled)
+        for u, v in shuffled:
+            if len(rot[u]) <= 3 or len(rot[v]) <= 3:
                 continue
-            adj[u].remove(v)
-            adj[v].remove(u)
-            if _disjoint_paths_at_least(adj, u, v, 3):
+            merged = _merged_face(rot, faces, face_of, u, v)
+            if merged is not None:
+                f = face_of.pop((u, v))
+                del faces[face_of.pop((v, u))]
+                faces[f] = merged
+                for k, w in enumerate(merged):
+                    face_of[(merged[k - 1], w)] = f
                 rot[u].remove(v)
                 rot[v].remove(u)
+                candidates.remove((u, v))
                 m_cur -= 1
-                removed = True
                 break
-            adj[u].add(v)
-            adj[v].add(u)
-        if not removed:
+        else:
             break  # stalled at m_cur
     return rot, m_cur
 
@@ -551,12 +536,13 @@ def generate_planar(
     """Random simple 3-connected planar embedding with n vertices, m edges.
 
     Grows a random triangulation by repeated vertex insertion into a
-    uniformly random face, then deletes uniformly random edges, rejecting
-    any deletion that would break 3-connectedness or drop a degree below 3,
-    until m edges remain. Deterministic for a fixed seed. When deletion
-    stalls, up to `attempts` fresh tries run on derived sub-seeds; if none
-    reaches m exactly, the closest achieved edge count above m is returned
-    with a logged warning, or GenerationStalled is raised when strict.
+    uniformly random face, then deletes uniformly random edges until m
+    remain, skipping any deletion that would drop a degree below 3 or whose
+    merged face fails the face test of validate_three_connected. Deterministic
+    for a fixed seed. When deletion stalls, up to `attempts` (>= 1) fresh
+    tries run on derived sub-seeds; if none reaches m exactly, the closest
+    achieved edge count above m is returned with a logged warning, or
+    GenerationStalled is raised when strict.
 
     Feasible range: n >= 4 and ceil(3n/2) <= m <= 3n - 6. Requests at the
     bottom of the range usually stall and return more edges: at
@@ -567,8 +553,10 @@ def generate_planar(
     lo, hi = (3 * n + 1) // 2, 3 * n - 6
     if not lo <= m <= hi:
         raise InfeasibleParams(f"need {lo} <= m <= {hi} for n={n}, got m={m}")
+    if attempts < 1:
+        raise InfeasibleParams(f"need attempts >= 1, got {attempts}")
     best: tuple[list[list[int]], int] | None = None
-    for attempt in range(max(1, attempts)):
+    for attempt in range(attempts):
         rng = random.Random(seed * 1000003 + attempt)
         rot, achieved = _generate_once(n, m, rng)
         if best is None or achieved < best[1]:

@@ -49,7 +49,7 @@ class OuterPolygon:
         return max(math.hypot(x - cx, y - cy) for x, y in self.positions.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Drawing:
     """Vertex positions, an (n, 2) array indexed by vertex id, together with
     the pinned polygon that produced them."""

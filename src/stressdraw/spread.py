@@ -86,7 +86,7 @@ def ensure_general_position(d: Drawing, max_tries: int = MAX_ROTATIONS) -> tuple
 # left-to-right orientation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StOrientation:
     """Edges oriented by increasing x, with one BFS tree out of the source
     and one into the sink.
@@ -137,9 +137,9 @@ def _bfs_trees(
     indptr = np.concatenate(([0], np.cumsum(np.concatenate((out_deg, in_deg, [2])))), dtype=np.int32)
     indices = np.concatenate((to[out], to[~out] + n, [source, n + sink]), dtype=np.int32)
     arcs = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(2 * n + 1, 2 * n + 1))
-    reached, parent = breadth_first_order(arcs, 2 * n, directed=True, return_predecessors=True)
-    if len(reached) != 2 * n + 1:
-        raise NotStOrientation("orientation does not reach every vertex")
+    # every vertex is reached: walking in-edges back from it lowers the rank
+    # until the source, the one vertex without one (out-edges to the sink alike)
+    _, parent = breadth_first_order(arcs, 2 * n, directed=True, return_predecessors=True)
     parent = parent.astype(np.intp)
     t1_parent, tn_parent = parent[:n], parent[n:2 * n] - n
     t1_parent[source] = tn_parent[sink] = -1
@@ -257,7 +257,7 @@ def spread_weights(
 # full pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpreadResult:
     """Everything the spread pipeline produced for one direction."""
 

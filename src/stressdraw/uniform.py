@@ -170,7 +170,7 @@ def convex_outer_placement(outer: tuple[int, ...], indices: dict[int, int]) -> O
 # full construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniformResult:
     """Weights, drawing, and the pieces the construction derived them from."""
 

@@ -1,11 +1,11 @@
 """Shared fixtures plus independent oracles.
 
 The oracles recompute answers straight from definitions (pairwise vertex
-deletion, explicit path enumeration, dense linear algebra) so the faster
-implementations in the package are checked against something honest. The
-dict-based spread construction and the uncached solve are kept as
-differential oracles for their array replacements, which must agree with
-them to the last bit.
+deletion, disjoint paths by max-flow, explicit path enumeration, dense
+linear algebra) so the faster implementations in the package are checked
+against something honest. The dict-based spread construction and the
+uncached solve are kept as differential oracles for their array
+replacements, which must agree with them to the last bit.
 """
 from __future__ import annotations
 
@@ -97,6 +97,46 @@ def brute_three_connected(emb: PlanarEmbedding) -> bool:
         for b in range(a + 1, n):
             if not _connected_without(adj, n, {a, b}):
                 return False
+    return True
+
+
+def disjoint_paths_at_least(adj: list[set[int]], s: int, t: int, k: int) -> bool:
+    """At least k internally vertex-disjoint s-t paths, by unit-capacity
+    augmenting paths over the graph with every vertex split into an in-node
+    and an out-node (Menger). The reference for the face test that decides
+    each deletion when generate_planar thins a triangulation."""
+    cap: dict[tuple[int, int], int] = {}
+    nbrs: dict[int, list[int]] = {}
+
+    def arc(a: int, b: int, c: int) -> None:
+        cap[(a, b)] = cap.get((a, b), 0) + c
+        if (b, a) not in cap:
+            cap[(b, a)] = 0
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+
+    for v, vs in enumerate(adj):
+        arc(2 * v, 2 * v + 1, k if v in (s, t) else 1)
+        for w in vs:
+            arc(2 * v + 1, 2 * w, 1)
+    src, snk = 2 * s + 1, 2 * t
+    for _ in range(k):
+        prev: dict[int, int | None] = {src: None}
+        queue = deque([src])
+        while queue and snk not in prev:
+            a = queue.popleft()
+            for b in nbrs.get(a, ()):
+                if b not in prev and cap[(a, b)] > 0:
+                    prev[b] = a
+                    queue.append(b)
+        if snk not in prev:
+            return False
+        b = snk
+        while prev[b] is not None:
+            a = prev[b]
+            cap[(a, b)] -= 1
+            cap[(b, a)] += 1
+            b = a
     return True
 
 

@@ -66,6 +66,23 @@ def test_generate_infeasible_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_generate_strict_stall_exits_3(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    rc = run(["generate", "--n", "20", "--m", "30", "--seed", "0", "--strict",
+              "--out", str(out)])
+    assert rc == 3
+    assert "GenerationStalled" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_zero_attempts_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    rc = run(["generate", "--n", "10", "--m", "24", "--attempts", "0", "--out", str(out)])
+    assert rc == 2
+    assert "InfeasibleParams" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_draw_tutte_writes_svg(graph_path, capsys):
     assert run(["draw", str(graph_path), "--method", "tutte"]) == 0
     out = capsys.readouterr().out

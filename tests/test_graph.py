@@ -1,7 +1,9 @@
 """Embedding validation, face traversal, generators, serialization."""
 from __future__ import annotations
 
+import hashlib
 import json
+import logging
 import math
 import random
 import time
@@ -11,11 +13,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import brute_three_connected
+from conftest import brute_three_connected, disjoint_paths_at_least
 
 from stressdraw import graph
 from stressdraw import (
     EulerViolation,
+    GenerationStalled,
     InfeasibleParams,
     InvalidEmbedding,
     MalformedRotation,
@@ -315,6 +318,79 @@ def test_generate_infeasible_params():
         generate_planar(8, 11, seed=0)          # below min degree 3 total
     with pytest.raises(InfeasibleParams):
         generate_planar(3, 3, seed=0)
+    for attempts in (0, -1):
+        with pytest.raises(InfeasibleParams, match="attempts"):
+            generate_planar(10, 24, seed=1, attempts=attempts)
+
+
+# sha256 of json.dumps(to_dict(generate_planar(n, m, seed))), computed with the
+# max-flow thinning that the face test replaced; (20, 30, 0) stalls at m = 33
+GOLDEN = {
+    (10, 24, 1): "b2986dc388b5ca5da6416b0c8a10975cbba8fcd6972cfc427dcd05e84b1edd42",
+    (14, 36, 9): "f4fbbefec23513744f48d4d5ead12e93dff1787cad0c2754980623f6c04f7765",
+    (20, 30, 0): "711e3a3f6a839f142c3855228d5378788ca98e50c254933ad32fd82f763005b9",
+    (40, 100, 7): "eec06418193d6d5c172bb30a7ddb9a559ba4fa85fe9a909423a880d3af02e90e",
+    (60, 120, 3): "8ac57e24c574e780afbc0f017e0f985124922bae96770f06f24b8399ab053283",
+    (300, 750, 1): "09166f32c60b59de24e631921f1d03532316d800ad7766c7bedd7ba21e952700",
+}
+
+
+@pytest.mark.parametrize("n, m, seed", GOLDEN)
+def test_generate_matches_golden_hash(n, m, seed):
+    emb = generate_planar(n, m, seed=seed)
+    digest = hashlib.sha256(json.dumps(to_dict(emb)).encode()).hexdigest()
+    assert digest == GOLDEN[(n, m, seed)]
+
+
+def test_generate_stall_returns_closest_and_logs(caplog):
+    with caplog.at_level(logging.WARNING, logger="stressdraw.graph"):
+        emb = generate_planar(20, 30, seed=0)
+    assert emb.m == 33
+    assert "generation stalled" in caplog.text
+    validate(emb)
+
+
+def test_generate_strict_stall_raises():
+    with pytest.raises(GenerationStalled, match="after 8 attempts; best was 33"):
+        generate_planar(20, 30, seed=0, strict=True)
+
+
+def _thinning_population():
+    """(n, m, seed) for n = 5..40 over the feasible m range, ends included."""
+    for n in (5, 8, 13, 21, 40):
+        lo, hi = (3 * n + 1) // 2, 3 * n - 6
+        for m in (lo, (lo + hi) // 2, hi):
+            for seed in range(3):
+                yield n, m, seed
+
+
+def test_thinning_decision_matches_disjoint_paths_oracle():
+    """Deleting an edge whose ends keep degree >= 3 is accepted by the
+    merged-face test exactly when its ends still have three internally
+    disjoint paths, and an accepted merged face is a face of the thinned
+    graph. Every such edge of graphs across the feasible m range is tried,
+    stalled requests at m = ceil(3n/2) among them."""
+    outcomes = []
+    for n, m, seed in _thinning_population():
+        emb = generate_planar(n, m, seed=seed)
+        faces = {i: list(f.vertices) for i, f in enumerate(emb.faces)}
+        face_of = {(f[j - 1], v): i for i, f in faces.items() for j, v in enumerate(f)}
+        adj = emb.adjacency()
+        for u, v in emb.edges():
+            if min(len(adj[u]), len(adj[v])) <= 3:
+                continue
+            merged = graph._merged_face(emb.rotation, faces, face_of, u, v)
+            adj[u].remove(v)
+            adj[v].remove(u)
+            assert (merged is not None) == disjoint_paths_at_least(adj, u, v, 3), (n, m, seed, u, v)
+            if merged is not None:
+                rotation = tuple(tuple(w for w in r if w in a) for r, a in zip(emb.rotation, adj))
+                keys = {graph._cycle_key(f.vertices) for f in PlanarEmbedding(n, rotation, ()).faces}
+                assert graph._cycle_key(tuple(merged)) in keys
+            adj[u].add(v)
+            adj[v].add(u)
+            outcomes.append(merged is not None)
+    assert 0 < outcomes.count(False) < outcomes.count(True)
 
 
 def test_json_roundtrip(octahedron, tmp_path):

@@ -35,6 +35,7 @@ from stressdraw import (
     st_orient,
     target_x,
     tutte,
+    uniform_pipeline,
 )
 
 TARGET_RTOL = 1e-6
@@ -330,3 +331,16 @@ def test_rejections_match_dict_oracle(case):
         with pytest.raises(error) as info:
             call()
         assert info.type is error
+
+
+def test_array_results_compare_by_identity(octahedron):
+    """Results holding arrays answer == with a bool (identity), where the
+    field-wise comparison would raise on the arrays."""
+    poly = regular_polygon(octahedron.outer_face)
+    spread = spread_pipeline(octahedron, poly)
+    for make in (lambda: tutte(octahedron, poly), lambda: st_orient(spread.reference, octahedron),
+                 lambda: spread_pipeline(octahedron, poly), lambda: uniform_pipeline(octahedron)):
+        a, b = make(), make()
+        assert (a == b) is False
+        assert (a == a) is True
+        assert (a != b) is True

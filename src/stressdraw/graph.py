@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from .errors import (
     EulerViolation,
@@ -28,6 +29,7 @@ from .errors import (
     InfeasibleParams,
     InvalidEmbedding,
     MalformedRotation,
+    SingularSystem,
 )
 
 log = logging.getLogger(__name__)
@@ -132,14 +134,17 @@ class PlanarEmbedding:
 
 class _LaplacianPattern(NamedTuple):
     """Where edge weights go in the weighted Laplacian restricted to the
-    vertices off the outer face (one system row each, in id order).
+    vertices off the outer face, one system row each.
 
-    Each half-edge leaving an interior vertex, forward ones (edge_array
-    column 0 to column 1) before backward ones, carries the weight of edge
-    half[i] into row[i]. Those in inner (interior head) fill an
-    off-diagonal entry, the others pull toward the pinned vertex
-    boundary_head. Entry values, the off-diagonal ones of inner followed
-    by the k row sums, land at data positions perm of the CSC matrix with
+    Rows are numbered in elimination order: interior[i] is the vertex of
+    row i, and the order is a minimum-degree ordering of the unit-weight
+    (Tutte) system, so the matrix factors with little fill in its natural
+    order. Each half-edge leaving an interior vertex, forward ones
+    (edge_array column 0 to column 1) before backward ones, carries the
+    weight of edge half[i] into row[i]. Those in inner (interior head) fill
+    an off-diagonal entry, the others pull toward the pinned vertex
+    boundary_head. With entry values listed as the off-diagonal ones of
+    inner followed by the k row sums, the CSC matrix has data values[perm],
     row indices `indices` and column pointers `indptr`.
     """
 
@@ -154,6 +159,11 @@ class _LaplacianPattern(NamedTuple):
     indptr: np.ndarray
 
 
+# splu settings for the interior system, which is symmetric positive
+# definite: every pivot is taken on the diagonal, never chosen for size
+SPD_LU = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+
+
 def _build_laplacian_pattern(emb: PlanarEmbedding) -> _LaplacianPattern:
     edges = emb.edge_array
     row_of = np.zeros(emb.n, dtype=np.intp)
@@ -166,17 +176,39 @@ def _build_laplacian_pattern(emb: PlanarEmbedding) -> _LaplacianPattern:
     live = np.flatnonzero(row_of[tail] >= 0)
     row, col = row_of[tail[live]], row_of[head[live]]
     inner, boundary = np.flatnonzero(col >= 0), np.flatnonzero(col < 0)
-    diag = np.arange(k)
-    # number the entries and let scipy's own coo -> csc conversion place them
-    slot = csc_matrix(
-        (np.arange(len(inner) + k, dtype=float),
-         (np.concatenate((row[inner], diag)), np.concatenate((col[inner], diag)))),
-        shape=(k, k),
-    )
+    off_row, off_col = row[inner], col[inner]
+    if k:
+        # factor the Tutte system once for its symmetric minimum-degree
+        # order, and renumber the rows by it: perm_c[r] is the place of
+        # id-order row r in that order
+        unit = np.concatenate((-np.ones(len(inner)), np.bincount(row, minlength=k)))
+        perm, indices, indptr = _csc_layout(off_row, off_col, k)
+        try:
+            lu = splu(csc_matrix((unit[perm], indices, indptr), shape=(k, k)),
+                      permc_spec="MMD_AT_PLUS_A", **SPD_LU)
+        except RuntimeError as exc:
+            raise SingularSystem(f"interior system is singular for unit weights: {exc}") from exc
+        place = lu.perm_c
+        interior = interior[np.argsort(place)]
+        row, off_row, off_col = place[row], place[off_row], place[off_col]
     return _LaplacianPattern(
         interior, np.tile(np.arange(len(edges)), 2)[live], row, inner, boundary,
-        head[live[boundary]], slot.data.astype(np.intp), slot.indices, slot.indptr,
+        head[live[boundary]], *_csc_layout(off_row, off_col, k),
     )
+
+
+def _csc_layout(rows: np.ndarray, cols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The canonical k x k CSC layout (rows sorted within each column) of
+    the off-diagonal entries at distinct (rows[i], cols[i]) followed by the
+    k diagonal ones: entry perm[j] is stored at data position j, with row
+    indices `indices` and column pointers `indptr`."""
+    rows = np.concatenate((rows, np.arange(k)))
+    cols = np.concatenate((cols, np.arange(k)))
+    perm = np.argsort(cols * k + rows)
+    # int32 indices, as scipy would store them, spare a copy per solve
+    indptr = np.zeros(k + 1, dtype=np.intc)
+    np.cumsum(np.bincount(cols, minlength=k), out=indptr[1:])
+    return perm, rows[perm].astype(np.intc), indptr
 
 
 def _cycle_key(seq: tuple[int, ...]) -> tuple[int, ...]:

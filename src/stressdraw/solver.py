@@ -23,7 +23,7 @@ from .errors import (
     ResidualExceeded,
     SingularSystem,
 )
-from .graph import PlanarEmbedding
+from .graph import SPD_LU, PlanarEmbedding
 
 # Hard cap on the equilibrium residual, relative to the polygon radius.
 RESIDUAL_RTOL = 1e-8
@@ -82,9 +82,9 @@ def equilibrium_residual(
     """Max absolute per-coordinate imbalance over the interior vertices."""
     tail, head = emb.edge_array.T
     pull = np.asarray(weights)[:, None] * (positions[tail] - positions[head])
-    force = np.zeros((emb.n, 2))
-    np.add.at(force, tail, pull)
-    np.subtract.at(force, head, pull)
+    force = np.column_stack([
+        np.bincount(tail, pull[:, c], emb.n) - np.bincount(head, pull[:, c], emb.n) for c in (0, 1)
+    ])
     force[list(pinned)] = 0.0
     return float(np.abs(force).max())
 
@@ -97,12 +97,17 @@ def solve_stress(
     """Solve the weighted equilibrium system with the outer face pinned.
 
     weights is an (m,) array aligned with emb.edges(). The system's
-    sparsity pattern comes from the embedding, which builds it once, so a
-    solve only places its weights. One sparse LU factorization of the
-    interior weighted Laplacian is reused for both coordinates, followed by
-    a few iterative-refinement passes. The result must meet the hard
-    residual bound RESIDUAL_RTOL * poly.radius or ResidualExceeded is
-    raised.
+    sparsity pattern comes from the embedding, which builds it once with
+    its rows in a fill-reducing minimum-degree order, so a solve only
+    places its weights. The interior weighted Laplacian is factored once,
+    by sparse LU in that order without pivoting, and the factor is reused
+    for both coordinates, followed by a few iterative-refinement passes.
+    With positive weights and the outer face pinned the matrix is an
+    irreducibly diagonally dominant symmetric M-matrix, hence symmetric
+    positive definite, and LU without pivoting is then backward stable
+    like Cholesky; a pivot that is exactly zero raises SingularSystem. The
+    result must meet the hard residual bound RESIDUAL_RTOL * poly.radius
+    or ResidualExceeded is raised.
     """
     if set(emb.outer_face) != set(poly.positions):
         raise PreconditionError("polygon does not pin exactly the outer face")
@@ -130,7 +135,7 @@ def solve_stress(
     pull = w[out, None] * positions[pattern.boundary_head]
     rhs = np.column_stack([np.bincount(pattern.row[out], pull[:, c], k) for c in (0, 1)])
     try:
-        lu = splu(system)
+        lu = splu(system, permc_spec="NATURAL", **SPD_LU)
     except RuntimeError as exc:
         raise SingularSystem(f"interior system could not be factorized: {exc}") from exc
     sol = lu.solve(rhs)
@@ -142,7 +147,7 @@ def solve_stress(
 
     positions[pattern.interior] = sol
     residual = equilibrium_residual(emb, weights, positions, pinned)
-    if residual > tol:
+    if not residual <= tol:  # a NaN residual fails too
         raise ResidualExceeded(
             f"equilibrium residual {residual:.3e} exceeds {tol:.3e}"
         )

@@ -293,7 +293,7 @@ def spread_pipeline(
     drawing = solve_stress(emb, weights, poly)
     frame = rotate_drawing(drawing, angle)
     miss = float(np.abs(frame.positions[:, 0] - targets).max())
-    if miss > TARGET_RTOL * poly.radius:
+    if not miss <= TARGET_RTOL * poly.radius:
         raise ResidualExceeded(
             f"spread drawing misses its targets by {miss:.3e}"
         )

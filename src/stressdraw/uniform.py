@@ -203,7 +203,7 @@ def uniform_pipeline(
     weights = spread_weights(o, targets, counts)
     drawing = solve_stress(emb, weights, poly)
     miss = float(np.abs(drawing.positions[:, 0] - targets).max())
-    if miss > TARGET_RTOL * poly.radius:
+    if not miss <= TARGET_RTOL * poly.radius:
         raise ResidualExceeded(f"uniform drawing misses its x-targets by {miss:.3e}")
     return UniformResult(weights, drawing, indices, o, poly)
 

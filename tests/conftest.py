@@ -26,6 +26,7 @@ from stressdraw import (
     ZeroGap,
     edge_key,
 )
+from stressdraw.graph import SPD_LU
 from stressdraw.metrics import CROSSING_EPS
 from stressdraw.solver import RESIDUAL_RTOL, Drawing, OuterPolygon, equilibrium_residual
 from stressdraw.spread import StOrientation
@@ -312,16 +313,20 @@ def dict_spread_weights(
     return np.array([w for _, w in sorted(keyed)])
 
 
-def scratch_solve_stress(emb: PlanarEmbedding, weights: np.ndarray, poly: OuterPolygon) -> Drawing:
-    """solve_stress with the interior system assembled from scratch by one
-    coo -> csc_matrix call, nothing cached on the embedding."""
+def scratch_system(
+    emb: PlanarEmbedding, weights: np.ndarray, poly: OuterPolygon, ordered: bool = True,
+) -> tuple[csc_matrix, np.ndarray, np.ndarray]:
+    """The interior system, its right-hand side and the vertex of each row,
+    assembled from scratch by one coo -> csc_matrix call. ordered: rows in
+    the embedding's elimination order (the only thing read from its cached
+    pattern); else rows in id order."""
     edges = emb.edge_array
     pinned = list(poly.positions)
     positions = np.zeros((emb.n, 2))
     positions[pinned] = list(poly.positions.values())
     row_of = np.zeros(emb.n, dtype=np.intp)
     row_of[pinned] = -1
-    interior = np.flatnonzero(row_of == 0)
+    interior = emb._laplacian_pattern.interior if ordered else np.flatnonzero(row_of == 0)
     k = len(interior)
     row_of[interior] = np.arange(k)
     tail = np.concatenate((edges[:, 0], edges[:, 1]))
@@ -339,7 +344,23 @@ def scratch_solve_stress(emb: PlanarEmbedding, weights: np.ndarray, poly: OuterP
     )
     pull = w[~inner, None] * positions[head[~inner]]
     rhs = np.column_stack([np.bincount(row[~inner], pull[:, c], k) for c in (0, 1)])
-    lu = splu(system)
+    return system, rhs, interior
+
+
+def scratch_factor(system: csc_matrix, ordered: bool = True):
+    """splu as solve_stress calls it (natural order, no pivoting) when
+    ordered, else with splu's defaults, COLAMD and partial pivoting, as
+    solves were factored before the elimination order."""
+    return splu(system, permc_spec="NATURAL", **SPD_LU) if ordered else splu(system)
+
+
+def scratch_solve_stress(
+    emb: PlanarEmbedding, weights: np.ndarray, poly: OuterPolygon, ordered: bool = True,
+) -> Drawing:
+    """solve_stress on scratch_system(..., ordered), factored by
+    scratch_factor(..., ordered), with the same refinement passes."""
+    system, rhs, interior = scratch_system(emb, weights, poly, ordered)
+    lu = scratch_factor(system, ordered)
     sol = lu.solve(rhs)
     tol = RESIDUAL_RTOL * poly.radius
     for _ in range(3):
@@ -347,6 +368,9 @@ def scratch_solve_stress(emb: PlanarEmbedding, weights: np.ndarray, poly: OuterP
         if np.abs(gap).max() <= 0.01 * tol:
             break
         sol += lu.solve(gap)
+    pinned = list(poly.positions)
+    positions = np.zeros((emb.n, 2))
+    positions[pinned] = list(poly.positions.values())
     positions[interior] = sol
     return Drawing(positions, poly, equilibrium_residual(emb, weights, positions, pinned))
 

@@ -6,13 +6,21 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_stress_positions, max_position_gap, scratch_solve_stress
+from conftest import (
+    dense_stress_positions,
+    max_position_gap,
+    scratch_factor,
+    scratch_solve_stress,
+    scratch_system,
+)
 
 from stressdraw import (
     NonPositiveWeight,
     OuterPolygon,
     PlanarEmbedding,
     PreconditionError,
+    ResidualExceeded,
+    SingularSystem,
     bfs_depths,
     depth_weights,
     edge_key,
@@ -244,3 +252,73 @@ def test_pattern_follows_the_outer_face():
         assert np.array_equal(got.positions, want.positions)
         assert set(e._laplacian_pattern.interior.tolist()) == set(range(e.n)) - set(e.outer_face)
     assert emb._laplacian_pattern is not twin._laplacian_pattern
+
+
+def test_overflowing_weights_fail_the_residual_gate():
+    """Weights near the float64 maximum overflow the system into NaN rows;
+    a NaN residual is not within the bound, so the solve raises."""
+    emb = generate_planar(30, 84, seed=1)
+    with pytest.raises(ResidualExceeded):
+        solve_stress(emb, np.full(emb.m, 1e308), regular_polygon(emb.outer_face))
+
+
+def test_underflowing_weights_are_a_singular_system():
+    """All weights the smallest subnormal: a pivot rounds to exactly zero."""
+    emb = generate_planar(30, 84, seed=1)
+    with pytest.raises(SingularSystem):
+        solve_stress(emb, np.full(emb.m, 5e-324), regular_polygon(emb.outer_face))
+
+
+def test_interior_cut_off_from_the_outer_face_is_a_singular_system():
+    """An interior edge with no path to the pinned triangle: the system is
+    singular for any weights, found when its elimination order is."""
+    emb = PlanarEmbedding(5, ((1, 2), (2, 0), (0, 1), (4,), (3,)), (0, 1, 2))
+    with pytest.raises(SingularSystem):
+        solve_stress(emb, unit_weights(emb), regular_polygon(emb.outer_face))
+
+
+def test_weights_spanning_600_decades_exceed_the_residual():
+    """Weights of 1e-300 and 1e300 mixed at random factor, but refinement
+    cannot bring the residual under the bound."""
+    emb = generate_planar(30, 84, seed=1)
+    w = np.where(np.random.default_rng(0).random(emb.m) < 0.5, 1e-300, 1e300)
+    with pytest.raises(ResidualExceeded):
+        solve_stress(emb, w, regular_polygon(emb.outer_face))
+
+
+_POPULATION = [(50, 125, 71), (150, 375, 72), (300, 894, 73), (400, 1000, 74)]
+
+
+@pytest.mark.parametrize("n, m, seed", _POPULATION)
+def test_ordered_solve_matches_colamd_pivoted_solve(n, m, seed):
+    """The ordered, unpivoted factorization gives the positions of a solve
+    with rows in id order, COLAMD and partial pivoting, to 1e-12 of the
+    radius, for spread weights at 0 and 37 degrees and BFS decay r = 5."""
+    emb = generate_planar(n, m, seed=seed)
+    poly = regular_polygon(emb.outer_face)
+    ref = tutte(emb, poly)
+    for w in (
+        unit_weights(emb),
+        spread_pipeline(emb, poly, 0.0, reference=ref).weights,
+        spread_pipeline(emb, poly, math.radians(37.0), reference=ref).weights,
+        depth_weights(bfs_depths(emb), 1.0, 5.0),
+    ):
+        got = solve_stress(emb, w, poly).positions
+        want = scratch_solve_stress(emb, w, poly, ordered=False).positions
+        assert max_position_gap(got, want) <= 1e-12 * poly.radius
+
+
+@pytest.mark.parametrize("n, m", [(400, 1194), (400, 1000)])
+def test_elimination_order_fills_no_more_than_colamd(n, m):
+    """The factor in the embedding's elimination order has no more nonzeros
+    than COLAMD with partial pivoting on the id-ordered system: a fall back
+    to the natural id order would fill far more."""
+    emb = generate_planar(n, m, seed=1)
+    poly = regular_polygon(emb.outer_face)
+    w = spread_pipeline(emb, poly, 0.0).weights
+
+    def fill(ordered):
+        lu = scratch_factor(scratch_system(emb, w, poly, ordered)[0], ordered)
+        return lu.L.nnz + lu.U.nnz
+
+    assert fill(True) <= fill(False)

@@ -150,16 +150,13 @@ def cmd_draw(args: argparse.Namespace) -> int:
 
 def cmd_kaleidoscope(args: argparse.Namespace) -> int:
     emb = load_graph(args.graph)
-    ctx = _Context(emb, regular_polygon(emb.outer_face, args.radius))
-    rows = kaleidoscope(emb, ctx.poly, args.step)
+    rows = kaleidoscope(emb, regular_polygon(emb.outer_face, args.radius), args.step)
     _write_text(args.out_csv, rows_to_csv(rows))
     best = best_row(rows)
     worst = worst_row(rows)
     for path, row in ((args.best_svg, best), (args.worst_svg, worst)):
         if path:
-            ctx.angle = math.radians(row.angle_degrees)
-            drawing, _r = METHODS["xymorph"](ctx)
-            _write_text(path, render_svg(drawing, emb))
+            _write_text(path, render_svg(row.drawing, emb))
     print(
         f"rows={len(rows)} csv={args.out_csv} "
         f"best_angle={best.angle_degrees:g} best_ratio={best.ratio:.6f} "

@@ -52,7 +52,8 @@ class NonPositiveWeight(PreconditionError):
 
 
 class DegeneratePosition(PreconditionError):
-    """No rotation within budget separates all vertex x-coordinates."""
+    """Two vertices share an x-coordinate in the spread frame: st_orient got
+    tied x-values, or no rotation within budget separates them."""
 
 
 class NotStOrientation(PreconditionError):

@@ -75,12 +75,6 @@ class PlanarEmbedding:
     def m(self) -> int:
         return sum(len(r) for r in self.rotation) // 2
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.rotation[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.rotation[v])
-
     def edges(self) -> list[Edge]:
         """All undirected edges, canonical keys, sorted."""
         return list(map(tuple, self.edge_array.tolist()))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ZeroLengthEdge
+from .errors import InputError, PreconditionError, ZeroLengthEdge
 from .graph import PlanarEmbedding
 
 # Cross products below this fraction of the squared radius count as collinear.
@@ -33,9 +33,20 @@ class DrawingMetrics:
     max_edge_length: float
 
 
+def _finite_positions(d) -> np.ndarray:
+    """The drawing's (n, 2) positions; PreconditionError names a vertex with
+    a NaN or infinite coordinate, which no metric can measure."""
+    pts = d.positions
+    finite = np.isfinite(pts)
+    if not finite.all():
+        v = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise PreconditionError(f"vertex {v} has non-finite position {tuple(pts[v].tolist())}")
+    return pts
+
+
 def _length_range(d, emb: PlanarEmbedding) -> tuple[float, float]:
     """Shortest and longest edge length; ZeroLengthEdge when the shortest is 0."""
-    ends = d.positions[emb.edge_array]
+    ends = _finite_positions(d)[emb.edge_array]
     lengths = np.hypot(*(ends[:, 0] - ends[:, 1]).T)
     shortest = float(lengths.min())
     if shortest == 0.0:
@@ -60,11 +71,11 @@ def crossing_count(d, emb: PlanarEmbedding) -> int:
     has |det| > CROSSING_EPS, far above the float error, so it crosses in
     exact arithmetic too, which a certified drawing never does.
     """
+    pts = _finite_positions(d)
     ends = emb.edge_array
     m = len(ends)
     if m < 2:
         return 0
-    pts = d.positions
     span = max(float(np.ptp(pts[:, 0])), float(np.ptp(pts[:, 1])), 1e-300)
     pts = (pts - pts.min(axis=0)) / span
     if _certified_planar(pts, emb):
@@ -158,12 +169,13 @@ def faces_convex(d, emb: PlanarEmbedding) -> bool:
     Convexity is cross products of consecutive edge vectors all of one
     sign; magnitudes within CONVEXITY_RTOL * radius^2 pass as collinear.
     """
+    pts = _finite_positions(d)
     tol = CONVEXITY_RTOL * d.polygon.radius ** 2
     inner = [f.vertices for i, f in enumerate(emb.faces) if i != emb.outer_index]
     if not inner:
         return True
     corners = [(f[j - 2], f[j - 1], f[j]) for f in inner for j in range(len(f))]
-    o, p, q = d.positions[np.array(corners).T]
+    o, p, q = pts[np.array(corners).T]
     c = (p[:, 0] - o[:, 0]) * (q[:, 1] - p[:, 1]) - (p[:, 1] - o[:, 1]) * (q[:, 0] - p[:, 0])
     starts = np.cumsum([0] + [len(f) for f in inner[:-1]])
     turns_left = np.logical_or.reduceat(c > tol, starts)

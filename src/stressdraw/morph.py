@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +50,7 @@ def xy_morph(
 class KaleidoscopeRow:
     angle_degrees: float
     ratio: float
+    drawing: Drawing = field(compare=False, repr=False)  # the xy-morph at this angle
 
 
 def kaleidoscope(
@@ -57,7 +58,8 @@ def kaleidoscope(
     poly: OuterPolygon,
     step_degrees: float = 5.0,
 ) -> list[KaleidoscopeRow]:
-    """Edge-length ratio of the xy-morph at angles 0, step, ..., 90 inclusive.
+    """The xy-morph and its edge-length ratio at angles 0, step, ..., 90
+    inclusive.
 
     Each row blends the spreads along its angle and the angle + 90 degrees,
     so directions meet across rows (0 + 90 is the 90-degree row's own
@@ -85,7 +87,7 @@ def kaleidoscope(
         angle = math.radians(deg)
         weights = morph_weights(spread(angle), spread(angle + math.pi / 2))
         d = solve_stress(emb, weights, poly)
-        rows.append(KaleidoscopeRow(deg, edge_length_ratio(d, emb)))
+        rows.append(KaleidoscopeRow(deg, edge_length_ratio(d, emb), d))
     return rows
 
 

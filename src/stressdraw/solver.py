@@ -64,8 +64,8 @@ def regular_polygon(outer_face: tuple[int, ...], radius: float = 1.0) -> OuterPo
     k = len(outer_face)
     if k < 3:
         raise PreconditionError(f"outer face needs >= 3 vertices, got {k}")
-    if not radius > 0:
-        raise PreconditionError(f"radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise PreconditionError(f"radius must be positive and finite, got {radius}")
     positions = {}
     for i, v in enumerate(outer_face):
         theta = math.pi / 2 + 2 * math.pi * i / k

@@ -1,9 +1,10 @@
 """Weights that spread the drawing uniformly along a chosen direction.
 
-The pipeline starts from the unit-weight reference drawing, rotates it so
-the requested direction becomes the x-axis (nudging further until no two
-vertices share an x-coordinate), orients every edge from smaller to larger
-x, assigns evenly spaced target x-coordinates to the interior vertices,
+The pipeline reads one coordinate of the unit-weight reference drawing:
+its positions rotated so the requested direction becomes the x-axis
+(nudged further until no two vertices share an x-coordinate), x-column
+only. It orients every edge from smaller to larger x, keeps the pinned
+vertices' x as their targets, spaces the interior vertices' targets evenly,
 counts the canonical source-to-sink paths through every edge, and weights
 each edge with paths / target gap. Solving the stress system with those
 weights reproduces the targets exactly, because every canonical path
@@ -18,6 +19,7 @@ come out as (n,), (m,) and (m,) arrays.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import (
+    BadParams,
     DegeneratePosition,
     NotStOrientation,
     PreconditionError,
@@ -47,38 +50,30 @@ TARGET_RTOL = 1e-6
 # frames and general position
 # ---------------------------------------------------------------------------
 
-def rotate_drawing(d: Drawing, angle: float) -> Drawing:
-    """Rotate all positions (and the pinned polygon) about the origin."""
+def _turn(xy: np.ndarray, angle: float) -> np.ndarray:
+    """(n, 2) positions rotated by angle about the origin."""
     if angle == 0.0:
-        return d
+        return xy
     c, s = math.cos(angle), math.sin(angle)
-    turn = np.array([[c, s], [-s, c]])  # row vectors times turn
-    corners = (np.array(list(d.polygon.positions.values())) @ turn).tolist()
-    poly = OuterPolygon(d.polygon.order, dict(zip(d.polygon.positions, map(tuple, corners))))
-    # the per-coordinate sup norm can grow by at most sqrt(2) under rotation
-    return Drawing(d.positions @ turn, poly, d.residual * math.sqrt(2))
+    return xy @ np.array([[c, s], [-s, c]])  # row vectors times turn
 
 
-def _min_x_gap(d: Drawing) -> float:
-    return float(np.diff(np.sort(d.positions[:, 0])).min())
-
-
-def ensure_general_position(d: Drawing, max_tries: int = MAX_ROTATIONS) -> tuple[Drawing, float]:
+def ensure_general_position(xy: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
     """Rotate in small fixed steps until all x-coordinates are distinct.
 
-    Returns the (possibly rotated) drawing and the extra angle applied.
-    Raises DegeneratePosition when the budget runs out.
+    xy holds (n, 2) positions in the spread frame, radius the polygon's.
+    Returns the x-column of the (possibly rotated) positions and the extra
+    angle applied. Raises DegeneratePosition when MAX_ROTATIONS steps do not
+    raise every x-gap above GENERAL_POSITION_RTOL * radius.
     """
-    floor = GENERAL_POSITION_RTOL * d.polygon.radius
-    if _min_x_gap(d) > floor:
-        return d, 0.0
-    for step in range(1, max_tries + 1):
+    floor = GENERAL_POSITION_RTOL * radius
+    for step in range(MAX_ROTATIONS + 1):
         angle = step * ROTATION_STEP
-        cand = rotate_drawing(d, angle)
-        if _min_x_gap(cand) > floor:
-            return cand, angle
+        x = _turn(xy, angle)[:, 0]
+        if np.diff(np.sort(x)).min() > floor:
+            return x, angle
     raise DegeneratePosition(
-        f"no rotation within {max_tries} steps separates all x-coordinates"
+        f"no rotation within {MAX_ROTATIONS} steps separates all x-coordinates"
     )
 
 
@@ -146,9 +141,10 @@ def _bfs_trees(
     return t1_parent, tn_parent
 
 
-def st_orient(d: Drawing, emb: PlanarEmbedding) -> StOrientation:
-    """Orient edges from smaller to larger x and grow the two BFS trees."""
-    xs = d.positions[:, 0]
+def st_orient(x: np.ndarray, emb: PlanarEmbedding) -> StOrientation:
+    """Orient edges from smaller to larger x, an (n,) array, and grow the
+    two BFS trees. Tied x-values raise DegeneratePosition."""
+    xs = np.asarray(x)
     order = np.argsort(xs, kind="stable")
     tied = np.flatnonzero(~(xs[order[1:]] > xs[order[:-1]]))
     if tied.size:
@@ -179,24 +175,25 @@ def st_orient(d: Drawing, emb: PlanarEmbedding) -> StOrientation:
 # targets, path counts, weights
 # ---------------------------------------------------------------------------
 
-def target_x(o: StOrientation, poly: OuterPolygon) -> np.ndarray:
-    """Target x for every vertex, an (n,) array: pinned vertices keep their
-    polygon x, each maximal run of L interior vertices between consecutive
+def target_x(o: StOrientation, x: np.ndarray, pinned: Iterable[int]) -> np.ndarray:
+    """Target x for every vertex, an (n,) array: the pinned vertices keep
+    their x, each maximal run of L interior vertices between consecutive
     pinned values a < b is spaced evenly at a + j*(b-a)/(L+1), j = 1..L."""
-    targets = np.zeros(len(o.order))
-    pinned = np.zeros(len(o.order), dtype=bool)
-    corners = list(poly.positions)
-    targets[corners] = [xy[0] for xy in poly.positions.values()]
-    pinned[corners] = True
-    in_order = pinned[o.order]
+    n = len(o.order)
+    corners = list(pinned)
+    targets = np.zeros(n)
+    targets[corners] = np.asarray(x)[corners]
+    is_pinned = np.zeros(n, dtype=bool)
+    is_pinned[corners] = True
+    in_order = is_pinned[o.order]
     if not in_order[0]:
         raise PreconditionError(
             "leftmost vertex is interior; drawing is not pinned-convex"
         )
     at = np.flatnonzero(in_order)  # positions of the pinned vertices in order
-    x = targets[o.order[at]]
+    ends = targets[o.order[at]]
     run = np.diff(at) - 1  # interior vertices between consecutive pinned ones
-    if np.any((run > 0) & ~(x[1:] > x[:-1])):
+    if np.any((run > 0) & ~(ends[1:] > ends[:-1])):
         raise PreconditionError("pinned x-values are not increasing")
     if not in_order[-1]:
         raise PreconditionError(
@@ -204,8 +201,8 @@ def target_x(o: StOrientation, poly: OuterPolygon) -> np.ndarray:
         )
     inner = np.flatnonzero(~in_order)
     k = np.searchsorted(at, inner) - 1  # the run each interior vertex is in
-    span = x[1:] - x[:-1]
-    targets[o.order[inner]] = x[k] + (inner - at[k]) * span[k] / (run[k] + 1)
+    span = ends[1:] - ends[:-1]
+    targets[o.order[inner]] = ends[k] + (inner - at[k]) * span[k] / (run[k] + 1)
     return targets
 
 
@@ -263,11 +260,27 @@ class SpreadResult:
 
     weights: np.ndarray        # (m,), aligned with emb.edges()
     drawing: Drawing           # solved against the original polygon
-    frame: Drawing             # same drawing rotated into the spread frame
     targets: np.ndarray        # (n,) x-targets in the spread frame
     orientation: StOrientation
     angle: float               # rotation from original frame to spread frame
-    reference: Drawing         # unit-weight drawing the pipeline started from
+
+
+def _solve_to_targets(
+    emb: PlanarEmbedding,
+    o: StOrientation,
+    targets: np.ndarray,
+    poly: OuterPolygon,
+    angle: float,
+) -> tuple[np.ndarray, Drawing]:
+    """Weight by path counts over target gaps and solve. The drawing,
+    rotated by angle, must match the targets within TARGET_RTOL * radius;
+    a miss raises ResidualExceeded."""
+    weights = spread_weights(o, targets, count_paths(o))
+    drawing = solve_stress(emb, weights, poly)
+    miss = float(np.abs(_turn(drawing.positions, angle)[:, 0] - targets).max())
+    if not miss <= TARGET_RTOL * poly.radius:
+        raise ResidualExceeded(f"drawing misses its targets by {miss:.3e}")
+    return weights, drawing
 
 
 def spread_pipeline(
@@ -278,24 +291,18 @@ def spread_pipeline(
 ) -> SpreadResult:
     """Run the whole spread construction for one direction (radians).
 
-    direction 0 spreads x-coordinates, pi/2 spreads y-coordinates. The
-    solved drawing, rotated into the spread frame, must match the targets
-    within TARGET_RTOL * radius; a miss raises ResidualExceeded.
+    direction 0 spreads x-coordinates, pi/2 spreads y-coordinates; it must
+    be finite. The reference's positions, rotated so the direction becomes
+    the x-axis, give the orientation and the pinned targets. The solved
+    drawing, rotated into that frame, must match the targets within
+    TARGET_RTOL * radius; a miss raises ResidualExceeded.
     """
+    if not math.isfinite(direction):
+        raise BadParams(f"direction must be finite, got {direction!r}")
     ref = reference if reference is not None else tutte(emb, poly)
-    base = rotate_drawing(ref, -direction)
-    pos, extra = ensure_general_position(base)
+    x, extra = ensure_general_position(_turn(ref.positions, -direction), poly.radius)
     angle = -direction + extra
-    o = st_orient(pos, emb)
-    targets = target_x(o, pos.polygon)
-    counts = count_paths(o)
-    weights = spread_weights(o, targets, counts)
-    drawing = solve_stress(emb, weights, poly)
-    frame = rotate_drawing(drawing, angle)
-    miss = float(np.abs(frame.positions[:, 0] - targets).max())
-    if not miss <= TARGET_RTOL * poly.radius:
-        raise ResidualExceeded(
-            f"spread drawing misses its targets by {miss:.3e}"
-        )
-    return SpreadResult(weights, drawing, frame, targets, o, angle, ref)
-
+    o = st_orient(x, emb)
+    targets = target_x(o, x, poly.order)
+    weights, drawing = _solve_to_targets(emb, o, targets, poly, angle)
+    return SpreadResult(weights, drawing, targets, o, angle)

@@ -8,6 +8,7 @@ trees of a realizer of a triangulation.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -48,11 +49,11 @@ def depth_weights(
     a: float = 1.0,
     r: float = 5.0,
 ) -> np.ndarray:
-    """Exponential decay a / r**depth; requires a > 0 and r > 1."""
-    if not a > 0:
-        raise BadParams(f"a must be positive, got {a}")
-    if not r > 1:
-        raise BadParams(f"r must exceed 1, got {r}")
+    """Exponential decay a / r**depth; requires finite a > 0 and r > 1."""
+    if not 0 < a < math.inf:
+        raise BadParams(f"a must be positive and finite, got {a}")
+    if not 1 < r < math.inf:
+        raise BadParams(f"r must exceed 1 and be finite, got {r}")
     return a / float(r) ** np.asarray(depths)
 
 

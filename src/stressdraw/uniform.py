@@ -14,22 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NoValidTopBottom,
-    PreconditionError,
-    ResidualExceeded,
-    StressDrawError,
-)
+from .errors import NoValidTopBottom, PreconditionError, StressDrawError
 from .graph import PlanarEmbedding
-from .solver import Drawing, OuterPolygon, regular_polygon, solve_stress, tutte
-from .spread import (
-    TARGET_RTOL,
-    StOrientation,
-    count_paths,
-    ensure_general_position,
-    spread_weights,
-    st_orient,
-)
+from .solver import Drawing, OuterPolygon, regular_polygon, tutte
+from .spread import StOrientation, _solve_to_targets, ensure_general_position, st_orient
 
 # steepest slope angle used by the caps around the leftmost/rightmost vertex
 CAP_ANGLE_DEG = 80.0
@@ -181,10 +169,7 @@ class UniformResult:
     polygon: OuterPolygon
 
 
-def uniform_pipeline(
-    emb: PlanarEmbedding,
-    reference: Drawing | None = None,
-) -> UniformResult:
+def uniform_pipeline(emb: PlanarEmbedding) -> UniformResult:
     """Solve with path-count weights against the constructed outer polygon.
 
     Targets are the indices themselves, so no rotation is involved: the
@@ -192,18 +177,11 @@ def uniform_pipeline(
     vertex's 1-based x-rank in the general-positioned unit drawing, an
     st-numbering for the outer face.
     """
-    if reference is None:
-        reference = tutte(emb, regular_polygon(emb.outer_face))
-    pos, _ = ensure_general_position(reference)
-    o = st_orient(pos, emb)
+    ref = tutte(emb, regular_polygon(emb.outer_face))
+    x, _ = ensure_general_position(ref.positions, ref.polygon.radius)
+    o = st_orient(x, emb)
     indices = {v: i for i, v in enumerate(o.order.tolist(), start=1)}
     poly = convex_outer_placement(emb.outer_face, indices)
     targets = (o.rank + 1).astype(float)
-    counts = count_paths(o)
-    weights = spread_weights(o, targets, counts)
-    drawing = solve_stress(emb, weights, poly)
-    miss = float(np.abs(drawing.positions[:, 0] - targets).max())
-    if not miss <= TARGET_RTOL * poly.radius:
-        raise ResidualExceeded(f"uniform drawing misses its x-targets by {miss:.3e}")
+    weights, drawing = _solve_to_targets(emb, o, targets, poly, 0.0)
     return UniformResult(weights, drawing, indices, o, poly)
-

@@ -9,6 +9,7 @@ replacements, which must agree with them to the last bit.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -208,8 +209,16 @@ class DictOrientation:
         return [(u, v) for u in range(len(self.out_nbrs)) for v in self.out_nbrs[u]]
 
 
-def dict_st_orient(d: Drawing, emb: PlanarEmbedding) -> DictOrientation:
-    xs = d.positions[:, 0].tolist()
+def turn(xy: np.ndarray, angle: float) -> np.ndarray:
+    """(n, 2) positions rotated by angle, with the spread pipeline's product."""
+    if angle == 0.0:
+        return xy
+    c, s = math.cos(angle), math.sin(angle)
+    return xy @ np.array([[c, s], [-s, c]])
+
+
+def dict_st_orient(x: np.ndarray, emb: PlanarEmbedding) -> DictOrientation:
+    xs = np.asarray(x).tolist()
     order = tuple(sorted(range(emb.n), key=xs.__getitem__))
     for a, b in zip(order, order[1:]):
         if not xs[a] < xs[b]:
@@ -249,8 +258,8 @@ def dict_st_orient(d: Drawing, emb: PlanarEmbedding) -> DictOrientation:
                            bfs(source, out_nbrs), bfs(sink, in_nbrs))
 
 
-def dict_target_x(o: DictOrientation, poly: OuterPolygon) -> dict[int, float]:
-    fixed = {v: poly.positions[v][0] for v in poly.positions}
+def dict_target_x(o: DictOrientation, x: np.ndarray, pinned) -> dict[int, float]:
+    fixed = {v: float(x[v]) for v in pinned}
     targets: dict[int, float] = {}
     run: list[int] = []
     last: float | None = None

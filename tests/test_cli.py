@@ -3,16 +3,22 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from collections import Counter
 
 import pytest
 
 from stressdraw import (
     best_row,
     edge_length_ratio,
+    generate_planar,
     kaleidoscope,
     load_graph,
     regular_polygon,
     render_svg,
+    save_graph,
+    spread_pipeline,
+    tutte,
     validate,
     validate_three_connected,
     xy_morph,
@@ -210,6 +216,46 @@ def test_kaleidoscope_best_svg_is_xy_morph_at_best_angle(graph_path, tmp_path):
     angle = best_row(kaleidoscope(emb, poly, 15.0)).angle_degrees
     _, drawing = xy_morph(emb, poly, math.radians(angle))
     assert best.read_text() == render_svg(drawing, emb)
+
+
+def test_kaleidoscope_svgs_reuse_the_sweep(tmp_path, monkeypatch):
+    """The best and worst SVGs draw the sweep's own rows: one reference
+    solve and one spread per direction, 13 at a 15-degree step."""
+    path = tmp_path / "g.json"
+    save_graph(generate_planar(30, 84, 1), path)
+    calls = Counter()
+    for name, fn in (("tutte", tutte), ("spread_pipeline", spread_pipeline)):
+        def counted(*a, _fn=fn, _name=name, **k):
+            calls[_name] += 1
+            return _fn(*a, **k)
+        for mod in [m for key, m in sys.modules.items() if key.startswith("stressdraw")]:
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    assert run(["kaleidoscope", str(path), "--step", "15",
+                "--out-csv", str(tmp_path / "rows.csv"),
+                "--best-svg", str(tmp_path / "best.svg"),
+                "--worst-svg", str(tmp_path / "worst.svg")]) == 0
+    assert calls == {"tutte": 1, "spread_pipeline": 13}
+
+
+# each value is infinite or NaN; the expected exit code and error class
+NON_FINITE = [
+    (["--method", "xspread", "--angle", "inf"], 2, "BadParams"),
+    (["--method", "yspread", "--angle", "inf"], 2, "BadParams"),
+    (["--method", "xymorph", "--angle", "inf"], 2, "BadParams"),
+    (["--method", "xspread", "--angle", "nan"], 2, "BadParams"),
+    (["--method", "yspread", "--angle=-inf"], 2, "BadParams"),
+    (["--method", "bfs", "--a", "inf"], 2, "BadParams"),
+    (["--method", "bfs", "--r", "inf"], 2, "BadParams"),
+    (["--method", "tutte", "--radius", "inf"], 3, "PreconditionError"),
+]
+
+
+@pytest.mark.parametrize("argv, code, error", NON_FINITE, ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_draw_rejects_non_finite_parameters(graph_path, tmp_path, capsys, argv, code, error):
+    assert run(["draw", str(graph_path), *argv, "--out-svg", str(tmp_path / "d.svg")]) == code
+    assert f"error: {error}:" in capsys.readouterr().err
+    assert not (tmp_path / "d.svg").exists()
 
 
 def test_kaleidoscope_deterministic(graph_path, tmp_path):

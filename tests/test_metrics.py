@@ -14,6 +14,7 @@ from stressdraw import (
     Drawing,
     OuterPolygon,
     PlanarEmbedding,
+    PreconditionError,
     ZeroLengthEdge,
     compute_metrics,
     crossing_count,
@@ -22,7 +23,6 @@ from stressdraw import (
     generate_planar,
     metrics_json,
     regular_polygon,
-    rotate_drawing,
     tutte,
     validate,
 )
@@ -135,10 +135,36 @@ def test_metrics_json_keys(octahedron):
     assert data["all_faces_convex"] is True
 
 
+def _nan_interior(pos, emb):
+    interior = sorted(set(range(emb.n)) - set(emb.outer_face))
+    pos[interior] = np.nan
+    return interior[0]
+
+
+def _one_inf_vertex(pos, emb):
+    v = max(set(range(emb.n)) - set(emb.outer_face))
+    pos[v, 1] = np.inf
+    return v
+
+
+@pytest.mark.parametrize("spoil", [_nan_interior, _one_inf_vertex], ids=["nan-interior", "inf-vertex"])
+@pytest.mark.parametrize("metric", [compute_metrics, edge_length_ratio, crossing_count, faces_convex])
+def test_non_finite_positions_rejected(metric, spoil):
+    """A drawing with a NaN or infinite coordinate has no crossing count,
+    convexity or ratio; the error names the first such vertex."""
+    emb = generate_planar(30, 84, 1)
+    d = tutte(emb, regular_polygon(emb.outer_face))
+    pos = d.positions.copy()
+    v = spoil(pos, emb)
+    with pytest.raises(PreconditionError, match=f"vertex {v} has non-finite position"):
+        metric(Drawing(pos, d.polygon, d.residual), emb)
+
+
 def test_ratio_similarity_invariance(octahedron):
     d = tutte(octahedron, regular_polygon(octahedron.outer_face))
     base = edge_length_ratio(d, octahedron)
-    rotated = rotate_drawing(d, 1.1)
+    c, s = math.cos(1.1), math.sin(1.1)
+    rotated = Drawing(d.positions @ np.array([[c, s], [-s, c]]), d.polygon, d.residual)
     assert abs(edge_length_ratio(rotated, octahedron) - base) < 1e-9
     moved = 3.0 * d.positions + [7.0, -2.0]
     shifted = Drawing(moved, d.polygon, d.residual)

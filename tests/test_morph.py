@@ -103,8 +103,8 @@ def test_kaleidoscope_row_count(octahedron):
 @pytest.mark.parametrize("step, spreads", [(5.0, 37), (7.0, 27), (90.0, 3)])
 def test_kaleidoscope_spreads_each_direction_once(monkeypatch, step, spreads):
     """Rows blend the spreads along angle and angle + 90 degrees; the 90
-    degree direction serves two rows and is spread once. Every row equals
-    the xy-morph at its angle."""
+    degree direction serves two rows and is spread once. Every row's
+    drawing and ratio equal the xy-morph at its angle."""
     from stressdraw import morph
 
     emb = generate_planar(14, 32, seed=31)
@@ -117,6 +117,7 @@ def test_kaleidoscope_spreads_each_direction_once(monkeypatch, step, spreads):
     ref = tutte(emb, poly)
     for row in rows:
         _, d = xy_morph(emb, poly, math.radians(row.angle_degrees), reference=ref)
+        assert np.array_equal(row.drawing.positions, d.positions)
         assert row.ratio == edge_length_ratio(d, emb)
 
 

@@ -191,7 +191,7 @@ def _method_weights(emb):
     ]
     if emb.m == 3 * emb.n - 6:
         out.append(("schnyder", depth_weights(schnyder_depths(emb), 1.0, 3.0), poly))
-    uni = uniform_pipeline(emb, reference=ref)
+    uni = uniform_pipeline(emb)
     out.append(("uniform", uni.weights, uni.polygon))
     return out
 

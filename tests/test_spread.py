@@ -13,11 +13,11 @@ from conftest import (
     dict_target_x,
     enumerate_canonical_paths,
     scratch_solve_stress,
+    turn,
 )
 
 from stressdraw import (
     DegeneratePosition,
-    Drawing,
     NotStOrientation,
     OuterPolygon,
     PlanarEmbedding,
@@ -29,7 +29,6 @@ from stressdraw import (
     faces_convex,
     generate_planar,
     regular_polygon,
-    rotate_drawing,
     spread_pipeline,
     spread_weights,
     st_orient,
@@ -48,8 +47,8 @@ def _path_graph():
         (0, 4),
     )
     poly = OuterPolygon((0, 4), {0: (0.0, 0.0), 4: (1.0, 0.0)})
-    pos = np.array([(v / 4 if v != 1 else 0.3, 0.0) for v in range(5)])
-    return emb, poly, Drawing(pos, poly, 0.0)
+    x = np.array([v / 4 if v != 1 else 0.3 for v in range(5)])
+    return emb, poly, x
 
 
 def _house_graph():
@@ -60,28 +59,29 @@ def _house_graph():
         (0, 3),
     )
     poly = OuterPolygon((0, 3), {0: (0.0, 0.0), 3: (3.0, 0.0)})
-    pos = np.array([(0.0, 0.0), (1.0, 0.2), (2.0, -0.1), (3.0, 0.0)])
-    return emb, poly, Drawing(pos, poly, 0.0)
+    x = np.array([0.0, 1.0, 2.0, 3.0])
+    return emb, poly, x
 
 
 def test_general_position_keeps_good_drawing(octahedron):
     poly = regular_polygon(octahedron.outer_face)
     # the symmetric frame itself has an x tie, so pre-rotate off the axis
-    d = rotate_drawing(tutte(octahedron, poly), 0.3)
-    fixed, angle = ensure_general_position(d)
+    xy = turn(tutte(octahedron, poly).positions, 0.3)
+    x, angle = ensure_general_position(xy, poly.radius)
     assert angle == 0.0
-    assert np.array_equal(fixed.positions, d.positions)
+    assert np.array_equal(x, xy[:, 0])
 
 
 def test_general_position_rotates_axis_aligned_square():
     emb = PlanarEmbedding(4, ((1, 3), (0, 2), (1, 3), (2, 0)), (0, 1, 2, 3))
     poly = regular_polygon(emb.outer_face)
-    d = Drawing(np.array([poly.positions[v] for v in range(4)]), poly, 0.0)
-    xs = sorted(d.positions[:, 0].tolist())
+    xy = np.array([poly.positions[v] for v in range(4)])
+    xs = sorted(xy[:, 0].tolist())
     assert any(abs(a - b) < 1e-12 for a, b in zip(xs, xs[1:]))
-    fixed, angle = ensure_general_position(d)
+    x, angle = ensure_general_position(xy, poly.radius)
     assert angle != 0.0
-    fx = sorted(fixed.positions[:, 0].tolist())
+    assert np.array_equal(x, turn(xy, angle)[:, 0])
+    fx = sorted(x.tolist())
     assert all(b - a > 1e-9 for a, b in zip(fx, fx[1:]))
 
 
@@ -90,13 +90,13 @@ def test_general_position_gives_up_on_coincident_points(k4):
     # vertices 0, 1, 2 are pinned; 3 sits on top of the first of them
     pos = np.array([poly.positions[v] for v in (0, 1, 2, k4.outer_face[0])])
     with pytest.raises(DegeneratePosition):
-        ensure_general_position(Drawing(pos, poly, 0.0))
+        ensure_general_position(pos, poly.radius)
 
 
 def test_st_orient_k4(k4):
     poly = regular_polygon(k4.outer_face)
-    d, _ = ensure_general_position(tutte(k4, poly))
-    o = st_orient(d, k4)
+    x, _ = ensure_general_position(tutte(k4, poly).positions, poly.radius)
+    o = st_orient(x, k4)
     assert set(o.order.tolist()) == set(range(4))
     assert o.rank[o.source] == 0
     assert o.rank[o.sink] == 3
@@ -108,8 +108,8 @@ def test_st_orient_k4(k4):
 
 def test_st_orient_acyclic_on_octahedron(octahedron):
     poly = regular_polygon(octahedron.outer_face)
-    d, _ = ensure_general_position(tutte(octahedron, poly))
-    o = st_orient(d, octahedron)
+    x, _ = ensure_general_position(tutte(octahedron, poly).positions, poly.radius)
+    o = st_orient(x, octahedron)
     assert sorted(o.rank.tolist()) == list(range(6))
     for u, v in zip(o.tail.tolist(), o.head.tolist()):
         assert o.rank[u] < o.rank[v]
@@ -121,26 +121,24 @@ def test_st_orient_acyclic_on_octahedron(octahedron):
 
 def test_st_orient_rejects_interior_extreme():
     emb = PlanarEmbedding(3, ((1,), (0, 2), (1,)), (0, 2))
-    poly = OuterPolygon((0, 2), {0: (0.5, 0.0), 2: (1.0, 0.0)})
-    d = Drawing(np.array([(0.5, 0.0), (0.0, 0.0), (1.0, 0.0)]), poly, 0.0)
     with pytest.raises(NotStOrientation):
-        st_orient(d, emb)
+        st_orient(np.array([0.5, 0.0, 1.0]), emb)
 
 
 def test_targets_single_interior():
     emb = PlanarEmbedding(3, ((1,), (0, 2), (1,)), (0, 2))
     poly = OuterPolygon((0, 2), {0: (0.0, 0.0), 2: (1.0, 0.0)})
-    d = Drawing(np.array([(0.0, 0.0), (0.3, 0.0), (1.0, 0.0)]), poly, 0.0)
-    o = st_orient(d, emb)
-    t = target_x(o, poly)
+    x = np.array([0.0, 0.3, 1.0])
+    o = st_orient(x, emb)
+    t = target_x(o, x, poly.order)
     assert t[0] == 0.0 and t[2] == 1.0
     assert abs(t[1] - 0.5) < 1e-12
 
 
 def test_targets_even_spacing_on_path():
-    emb, poly, d = _path_graph()
-    o = st_orient(d, emb)
-    t = target_x(o, poly)
+    emb, poly, x = _path_graph()
+    o = st_orient(x, emb)
+    t = target_x(o, x, poly.order)
     want = {0: 0.0, 1: 0.25, 2: 0.5, 3: 0.75, 4: 1.0}
     for v, x in want.items():
         assert abs(t[v] - x) < 1e-12
@@ -149,8 +147,8 @@ def test_targets_even_spacing_on_path():
 
 
 def test_house_graph_counts_frozen():
-    emb, _, d = _house_graph()
-    o = st_orient(d, emb)
+    emb, _, x = _house_graph()
+    o = st_orient(x, emb)
     counts = count_paths(o)
     directed = zip(o.tail.tolist(), o.head.tolist())
     assert dict(zip(directed, counts.tolist())) == {
@@ -161,16 +159,16 @@ def test_house_graph_counts_frozen():
 def test_counts_match_enumeration_on_fixtures(k4, octahedron, two_ring_wheel):
     for emb in (k4, octahedron, two_ring_wheel):
         poly = regular_polygon(emb.outer_face)
-        d, _ = ensure_general_position(tutte(emb, poly))
-        o = st_orient(d, emb)
+        x, _ = ensure_general_position(tutte(emb, poly).positions, poly.radius)
+        o = st_orient(x, emb)
         assert np.array_equal(count_paths(o), enumerate_canonical_paths(o))
 
 
 def test_count_sum_identity(octahedron):
     """Total of per-edge counts equals the total length of all canonical paths."""
     poly = regular_polygon(octahedron.outer_face)
-    d, _ = ensure_general_position(tutte(octahedron, poly))
-    o = st_orient(d, octahedron)
+    x, _ = ensure_general_position(tutte(octahedron, poly).positions, poly.radius)
+    o = st_orient(x, octahedron)
     counts = count_paths(o)
     lengths = 0
     for a, b in zip(o.tail.tolist(), o.head.tolist()):
@@ -185,9 +183,9 @@ def test_count_sum_identity(octahedron):
 
 
 def test_spread_weights_formula():
-    emb, poly, d = _house_graph()
-    o = st_orient(d, emb)
-    t = target_x(o, poly)
+    emb, poly, x = _house_graph()
+    o = st_orient(x, emb)
+    t = target_x(o, x, poly.order)
     counts = count_paths(o)
     w = spread_weights(o, t, counts)
     assert w.shape == (emb.m,)
@@ -197,8 +195,8 @@ def test_spread_weights_formula():
 
 
 def test_spread_weights_zero_gap():
-    emb, poly, d = _house_graph()
-    o = st_orient(d, emb)
+    emb, poly, x = _house_graph()
+    o = st_orient(x, emb)
     counts = count_paths(o)
     t = np.array([0.0, 0.5, 0.5, 3.0])
     with pytest.raises(ZeroGap):
@@ -210,8 +208,9 @@ def test_pipeline_hits_targets_exactly(k4, octahedron):
         poly = regular_polygon(emb.outer_face)
         res = spread_pipeline(emb, poly)
         tol = TARGET_RTOL * poly.radius
+        frame = turn(res.drawing.positions, res.angle)
         for v, x in enumerate(res.targets.tolist()):
-            assert abs(res.frame.positions[v][0] - x) <= tol
+            assert abs(frame[v][0] - x) <= tol
         assert all(w > 0 for w in res.weights)
 
 
@@ -239,15 +238,6 @@ def test_spread_drawing_planar_on_generated():
         assert all(v > 0 for v in w)
 
 
-def test_rotate_drawing_round_trip(octahedron):
-    poly = regular_polygon(octahedron.outer_face)
-    d = tutte(octahedron, poly)
-    r = rotate_drawing(rotate_drawing(d, 0.7), -0.7)
-    for v in range(octahedron.n):
-        assert abs(r.positions[v][0] - d.positions[v][0]) < 1e-12
-        assert abs(r.positions[v][1] - d.positions[v][1]) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # differential: the array construction against the dict-based oracle
 # ---------------------------------------------------------------------------
@@ -260,14 +250,19 @@ DIFFERENTIAL_GRAPHS.append((300, 894, 4))
 def test_spread_matches_dict_oracle(n, m, seed):
     """Orientation, both BFS trees, counts, targets, weights and the solved
     drawing equal the dict-based construction with an uncached solve, to
-    the last bit, in three directions."""
+    the last bit, in three directions. The pinned targets are the polygon
+    corners turned into the spread frame."""
     emb = generate_planar(n, m, seed=seed)
     poly = regular_polygon(emb.outer_face)
     ref = tutte(emb, poly)
     for direction in (0.0, math.radians(37.0), math.pi / 2):
         res = spread_pipeline(emb, poly, direction, reference=ref)
-        pos, _ = ensure_general_position(rotate_drawing(ref, -direction))
-        old = dict_st_orient(pos, emb)
+        base = turn(ref.positions, -direction)
+        x, extra = ensure_general_position(base, poly.radius)
+        assert res.angle == -direction + extra
+        corners = turn(turn(np.array([poly.positions[v] for v in poly.order]), -direction), extra)
+        assert np.array_equal(x[list(poly.order)], corners[:, 0])
+        old = dict_st_orient(x, emb)
         o = res.orientation
         assert o.order.tolist() == list(old.order)
         assert o.rank.tolist() == [old.rank[v] for v in range(n)]
@@ -279,7 +274,7 @@ def test_spread_matches_dict_oracle(n, m, seed):
         assert o.tn_parent.tolist() == [old.tn_parent.get(v, -1) for v in range(n)]
         old_counts = dict_count_paths(old)
         assert np.array_equal(count_paths(o), [old_counts[e] for e in directed])
-        old_targets = dict_target_x(old, pos.polygon)
+        old_targets = dict_target_x(old, x, poly.order)
         assert np.array_equal(res.targets, [old_targets[v] for v in range(n)])
         old_weights = dict_spread_weights(old, old_targets, old_counts)
         assert np.array_equal(res.weights, old_weights)
@@ -289,21 +284,23 @@ def test_spread_matches_dict_oracle(n, m, seed):
 
 
 def _orient_both(emb, xs):
-    d = Drawing(np.array([(x, 0.1 * v) for v, x in enumerate(xs)]), OuterPolygon((), {}), 0.0)
-    return lambda: st_orient(d, emb), lambda: dict_st_orient(d, emb)
+    x = np.array(xs)
+    return lambda: st_orient(x, emb), lambda: dict_st_orient(x, emb)
 
 
 def _targets_both(pins):
-    emb, _, d = _path_graph()
-    poly = OuterPolygon(tuple(pins), {v: (x, 0.0) for v, x in pins.items()})
-    return (lambda: target_x(st_orient(d, emb), poly),
-            lambda: dict_target_x(dict_st_orient(d, emb), poly))
+    """Orient by the path's x, then pin the given vertices at other x-values."""
+    emb, _, x = _path_graph()
+    pinned_x = x.copy()
+    pinned_x[list(pins)] = list(pins.values())
+    return (lambda: target_x(st_orient(x, emb), pinned_x, pins),
+            lambda: dict_target_x(dict_st_orient(x, emb), pinned_x, pins))
 
 
 def _zero_gap_both():
-    emb, _, d = _house_graph()
+    emb, _, x = _house_graph()
     t = [0.0, 0.5, 0.5, 3.0]
-    o, old = st_orient(d, emb), dict_st_orient(d, emb)
+    o, old = st_orient(x, emb), dict_st_orient(x, emb)
     return (lambda: spread_weights(o, np.array(t), count_paths(o)),
             lambda: dict_spread_weights(old, dict(enumerate(t)), dict_count_paths(old)))
 
@@ -337,8 +334,8 @@ def test_array_results_compare_by_identity(octahedron):
     """Results holding arrays answer == with a bool (identity), where the
     field-wise comparison would raise on the arrays."""
     poly = regular_polygon(octahedron.outer_face)
-    spread = spread_pipeline(octahedron, poly)
-    for make in (lambda: tutte(octahedron, poly), lambda: st_orient(spread.reference, octahedron),
+    x, _ = ensure_general_position(tutte(octahedron, poly).positions, poly.radius)
+    for make in (lambda: tutte(octahedron, poly), lambda: st_orient(x, octahedron),
                  lambda: spread_pipeline(octahedron, poly), lambda: uniform_pipeline(octahedron)):
         a, b = make(), make()
         assert (a == b) is False

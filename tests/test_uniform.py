@@ -12,8 +12,6 @@ from stressdraw import (
     edge_length_ratio,
     faces_convex,
     generate_planar,
-    regular_polygon,
-    tutte,
     uniform_pipeline,
 )
 
@@ -124,14 +122,6 @@ def test_pipeline_outer_positions_come_from_polygon(octahedron):
     res = uniform_pipeline(octahedron)
     for v in res.polygon.order:
         assert tuple(res.drawing.positions[v].tolist()) == res.polygon.positions[v]
-
-
-def test_uniform_drawing_matches_pipeline(octahedron):
-    """A precomputed unit-weight reference gives the default drawing."""
-    ref = tutte(octahedron, regular_polygon(octahedron.outer_face))
-    d = uniform_pipeline(octahedron, reference=ref).drawing
-    res = uniform_pipeline(octahedron)
-    assert np.array_equal(d.positions, res.drawing.positions)
 
 
 def test_pipeline_deterministic():

@@ -16,6 +16,7 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -114,6 +115,12 @@ class PlanarEmbedding:
         return _build_laplacian_pattern(self)
 
     @cached_property
+    def _face_index(self) -> _FaceIndex:
+        """Vertex triples of the planarity and convexity checks, built once
+        per embedding: they depend only on the faces and the outer face."""
+        return _build_face_index(self)
+
+    @cached_property
     def outer_index(self) -> int:
         """Position of outer_face, up to rotation and reflection, in faces."""
         key = _cycle_key(self.outer_face)
@@ -203,6 +210,49 @@ def _csc_layout(rows: np.ndarray, cols: np.ndarray, k: int) -> tuple[np.ndarray,
     indptr = np.zeros(k + 1, dtype=np.intc)
     np.cumsum(np.bincount(cols, minlength=k), out=indptr[1:])
     return perm, rows[perm].astype(np.intc), indptr
+
+
+class _FaceIndex(NamedTuple):
+    """The faces as vertex index arrays for the per-drawing checks.
+
+    ring is the outer face in traversal order. fans[:, i] = (apex, mid,
+    next) is a fan triangle of an inner face, from its first vertex
+    across each of its other edges that avoid that vertex. corners[:, i]
+    = (prev, at, next) are three consecutive vertices of an inner face,
+    one triple per face vertex, the triples of each face starting at
+    corner_starts. simple: every face is a cycle of at least three
+    distinct vertices.
+    """
+
+    ring: np.ndarray
+    fans: np.ndarray
+    corners: np.ndarray
+    corner_starts: np.ndarray
+    simple: bool
+
+
+def _build_face_index(emb: PlanarEmbedding) -> _FaceIndex:
+    faces, outer = emb.faces, emb.outer_index
+    lengths = np.fromiter(map(len, faces), dtype=np.intp, count=len(faces))
+    flat = np.fromiter(
+        chain.from_iterable(f.vertices for f in faces), dtype=np.intp, count=int(lengths.sum())
+    )
+    face_of = np.repeat(np.arange(len(faces)), lengths)
+    starts = np.cumsum(lengths) - lengths
+    simple = bool(lengths.min() >= 3 and np.unique(face_of * emb.n + flat).size == flat.size)
+    first, size = starts[face_of], lengths[face_of]
+    corner = np.arange(len(flat)) - first
+    inner = face_of != outer
+    mid = np.flatnonzero(inner & (corner >= 1) & (corner <= size - 2))
+    fans = np.stack((flat[first[mid]], flat[mid], flat[mid + 1]))
+    at = np.flatnonzero(inner)
+    first, size, corner = first[at], size[at], corner[at]
+    corners = np.stack((flat[first + (corner - 2) % size], flat[first + (corner - 1) % size], flat[at]))
+    inner_lengths = np.delete(lengths, outer)
+    return _FaceIndex(
+        flat[starts[outer]:starts[outer] + lengths[outer]], fans, corners,
+        np.cumsum(inner_lengths) - inner_lengths, simple,
+    )
 
 
 def _cycle_key(seq: tuple[int, ...]) -> tuple[int, ...]:

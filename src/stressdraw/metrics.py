@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,17 +134,12 @@ def _certified_planar(pts: np.ndarray, emb: PlanarEmbedding) -> bool:
     edges would cover the points near the crossing twice.
     """
     try:
-        faces, outer = emb.faces, emb.outer_index
+        index = emb._face_index
     except (InputError, TypeError):  # no sphere traversal, or no such outer face
         return False
-    lengths = np.array([len(f) for f in faces])
-    flat = np.fromiter(
-        (v for f in faces for v in f.vertices), dtype=np.intp, count=int(lengths.sum())
-    )
-    face_of = np.repeat(np.arange(len(faces)), lengths)
-    if lengths.min() < 3 or np.unique(face_of * emb.n + flat).size != flat.size:
+    if not index.simple:
         return False
-    ring = np.array(faces[outer].vertices)
+    ring = index.ring
     turns = _orientation(pts[np.roll(ring, 1)], pts[ring], pts[np.roll(ring, -1)])
     if turns[0] == 0 or (turns != turns[0]).any():
         return False
@@ -154,12 +150,7 @@ def _certified_planar(pts: np.ndarray, emb: PlanarEmbedding) -> bool:
     ).sum()
     if abs(turning) > 3.0 * np.pi:  # 2*pi per winding
         return False
-    starts = np.cumsum(lengths) - lengths
-    corner = np.arange(len(flat)) - starts[face_of]
-    mid = np.flatnonzero(
-        (corner >= 1) & (corner <= lengths[face_of] - 2) & (face_of != outer)
-    )
-    fans = _orientation(pts[flat[starts[face_of[mid]]]], pts[flat[mid]], pts[flat[mid + 1]])
+    fans = _orientation(*pts[index.fans])
     return bool((fans == -turns[0]).all())
 
 
@@ -168,18 +159,21 @@ def faces_convex(d, emb: PlanarEmbedding) -> bool:
 
     Convexity is cross products of consecutive edge vectors all of one
     sign; magnitudes within CONVEXITY_RTOL * radius^2 pass as collinear.
+    Positions and radius are first scaled by the power of two that brings
+    the radius into [0.5, 1): exact, so the verdict is the unscaled one
+    wherever that neither overflows nor underflows, and scale-free beyond.
     """
     pts = _finite_positions(d)
-    tol = CONVEXITY_RTOL * d.polygon.radius ** 2
-    inner = [f.vertices for i, f in enumerate(emb.faces) if i != emb.outer_index]
-    if not inner:
+    index = emb._face_index
+    if not len(index.corner_starts):
         return True
-    corners = [(f[j - 2], f[j - 1], f[j]) for f in inner for j in range(len(f))]
-    o, p, q = pts[np.array(corners).T]
+    radius = d.polygon.radius
+    shift = -math.frexp(radius)[1]
+    tol = CONVEXITY_RTOL * math.ldexp(radius, shift) ** 2
+    o, p, q = np.ldexp(pts, shift)[index.corners]
     c = (p[:, 0] - o[:, 0]) * (q[:, 1] - p[:, 1]) - (p[:, 1] - o[:, 1]) * (q[:, 0] - p[:, 0])
-    starts = np.cumsum([0] + [len(f) for f in inner[:-1]])
-    turns_left = np.logical_or.reduceat(c > tol, starts)
-    turns_right = np.logical_or.reduceat(c < -tol, starts)
+    turns_left = np.logical_or.reduceat(c > tol, index.corner_starts)
+    turns_right = np.logical_or.reduceat(c < -tol, index.corner_starts)
     return not (turns_left & turns_right).any()
 
 

@@ -3,13 +3,15 @@
 The oracles recompute answers straight from definitions (pairwise vertex
 deletion, disjoint paths by max-flow, explicit path enumeration, dense
 linear algebra) so the faster implementations in the package are checked
-against something honest. The dict-based spread construction and the
-uncached solve are kept as differential oracles for their array
+against something honest. The dict-based spread construction, the
+uncached solve, the per-call face walks of the drawing checks and the
+line-by-line SVG writer are kept as differential oracles for their
 replacements, which must agree with them to the last bit.
 """
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 from dataclasses import dataclass
 
@@ -21,14 +23,18 @@ from scipy.sparse.linalg import splu
 
 from stressdraw import (
     DegeneratePosition,
+    InputError,
     NotStOrientation,
     PlanarEmbedding,
     PreconditionError,
     ZeroGap,
     edge_key,
+    generate_planar,
+    regular_polygon,
 )
+from stressdraw.cli import METHODS, _Context
 from stressdraw.graph import SPD_LU
-from stressdraw.metrics import CROSSING_EPS
+from stressdraw.metrics import CONVEXITY_RTOL, CROSSING_EPS, _orientation
 from stressdraw.solver import RESIDUAL_RTOL, Drawing, OuterPolygon, equilibrium_residual
 from stressdraw.spread import StOrientation
 
@@ -424,3 +430,121 @@ def max_position_gap(p: np.ndarray, q: np.ndarray) -> float:
     """Largest per-coordinate difference between two (n, 2) position arrays."""
     assert p.shape == q.shape
     return float(np.abs(p - q).max())
+
+
+# ---------------------------------------------------------------------------
+# per-call oracles: the drawing checks walking the faces on every call, and
+# the SVG written line by line, as before the per-embedding face index
+# ---------------------------------------------------------------------------
+
+def method_drawings(sizes, seed: int):
+    """Every CLI method's drawing on generated graphs, graph i from seed
+    seed + i; every third graph is a triangulation, the only input
+    schnyder accepts."""
+    for i, n in enumerate(sizes):
+        tri = i % 3 == 0
+        emb = generate_planar(n, 3 * n - 6 if tri else (5 * n) // 2, seed=seed + i)
+        ctx = _Context(emb, regular_polygon(emb.outer_face), r="2")
+        for name, method in METHODS.items():
+            if name != "schnyder" or tri:
+                yield emb, method(ctx)[0]
+
+
+def folded(d: Drawing, emb: PlanarEmbedding, rng) -> Drawing:
+    """d with one random interior vertex moved to a random point near the
+    drawing, which folds most drawings."""
+    inner = sorted(set(range(emb.n)) - set(emb.outer_face))
+    pos = d.positions.copy()
+    pos[rng.choice(inner)] = rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)
+    return Drawing(pos, d.polygon, d.residual)
+
+
+def oracle_drawings():
+    """Every method's drawing on 21 generated graphs (n = 8..68), each
+    graph's first drawing also folded."""
+    rng = random.Random(11)
+    last = None
+    for emb, d in method_drawings(range(8, 70, 3), seed=100):
+        yield emb, d
+        if emb is not last:
+            last = emb
+            yield emb, folded(d, emb, rng)
+
+
+def scratch_certified_planar(pts: np.ndarray, emb: PlanarEmbedding) -> bool:
+    """metrics._certified_planar rebuilding the fan triangles from emb.faces."""
+    try:
+        faces, outer = emb.faces, emb.outer_index
+    except (InputError, TypeError):
+        return False
+    lengths = np.array([len(f) for f in faces])
+    flat = np.fromiter(
+        (v for f in faces for v in f.vertices), dtype=np.intp, count=int(lengths.sum())
+    )
+    face_of = np.repeat(np.arange(len(faces)), lengths)
+    if lengths.min() < 3 or np.unique(face_of * emb.n + flat).size != flat.size:
+        return False
+    ring = np.array(faces[outer].vertices)
+    turns = _orientation(pts[np.roll(ring, 1)], pts[ring], pts[np.roll(ring, -1)])
+    if turns[0] == 0 or (turns != turns[0]).any():
+        return False
+    step = pts[np.roll(ring, -1)] - pts[ring]
+    prev = np.roll(step, 1, axis=0)
+    turning = np.arctan2(
+        prev[:, 0] * step[:, 1] - prev[:, 1] * step[:, 0], (prev * step).sum(axis=1)
+    ).sum()
+    if abs(turning) > 3.0 * np.pi:
+        return False
+    starts = np.cumsum(lengths) - lengths
+    corner = np.arange(len(flat)) - starts[face_of]
+    mid = np.flatnonzero(
+        (corner >= 1) & (corner <= lengths[face_of] - 2) & (face_of != outer)
+    )
+    fans = _orientation(pts[flat[starts[face_of[mid]]]], pts[flat[mid]], pts[flat[mid + 1]])
+    return bool((fans == -turns[0]).all())
+
+
+def scratch_faces_convex(d: Drawing, emb: PlanarEmbedding) -> bool:
+    """metrics.faces_convex building the corner triples as Python tuples
+    and comparing unscaled products; valid for radii whose square and
+    cross products stay normal floats."""
+    pts = d.positions
+    tol = CONVEXITY_RTOL * d.polygon.radius ** 2
+    inner = [f.vertices for i, f in enumerate(emb.faces) if i != emb.outer_index]
+    if not inner:
+        return True
+    corners = [(f[j - 2], f[j - 1], f[j]) for f in inner for j in range(len(f))]
+    o, p, q = pts[np.array(corners).T]
+    c = (p[:, 0] - o[:, 0]) * (q[:, 1] - p[:, 1]) - (p[:, 1] - o[:, 1]) * (q[:, 0] - p[:, 0])
+    starts = np.cumsum([0] + [len(f) for f in inner[:-1]])
+    turns_left = np.logical_or.reduceat(c > tol, starts)
+    turns_right = np.logical_or.reduceat(c < -tol, starts)
+    return not (turns_left & turns_right).any()
+
+
+def scratch_render_svg(drawing: Drawing, emb: PlanarEmbedding) -> str:
+    """svg.render_svg formatting each line and dot on its own, for drawings
+    at least 1e-12 wide."""
+    pts = drawing.positions
+    xmin, ymin = pts.min(axis=0).tolist()
+    xmax, ymax = pts.max(axis=0).tolist()
+    span = max(xmax - xmin, ymax - ymin, 1e-12)
+    scale = 960.0 / span
+    xoff = (1000.0 - (xmax - xmin) * scale) / 2.0
+    yoff = (1000.0 - (ymax - ymin) * scale) / 2.0
+    x = xoff + (pts[:, 0] - xmin) * scale
+    y = 1000.0 - yoff - (pts[:, 1] - ymin) * scale
+    mapped = np.column_stack((x, y)).tolist()
+    parts = ['<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="0 0 1000 1000">']
+    for u, v in emb.edge_array.tolist():
+        x1, y1 = mapped[u]
+        x2, y2 = mapped[v]
+        parts.append(
+            f'  <line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}"'
+            ' stroke="black" stroke-width="1"/>'
+        )
+    for v in range(emb.n):
+        x, y = mapped[v]
+        parts.append(f'  <circle cx="{x:.3f}" cy="{y:.3f}" r="3" fill="black"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

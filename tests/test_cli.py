@@ -258,6 +258,17 @@ def test_draw_rejects_non_finite_parameters(graph_path, tmp_path, capsys, argv, 
     assert not (tmp_path / "d.svg").exists()
 
 
+@pytest.mark.parametrize("radius", ["1e300", "1e-170"])
+def test_draw_at_extreme_radius(graph_path, tmp_path, capsys, radius):
+    """The convexity tolerance neither overflows at a huge radius nor
+    underflows at a tiny one: the Tutte drawing is reported as it is."""
+    out = tmp_path / "d.svg"
+    assert run(["draw", str(graph_path), "--method", "tutte", "--radius", radius,
+                "--out-svg", str(out)]) == 0
+    assert "crossing_count=0 all_faces_convex=true" in capsys.readouterr().out
+    assert out.read_text().count("<circle") == 12
+
+
 def test_kaleidoscope_deterministic(graph_path, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

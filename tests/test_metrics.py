@@ -4,14 +4,23 @@ from __future__ import annotations
 import json
 import math
 import random
+from itertools import chain
 
 import numpy as np
 import pytest
 
-from conftest import brute_crossing_count
+from conftest import (
+    brute_crossing_count,
+    folded,
+    method_drawings,
+    oracle_drawings,
+    scratch_certified_planar,
+    scratch_faces_convex,
+)
 
 from stressdraw import (
     Drawing,
+    InputError,
     OuterPolygon,
     PlanarEmbedding,
     PreconditionError,
@@ -23,10 +32,11 @@ from stressdraw import (
     generate_planar,
     metrics_json,
     regular_polygon,
+    render_svg,
     tutte,
     validate,
 )
-from stressdraw.cli import METHODS, _Context
+from stressdraw.graph import _with_outer_face
 from stressdraw.metrics import _certified_planar
 
 
@@ -178,20 +188,8 @@ def _certified(d, emb) -> bool:
     return _certified_planar((pts - pts.min(axis=0)) / span, emb)
 
 
-def _method_drawings(sizes):
-    """Every CLI method's drawing on generated graphs; every third graph is
-    a triangulation, the only input schnyder accepts."""
-    for i, n in enumerate(sizes):
-        tri = i % 3 == 0
-        emb = generate_planar(n, 3 * n - 6 if tri else (5 * n) // 2, seed=60 + i)
-        ctx = _Context(emb, regular_polygon(emb.outer_face), r="2")
-        for name, method in METHODS.items():
-            if name != "schnyder" or tri:
-                yield emb, method(ctx)[0]
-
-
 def test_every_method_certifies_and_matches_brute():
-    for emb, d in _method_drawings([12, 20, 31, 45, 64, 80]):
+    for emb, d in method_drawings([12, 20, 31, 45, 64, 80], seed=60):
         assert _certified(d, emb)
         assert crossing_count(d, emb) == brute_crossing_count(d.positions, emb) == 0
 
@@ -201,22 +199,18 @@ def test_folded_drawings_match_brute():
     the n = 130 graph the all-pairs test runs in two row blocks."""
     rng = random.Random(7)
     crossed = total = 0
-    for emb, d in _method_drawings([12, 25, 130]):
-        inner = sorted(set(range(emb.n)) - set(emb.outer_face))
-        pos = d.positions.copy()
-        pos[rng.choice(inner)] = rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)
-        folded = Drawing(pos, d.polygon, d.residual)
-        count = crossing_count(folded, emb)
-        assert count == brute_crossing_count(pos, emb)
-        assert count == 0 or not _certified(folded, emb)
+    for emb, d in method_drawings([12, 25, 130], seed=60):
+        f = folded(d, emb, rng)
+        count = crossing_count(f, emb)
+        assert count == brute_crossing_count(f.positions, emb)
+        assert count == 0 or not _certified(f, emb)
         crossed += count > 0
         total += 1
     assert crossed > total // 2
 
 
-def test_pentagram_rim_does_not_certify():
-    """A wheel whose rim is drawn as a pentagram: every corner turns the same
-    way, but the outer face winds twice."""
+def _pentagram():
+    """A wheel whose rim is drawn as a pentagram."""
     rim = (1, 2, 3, 4, 5)
     emb = PlanarEmbedding(
         6, (rim, (0, 5, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 1)), (1, 5, 4, 3, 2)
@@ -224,16 +218,12 @@ def test_pentagram_rim_does_not_certify():
     pos = np.array([(0.0, 0.0)] + [
         (math.cos(4 * math.pi * k / 5), math.sin(4 * math.pi * k / 5)) for k in range(5)
     ])
-    d = Drawing(pos, OuterPolygon(rim, {v: tuple(pos[v]) for v in rim}), 0.0)
-    validate(emb)
-    assert not _certified(d, emb)
-    assert crossing_count(d, emb) == brute_crossing_count(pos, emb) == 10
+    return emb, Drawing(pos, OuterPolygon(rim, {v: tuple(pos[v]) for v in rim}), 0.0)
 
 
-@pytest.mark.parametrize("where", ["outer", "inner"])
-def test_straight_angle_falls_back(where):
-    """An exactly straight angle leaves a corner or fan triangle with
-    orientation 0, so the count comes from the all-pairs test, unchanged."""
+def _straight_angle(where):
+    """A wheel drawn with an exactly straight angle on its rim (outer) or
+    its hub on a rim edge (inner)."""
     emb = PlanarEmbedding(
         5, ((1, 2, 3, 4), (0, 4, 2), (0, 1, 3), (0, 2, 4), (0, 3, 1)), (1, 4, 3, 2)
     )
@@ -246,10 +236,26 @@ def test_straight_angle_falls_back(where):
         pos = np.array([(1.0, 0.5), (0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0)])
     else:
         pos[0] = (0.5, 0.0)  # the hub lies on the rim edge 1-2
-    d = Drawing(pos, regular_polygon(emb.outer_face), 0.0)
+    return emb, Drawing(pos, regular_polygon(emb.outer_face), 0.0)
+
+
+def test_pentagram_rim_does_not_certify():
+    """A wheel whose rim is drawn as a pentagram: every corner turns the same
+    way, but the outer face winds twice."""
+    emb, d = _pentagram()
     validate(emb)
     assert not _certified(d, emb)
-    assert crossing_count(d, emb) == brute_crossing_count(pos, emb) == 0
+    assert crossing_count(d, emb) == brute_crossing_count(d.positions, emb) == 10
+
+
+@pytest.mark.parametrize("where", ["outer", "inner"])
+def test_straight_angle_falls_back(where):
+    """An exactly straight angle leaves a corner or fan triangle with
+    orientation 0, so the count comes from the all-pairs test, unchanged."""
+    emb, d = _straight_angle(where)
+    validate(emb)
+    assert not _certified(d, emb)
+    assert crossing_count(d, emb) == brute_crossing_count(d.positions, emb) == 0
 
 
 @pytest.mark.parametrize("p1, p3, crossings", [
@@ -281,3 +287,106 @@ def test_outer_face_outside_the_traversal_falls_back(octahedron, outer):
     emb = PlanarEmbedding(octahedron.n, octahedron.rotation, outer)
     assert not _certified(d, emb)
     assert crossing_count(d, emb) == brute_crossing_count(d.positions, emb) == 0
+
+
+def _bowtie():
+    """Two triangles sharing vertex 0, drawn side by side: the outer face
+    0-2-1-0-4-3 passes vertex 0 twice, so the face index is not simple."""
+    emb = PlanarEmbedding(5, ((3, 2, 1, 4), (0, 2), (1, 0), (0, 4), (3, 0)), ())
+    emb = PlanarEmbedding(emb.n, emb.rotation, max(emb.faces, key=len).vertices)
+    pos = np.array([(0.0, 0.0), (-2.0, -1.0), (-2.0, 1.0), (2.0, 1.0), (2.0, -1.0)])
+    return emb, Drawing(pos, regular_polygon(emb.outer_face), 0.0)
+
+
+def _fallback_cases(octahedron):
+    yield _pentagram()
+    yield _straight_angle("outer")
+    yield _straight_angle("inner")
+    yield _bowtie()
+    yield _square()
+    for p1, p3 in [((1.0, -1.0), (1.0, 1.0)), ((1.0, 0.0), (1.0, 1.0)), ((1.0, 0.0), (3.0, 0.0))]:
+        yield _two_segments(p1, p3)
+    d = tutte(octahedron, regular_polygon(octahedron.outer_face))
+    for outer in [(0, 3, 4), (0, None, 1)]:
+        yield PlanarEmbedding(octahedron.n, octahedron.rotation, outer), d
+
+
+def _verdict(check, *args):
+    try:
+        return check(*args)
+    except (InputError, TypeError) as exc:  # no traversal, or no such outer face
+        return type(exc)
+
+
+def test_checks_match_per_call_oracles(octahedron):
+    """The indexed checks give the verdicts of the per-call face walks, on
+    the unit-box coordinates crossing_count certifies and on the drawing,
+    for the oracle drawings and every fallback case above."""
+    verdicts = set()
+    for emb, d in chain(oracle_drawings(), _fallback_cases(octahedron)):
+        pts = d.positions
+        unit = (pts - pts.min(axis=0)) / max(float(np.ptp(pts[:, 0])), float(np.ptp(pts[:, 1])))
+        for p in (unit, pts):
+            got = _certified_planar(p, emb)
+            assert got == scratch_certified_planar(p, emb)
+            verdicts.add(("certified", got))
+        got = _verdict(faces_convex, d, emb)
+        assert got == _verdict(scratch_faces_convex, d, emb)
+        verdicts.add(("convex", got))
+    assert verdicts >= {("certified", True), ("certified", False), ("convex", True), ("convex", False)}
+
+
+def test_face_index_built_once_per_embedding(monkeypatch):
+    from stressdraw import graph
+
+    calls = []
+    build = graph._build_face_index
+    monkeypatch.setattr(graph, "_build_face_index", lambda emb: calls.append(emb) or build(emb))
+    emb = generate_planar(20, 50, seed=66)
+    d = tutte(emb, regular_polygon(emb.outer_face))
+    for _ in range(2):
+        compute_metrics(d, emb)
+        crossing_count(d, emb)
+        faces_convex(d, emb)
+        render_svg(d, emb)
+    assert calls == [emb]
+
+
+def test_face_index_follows_the_outer_face():
+    """A twin embedding with another outer face gets its own index, which
+    leaves out its own outer face, and both certify their Tutte drawings."""
+    emb = generate_planar(20, 45, seed=67)
+    other = next(f.vertices for f in emb.faces if set(f.vertices) != set(emb.outer_face))
+    twin = _with_outer_face(emb, other)
+    for e in (emb, twin, emb):
+        index = e._face_index
+        inner = [f.vertices for i, f in enumerate(e.faces) if i != e.outer_index]
+        assert index.ring.tolist() == list(e.faces[e.outer_index].vertices)
+        assert index.fans.T.tolist() == [[f[0], f[j], f[j + 1]] for f in inner for j in range(1, len(f) - 1)]
+        assert index.corners.T.tolist() == [[f[j - 2], f[j - 1], f[j]] for f in inner for j in range(len(f))]
+        assert index.corners.shape == (3, 2 * e.m - len(e.outer_face))
+        assert index.corner_starts.tolist() == np.cumsum([0] + [len(f) for f in inner[:-1]]).tolist()
+        assert index.simple
+        d = tutte(e, regular_polygon(e.outer_face))
+        assert _certified(d, e) and faces_convex(d, e)
+    assert emb._face_index is not twin._face_index
+
+
+def _folded_at(radius):
+    """The Tutte drawing of generate_planar(30, 60, 1) at this radius with
+    one interior vertex moved out of place: 5 crossings."""
+    emb = generate_planar(30, 60, 1)
+    d = tutte(emb, regular_polygon(emb.outer_face, radius))
+    pos = d.positions.copy()
+    pos[min(set(range(emb.n)) - set(emb.outer_face))] = (0.9 * radius, 0.0)
+    return emb, Drawing(pos, d.polygon, d.residual)
+
+
+@pytest.mark.parametrize("radius", [1.0, 1e-150, 1e-170, 1e300])
+def test_convexity_is_scale_free(radius):
+    """Cross products neither underflow into a convex verdict at tiny radii
+    nor overflow the tolerance at huge ones."""
+    emb, f = _folded_at(radius)
+    assert crossing_count(f, emb) == 5
+    assert not faces_convex(f, emb)
+    assert faces_convex(tutte(emb, f.polygon), emb)

@@ -51,17 +51,13 @@ class NonPositiveWeight(PreconditionError):
     """An interior-incident edge weight is zero, negative, or missing (wrong-length array)."""
 
 
-class DegeneratePosition(PreconditionError):
-    """Two vertices share an x-coordinate in the spread frame: st_orient got
-    tied x-values, or no rotation within budget separates them."""
-
-
 class NotStOrientation(PreconditionError):
     """Left-to-right edge orientation lacks the single-source/single-sink shape."""
 
 
 class ZeroGap(PreconditionError):
-    """Two endpoints of a directed edge share a target coordinate."""
+    """A directed edge's head target is not above its tail's; an edge
+    between two pinned vertices with equal targets is exempt."""
 
 
 class EdgeSetMismatch(PreconditionError):

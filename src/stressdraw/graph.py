@@ -707,7 +707,8 @@ def load_graph(path: str | Path) -> PlanarEmbedding:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # bad JSON, bad UTF-8 (both ValueError), or nesting too deep to parse
+        except (ValueError, RecursionError) as exc:
             raise InvalidEmbedding(f"not valid JSON: {exc}") from exc
     return from_dict(data)
 

@@ -1,15 +1,16 @@
 """Weights that spread the drawing uniformly along a chosen direction.
 
 The pipeline reads one coordinate of the unit-weight reference drawing:
-its positions rotated so the requested direction becomes the x-axis
-(nudged further until no two vertices share an x-coordinate), x-column
-only. It orients every edge from smaller to larger x, keeps the pinned
-vertices' x as their targets, spaces the interior vertices' targets evenly,
-counts the canonical source-to-sink paths through every edge, and weights
-each edge with paths / target gap. Solving the stress system with those
-weights reproduces the targets exactly, because every canonical path
-contributes a balanced +1/-1 to the x-equilibrium of each vertex it passes
-through.
+its positions turned by exactly -direction, so the requested direction
+becomes the x-axis, x-column only. It orders the vertices by that x, with
+one rule for ties (nearly equal pinned values count as one, pinned
+vertices go first among equals, the rest by x and id), orients every edge
+along the order, keeps the pinned vertices' x as their targets, spaces the
+interior vertices' targets evenly, counts the canonical source-to-sink
+paths through every edge, and weights each edge with paths / target gap.
+Solving the stress system with those weights reproduces the targets
+exactly, because every canonical path contributes a balanced +1/-1 to the
+x-equilibrium of each vertex it passes through.
 
 Every step works on numpy arrays over the embedding's edge array: the
 orientation is a pair of (m,) tail/head arrays aligned with emb.edges(),
@@ -28,7 +29,6 @@ from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import (
     BadParams,
-    DegeneratePosition,
     NotStOrientation,
     PreconditionError,
     ResidualExceeded,
@@ -37,18 +37,12 @@ from .errors import (
 from .graph import PlanarEmbedding
 from .solver import Drawing, OuterPolygon, solve_stress, tutte
 
-# Minimum pairwise x-gap, relative to the polygon radius.
+# Pinned x-values closer than this fraction of the largest |pinned x| are
+# one value: a turned regular polygon puts equal corners ~1e-16 apart.
 GENERAL_POSITION_RTOL = 1e-9
-# Nudge size and budget when vertices share an x-coordinate.
-ROTATION_STEP = 1e-3
-MAX_ROTATIONS = 64
 # Allowed miss between solved coordinates and targets, relative to radius.
 TARGET_RTOL = 1e-6
 
-
-# ---------------------------------------------------------------------------
-# frames and general position
-# ---------------------------------------------------------------------------
 
 def _turn(xy: np.ndarray, angle: float) -> np.ndarray:
     """(n, 2) positions rotated by angle about the origin."""
@@ -58,45 +52,28 @@ def _turn(xy: np.ndarray, angle: float) -> np.ndarray:
     return xy @ np.array([[c, s], [-s, c]])  # row vectors times turn
 
 
-def ensure_general_position(xy: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
-    """Rotate in small fixed steps until all x-coordinates are distinct.
-
-    xy holds (n, 2) positions in the spread frame, radius the polygon's.
-    Returns the x-column of the (possibly rotated) positions and the extra
-    angle applied. Raises DegeneratePosition when MAX_ROTATIONS steps do not
-    raise every x-gap above GENERAL_POSITION_RTOL * radius.
-    """
-    floor = GENERAL_POSITION_RTOL * radius
-    for step in range(MAX_ROTATIONS + 1):
-        angle = step * ROTATION_STEP
-        x = _turn(xy, angle)[:, 0]
-        if np.diff(np.sort(x)).min() > floor:
-            return x, angle
-    raise DegeneratePosition(
-        f"no rotation within {MAX_ROTATIONS} steps separates all x-coordinates"
-    )
-
-
 # ---------------------------------------------------------------------------
 # left-to-right orientation
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class StOrientation:
-    """Edges oriented by increasing x, with one BFS tree out of the source
-    and one into the sink.
+    """Edges oriented along the tie-broken x-order, with one BFS tree out of
+    the source and one into the sink.
 
-    order lists the vertices sorted by x and rank is its inverse, both
-    (n,) arrays. Edge i of emb.edges() points from tail[i] to head[i],
-    (m,) arrays with rank[tail] < rank[head]; out_deg and in_deg count
-    the edges leaving and entering each vertex. t1_parent holds every
-    non-source vertex's tree predecessor (an in-neighbor), tn_parent every
-    non-sink vertex's tree successor (an out-neighbor), both (n,) arrays
-    with -1 at the root. BFS ties are broken toward the lowest vertex id.
+    order lists the vertices in that order and rank is its inverse, both
+    (n,) arrays; pinned marks the outer-face vertices, (n,) bool. Edge i of
+    emb.edges() points from tail[i] to head[i], (m,) arrays with
+    rank[tail] < rank[head]; out_deg and in_deg count the edges leaving and
+    entering each vertex. t1_parent holds every non-source vertex's tree
+    predecessor (an in-neighbor), tn_parent every non-sink vertex's tree
+    successor (an out-neighbor), both (n,) arrays with -1 at the root. BFS
+    ties are broken toward the lowest vertex id.
     """
 
     order: np.ndarray
     rank: np.ndarray
+    pinned: np.ndarray
     tail: np.ndarray
     head: np.ndarray
     out_deg: np.ndarray
@@ -142,15 +119,27 @@ def _bfs_trees(
 
 
 def st_orient(x: np.ndarray, emb: PlanarEmbedding) -> StOrientation:
-    """Orient edges from smaller to larger x, an (n,) array, and grow the
-    two BFS trees. Tied x-values raise DegeneratePosition."""
+    """Orient edges along the x-order of an (n,) array and grow the two BFS
+    trees.
+
+    Ties follow one rule. Pinned (outer-face) x-values chained by gaps of at
+    most GENERAL_POSITION_RTOL times the largest |pinned x| count as the
+    lowest of them; among equal values the pinned vertices come first, then
+    the rest, each by x, then by id. So no interior vertex lands between
+    tied pinned ones. An order in which a vertex other than the ends lacks
+    an incoming or an outgoing edge raises NotStOrientation.
+    """
     xs = np.asarray(x)
-    order = np.argsort(xs, kind="stable")
-    tied = np.flatnonzero(~(xs[order[1:]] > xs[order[:-1]]))
-    if tied.size:
-        a, b = order[tied[0]], order[tied[0] + 1]
-        raise DegeneratePosition(f"vertices {a} and {b} share x={float(xs[a])!r}")
     n = emb.n
+    pinned = np.zeros(n, dtype=bool)
+    pinned[list(emb.outer_face)] = True
+    ring = np.flatnonzero(pinned)
+    ring = ring[np.argsort(xs[ring], kind="stable")]
+    px = xs[ring]
+    fresh = np.concatenate(([True], np.diff(px) > GENERAL_POSITION_RTOL * np.abs(px).max()))
+    value = xs.copy()
+    value[ring] = px[fresh][np.cumsum(fresh) - 1]
+    order = np.lexsort((xs, ~pinned, value))  # stable: ids break what is left
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
     lo, hi = emb.edge_array.T
@@ -168,7 +157,7 @@ def st_orient(x: np.ndarray, emb: PlanarEmbedding) -> StOrientation:
             f"vertex {v} has no {'incoming' if no_in[v] else 'outgoing'} edge"
         )
     t1_parent, tn_parent = _bfs_trees(emb, rank, out_deg, in_deg, source, sink)
-    return StOrientation(order, rank, tail, head, out_deg, in_deg, t1_parent, tn_parent)
+    return StOrientation(order, rank, pinned, tail, head, out_deg, in_deg, t1_parent, tn_parent)
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +227,22 @@ def spread_weights(
     counts: np.ndarray,
 ) -> np.ndarray:
     """Weight each edge with path count / target gap, as an (m,) array in
-    the order of the embedding's edges()."""
+    the order of the embedding's edges().
+
+    An edge between two pinned vertices with zero gap (tied corners) gets
+    its path count instead: the solve never reads it. Any other gap <= 0
+    raises ZeroGap.
+    """
     targets = np.asarray(targets)
     gap = targets[o.head] - targets[o.tail]
-    bad = np.flatnonzero(gap <= 0)
+    tied = (gap == 0) & o.pinned[o.tail] & o.pinned[o.head]
+    bad = np.flatnonzero((gap <= 0) & ~tied)
     if bad.size:
         i = bad[0]
         raise ZeroGap(
             f"edge ({o.tail[i]}, {o.head[i]}) has non-positive target gap {float(gap[i])!r}"
         )
-    return counts / gap
+    return counts / np.where(tied, 1.0, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +255,8 @@ class SpreadResult:
 
     weights: np.ndarray        # (m,), aligned with emb.edges()
     drawing: Drawing           # solved against the original polygon
-    targets: np.ndarray        # (n,) x-targets in the spread frame
+    targets: np.ndarray        # (n,) x-targets in the frame turned by -direction
     orientation: StOrientation
-    angle: float               # rotation from original frame to spread frame
 
 
 def _solve_to_targets(
@@ -292,17 +286,17 @@ def spread_pipeline(
     """Run the whole spread construction for one direction (radians).
 
     direction 0 spreads x-coordinates, pi/2 spreads y-coordinates; it must
-    be finite. The reference's positions, rotated so the direction becomes
-    the x-axis, give the orientation and the pinned targets. The solved
-    drawing, rotated into that frame, must match the targets within
-    TARGET_RTOL * radius; a miss raises ResidualExceeded.
+    be finite. The reference's positions, turned by exactly -direction so
+    the direction becomes the x-axis, give the orientation (ties broken as
+    in st_orient) and the pinned targets. The solved drawing, turned the
+    same way, must match the targets within TARGET_RTOL * radius; a miss
+    raises ResidualExceeded.
     """
     if not math.isfinite(direction):
         raise BadParams(f"direction must be finite, got {direction!r}")
     ref = reference if reference is not None else tutte(emb, poly)
-    x, extra = ensure_general_position(_turn(ref.positions, -direction), poly.radius)
-    angle = -direction + extra
+    x = _turn(ref.positions, -direction)[:, 0]
     o = st_orient(x, emb)
     targets = target_x(o, x, poly.order)
-    weights, drawing = _solve_to_targets(emb, o, targets, poly, angle)
-    return SpreadResult(weights, drawing, targets, o, angle)
+    weights, drawing = _solve_to_targets(emb, o, targets, poly, -direction)
+    return SpreadResult(weights, drawing, targets, o)

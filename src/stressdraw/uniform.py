@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NoValidTopBottom, PreconditionError, StressDrawError
 from .graph import PlanarEmbedding
 from .solver import Drawing, OuterPolygon, regular_polygon, tutte
-from .spread import StOrientation, _solve_to_targets, ensure_general_position, st_orient
+from .spread import StOrientation, _solve_to_targets, st_orient
 
 # steepest slope angle used by the caps around the leftmost/rightmost vertex
 CAP_ANGLE_DEG = 80.0
@@ -174,12 +174,11 @@ def uniform_pipeline(emb: PlanarEmbedding) -> UniformResult:
 
     Targets are the indices themselves, so no rotation is involved: the
     solved x-coordinates must come out as 1..n directly. indices holds each
-    vertex's 1-based x-rank in the general-positioned unit drawing, an
-    st-numbering for the outer face.
+    vertex's 1-based rank in the unit drawing's x-order, ties broken as in
+    st_orient, an st-numbering for the outer face.
     """
     ref = tutte(emb, regular_polygon(emb.outer_face))
-    x, _ = ensure_general_position(ref.positions, ref.polygon.radius)
-    o = st_orient(x, emb)
+    o = st_orient(ref.positions[:, 0], emb)
     indices = {v: i for i, v in enumerate(o.order.tolist(), start=1)}
     poly = convex_outer_placement(emb.outer_face, indices)
     targets = (o.rank + 1).astype(float)

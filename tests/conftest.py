@@ -22,7 +22,6 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from stressdraw import (
-    DegeneratePosition,
     InputError,
     NotStOrientation,
     PlanarEmbedding,
@@ -202,10 +201,11 @@ def enumerate_canonical_paths(o: StOrientation) -> np.ndarray:
 @dataclass(frozen=True)
 class DictOrientation:
     """Orientation as per-vertex neighbor tuples and parent dicts (no entry
-    for the root)."""
+    for the root), plus the set of pinned (outer-face) vertices."""
 
     order: tuple[int, ...]
     rank: dict[int, int]
+    pinned: frozenset[int]
     out_nbrs: tuple[tuple[int, ...], ...]
     in_nbrs: tuple[tuple[int, ...], ...]
     t1_parent: dict[int, int]
@@ -225,10 +225,22 @@ def turn(xy: np.ndarray, angle: float) -> np.ndarray:
 
 def dict_st_orient(x: np.ndarray, emb: PlanarEmbedding) -> DictOrientation:
     xs = np.asarray(x).tolist()
-    order = tuple(sorted(range(emb.n), key=xs.__getitem__))
-    for a, b in zip(order, order[1:]):
-        if not xs[a] < xs[b]:
-            raise DegeneratePosition(f"vertices {a} and {b} share x={xs[a]!r}")
+    pinned = frozenset(emb.outer_face)
+    # left to right, a pinned vertex whose x is within 1e-9 times the
+    # largest pinned |x| of the previous pinned vertex's x takes its level
+    tol = 1e-9 * max(abs(xs[v]) for v in pinned)
+    level: dict[int, float] = {}
+    prev = None
+    for v in sorted(pinned, key=lambda v: (xs[v], v)):
+        level[v] = level[prev] if prev is not None and xs[v] - xs[prev] <= tol else xs[v]
+        prev = v
+
+    def key(v: int) -> tuple:
+        if v in pinned:
+            return (level[v], 0, xs[v], v)
+        return (xs[v], 1, xs[v], v)
+
+    order = tuple(sorted(range(emb.n), key=key))
     rank = {v: i for i, v in enumerate(order)}
     out_nbrs = tuple(
         tuple(sorted(w for w in emb.rotation[v] if rank[w] > rank[v]))
@@ -260,7 +272,7 @@ def dict_st_orient(x: np.ndarray, emb: PlanarEmbedding) -> DictOrientation:
             raise NotStOrientation("orientation does not reach every vertex")
         return parent
 
-    return DictOrientation(order, rank, out_nbrs, in_nbrs,
+    return DictOrientation(order, rank, pinned, out_nbrs, in_nbrs,
                            bfs(source, out_nbrs), bfs(sink, in_nbrs))
 
 
@@ -322,6 +334,9 @@ def dict_spread_weights(
     keyed: list[tuple[tuple[int, int], float]] = []
     for u, v in o.directed_edges():
         gap = targets[v] - targets[u]
+        if gap == 0 and u in o.pinned and v in o.pinned:
+            keyed.append((edge_key(u, v), float(counts[(u, v)])))
+            continue
         if gap <= 0:
             raise ZeroGap(f"edge ({u}, {v}) has non-positive target gap {gap!r}")
         keyed.append((edge_key(u, v), counts[(u, v)] / gap))

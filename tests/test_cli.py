@@ -182,6 +182,34 @@ def test_draw_non_integer_vertex_id_exits_2(tmp_path, capsys):
     assert "InvalidEmbedding" in capsys.readouterr().err
 
 
+# files json.load cannot read: bytes that are not UTF-8, nesting past the
+# recursion limit
+MALFORMED_FILES = {"not-utf8": b'\xff\xfe{"n": 4}', "deep-nesting": b"[" * 100000}
+
+
+@pytest.mark.parametrize("name", MALFORMED_FILES)
+def test_draw_malformed_file_exits_2(tmp_path, capsys, name):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(MALFORMED_FILES[name])
+    assert run(["draw", str(bad), "--method", "tutte"]) == 2
+    assert "error: InvalidEmbedding: not valid JSON" in capsys.readouterr().err
+
+
+def test_gallery_records_malformed_files_and_continues(graph_path, tmp_path, capsys):
+    paths = []
+    for name, data in MALFORMED_FILES.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_bytes(data)
+    out_dir = tmp_path / "gal"
+    assert run(["gallery", *map(str, paths), str(graph_path), "--out-dir", str(out_dir)]) == 0
+    summary = (out_dir / "summary.csv").read_text().strip().split("\n")
+    rows = {line.split(",")[0]: line.split(",") for line in summary[1:]}
+    for name in MALFORMED_FILES:
+        assert rows[name][1] == "FAILED:InvalidEmbedding"
+    assert float(rows["g"][1]) >= 1.0
+    assert capsys.readouterr().err.count("failed") == 2
+
+
 def test_draw_missing_file_exits_2(tmp_path, capsys):
     assert run(["draw", str(tmp_path / "nope.json"), "--method", "tutte"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -17,7 +17,6 @@ from conftest import (
 )
 
 from stressdraw import (
-    DegeneratePosition,
     NotStOrientation,
     OuterPolygon,
     PlanarEmbedding,
@@ -25,16 +24,18 @@ from stressdraw import (
     ZeroGap,
     count_paths,
     crossing_count,
-    ensure_general_position,
+    edge_length_ratio,
     faces_convex,
     generate_planar,
     regular_polygon,
+    solve_stress,
     spread_pipeline,
     spread_weights,
     st_orient,
     target_x,
     tutte,
     uniform_pipeline,
+    worst_case_graph,
 )
 
 TARGET_RTOL = 1e-6
@@ -63,39 +64,9 @@ def _house_graph():
     return emb, poly, x
 
 
-def test_general_position_keeps_good_drawing(octahedron):
-    poly = regular_polygon(octahedron.outer_face)
-    # the symmetric frame itself has an x tie, so pre-rotate off the axis
-    xy = turn(tutte(octahedron, poly).positions, 0.3)
-    x, angle = ensure_general_position(xy, poly.radius)
-    assert angle == 0.0
-    assert np.array_equal(x, xy[:, 0])
-
-
-def test_general_position_rotates_axis_aligned_square():
-    emb = PlanarEmbedding(4, ((1, 3), (0, 2), (1, 3), (2, 0)), (0, 1, 2, 3))
-    poly = regular_polygon(emb.outer_face)
-    xy = np.array([poly.positions[v] for v in range(4)])
-    xs = sorted(xy[:, 0].tolist())
-    assert any(abs(a - b) < 1e-12 for a, b in zip(xs, xs[1:]))
-    x, angle = ensure_general_position(xy, poly.radius)
-    assert angle != 0.0
-    assert np.array_equal(x, turn(xy, angle)[:, 0])
-    fx = sorted(x.tolist())
-    assert all(b - a > 1e-9 for a, b in zip(fx, fx[1:]))
-
-
-def test_general_position_gives_up_on_coincident_points(k4):
-    poly = regular_polygon(k4.outer_face)
-    # vertices 0, 1, 2 are pinned; 3 sits on top of the first of them
-    pos = np.array([poly.positions[v] for v in (0, 1, 2, k4.outer_face[0])])
-    with pytest.raises(DegeneratePosition):
-        ensure_general_position(pos, poly.radius)
-
-
 def test_st_orient_k4(k4):
     poly = regular_polygon(k4.outer_face)
-    x, _ = ensure_general_position(tutte(k4, poly).positions, poly.radius)
+    x = tutte(k4, poly).positions[:, 0]
     o = st_orient(x, k4)
     assert set(o.order.tolist()) == set(range(4))
     assert o.rank[o.source] == 0
@@ -108,7 +79,7 @@ def test_st_orient_k4(k4):
 
 def test_st_orient_acyclic_on_octahedron(octahedron):
     poly = regular_polygon(octahedron.outer_face)
-    x, _ = ensure_general_position(tutte(octahedron, poly).positions, poly.radius)
+    x = tutte(octahedron, poly).positions[:, 0]
     o = st_orient(x, octahedron)
     assert sorted(o.rank.tolist()) == list(range(6))
     for u, v in zip(o.tail.tolist(), o.head.tolist()):
@@ -159,7 +130,7 @@ def test_house_graph_counts_frozen():
 def test_counts_match_enumeration_on_fixtures(k4, octahedron, two_ring_wheel):
     for emb in (k4, octahedron, two_ring_wheel):
         poly = regular_polygon(emb.outer_face)
-        x, _ = ensure_general_position(tutte(emb, poly).positions, poly.radius)
+        x = tutte(emb, poly).positions[:, 0]
         o = st_orient(x, emb)
         assert np.array_equal(count_paths(o), enumerate_canonical_paths(o))
 
@@ -167,7 +138,7 @@ def test_counts_match_enumeration_on_fixtures(k4, octahedron, two_ring_wheel):
 def test_count_sum_identity(octahedron):
     """Total of per-edge counts equals the total length of all canonical paths."""
     poly = regular_polygon(octahedron.outer_face)
-    x, _ = ensure_general_position(tutte(octahedron, poly).positions, poly.radius)
+    x = tutte(octahedron, poly).positions[:, 0]
     o = st_orient(x, octahedron)
     counts = count_paths(o)
     lengths = 0
@@ -206,9 +177,9 @@ def test_spread_weights_zero_gap():
 def test_pipeline_hits_targets_exactly(k4, octahedron):
     for emb in (k4, octahedron):
         poly = regular_polygon(emb.outer_face)
-        res = spread_pipeline(emb, poly)
+        res, direction = spread_pipeline(emb, poly), 0.0
         tol = TARGET_RTOL * poly.radius
-        frame = turn(res.drawing.positions, res.angle)
+        frame = turn(res.drawing.positions, -direction)
         for v, x in enumerate(res.targets.tolist()):
             assert abs(frame[v][0] - x) <= tol
         assert all(w > 0 for w in res.weights)
@@ -218,7 +189,11 @@ def test_pipeline_direction_rotates_frame(octahedron):
     poly = regular_polygon(octahedron.outer_face)
     a = spread_pipeline(octahedron, poly, direction=0.0)
     b = spread_pipeline(octahedron, poly, direction=math.pi / 2)
-    assert a.angle != b.angle
+    # each hits its targets in the frame turned by exactly -direction
+    for res, direction in ((a, 0.0), (b, math.pi / 2)):
+        frame = turn(res.drawing.positions, -direction)
+        assert np.abs(frame[:, 0] - res.targets).max() <= TARGET_RTOL * poly.radius
+    assert not np.array_equal(a.targets, b.targets)
     # final drawings stay planar and convex either way
     for res in (a, b):
         assert crossing_count(res.drawing, octahedron) == 0
@@ -236,6 +211,105 @@ def test_spread_drawing_planar_on_generated():
         assert crossing_count(d, emb) == 0
         assert faces_convex(d, emb)
         assert all(v > 0 for v in w)
+
+
+# ---------------------------------------------------------------------------
+# ties in the spread direction
+# ---------------------------------------------------------------------------
+
+def _assert_hits_targets(res, emb, poly, direction):
+    """Targets hit in the frame turned by exactly -direction; planar, convex."""
+    frame = turn(res.drawing.positions, -direction)
+    assert np.abs(frame[:, 0] - res.targets).max() <= TARGET_RTOL * poly.radius
+    assert crossing_count(res.drawing, emb) == 0
+    assert faces_convex(res.drawing, emb)
+
+
+def test_xspread_on_random_graph_with_x_ties():
+    """A random graph whose unit drawing has x-gaps below 1e-9 of the
+    radius, in this frame and in frames turned slightly off it."""
+    emb = generate_planar(800, 2000, seed=16)
+    poly = regular_polygon(emb.outer_face)
+    _assert_hits_targets(spread_pipeline(emb, poly, 0.0), emb, poly, 0.0)
+
+
+@pytest.mark.parametrize("k", [16, 40, 200])
+def test_nested_family_xspread_and_uniform(k):
+    """The nested family's path vertices tie in x in the unit drawing; the
+    x-spread keeps its ratio linear in k and uniform hits 1..n."""
+    emb = worst_case_graph(k)
+    poly = regular_polygon(emb.outer_face)
+    res = spread_pipeline(emb, poly, 0.0)
+    _assert_hits_targets(res, emb, poly, 0.0)
+    assert edge_length_ratio(res.drawing, emb) <= 3 * (k + 2)
+    uni = uniform_pipeline(emb)
+    xs = np.sort(uni.drawing.positions[:, 0])
+    assert np.abs(xs - np.arange(1, emb.n + 1)).max() <= TARGET_RTOL * uni.polygon.radius
+    assert crossing_count(uni.drawing, emb) == 0
+    assert faces_convex(uni.drawing, emb)
+
+
+@pytest.mark.parametrize("degrees", [0.0, 45.0, 90.0])
+def test_tied_corners_hit_targets_in_unturned_frame(octahedron, two_ring_wheel, degrees):
+    """Corners of the regular polygon that tie in the spread frame need no
+    extra turn: targets are hit in the frame turned by -direction alone."""
+    direction = math.radians(degrees)
+    for emb in (octahedron, two_ring_wheel):
+        poly = regular_polygon(emb.outer_face)
+        _assert_hits_targets(spread_pipeline(emb, poly, direction), emb, poly, direction)
+
+
+def _square_wheel():
+    """Outer square 0, 1, 2, 3 around hub 4."""
+    return PlanarEmbedding(
+        5,
+        ((1, 4, 3), (2, 4, 0), (3, 4, 1), (0, 4, 2), (0, 1, 2, 3)),
+        (0, 1, 2, 3),
+    )
+
+
+def test_st_orient_keeps_tied_corners_consecutive():
+    """Corners 0, 3 and 1, 2 of an axis-aligned square tie within rounding;
+    the hub's x lies between the left pair's, yet each pair stays
+    consecutive, lowest x first."""
+    emb = _square_wheel()
+    x = np.array([-1.0, 1.0, 1.0 - 4e-16, -1.0 + 4e-16, -1.0 + 2e-16])
+    for orient in (st_orient, dict_st_orient):
+        assert list(orient(x, emb).order) == [0, 3, 4, 2, 1]
+
+
+def test_exactly_tied_corners_get_finite_weights():
+    """Pinned-pinned edges with zero target gap weigh their path count;
+    every other edge keeps count / gap."""
+    emb = _square_wheel()
+    poly = OuterPolygon((0, 1, 2, 3), {0: (-1.0, -1.0), 1: (1.0, -1.0),
+                                       2: (1.0, 1.0), 3: (-1.0, 1.0)})
+    x = np.array([-1.0, 1.0, 1.0, -1.0, 0.0])
+    o = st_orient(x, emb)
+    assert o.order.tolist() == [0, 3, 4, 1, 2]
+    t = target_x(o, x, poly.order)
+    counts = count_paths(o)
+    w = spread_weights(o, t, counts)
+    gap = t[o.head] - t[o.tail]
+    tied = gap == 0
+    assert sorted(map(sorted, zip(o.tail[tied].tolist(), o.head[tied].tolist()))) == [[0, 3], [1, 2]]
+    assert np.array_equal(w[tied], counts[tied])
+    assert np.array_equal(w[~tied], counts[~tied] / gap[~tied])
+    old = dict_st_orient(x, emb)
+    old_counts = dict_count_paths(old)
+    assert np.array_equal(w, dict_spread_weights(old, dict_target_x(old, x, poly.order), old_counts))
+    d = solve_stress(emb, w, poly)
+    assert np.abs(d.positions[:, 0] - t).max() <= TARGET_RTOL * poly.radius
+
+
+def test_st_orient_orders_coincident_interior_points():
+    """Interior vertices on the same x are ordered by id, not rejected."""
+    emb, poly, _ = _path_graph()
+    x = np.array([0.0, 0.5, 0.5, 0.5, 1.0])
+    o = st_orient(x, emb)
+    assert o.order.tolist() == [0, 1, 2, 3, 4] == list(dict_st_orient(x, emb).order)
+    assert np.allclose(target_x(o, x, poly.order), [0.0, 0.25, 0.5, 0.75, 1.0], rtol=0, atol=1e-15)
+    assert count_paths(o).tolist() == [4, 4, 4, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +331,8 @@ def test_spread_matches_dict_oracle(n, m, seed):
     ref = tutte(emb, poly)
     for direction in (0.0, math.radians(37.0), math.pi / 2):
         res = spread_pipeline(emb, poly, direction, reference=ref)
-        base = turn(ref.positions, -direction)
-        x, extra = ensure_general_position(base, poly.radius)
-        assert res.angle == -direction + extra
-        corners = turn(turn(np.array([poly.positions[v] for v in poly.order]), -direction), extra)
+        x = turn(ref.positions, -direction)[:, 0]
+        corners = turn(np.array([poly.positions[v] for v in poly.order]), -direction)
         assert np.array_equal(x[list(poly.order)], corners[:, 0])
         old = dict_st_orient(x, emb)
         o = res.orientation
@@ -310,7 +382,8 @@ _PATH3 = PlanarEmbedding(3, ((1,), (0, 2), (1,)), (0, 2))
 _SPLIT = PlanarEmbedding(4, ((1,), (0,), (3,), (2,)), (0, 3))
 
 REJECTIONS = {
-    "shared-x": (DegeneratePosition, lambda: _orient_both(_PATH3, [0.0, 1.0, 1.0])),
+    # pinned 2 goes before interior 1 at the same x, so 2 gets no in-edge
+    "shared-x": (NotStOrientation, lambda: _orient_both(_PATH3, [0.0, 1.0, 1.0])),
     "interior-extreme": (NotStOrientation, lambda: _orient_both(_PATH3, [0.5, 0.0, 1.0])),
     "unreachable": (NotStOrientation, lambda: _orient_both(_SPLIT, [0.0, 1.0, 2.0, 3.0])),
     "interior-leftmost": (PreconditionError, lambda: _targets_both({1: 0.3, 4: 1.0})),
@@ -334,7 +407,7 @@ def test_array_results_compare_by_identity(octahedron):
     """Results holding arrays answer == with a bool (identity), where the
     field-wise comparison would raise on the arrays."""
     poly = regular_polygon(octahedron.outer_face)
-    x, _ = ensure_general_position(tutte(octahedron, poly).positions, poly.radius)
+    x = tutte(octahedron, poly).positions[:, 0]
     for make in (lambda: tutte(octahedron, poly), lambda: st_orient(x, octahedron),
                  lambda: spread_pipeline(octahedron, poly), lambda: uniform_pipeline(octahedron)):
         a, b = make(), make()

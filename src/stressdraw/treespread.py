@@ -8,6 +8,7 @@ trees of a realizer of a triangulation.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, NotTriangulation, StressDrawError
-from .graph import Edge, PlanarEmbedding, edge_key
+from .graph import PlanarEmbedding
 from .metrics import edge_length_ratio
 from .solver import Drawing, OuterPolygon, solve_stress
 
@@ -70,18 +71,21 @@ def bfs_spread(
 # Schnyder wood of a triangulation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchnyderWood:
     """Realizer of a triangulation with a triangular outer face.
 
     Interior edges are partitioned into three trees; tree c is rooted at
-    roots[c - 1] (the outer vertices, in outer-face order). Every interior
-    vertex has exactly one outgoing edge per color, recorded in parent.
+    roots[c - 1] (the outer vertices, in outer-face order). color is an
+    (m,) int array aligned with emb.edges() holding each edge's tree, 0 on
+    the outer triangle. Every interior vertex v has exactly one outgoing
+    edge per color, to parent[c - 1, v]; the (3, n) parent array holds -1
+    at the outer vertices.
     """
 
     roots: tuple[int, int, int]
-    colors: dict[Edge, int]
-    parent: dict[int, dict[int, int]]
+    color: np.ndarray
+    parent: np.ndarray
 
 
 def _require_triangulation(emb: PlanarEmbedding) -> None:
@@ -94,130 +98,101 @@ def _require_triangulation(emb: PlanarEmbedding) -> None:
             raise NotTriangulation("every face must be a triangle")
 
 
-def _peel_order(emb: PlanarEmbedding) -> list[tuple[int, list[int]]]:
-    """Peel boundary vertices with no boundary chord, recording each
-    removed vertex with the path of still-alive neighbors it exposes.
-
-    The boundary ring is kept oriented so that walking the successor
-    pointers from the first outer vertex reaches the second outer vertex
-    last; the recorded path then always runs from the first-root side to
-    the second-root side. The third outer vertex is necessarily peeled
-    first, which makes it the final vertex of the canonical order.
-    """
-    r1, r2, r3 = emb.outer_face
-    nxt = {r1: r3, r3: r2, r2: r1}
-    prv = {v: u for u, v in nxt.items()}
-    on_ring = {r1, r2, r3}
-    alive = [True] * emb.n
-
-    def chord_free(u: int) -> bool:
-        for w in emb.rotation[u]:
-            if alive[w] and w in on_ring and w != prv[u] and w != nxt[u]:
-                return False
-        return True
-
-    def fan_path(u: int) -> list[int]:
-        fan = [w for w in emb.rotation[u] if alive[w]]
-        i = fan.index(prv[u])
-        fan = fan[i:] + fan[:i]
-        if fan[-1] != nxt[u]:
-            fan = [fan[0]] + fan[1:][::-1]
-        if fan[-1] != nxt[u]:
-            raise StressDrawError("boundary fan does not close the ring")
-        return fan
-
-    events: list[tuple[int, list[int]]] = []
-    for _ in range(emb.n - 2):
-        pick = -1
-        for u in sorted(on_ring):
-            if u not in (r1, r2) and chord_free(u):
-                pick = u
-                break
-        if pick < 0:
-            raise NotTriangulation("no chord-free boundary vertex; not a disk triangulation")
-        path = fan_path(pick)
-        events.append((pick, path))
-        alive[pick] = False
-        on_ring.discard(pick)
-        left, right = prv[pick], nxt[pick]
-        chain = [left] + path[1:-1] + [right]
-        for a, b in zip(chain, chain[1:]):
-            nxt[a] = b
-            prv[b] = a
-        on_ring.update(path[1:-1])
-    return events
-
-
 def schnyder_wood(emb: PlanarEmbedding) -> SchnyderWood:
     """Color the interior edges of a triangulation into the three trees.
 
-    Runs the incremental construction in insertion order (the reverse of
-    the peel): a vertex entering the boundary sends color 1 to the
-    first-root side end of its fan, color 2 to the other end, and adopts
-    every vertex it covers as a color-3 child. The last insertion is the
-    third root, which only collects color-3 edges, so the three outer
-    edges stay uncolored.
+    Peels the boundary ring, starting from the outer triangle, down to the
+    edge r1-r2. Each step removes the lowest-id ring vertex other than r1
+    and r2 that has no chord (no ring neighbor besides its two ring
+    neighbors); its still-alive neighbors form a fan from its left ring
+    neighbor to its right one, and the fan's inner vertices join the ring.
+    The ring is kept oriented so that walking it from r1 reaches r2 last,
+    so the left end always lies on the r1 side. The peeled vertex sends
+    color 1 to the left end and color 2 to the right end, and adopts every
+    vertex it exposes as a color-3 child. The third root goes first and
+    only adopts, so the three outer edges stay uncolored.
+
+    Each ring vertex keeps a count of its chords, set when it joins the
+    ring and updated only around the exposed fan, and the chord-free ones
+    wait in a heap: the peel takes O(m log n) (Chrobak & Payne 1995).
     """
     _require_triangulation(emb)
     r1, r2, r3 = emb.outer_face
-    colors: dict[Edge, int] = {}
-    parent: dict[int, dict[int, int]] = {}
-    for u, path in reversed(_peel_order(emb)):
-        if u == r3:
-            if path[0] != r1 or path[-1] != r2:
-                raise StressDrawError("final fan does not span the remaining boundary")
-        else:
-            colors[edge_key(u, path[0])] = 1
-            colors[edge_key(u, path[-1])] = 2
-            parent.setdefault(u, {})[1] = path[0]
-            parent.setdefault(u, {})[2] = path[-1]
-        for mid in path[1:-1]:
-            colors[edge_key(mid, u)] = 3
-            parent.setdefault(mid, {})[3] = u
-    interior = emb.n - 3
-    if len(colors) != emb.m - 3 or any(len(p) != 3 for p in parent.values()):
+    n, rotation = emb.n, emb.rotation
+    nxt, prv = [-1] * n, [-1] * n
+    nxt[r1], nxt[r3], nxt[r2] = r3, r2, r1
+    prv[r3], prv[r2], prv[r1] = r1, r3, r2
+    alive, on_ring, chords = [True] * n, [False] * n, [0] * n
+    on_ring[r1] = on_ring[r2] = on_ring[r3] = True
+    parent = [[-1] * n for _ in range(3)]
+    free = [r3]  # a heap of ring vertices that were chord-free when pushed
+    for _ in range(n - 2):
+        while free and not (on_ring[free[0]] and chords[free[0]] == 0):
+            heapq.heappop(free)
+        if not free:
+            raise NotTriangulation("no chord-free boundary vertex; not a disk triangulation")
+        u = heapq.heappop(free)
+        left, right = prv[u], nxt[u]
+        fan = [w for w in rotation[u] if alive[w]]
+        i = fan.index(left)
+        fan = fan[i:] + fan[:i]
+        if fan[-1] != right:
+            fan = [fan[0]] + fan[1:][::-1]
+        if fan[-1] != right:
+            raise StressDrawError("boundary fan does not close the ring")
+        alive[u] = on_ring[u] = False
+        if u != r3:
+            parent[0][u], parent[1][u] = left, right
+        for a, b in zip(fan, fan[1:]):
+            nxt[a], prv[b] = b, a
+        if len(fan) == 2:  # the chord left-right became a ring edge
+            for v in (left, right):
+                chords[v] -= 1
+                if chords[v] == 0 and v != r1 and v != r2:
+                    heapq.heappush(free, v)
+        for a, x, b in zip(fan, fan[1:], fan[2:]):
+            parent[2][x] = u
+            on_ring[x] = True
+            for w in rotation[x]:
+                if on_ring[w] and w != a and w != b:
+                    chords[x] += 1
+                    chords[w] += 1
+            if chords[x] == 0:
+                heapq.heappush(free, x)
+    parents = np.array(parent)
+    tree, child = np.nonzero(parents >= 0)
+    lo, hi = np.sort((child, parents[tree, child]), axis=0)
+    edge_codes = emb.edge_array[:, 0] * n + emb.edge_array[:, 1]
+    color = np.zeros(emb.m, dtype=np.intp)
+    color[np.searchsorted(edge_codes, lo * n + hi)] = tree + 1
+    if np.count_nonzero(color) != emb.m - 3:
         raise StressDrawError("realizer construction left edges or colors unassigned")
-    if len(parent) != interior and interior > 0:
-        raise StressDrawError("some interior vertex has no realizer parents")
-    return SchnyderWood((r1, r2, r3), colors, parent)
+    return SchnyderWood((r1, r2, r3), color, parents)
 
 
-def schnyder_depths(emb: PlanarEmbedding, wood: SchnyderWood | None = None) -> np.ndarray:
+def schnyder_depths(emb: PlanarEmbedding) -> np.ndarray:
     """Depth of every edge within its own tree of the realizer, as an (m,)
     int array aligned with emb.edges().
 
     An edge's depth is the number of tree edges from the root up to and
-    including itself; the three outer edges are assigned depth 1.
+    including itself; the three outer edges are assigned depth 1. Vertex
+    depths come from pointer jumping over the parent array: each pass
+    doubles how far up every vertex has looked.
     """
-    if wood is None:
-        wood = schnyder_wood(emb)
-    vdepth: dict[tuple[int, int], int] = {}
-    for c, root in zip((1, 2, 3), wood.roots):
-        vdepth[(root, c)] = 0
-
-    def depth_of(v: int, c: int) -> int:
-        chain = []
-        cur = v
-        while (cur, c) not in vdepth:
-            chain.append(cur)
-            cur = wood.parent[cur][c]
-        d = vdepth[(cur, c)]
-        for node in reversed(chain):
-            d += 1
-            vdepth[(node, c)] = d
-        return vdepth[(v, c)]
-
-    position = {e: i for i, e in enumerate(emb.edges())}
-    depths = np.ones(len(position), dtype=int)  # the uncolored outer edges
-    for e, c in wood.colors.items():
-        u, v = e
-        # the parent end of the edge is the one nearer the root
-        if wood.parent.get(u, {}).get(c) == v:
-            child = u
-        else:
-            child = v
-        depths[position[e]] = depth_of(child, c)
-    return depths
+    wood = schnyder_wood(emb)
+    n = emb.n
+    # up[c * n + v]: an ancestor of v in tree c + 1, -1 once past the root;
+    # hops: the tree edges from v up to it
+    up = np.where(wood.parent >= 0, wood.parent + n * np.arange(3)[:, None], -1).ravel()
+    hops = (up >= 0).astype(np.intp)
+    while (live := np.flatnonzero(up >= 0)).size:
+        hops[live] += hops[up[live]]
+        up[live] = up[up[live]]
+    # an edge's depth is that of its child end, whose parent is the other end
+    lo, hi = emb.edge_array.T
+    tree = wood.color - 1
+    child = np.where(wood.parent[tree, lo] == hi, lo, hi)
+    return np.where(wood.color > 0, hops.reshape(3, n)[tree, child], 1)
 
 
 def schnyder_spread(
@@ -238,15 +213,14 @@ def best_r(
     poly: OuterPolygon,
     method: str = "bfs",
     a: float = 1.0,
-    r_lo: int = 2,
     r_hi: int = 16,
 ) -> tuple[int, Drawing, float]:
-    """Integer decay base in [r_lo, r_hi] minimizing the edge-length ratio.
+    """Integer decay base in [2, r_hi] minimizing the edge-length ratio.
 
     Ties go to the smallest base. Returns (r, drawing, ratio).
     """
-    if r_lo > r_hi or r_lo < 2:
-        raise BadParams(f"need 2 <= r_lo <= r_hi, got [{r_lo}, {r_hi}]")
+    if r_hi < 2:
+        raise BadParams(f"need r_hi >= 2, got {r_hi}")
     if method == "bfs":
         depths = bfs_depths(emb)
     elif method == "schnyder":
@@ -254,7 +228,7 @@ def best_r(
     else:
         raise BadParams(f"unknown tree-spread method {method!r}")
     best: tuple[int, Drawing, float] | None = None
-    for r in range(r_lo, r_hi + 1):
+    for r in range(2, r_hi + 1):
         d = solve_stress(emb, depth_weights(depths, a, float(r)), poly)
         rho = edge_length_ratio(d, emb)
         if best is None or rho < best[2]:

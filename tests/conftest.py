@@ -4,7 +4,8 @@ The oracles recompute answers straight from definitions (pairwise vertex
 deletion, disjoint paths by max-flow, explicit path enumeration, dense
 linear algebra) so the faster implementations in the package are checked
 against something honest. The dict-based spread construction, the
-uncached solve, the per-call face walks of the drawing checks and the
+quadratic Schnyder peel with its dict-based wood and depths, the uncached
+solve, the per-call face walks of the drawing checks and the
 line-by-line SVG writer are kept as differential oracles for their
 replacements, which must agree with them to the last bit.
 """
@@ -341,6 +342,115 @@ def dict_spread_weights(
             raise ZeroGap(f"edge ({u}, {v}) has non-positive target gap {gap!r}")
         keyed.append((edge_key(u, v), counts[(u, v)] / gap))
     return np.array([w for _, w in sorted(keyed)])
+
+
+def flip_edges(emb: PlanarEmbedding, flips: int, seed: int) -> PlanarEmbedding:
+    """emb, a triangulation, after up to `flips` random diagonal flips that
+    keep it simple and keep its outer face. generate_planar(n, 3n - 6)
+    grows stacked triangulations, which have a single Schnyder wood, so
+    any chord-free vertex the peel picks gives the same wood; flipped
+    triangulations have many woods, and the pick shows."""
+    rng = random.Random(seed)
+    rot = [list(r) for r in emb.rotation]
+    outer = set(emb.outer_face)
+    for _ in range(flips):
+        u = rng.randrange(emb.n)
+        i = rng.randrange(len(rot[u]))
+        v, a, b = rot[u][i], rot[u][(i + 1) % len(rot[u])], rot[u][i - 1]
+        if a in rot[b] or {u, v, a} == outer or {u, v, b} == outer:
+            continue
+        rot[u].remove(v)
+        rot[v].remove(u)
+        for x, y in ((a, b), (b, a)):
+            # u and v are consecutive around x, as corners of one triangle
+            j = rot[x].index(u)
+            rot[x].insert(j + 1 if rot[x][(j + 1) % len(rot[x])] == v else j, y)
+    return PlanarEmbedding(emb.n, tuple(map(tuple, rot)), emb.outer_face)
+
+
+def dict_peel_order(emb: PlanarEmbedding) -> list[tuple[int, list[int]]]:
+    """The quadratic peel: rescan the sorted ring for the lowest-id
+    chord-free vertex at every step, recording each removed vertex with
+    the path of still-alive neighbors it exposes, from the first-root side
+    to the second-root side."""
+    r1, r2, r3 = emb.outer_face
+    nxt = {r1: r3, r3: r2, r2: r1}
+    prv = {v: u for u, v in nxt.items()}
+    on_ring = {r1, r2, r3}
+    alive = [True] * emb.n
+
+    def chord_free(u: int) -> bool:
+        for w in emb.rotation[u]:
+            if alive[w] and w in on_ring and w != prv[u] and w != nxt[u]:
+                return False
+        return True
+
+    def fan_path(u: int) -> list[int]:
+        fan = [w for w in emb.rotation[u] if alive[w]]
+        i = fan.index(prv[u])
+        fan = fan[i:] + fan[:i]
+        if fan[-1] != nxt[u]:
+            fan = [fan[0]] + fan[1:][::-1]
+        assert fan[-1] == nxt[u], "boundary fan does not close the ring"
+        return fan
+
+    events: list[tuple[int, list[int]]] = []
+    for _ in range(emb.n - 2):
+        pick = min(u for u in on_ring if u not in (r1, r2) and chord_free(u))
+        path = fan_path(pick)
+        events.append((pick, path))
+        alive[pick] = False
+        on_ring.discard(pick)
+        chain = [prv[pick]] + path[1:-1] + [nxt[pick]]
+        for a, b in zip(chain, chain[1:]):
+            nxt[a] = b
+            prv[b] = a
+        on_ring.update(path[1:-1])
+    return events
+
+
+def dict_schnyder_wood(emb: PlanarEmbedding):
+    """(roots, colors, parent): the realizer built in insertion order (the
+    reverse of the peel), colors keyed by edge and parent[v][c] by vertex
+    and color."""
+    r1, r2, r3 = emb.outer_face
+    colors: dict[tuple[int, int], int] = {}
+    parent: dict[int, dict[int, int]] = {}
+    for u, path in reversed(dict_peel_order(emb)):
+        if u != r3:
+            colors[edge_key(u, path[0])] = 1
+            colors[edge_key(u, path[-1])] = 2
+            parent.setdefault(u, {})[1] = path[0]
+            parent.setdefault(u, {})[2] = path[-1]
+        for mid in path[1:-1]:
+            colors[edge_key(mid, u)] = 3
+            parent.setdefault(mid, {})[3] = u
+    return (r1, r2, r3), colors, parent
+
+
+def dict_schnyder_depths(emb: PlanarEmbedding) -> dict[tuple[int, int], int]:
+    """Depth of each edge in its own tree by walking parent chains with a
+    memo; the three outer edges get depth 1."""
+    roots, colors, parent = dict_schnyder_wood(emb)
+    vdepth = {(root, c): 0 for c, root in zip((1, 2, 3), roots)}
+
+    def depth_of(v: int, c: int) -> int:
+        chain = []
+        cur = v
+        while (cur, c) not in vdepth:
+            chain.append(cur)
+            cur = parent[cur][c]
+        d = vdepth[(cur, c)]
+        for node in reversed(chain):
+            d += 1
+            vdepth[(node, c)] = d
+        return vdepth[(v, c)]
+
+    depths = dict.fromkeys(emb.edges(), 1)
+    for (u, v), c in colors.items():
+        child = u if parent.get(u, {}).get(c) == v else v
+        depths[(u, v)] = depth_of(child, c)
+    return depths
 
 
 def scratch_system(

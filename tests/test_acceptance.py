@@ -246,16 +246,18 @@ def test_criterion_09_three_tree_invariants(capsys):
             wood = sd.schnyder_wood(emb)
             outer = set(emb.outer_face)
             interior = [v for v in range(emb.n) if v not in outer]
-            assert len(wood.colors) == emb.m - 3
-            assert set(wood.colors.values()) == {1, 2, 3}
+            colors = dict(zip(emb.edges(), wood.color.tolist()))
+            assert sum(1 for col in colors.values() if col) == emb.m - 3
+            assert set(colors.values()) == {0, 1, 2, 3}
             for v in interior:
-                assert sorted(wood.parent[v]) == [1, 2, 3]
+                assert (wood.parent[:, v] >= 0).all()
             for c, root in zip((1, 2, 3), wood.roots):
-                assert sum(1 for col in wood.colors.values() if col == c) == n - 3
+                assert sum(1 for col in colors.values() if col == c) == n - 3
                 for v in interior:
                     u, hops = v, 0
                     while u not in outer:
-                        u = wood.parent[u][c]
+                        assert colors[sd.edge_key(u, wood.parent[c - 1, u])] == c
+                        u = wood.parent[c - 1, u]
                         hops += 1
                         assert hops <= n
                     assert u == root

@@ -27,6 +27,7 @@ from stressdraw import (
     generate_planar,
     load_graph,
     save_graph,
+    schnyder_depths,
     to_dict,
     traverse_faces,
     validate,
@@ -240,6 +241,15 @@ def test_validate_is_linear_around_hubs():
     start = time.perf_counter()
     validate(emb)
     assert validate_three_connected(emb)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_schnyder_depths_is_linear_around_hubs():
+    """Two apexes of degree 2001: the peel keeps a chord count per ring
+    vertex instead of rescanning the ring at every step."""
+    hub = worst_case_graph(2000)
+    start = time.perf_counter()
+    schnyder_depths(hub)
     assert time.perf_counter() - start < 1.0
 
 

@@ -28,6 +28,7 @@ from stressdraw import (
     faces_convex,
     generate_planar,
     regular_polygon,
+    schnyder_wood,
     solve_stress,
     spread_pipeline,
     spread_weights,
@@ -409,7 +410,8 @@ def test_array_results_compare_by_identity(octahedron):
     poly = regular_polygon(octahedron.outer_face)
     x = tutte(octahedron, poly).positions[:, 0]
     for make in (lambda: tutte(octahedron, poly), lambda: st_orient(x, octahedron),
-                 lambda: spread_pipeline(octahedron, poly), lambda: uniform_pipeline(octahedron)):
+                 lambda: spread_pipeline(octahedron, poly), lambda: uniform_pipeline(octahedron),
+                 lambda: schnyder_wood(octahedron)):
         a, b = make(), make()
         assert (a == b) is False
         assert (a == a) is True

@@ -6,7 +6,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from conftest import max_position_gap
+from conftest import dict_schnyder_depths, dict_schnyder_wood, flip_edges, max_position_gap
 
 from stressdraw import (
     BadParams,
@@ -27,6 +27,7 @@ from stressdraw import (
     schnyder_wood,
     traverse_faces,
     tutte,
+    worst_case_graph,
 )
 
 
@@ -111,22 +112,26 @@ def test_bfs_spread_planar_on_generated():
 def test_schnyder_wood_k4(k4):
     w = schnyder_wood(k4)
     assert w.roots == (0, 2, 1)
-    assert w.colors == {(0, 3): 1, (2, 3): 2, (1, 3): 3}
-    assert w.parent == {3: {1: 0, 2: 2, 3: 1}}
+    assert _by_edge(k4, w.color) == {
+        (0, 1): 0, (0, 2): 0, (1, 2): 0, (0, 3): 1, (2, 3): 2, (1, 3): 3,
+    }
+    assert w.parent.tolist() == [[-1, -1, -1, 0], [-1, -1, -1, 2], [-1, -1, -1, 1]]
 
 
 def test_schnyder_wood_octahedron_frozen(octahedron):
     w = schnyder_wood(octahedron)
     assert w.roots == (0, 2, 1)
-    assert w.colors == {
+    assert _by_edge(octahedron, w.color) == {
         (0, 5): 1, (2, 5): 2, (4, 5): 1, (2, 4): 2, (0, 3): 1,
         (3, 4): 2, (3, 5): 3, (1, 3): 3, (1, 4): 3,
+        (0, 1): 0, (0, 2): 0, (1, 2): 0,
     }
-    assert w.parent == {
-        5: {1: 0, 2: 2, 3: 3},
-        4: {1: 5, 2: 2, 3: 1},
-        3: {1: 0, 2: 4, 3: 1},
-    }
+    # parent[c - 1, v] for vertices 0..5; the outer ones have none
+    assert w.parent.tolist() == [
+        [-1, -1, -1, 0, 5, 0],
+        [-1, -1, -1, 4, 2, 2],
+        [-1, -1, -1, 1, 1, 3],
+    ]
 
 
 def test_schnyder_wood_invariants_on_generated():
@@ -134,10 +139,13 @@ def test_schnyder_wood_invariants_on_generated():
     w = schnyder_wood(emb)
     outer = set(emb.outer_face)
     interior = [v for v in range(emb.n) if v not in outer]
+    color = _by_edge(emb, w.color)
     # interior edges are partitioned; outer triangle edges stay uncolored
-    assert len(w.colors) == emb.m - 3
+    assert sum(1 for c in color.values() if c) == emb.m - 3
+    assert all(color[edge_key(u, v)] == 0 for u in outer for v in outer if u != v)
+    assert (w.parent[:, sorted(outer)] == -1).all()
     for v in interior:
-        assert sorted(w.parent[v]) == [1, 2, 3]
+        assert (w.parent[:, v] >= 0).all()
     # each tree is spanning: walking up any color chain ends at that root
     for c, root in zip((1, 2, 3), w.roots):
         for v in interior:
@@ -146,10 +154,47 @@ def test_schnyder_wood_invariants_on_generated():
             while u not in outer:
                 assert u not in seen
                 seen.add(u)
-                u = w.parent[u][c]
+                assert color[edge_key(u, w.parent[c - 1, u])] == c
+                u = w.parent[c - 1, u]
             assert u == root
-        tree_edges = [e for e, col in w.colors.items() if col == c]
+        tree_edges = [e for e, col in color.items() if col == c]
         assert len(tree_edges) == emb.n - 3
+
+
+def _oracle_embeddings():
+    """Random triangulations n = 4..120, each with its designated outer
+    face, that face reflected and two inner triangles as the outer face,
+    and the same four after n random flips; then the nested family
+    k = 1..60."""
+    for n in range(4, 121):
+        stacked = generate_planar(n, 3 * n - 6, seed=7000 + n)
+        for emb in (stacked, flip_edges(stacked, n, seed=n)):
+            yield emb
+            yield PlanarEmbedding(n, emb.rotation, emb.outer_face[::-1])
+            inner = [f for i, f in enumerate(emb.faces) if i != emb.outer_index]
+            for face in inner[:: len(inner) // 2][:2]:
+                yield PlanarEmbedding(n, emb.rotation, face.vertices)
+    for k in range(1, 61):
+        yield worst_case_graph(k)
+
+
+def test_schnyder_wood_and_depths_match_dict_oracle():
+    """The chord-counting peel and the pointer-jumping depths agree bit for
+    bit with the quadratic peel and the dict-based wood and depths."""
+    count = 0
+    for emb in _oracle_embeddings():
+        roots, colors, parent = dict_schnyder_wood(emb)
+        w = schnyder_wood(emb)
+        assert w.roots == roots
+        assert {e: c for e, c in _by_edge(emb, w.color).items() if c} == colors
+        expect = np.full((3, emb.n), -1)
+        for v, by_color in parent.items():
+            for c, p in by_color.items():
+                expect[c - 1, v] = p
+        assert np.array_equal(w.parent, expect)
+        assert _by_edge(emb, schnyder_depths(emb)) == dict_schnyder_depths(emb)
+        count += 1
+    assert count == 117 * 8 + 60
 
 
 def test_schnyder_depths_octahedron_frozen(octahedron):
@@ -159,11 +204,6 @@ def test_schnyder_depths_octahedron_frozen(octahedron):
         (3, 4): 2, (3, 5): 2, (1, 3): 1, (1, 4): 1,
         (0, 1): 1, (0, 2): 1, (1, 2): 1,
     }
-
-
-def test_schnyder_depths_accepts_precomputed_wood(octahedron):
-    w = schnyder_wood(octahedron)
-    assert np.array_equal(schnyder_depths(octahedron, w), schnyder_depths(octahedron))
 
 
 def test_schnyder_requires_triangulation(two_ring_wheel):
@@ -206,7 +246,7 @@ def test_bfs_usually_at_least_matches_schnyder():
 def test_best_r_matches_explicit_scan():
     emb = generate_planar(18, 3 * 18 - 6, seed=45)
     poly = regular_polygon(emb.outer_face)
-    r, d, ratio = best_r(emb, poly, method="bfs", r_lo=2, r_hi=9)
+    r, d, ratio = best_r(emb, poly, method="bfs", r_hi=9)
     scan = []
     for cand in range(2, 10):
         dd = bfs_spread(emb, poly, r=float(cand))
@@ -223,6 +263,6 @@ def test_best_r_matches_explicit_scan():
 def test_best_r_rejects_bad_range(octahedron):
     poly = regular_polygon(octahedron.outer_face)
     with pytest.raises(BadParams):
-        best_r(octahedron, poly, r_lo=5, r_hi=4)
+        best_r(octahedron, poly, r_hi=1)
     with pytest.raises(BadParams):
         best_r(octahedron, poly, method="nope")

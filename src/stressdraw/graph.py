@@ -129,9 +129,6 @@ class PlanarEmbedding:
                 return i
         raise InvalidEmbedding("outer face is not a face of the embedding")
 
-    def adjacency(self) -> list[set[int]]:
-        return [set(r) for r in self.rotation]
-
 
 class _LaplacianPattern(NamedTuple):
     """Where edge weights go in the weighted Laplacian restricted to the
@@ -347,71 +344,24 @@ def _connected(adj: Sequence[Iterable[int]], n: int) -> bool:
     return len(seen) == n
 
 
-def _biconnected_without(adj: list[set[int]], n: int, skip: int) -> bool:
-    """True when the graph minus vertex `skip` is connected and has no cut vertex."""
-    start = 0 if skip != 0 else 1
-    visited = [False] * n
-    disc = [0] * n
-    low = [0] * n
-    timer = 1
-    visited[start] = True
-    disc[start] = low[start] = timer
-    timer += 1
-    stack = [(start, -1, iter(adj[start]))]
-    root_children = 0
-    while stack:
-        v, parent, it = stack[-1]
-        advanced = False
-        for w in it:
-            if w == skip:
-                continue
-            if not visited[w]:
-                visited[w] = True
-                disc[w] = low[w] = timer
-                timer += 1
-                if v == start:
-                    root_children += 1
-                stack.append((w, v, iter(adj[w])))
-                advanced = True
-                break
-            if w != parent and disc[w] < low[v]:
-                low[v] = disc[w]
-        if advanced:
-            continue
-        stack.pop()
-        if stack:
-            pv = stack[-1][0]
-            if low[v] < low[pv]:
-                low[pv] = low[v]
-            if pv != start and low[v] >= disc[pv]:
-                return False
-    if root_children > 1:
-        return False
-    return all(visited[w] for w in range(n) if w != skip)
-
-
 def validate_three_connected(emb: PlanarEmbedding) -> bool:
     """Whether removing any two vertices leaves the graph connected.
 
     Requires n >= 4; a triangle counts as not 3-connected even though the
     rest of the package tolerates it as the degenerate no-interior case.
-    A sphere embedding is decided from its faces in O(m) (see
-    _faces_meet_properly); a rotation system that does not traverse to one
-    gets a biconnectivity search with each vertex removed, O(n*m).
+    The rotation must traverse to a sphere embedding, and the answer comes
+    from its faces in O(m) (see _faces_meet_properly). A connected rotation
+    of minimum degree 3 that is not a sphere embedding raises, from
+    emb.faces, MalformedRotation or EulerViolation.
     """
     n = emb.n
     if n < 4:
         return False
-    adj = emb.adjacency()
-    if min(len(a) for a in adj) < 3:
+    if min(map(len, emb.rotation)) < 3:
         return False
-    if not _connected(adj, n):
+    if not _connected(emb.rotation, n):
         return False
-    try:
-        faces = emb.faces
-    except (MalformedRotation, EulerViolation):
-        return all(_biconnected_without(adj, n, a) for a in range(n))
-    return _faces_meet_properly([f.vertices for f in faces])
+    return _faces_meet_properly([f.vertices for f in emb.faces])
 
 
 def _faces_meet_properly(faces: Sequence[Sequence[int]]) -> bool:

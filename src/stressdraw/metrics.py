@@ -139,19 +139,26 @@ def _certified_planar(pts: np.ndarray, emb: PlanarEmbedding) -> bool:
         return False
     if not index.simple:
         return False
-    ring = index.ring
-    turns = _orientation(pts[np.roll(ring, 1)], pts[ring], pts[np.roll(ring, -1)])
+    turn = _convex_ring_turn(pts[index.ring])
+    return turn != 0 and bool((_orientation(*pts[index.fans]) == -turn).all())
+
+
+def _convex_ring_turn(ring: np.ndarray) -> int:
+    """1 or -1, the exact turn sign of every corner, when the (k, 2) points
+    of a closed ring, in order, form a strictly convex polygon that winds
+    once (counterclockwise 1, clockwise -1); else 0."""
+    prv = np.concatenate((ring[-1:], ring[:-1]))
+    nxt = np.concatenate((ring[1:], ring[:1]))
+    turns = _orientation(prv, ring, nxt)
     if turns[0] == 0 or (turns != turns[0]).any():
-        return False
-    step = pts[np.roll(ring, -1)] - pts[ring]
-    prev = np.roll(step, 1, axis=0)
+        return 0
+    step, prev = nxt - ring, ring - prv
     turning = np.arctan2(
         prev[:, 0] * step[:, 1] - prev[:, 1] * step[:, 0], (prev * step).sum(axis=1)
     ).sum()
     if abs(turning) > 3.0 * np.pi:  # 2*pi per winding
-        return False
-    fans = _orientation(*pts[index.fans])
-    return bool((fans == -turns[0]).all())
+        return 0
+    return int(turns[0])
 
 
 def faces_convex(d, emb: PlanarEmbedding) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csc_matrix
@@ -29,24 +30,28 @@ from .graph import SPD_LU, PlanarEmbedding
 RESIDUAL_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OuterPolygon:
-    """Strictly convex positions for the outer face, in cyclic order."""
+    """Strictly convex positions for the outer face, in cyclic order.
+
+    positions is a (k, 2) float array whose row i is the position of
+    order[i]; order lists each outer-face vertex once, which solve_stress
+    checks. centroid and radius are computed on first use, once.
+    """
 
     order: tuple[int, ...]
-    positions: dict[int, tuple[float, float]]
+    positions: np.ndarray
 
-    @property
+    @cached_property
     def centroid(self) -> tuple[float, float]:
-        xs = [p[0] for p in self.positions.values()]
-        ys = [p[1] for p in self.positions.values()]
+        xs, ys = self.positions.T.tolist()
         return sum(xs) / len(xs), sum(ys) / len(ys)
 
-    @property
+    @cached_property
     def radius(self) -> float:
         """Largest distance from the centroid to a polygon vertex."""
         cx, cy = self.centroid
-        return max(math.hypot(x - cx, y - cy) for x, y in self.positions.values())
+        return max(math.hypot(x - cx, y - cy) for x, y in self.positions.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,13 +69,15 @@ def regular_polygon(outer_face: tuple[int, ...], radius: float = 1.0) -> OuterPo
     k = len(outer_face)
     if k < 3:
         raise PreconditionError(f"outer face needs >= 3 vertices, got {k}")
+    if len(set(outer_face)) != k:
+        raise PreconditionError(f"outer face {list(outer_face)!r} repeats a vertex")
     if not 0 < radius < math.inf:
         raise PreconditionError(f"radius must be positive and finite, got {radius}")
-    positions = {}
-    for i, v in enumerate(outer_face):
+    corners = []
+    for i in range(k):
         theta = math.pi / 2 + 2 * math.pi * i / k
-        positions[v] = (radius * math.cos(theta), radius * math.sin(theta))
-    return OuterPolygon(order=tuple(outer_face), positions=positions)
+        corners.append((radius * math.cos(theta), radius * math.sin(theta)))
+    return OuterPolygon(tuple(outer_face), np.array(corners))
 
 
 def equilibrium_residual(
@@ -107,10 +114,17 @@ def solve_stress(
     positive definite, and LU without pivoting is then backward stable
     like Cholesky; a pivot that is exactly zero raises SingularSystem. The
     result must meet the hard residual bound RESIDUAL_RTOL * poly.radius
-    or ResidualExceeded is raised.
+    or ResidualExceeded is raised. A polygon whose order does not list
+    each outer-face vertex exactly once, or whose positions are not one
+    row of two per entry of order, raises PreconditionError.
     """
-    if set(emb.outer_face) != set(poly.positions):
-        raise PreconditionError("polygon does not pin exactly the outer face")
+    pinned = list(poly.order)
+    if len(set(pinned)) != len(pinned) or set(pinned) != set(emb.outer_face):
+        raise PreconditionError("polygon order does not list each outer-face vertex once")
+    if np.shape(poly.positions) != (len(pinned), 2):
+        raise PreconditionError(
+            f"polygon positions need shape {(len(pinned), 2)}, got {np.shape(poly.positions)}"
+        )
     m = len(emb.edge_array)
     if np.shape(weights) != (m,):
         raise NonPositiveWeight(f"need {m} edge weights, got shape {np.shape(weights)}")
@@ -121,9 +135,8 @@ def solve_stress(
     if bad.size:
         u, v = emb.edge_array[pattern.half[bad[0]]].tolist()
         raise NonPositiveWeight(f"edge {(u, v)} needs a positive finite weight, got {w[bad[0]]!r}")
-    pinned = list(poly.positions)
     positions = np.zeros((emb.n, 2))
-    positions[pinned] = list(poly.positions.values())
+    positions[pinned] = poly.positions
     tol = RESIDUAL_RTOL * poly.radius
     k = len(pattern.interior)
     if not k:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
-from .errors import BadParams, NotTriangulation, StressDrawError
+from .errors import BadParams, InvalidEmbedding, NotTriangulation, StressDrawError
 from .graph import PlanarEmbedding
 from .metrics import edge_length_ratio
 from .solver import Drawing, OuterPolygon, solve_stress
@@ -29,20 +30,17 @@ def bfs_depths(emb: PlanarEmbedding) -> np.ndarray:
     """Edge depth from a multi-source BFS out of the outer face, as an (m,)
     int array aligned with emb.edges().
 
-    Conceptually a super-vertex adjacent to every outer vertex starts the
-    search, so outer vertices sit at level 0. An edge's depth is
-    min(level(u), level(v)) + 1; outer-face edges therefore get depth 1.
+    Outer vertices sit at level 0, every other vertex at its hop distance
+    from the nearest of them. An edge's depth is min(level(u), level(v)) + 1;
+    outer-face edges therefore get depth 1.
     """
-    level = {v: 0 for v in emb.outer_face}
-    queue = deque(sorted(level))
-    while queue:
-        v = queue.popleft()
-        for w in emb.rotation[v]:
-            if w not in level:
-                level[w] = level[v] + 1
-                queue.append(w)
-    levels = np.array([level[v] for v in range(emb.n)])
-    return levels[emb.edge_array].min(axis=1) + 1
+    frm, to = emb._arcs
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(frm, minlength=emb.n))))
+    arcs = csr_matrix((np.ones(len(to)), to, indptr), shape=(emb.n, emb.n))
+    level = dijkstra(arcs, indices=list(emb.outer_face), unweighted=True, min_only=True)
+    if not np.isfinite(level).all():
+        raise InvalidEmbedding("graph is disconnected")
+    return level.astype(np.intp)[emb.edge_array].min(axis=1) + 1
 
 
 def depth_weights(

@@ -5,7 +5,10 @@ prescribed x-coordinate, so this module builds its own outer polygon: each
 outer vertex sits at x equal to its st-index, two designated edges (one per
 chain) are horizontal, and the remaining edges fan around the leftmost and
 rightmost vertices with steep, strictly monotone slopes. Interior vertices
-then land on their indices through the usual path-count weighting.
+then land on their indices through the usual path-count weighting. The
+st-indices are read straight off the orientation as the (n,) array
+rank + 1, and the constructed polygon is checked with the same exact
+orientation signs and winding test that certify a drawing crossing-free.
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ import numpy as np
 
 from .errors import NoValidTopBottom, PreconditionError, StressDrawError
 from .graph import PlanarEmbedding
+from .metrics import _convex_ring_turn
 from .solver import Drawing, OuterPolygon, regular_polygon, tutte
 from .spread import StOrientation, _solve_to_targets, st_orient
 
@@ -37,26 +41,9 @@ def _arc(cyc: tuple[int, ...], start: int, stop: int) -> list[int]:
     return out
 
 
-def _check_strictly_convex(poly: OuterPolygon) -> None:
-    order = poly.order
-    k = len(order)
-    sign = 0
-    for i in range(k):
-        ax, ay = poly.positions[order[i]]
-        bx, by = poly.positions[order[(i + 1) % k]]
-        cx, cy = poly.positions[order[(i + 2) % k]]
-        cross = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
-        if cross == 0:
-            raise StressDrawError("constructed outer polygon has a straight corner")
-        s = 1 if cross > 0 else -1
-        if sign == 0:
-            sign = s
-        elif s != sign:
-            raise StressDrawError("constructed outer polygon is not convex")
-
-
-def convex_outer_placement(outer: tuple[int, ...], indices: dict[int, int]) -> OuterPolygon:
-    """Strictly convex polygon whose vertex v sits at x = indices[v].
+def convex_outer_placement(outer: tuple[int, ...], x: np.ndarray) -> OuterPolygon:
+    """Strictly convex polygon whose vertex v sits at x[v], for an (n,)
+    array x indexed by vertex id, such as an orientation's rank + 1.
 
     The cycle splits at its leftmost and rightmost vertices into two
     x-monotone chains. One edge of each chain is drawn horizontal; the two
@@ -64,12 +51,14 @@ def convex_outer_placement(outer: tuple[int, ...], indices: dict[int, int]) -> O
     rightmost. Everything left of them winds around the leftmost vertex
     with slope angles evenly spaced up to +-80 degrees, mirrored on the
     right, and the right cap's y-values get an increasing linear remap so
-    both designated edges come out level.
+    both designated edges come out level. The finished polygon must pass
+    the exact strict-convexity ring test of the crossing certificate, or
+    StressDrawError is raised.
     """
     k = len(outer)
     if k < 3:
         raise PreconditionError("outer cycle needs at least 3 vertices")
-    xs = {v: float(indices[v]) for v in outer}
+    xs = {v: float(x[v]) for v in outer}
     li = min(range(k), key=lambda i: xs[outer[i]])
     ri = max(range(k), key=lambda i: xs[outer[i]])
     left, right = outer[li], outer[ri]
@@ -77,9 +66,7 @@ def convex_outer_placement(outer: tuple[int, ...], indices: dict[int, int]) -> O
     if k == 3:
         apex = next(v for v in outer if v not in (left, right))
         y = {left: 0.0, right: 0.0, apex: (xs[right] - xs[left]) / 2.0}
-        poly = OuterPolygon(tuple(outer), {v: (xs[v], y[v]) for v in outer})
-        _check_strictly_convex(poly)
-        return poly
+        return _convex_polygon(outer, xs, y)
 
     chain1 = _arc(outer, li, ri)
     chain2 = _arc(outer, ri, li)[::-1]
@@ -88,7 +75,7 @@ def convex_outer_placement(outer: tuple[int, ...], indices: dict[int, int]) -> O
             if xs[b] <= xs[a]:
                 raise PreconditionError(
                     "outer chain x-coordinates must increase strictly; "
-                    "indices do not come from a convex-position drawing"
+                    "x does not come from a convex-position drawing"
                 )
     p = len(chain1) - 1
     q = len(chain2) - 1
@@ -149,8 +136,14 @@ def convex_outer_placement(outer: tuple[int, ...], indices: dict[int, int]) -> O
     y[chain1[j + 1]] = y[chain1[j]]
     y[chain2[i + 1]] = y[chain2[i]]
 
-    poly = OuterPolygon(tuple(outer), {v: (xs[v], y[v]) for v in outer})
-    _check_strictly_convex(poly)
+    return _convex_polygon(outer, xs, y)
+
+
+def _convex_polygon(outer: tuple[int, ...], xs: dict[int, float], y: dict[int, float]) -> OuterPolygon:
+    """The polygon at (xs[v], y[v]) in the order of outer, checked strictly convex."""
+    poly = OuterPolygon(tuple(outer), np.array([(xs[v], y[v]) for v in outer]))
+    if not _convex_ring_turn(poly.positions):
+        raise StressDrawError("constructed outer polygon is not strictly convex")
     return poly
 
 
@@ -160,11 +153,13 @@ def convex_outer_placement(outer: tuple[int, ...], indices: dict[int, int]) -> O
 
 @dataclass(frozen=True, eq=False)
 class UniformResult:
-    """Weights, drawing, and the pieces the construction derived them from."""
+    """Weights, drawing, and the pieces the construction derived them from.
+
+    Vertex v's st-index, its target x, is orientation.rank[v] + 1.
+    """
 
     weights: np.ndarray  # (m,), aligned with emb.edges()
     drawing: Drawing
-    indices: dict[int, int]
     orientation: StOrientation
     polygon: OuterPolygon
 
@@ -172,15 +167,14 @@ class UniformResult:
 def uniform_pipeline(emb: PlanarEmbedding) -> UniformResult:
     """Solve with path-count weights against the constructed outer polygon.
 
-    Targets are the indices themselves, so no rotation is involved: the
-    solved x-coordinates must come out as 1..n directly. indices holds each
-    vertex's 1-based rank in the unit drawing's x-order, ties broken as in
-    st_orient, an st-numbering for the outer face.
+    Targets are the 1-based ranks themselves, rank + 1 of the orientation
+    of the unit drawing's x-order, ties broken as in st_orient: an
+    st-numbering for the outer face. No rotation is involved, so the
+    solved x-coordinates must come out as 1..n directly.
     """
     ref = tutte(emb, regular_polygon(emb.outer_face))
     o = st_orient(ref.positions[:, 0], emb)
-    indices = {v: i for i, v in enumerate(o.order.tolist(), start=1)}
-    poly = convex_outer_placement(emb.outer_face, indices)
     targets = (o.rank + 1).astype(float)
+    poly = convex_outer_placement(emb.outer_face, targets)
     weights, drawing = _solve_to_targets(emb, o, targets, poly, 0.0)
-    return UniformResult(weights, drawing, indices, o, poly)
+    return UniformResult(weights, drawing, o, poly)

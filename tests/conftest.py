@@ -5,9 +5,10 @@ deletion, disjoint paths by max-flow, explicit path enumeration, dense
 linear algebra) so the faster implementations in the package are checked
 against something honest. The dict-based spread construction, the
 quadratic Schnyder peel with its dict-based wood and depths, the uncached
-solve, the per-call face walks of the drawing checks and the
-line-by-line SVG writer are kept as differential oracles for their
-replacements, which must agree with them to the last bit.
+solve, the per-call face walks of the drawing checks, the line-by-line
+SVG writer, the dict-form outer polygon with its float convexity loop and
+the queue BFS are kept as differential oracles for their replacements,
+which must agree with them to the last bit.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -461,9 +463,9 @@ def scratch_system(
     the embedding's elimination order (the only thing read from its cached
     pattern); else rows in id order."""
     edges = emb.edge_array
-    pinned = list(poly.positions)
+    pinned = list(poly.order)
     positions = np.zeros((emb.n, 2))
-    positions[pinned] = list(poly.positions.values())
+    positions[pinned] = poly.positions
     row_of = np.zeros(emb.n, dtype=np.intp)
     row_of[pinned] = -1
     interior = emb._laplacian_pattern.interior if ordered else np.flatnonzero(row_of == 0)
@@ -508,9 +510,9 @@ def scratch_solve_stress(
         if np.abs(gap).max() <= 0.01 * tol:
             break
         sol += lu.solve(gap)
-    pinned = list(poly.positions)
+    pinned = list(poly.order)
     positions = np.zeros((emb.n, 2))
-    positions[pinned] = list(poly.positions.values())
+    positions[pinned] = poly.positions
     positions[interior] = sol
     return Drawing(positions, poly, equilibrium_residual(emb, weights, positions, pinned))
 
@@ -526,7 +528,7 @@ def dense_stress_positions(
     vertex from the rotation, with pinned-pinned edges never read.
     """
     weight_of = dict(zip(emb.edges(), weights.tolist()))
-    pinned = dict(poly.positions)
+    pinned = dict(zip(poly.order, poly.positions.tolist()))
     interior = [v for v in range(emb.n) if v not in pinned]
     idx = {v: i for i, v in enumerate(interior)}
     k = len(interior)
@@ -673,3 +675,81 @@ def scratch_render_svg(drawing: Drawing, emb: PlanarEmbedding) -> str:
         parts.append(f'  <circle cx="{x:.3f}" cy="{y:.3f}" r="3" fill="black"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the outer polygon as an order plus a dict of tuples, its float convexity
+# loop, and the queue BFS, as before the array forms
+# ---------------------------------------------------------------------------
+
+class DictPolygon(NamedTuple):
+    """solver.OuterPolygon as order plus a dict from vertex to position."""
+
+    order: tuple[int, ...]
+    positions: dict[int, tuple[float, float]]
+
+    @property
+    def centroid(self) -> tuple[float, float]:
+        xs = [p[0] for p in self.positions.values()]
+        ys = [p[1] for p in self.positions.values()]
+        return sum(xs) / len(xs), sum(ys) / len(ys)
+
+    @property
+    def radius(self) -> float:
+        cx, cy = self.centroid
+        return max(math.hypot(x - cx, y - cy) for x, y in self.positions.values())
+
+
+def dict_polygon(poly) -> DictPolygon:
+    """An OuterPolygon's rows keyed by its order."""
+    return DictPolygon(poly.order, {v: tuple(p) for v, p in zip(poly.order, poly.positions.tolist())})
+
+
+def dict_regular_polygon(outer_face: tuple[int, ...], radius: float = 1.0) -> DictPolygon:
+    k = len(outer_face)
+    positions = {}
+    for i, v in enumerate(outer_face):
+        theta = math.pi / 2 + 2 * math.pi * i / k
+        positions[v] = (radius * math.cos(theta), radius * math.sin(theta))
+    return DictPolygon(tuple(outer_face), positions)
+
+
+def dict_strictly_convex(poly: DictPolygon) -> bool:
+    """Float cross products of consecutive edges, all nonzero and of one
+    sign: the check uniform ran on its constructed polygon."""
+    order = poly.order
+    k = len(order)
+    sign = 0
+    for i in range(k):
+        ax, ay = poly.positions[order[i]]
+        bx, by = poly.positions[order[(i + 1) % k]]
+        cx, cy = poly.positions[order[(i + 2) % k]]
+        cross = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
+        if cross == 0:
+            return False
+        s = 1 if cross > 0 else -1
+        if sign == 0:
+            sign = s
+        elif s != sign:
+            return False
+    return True
+
+
+def deque_bfs_levels(emb: PlanarEmbedding) -> dict[int, int]:
+    """Hops from the outer face, by a queue BFS from all outer vertices."""
+    level = {v: 0 for v in emb.outer_face}
+    queue = deque(sorted(level))
+    while queue:
+        v = queue.popleft()
+        for w in emb.rotation[v]:
+            if w not in level:
+                level[w] = level[v] + 1
+                queue.append(w)
+    return level
+
+
+def deque_bfs_depths(emb: PlanarEmbedding) -> np.ndarray:
+    """treespread.bfs_depths from deque_bfs_levels."""
+    level = deque_bfs_levels(emb)
+    levels = np.array([level[v] for v in range(emb.n)])
+    return levels[emb.edge_array].min(axis=1) + 1

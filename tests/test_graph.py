@@ -129,14 +129,27 @@ def test_cycle_not_three_connected():
 
 
 def test_shared_edge_two_cut():
-    # two tetrahedra glued along edge {0,1}: removing 0 and 1 disconnects
-    emb = PlanarEmbedding(
+    # two tetrahedra glued along edge {0,1}: removing 0 and 1 disconnects.
+    # Drawn with one tetrahedron above the edge and one below, the outer
+    # face 0-2-1-4 meets the inner face 0-3-1 in 0 and 1, and edge 0-1
+    # lies on neither of them.
+    points = [(0, 0), (4, 0), (2, 3), (2, 1), (2, -3), (2, -1)]
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (0, 5), (1, 4), (1, 5), (4, 5)]
+    emb = _plane(points, edges)
+    assert (emb.n, emb.m, len(emb.faces)) == (6, 11, 7)
+    assert not brute_three_connected(emb)
+    assert not graph._faces_meet_properly([f.vertices for f in emb.faces])
+    assert not validate_three_connected(emb)
+    # the same graph under a rotation that traces a single face is not a
+    # sphere embedding, so there are no faces to decide from
+    glued = PlanarEmbedding(
         6,
         ((1, 2, 3, 4, 5), (0, 2, 3, 4, 5), (0, 1, 3),
          (0, 1, 2), (0, 1, 5), (0, 1, 4)),
         (2, 0, 4),
     )
-    assert not validate_three_connected(emb)
+    with pytest.raises(EulerViolation, match=r"^n=6 m=11 f=1 violates"):
+        validate_three_connected(glued)
 
 
 def test_three_connectivity_matches_brute_oracle(two_ring_wheel):
@@ -385,7 +398,7 @@ def test_thinning_decision_matches_disjoint_paths_oracle():
         emb = generate_planar(n, m, seed=seed)
         faces = {i: list(f.vertices) for i, f in enumerate(emb.faces)}
         face_of = {(f[j - 1], v): i for i, f in faces.items() for j, v in enumerate(f)}
-        adj = emb.adjacency()
+        adj = [set(r) for r in emb.rotation]
         for u, v in emb.edges():
             if min(len(adj[u]), len(adj[v])) <= 3:
                 continue

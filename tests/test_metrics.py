@@ -42,11 +42,8 @@ from stressdraw.metrics import _certified_planar
 
 def _square():
     emb = PlanarEmbedding(4, ((1, 3), (0, 2), (1, 3), (2, 0)), (0, 1, 2, 3))
-    poly = OuterPolygon(
-        (0, 1, 2, 3),
-        {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (1.0, 1.0), 3: (0.0, 1.0)},
-    )
-    return emb, Drawing(np.array([poly.positions[v] for v in range(4)]), poly, 0.0)
+    poly = OuterPolygon((0, 1, 2, 3), np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]))
+    return emb, Drawing(poly.positions.copy(), poly, 0.0)
 
 
 def test_unit_square_ratio_one():
@@ -56,14 +53,14 @@ def test_unit_square_ratio_one():
 
 def test_ratio_is_max_over_min():
     emb = PlanarEmbedding(3, ((1,), (0, 2), (1,)), (0, 2))
-    poly = OuterPolygon((0, 2), {0: (0.0, 0.0), 2: (2.5, 0.0)})
+    poly = OuterPolygon((0, 2), np.array([(0.0, 0.0), (2.5, 0.0)]))
     d = Drawing(np.array([(0.0, 0.0), (2.0, 0.0), (2.5, 0.0)]), poly, 0.0)
     assert abs(edge_length_ratio(d, emb) - 4.0) < 1e-12
 
 
 def test_zero_length_edge_rejected():
     emb = PlanarEmbedding(3, ((1,), (0, 2), (1,)), (0, 2))
-    poly = OuterPolygon((0, 2), {0: (0.0, 0.0), 2: (1.0, 0.0)})
+    poly = OuterPolygon((0, 2), np.array([(0.0, 0.0), (1.0, 0.0)]))
     d = Drawing(np.array([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)]), poly, 0.0)
     with pytest.raises(ZeroLengthEdge):
         edge_length_ratio(d, emb)
@@ -72,7 +69,7 @@ def test_zero_length_edge_rejected():
 def _two_segments(p1, p3):
     # two disjoint edges 0-2 and 1-3; only crossing_count sees this one
     emb = PlanarEmbedding(4, ((2,), (3,), (0,), (1,)), (0, 2))
-    poly = OuterPolygon((0, 2), {0: (0.0, 0.0), 2: (2.0, 0.0)})
+    poly = OuterPolygon((0, 2), np.array([(0.0, 0.0), (2.0, 0.0)]))
     pos = np.array([(0.0, 0.0), p1, (2.0, 0.0), p3])
     return emb, Drawing(pos, poly, 0.0)
 
@@ -84,7 +81,7 @@ def test_proper_crossing_detected():
 
 def test_shared_endpoint_not_a_crossing():
     emb = PlanarEmbedding(3, ((1,), (0, 2), (1,)), (0, 2))
-    poly = OuterPolygon((0, 2), {0: (0.0, 0.0), 2: (1.0, 0.0)})
+    poly = OuterPolygon((0, 2), np.array([(0.0, 0.0), (1.0, 0.0)]))
     d = Drawing(np.array([(0.0, 0.0), (0.5, 0.5), (1.0, 0.0)]), poly, 0.0)
     assert crossing_count(d, emb) == 0
 
@@ -218,7 +215,7 @@ def _pentagram():
     pos = np.array([(0.0, 0.0)] + [
         (math.cos(4 * math.pi * k / 5), math.sin(4 * math.pi * k / 5)) for k in range(5)
     ])
-    return emb, Drawing(pos, OuterPolygon(rim, {v: tuple(pos[v]) for v in rim}), 0.0)
+    return emb, Drawing(pos, OuterPolygon(rim, pos[list(rim)]), 0.0)
 
 
 def _straight_angle(where):
@@ -295,7 +292,7 @@ def _bowtie():
     emb = PlanarEmbedding(5, ((3, 2, 1, 4), (0, 2), (1, 0), (0, 4), (3, 0)), ())
     emb = PlanarEmbedding(emb.n, emb.rotation, max(emb.faces, key=len).vertices)
     pos = np.array([(0.0, 0.0), (-2.0, -1.0), (-2.0, 1.0), (2.0, 1.0), (2.0, -1.0)])
-    return emb, Drawing(pos, regular_polygon(emb.outer_face), 0.0)
+    return emb, Drawing(pos, OuterPolygon(emb.outer_face, pos[list(emb.outer_face)]), 0.0)
 
 
 def _fallback_cases(octahedron):

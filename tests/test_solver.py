@@ -8,6 +8,8 @@ import pytest
 
 from conftest import (
     dense_stress_positions,
+    dict_polygon,
+    dict_regular_polygon,
     max_position_gap,
     scratch_factor,
     scratch_solve_stress,
@@ -40,19 +42,18 @@ from stressdraw import (
 def test_regular_polygon_triangle():
     poly = regular_polygon((7, 3, 9))
     assert poly.order == (7, 3, 9)
-    x, y = poly.positions[7]
+    assert poly.positions.shape == (3, 2)
+    x, y = poly.positions[0]
     # first vertex sits at the top of the unit circle
     assert abs(x) < 1e-12 and abs(y - 1.0) < 1e-12
-    for v in (3, 9):
-        px, py = poly.positions[v]
+    for px, py in poly.positions[1:]:
         assert abs(math.hypot(px, py) - 1.0) < 1e-12
 
 
 def test_regular_polygon_square_angles():
     poly = regular_polygon((0, 1, 2, 3), radius=2.0)
     angles = []
-    for v in poly.order:
-        x, y = poly.positions[v]
+    for x, y in poly.positions:
         assert abs(math.hypot(x, y) - 2.0) < 1e-12
         angles.append(math.atan2(y, x))
     # consecutive vertices step counter-clockwise by 90 degrees
@@ -68,11 +69,34 @@ def test_regular_polygon_rejects_bad_input():
         regular_polygon((0, 1, 2), radius=0.0)
 
 
+def test_regular_polygon_rejects_a_repeated_vertex():
+    """Listing a vertex twice would pin it at two places."""
+    outer = generate_planar(8, 18, 1).outer_face
+    with pytest.raises(PreconditionError, match="repeats a vertex"):
+        regular_polygon(outer + (outer[0],))
+
+
+def test_regular_polygon_matches_dict_oracle():
+    """Rows, centroid and radius equal the dict form's to the last bit, for
+    3..64 corners and 2**j - 1 .. 2**j + 1 corners up to 2000, at radii
+    2**-60 .. 2**60 and a few others; the radius is computed once."""
+    ks = [*range(3, 65), *(2**j + d for j in range(7, 11) for d in (-1, 0, 1)), 1999, 2000]
+    radii = [2.0**e for e in range(-60, 61, 12)] + [1 / 3, 10.0, 12345.678]
+    for radius in radii:
+        for k in ks:
+            poly = regular_polygon(tuple(range(k, 0, -1)), radius)
+            old = dict_regular_polygon(poly.order, radius)
+            # float repr round-trips, and tells -0.0 from 0.0
+            assert repr(dict_polygon(poly)) == repr(old)
+            assert repr((poly.centroid, poly.radius)) == repr((old.centroid, old.radius))
+            assert poly.radius is poly.radius
+
+
 def test_k4_interior_lands_at_centroid(k4):
     poly = regular_polygon(k4.outer_face)
     d = tutte(k4, poly)
-    cx = sum(p[0] for v, p in poly.positions.items()) / 3
-    cy = sum(p[1] for v, p in poly.positions.items()) / 3
+    cx = sum(p[0] for p in poly.positions) / 3
+    cy = sum(p[1] for p in poly.positions) / 3
     assert abs(d.positions[3][0] - cx) < 1e-12
     assert abs(d.positions[3][1] - cy) < 1e-12
 
@@ -81,7 +105,7 @@ def test_single_interior_weighted_average():
     """One free vertex between two pins solves in closed form:
     x = (w01*0 + w12*1) / (w01 + w12) = 3/4 for weights 1 and 3."""
     emb = PlanarEmbedding(3, ((1,), (0, 2), (1,)), (0, 2))
-    poly = OuterPolygon((0, 2), {0: (0.0, 0.0), 2: (1.0, 0.0)})
+    poly = OuterPolygon((0, 2), np.array([(0.0, 0.0), (1.0, 0.0)]))
     assert emb.edges() == [(0, 1), (1, 2)]
     d = solve_stress(emb, np.array([1.0, 3.0]), poly)
     assert abs(d.positions[1][0] - 0.75) < 1e-12
@@ -159,16 +183,30 @@ def test_weight_validation(k4):
 
 
 def test_polygon_must_pin_exactly_the_outer_face(k4):
-    poly = OuterPolygon((0, 1), {0: (0.0, 1.0), 1: (1.0, 0.0)})
+    poly = OuterPolygon((0, 1), np.array([(0.0, 1.0), (1.0, 0.0)]))
     with pytest.raises(PreconditionError):
         solve_stress(k4, unit_weights(k4), poly)
+
+
+def test_polygon_must_list_each_outer_vertex_once_with_one_row_each():
+    emb = generate_planar(8, 18, 1)
+    outer, rows = emb.outer_face, regular_polygon(emb.outer_face).positions
+    bad = [
+        OuterPolygon(outer + (outer[0],), np.vstack((rows, rows[:1]))),  # a vertex twice
+        OuterPolygon(outer, rows[:-1]),  # a row short
+        OuterPolygon(outer, np.hstack((rows, rows))),  # (k, 4)
+        OuterPolygon(outer, rows.ravel()),  # flat
+    ]
+    for poly in bad:
+        with pytest.raises(PreconditionError, match="^polygon"):
+            solve_stress(emb, unit_weights(emb), poly)
 
 
 def test_no_interior_vertices():
     tri = PlanarEmbedding(3, ((1, 2), (2, 0), (0, 1)), (0, 1, 2))
     poly = regular_polygon((0, 1, 2))
     d = tutte(tri, poly)
-    assert np.array_equal(d.positions, [poly.positions[v] for v in range(3)])
+    assert np.array_equal(d.positions, poly.positions)
     assert d.residual == 0.0
 
 

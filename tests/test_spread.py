@@ -48,7 +48,7 @@ def _path_graph():
         ((1,), (0, 2), (1, 3), (2, 4), (3,)),
         (0, 4),
     )
-    poly = OuterPolygon((0, 4), {0: (0.0, 0.0), 4: (1.0, 0.0)})
+    poly = OuterPolygon((0, 4), np.array([(0.0, 0.0), (1.0, 0.0)]))
     x = np.array([v / 4 if v != 1 else 0.3 for v in range(5)])
     return emb, poly, x
 
@@ -60,7 +60,7 @@ def _house_graph():
         ((1, 2), (0, 2, 3), (0, 1, 3), (1, 2)),
         (0, 3),
     )
-    poly = OuterPolygon((0, 3), {0: (0.0, 0.0), 3: (3.0, 0.0)})
+    poly = OuterPolygon((0, 3), np.array([(0.0, 0.0), (3.0, 0.0)]))
     x = np.array([0.0, 1.0, 2.0, 3.0])
     return emb, poly, x
 
@@ -99,7 +99,7 @@ def test_st_orient_rejects_interior_extreme():
 
 def test_targets_single_interior():
     emb = PlanarEmbedding(3, ((1,), (0, 2), (1,)), (0, 2))
-    poly = OuterPolygon((0, 2), {0: (0.0, 0.0), 2: (1.0, 0.0)})
+    poly = OuterPolygon((0, 2), np.array([(0.0, 0.0), (1.0, 0.0)]))
     x = np.array([0.0, 0.3, 1.0])
     o = st_orient(x, emb)
     t = target_x(o, x, poly.order)
@@ -283,8 +283,7 @@ def test_exactly_tied_corners_get_finite_weights():
     """Pinned-pinned edges with zero target gap weigh their path count;
     every other edge keeps count / gap."""
     emb = _square_wheel()
-    poly = OuterPolygon((0, 1, 2, 3), {0: (-1.0, -1.0), 1: (1.0, -1.0),
-                                       2: (1.0, 1.0), 3: (-1.0, 1.0)})
+    poly = OuterPolygon((0, 1, 2, 3), np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]))
     x = np.array([-1.0, 1.0, 1.0, -1.0, 0.0])
     o = st_orient(x, emb)
     assert o.order.tolist() == [0, 3, 4, 1, 2]
@@ -333,7 +332,7 @@ def test_spread_matches_dict_oracle(n, m, seed):
     for direction in (0.0, math.radians(37.0), math.pi / 2):
         res = spread_pipeline(emb, poly, direction, reference=ref)
         x = turn(ref.positions, -direction)[:, 0]
-        corners = turn(np.array([poly.positions[v] for v in poly.order]), -direction)
+        corners = turn(poly.positions, -direction)
         assert np.array_equal(x[list(poly.order)], corners[:, 0])
         old = dict_st_orient(x, emb)
         o = res.orientation

@@ -1,15 +1,21 @@
 """Depth-decay weights from BFS levels and Schnyder trees."""
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 import pytest
 
-from conftest import dict_schnyder_depths, dict_schnyder_wood, flip_edges, max_position_gap
+from conftest import (
+    deque_bfs_depths,
+    deque_bfs_levels,
+    dict_schnyder_depths,
+    dict_schnyder_wood,
+    flip_edges,
+    max_position_gap,
+)
 
 from stressdraw import (
     BadParams,
+    InvalidEmbedding,
     NotTriangulation,
     PlanarEmbedding,
     bfs_depths,
@@ -25,23 +31,9 @@ from stressdraw import (
     schnyder_depths,
     schnyder_spread,
     schnyder_wood,
-    traverse_faces,
     tutte,
     worst_case_graph,
 )
-
-
-def _bfs_levels(emb):
-    # plain queue BFS from all outer vertices at once
-    level = {v: 0 for v in emb.outer_face}
-    q = deque(sorted(level))
-    while q:
-        v = q.popleft()
-        for u in emb.rotation[v]:
-            if u not in level:
-                level[u] = level[v] + 1
-                q.append(u)
-    return level
 
 
 def _by_edge(emb, values):
@@ -67,12 +59,29 @@ def test_bfs_depths_two_ring_wheel(two_ring_wheel):
 
 def test_bfs_depths_match_level_recomputation(two_ring_wheel):
     for emb in (two_ring_wheel, generate_planar(24, 58, seed=41)):
-        level = _bfs_levels(emb)
+        level = deque_bfs_levels(emb)
         got = _by_edge(emb, bfs_depths(emb))
         for v in range(emb.n):
             for u in emb.rotation[v]:
                 if u < v:
                     assert got[(u, v)] == min(level[u], level[v]) + 1
+
+
+def test_bfs_depths_match_queue_oracle(octahedron):
+    """Equal to the queue BFS on sparse graphs with outer faces of length
+    4 and more, on the nested family and on the octahedron."""
+    sparse = [generate_planar(n, round(2.5 * n), seed=s) for n in (20, 50, 120, 300) for s in (1, 2)]
+    assert min(len(emb.outer_face) for emb in sparse) >= 4
+    nested = [worst_case_graph(k) for k in (1, 2, 3, 10, 200)]
+    for emb in [octahedron, *sparse, *nested]:
+        got, want = bfs_depths(emb), deque_bfs_depths(emb)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_bfs_depths_reject_a_disconnected_graph():
+    two_triangles = PlanarEmbedding(6, ((1, 2), (2, 0), (0, 1), (4, 5), (5, 3), (3, 4)), (0, 1, 2))
+    with pytest.raises(InvalidEmbedding, match="disconnected"):
+        bfs_depths(two_triangles)
 
 
 def test_depth_weights_decay():

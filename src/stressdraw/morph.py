@@ -1,16 +1,21 @@
-"""Per-edge interpolation between spread weightings, and the angle sweep."""
+"""Per-edge interpolation between spread weightings, and the angle sweep.
+
+Both solve in batches (solve_stresses): the xy-morph its two spreads, the
+sweep every distinct direction's spread and then every row's blend.
+"""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .errors import BadParams, EdgeSetMismatch
 from .graph import PlanarEmbedding
 from .metrics import edge_length_ratio
-from .solver import Drawing, OuterPolygon, solve_stress, tutte
-from .spread import spread_pipeline
+from .solver import Drawing, OuterPolygon, solve_stress, solve_stresses, tutte
+from .spread import _check_direction, _direction_plans, _spreads
 
 
 def morph_weights(
@@ -37,11 +42,12 @@ def xy_morph(
 
     The default t = 1/2 averages the two weightings. Both spreads start
     from the same unit-weight reference drawing, which is deterministic,
-    so passing a precomputed reference only saves the repeated solve.
+    so passing a precomputed reference only saves the repeated solve. The
+    two spreads are solved in one batch, each as spread_pipeline draws it.
     """
+    _check_direction(angle)
     ref = reference if reference is not None else tutte(emb, poly)
-    s0 = spread_pipeline(emb, poly, angle, reference=ref)
-    s1 = spread_pipeline(emb, poly, angle + math.pi / 2, reference=ref)
+    s0, s1 = _spreads(emb, poly, _direction_plans(emb, poly, ref, [angle, angle + math.pi / 2]))
     weights = morph_weights(s0.weights, s1.weights, t)
     return weights, solve_stress(emb, weights, poly)
 
@@ -63,18 +69,13 @@ def kaleidoscope(
 
     Each row blends the spreads along its angle and the angle + 90 degrees,
     so directions meet across rows (0 + 90 is the 90-degree row's own
-    direction); every distinct direction is spread once.
+    direction); every distinct direction is spread once. The spreads, in
+    the order the rows first use them, are solved in one batch, and the
+    rows' blends in another (solve_stresses).
     """
     if not 0.0 < step_degrees <= 90.0:
         raise BadParams(f"step must lie in (0, 90], got {step_degrees}")
     ref = tutte(emb, poly)
-    spreads: dict[float, np.ndarray] = {}
-
-    def spread(direction: float) -> np.ndarray:
-        if direction not in spreads:
-            spreads[direction] = spread_pipeline(emb, poly, direction, reference=ref).weights
-        return spreads[direction]
-
     angles: list[float] = []
     k = 0
     while k * step_degrees <= 90.0 + 1e-9:
@@ -82,13 +83,15 @@ def kaleidoscope(
         k += 1
     if angles[-1] < 90.0:
         angles.append(90.0)
-    rows: list[KaleidoscopeRow] = []
-    for deg in angles:
-        angle = math.radians(deg)
-        weights = morph_weights(spread(angle), spread(angle + math.pi / 2))
-        d = solve_stress(emb, weights, poly)
-        rows.append(KaleidoscopeRow(deg, edge_length_ratio(d, emb), d))
-    return rows
+    pairs = [(math.radians(deg), math.radians(deg) + math.pi / 2) for deg in angles]
+    directions = list(dict.fromkeys(chain.from_iterable(pairs)))
+    spreads = _spreads(emb, poly, _direction_plans(emb, poly, ref, directions))
+    weights = dict(zip(directions, (s.weights for s in spreads)))
+    blends = (morph_weights(weights[a], weights[b]) for a, b in pairs)
+    return [
+        KaleidoscopeRow(deg, edge_length_ratio(d, emb), d)
+        for deg, d in zip(angles, solve_stresses(emb, blends, poly))
+    ]
 
 
 def best_row(rows: list[KaleidoscopeRow]) -> KaleidoscopeRow:

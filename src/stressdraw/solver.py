@@ -10,7 +10,7 @@ effect on the system.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,11 +23,17 @@ from .errors import (
     PreconditionError,
     ResidualExceeded,
     SingularSystem,
+    StressDrawError,
 )
 from .graph import SPD_LU, PlanarEmbedding
 
 # Hard cap on the equilibrium residual, relative to the polygon radius.
 RESIDUAL_RTOL = 1e-8
+# Most system rows factored at once: solve_stresses factors a chunk of
+# max(1, BATCH_ROWS // k) weightings of a k-row system together. SuperLU
+# preallocates in proportion to the nonzeros it factors, so the cap bounds
+# the memory a batch takes while a chunk still shares the per-call cost.
+BATCH_ROWS = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,7 +41,7 @@ class OuterPolygon:
     """Strictly convex positions for the outer face, in cyclic order.
 
     positions is a (k, 2) float array whose row i is the position of
-    order[i]; order lists each outer-face vertex once, which solve_stress
+    order[i]; order lists each outer-face vertex once, which solve_stresses
     checks. centroid and radius are computed on first use, once.
     """
 
@@ -80,44 +86,47 @@ def regular_polygon(outer_face: tuple[int, ...], radius: float = 1.0) -> OuterPo
     return OuterPolygon(tuple(outer_face), np.array(corners))
 
 
+def _net_pull(
+    w: np.ndarray,
+    tail: np.ndarray,
+    head: np.ndarray,
+    slot: np.ndarray,
+    size: int,
+    positions: np.ndarray,
+) -> np.ndarray:
+    """Per-slot sums of the pulls along half-edges, a (size, 2) array.
+
+    w holds (b, h) weights for b drawings and positions their (b, n, 2)
+    vertex positions. Half-edge i runs from vertex tail[i] to vertex
+    head[i]; in drawing j it pulls with w[j, i] * (p[head[i]] - p[tail[i]])
+    on slot[j, i]. Every slot adds its pulls in half-edge order, so the sums
+    of one drawing do not depend on the others beside it.
+    """
+    return np.column_stack([
+        np.bincount(slot.ravel(), (w * (p[:, head] - p[:, tail])).ravel(), size)
+        for p in (positions[..., 0], positions[..., 1])
+    ])
+
+
 def equilibrium_residual(
     emb: PlanarEmbedding,
     weights: np.ndarray,
     positions: np.ndarray,
     pinned: Iterable[int],
 ) -> float:
-    """Max absolute per-coordinate imbalance over the interior vertices."""
-    tail, head = emb.edge_array.T
-    pull = np.asarray(weights)[:, None] * (positions[tail] - positions[head])
-    force = np.column_stack([
-        np.bincount(tail, pull[:, c], emb.n) - np.bincount(head, pull[:, c], emb.n) for c in (0, 1)
-    ])
+    """Max absolute per-coordinate imbalance over the vertices not pinned:
+    the net pull sum_{v ~ u} w_uv (p_v - p_u) on each. Computed as
+    solve_stresses computes it, so a drawing's residual field recomputes
+    bit for bit."""
+    lo, hi = emb.edge_array.T
+    tail, head = np.concatenate((lo, hi)), np.concatenate((hi, lo))
+    w = np.tile(np.asarray(weights, dtype=float), 2)[None]
+    force = _net_pull(w, tail, head, tail, emb.n, np.asarray(positions)[None])
     force[list(pinned)] = 0.0
     return float(np.abs(force).max())
 
 
-def solve_stress(
-    emb: PlanarEmbedding,
-    weights: np.ndarray,
-    poly: OuterPolygon,
-) -> Drawing:
-    """Solve the weighted equilibrium system with the outer face pinned.
-
-    weights is an (m,) array aligned with emb.edges(). The system's
-    sparsity pattern comes from the embedding, which builds it once with
-    its rows in a fill-reducing minimum-degree order, so a solve only
-    places its weights. The interior weighted Laplacian is factored once,
-    by sparse LU in that order without pivoting, and the factor is reused
-    for both coordinates, followed by a few iterative-refinement passes.
-    With positive weights and the outer face pinned the matrix is an
-    irreducibly diagonally dominant symmetric M-matrix, hence symmetric
-    positive definite, and LU without pivoting is then backward stable
-    like Cholesky; a pivot that is exactly zero raises SingularSystem. The
-    result must meet the hard residual bound RESIDUAL_RTOL * poly.radius
-    or ResidualExceeded is raised. A polygon whose order does not list
-    each outer-face vertex exactly once, or whose positions are not one
-    row of two per entry of order, raises PreconditionError.
-    """
+def _pinned(emb: PlanarEmbedding, poly: OuterPolygon) -> list[int]:
     pinned = list(poly.order)
     if len(set(pinned)) != len(pinned) or set(pinned) != set(emb.outer_face):
         raise PreconditionError("polygon order does not list each outer-face vertex once")
@@ -125,46 +134,131 @@ def solve_stress(
         raise PreconditionError(
             f"polygon positions need shape {(len(pinned), 2)}, got {np.shape(poly.positions)}"
         )
+    return pinned
+
+
+def _row_weights(emb: PlanarEmbedding, weights: np.ndarray) -> np.ndarray:
+    """The weight of every edge seen from each interior end, one entry per
+    half-edge of the system pattern; NonPositiveWeight unless there are m
+    weights and each of those is positive and finite."""
     m = len(emb.edge_array)
     if np.shape(weights) != (m,):
         raise NonPositiveWeight(f"need {m} edge weights, got shape {np.shape(weights)}")
-    pattern = emb._laplacian_pattern
-    # the weight of every edge seen from each interior end: a row of the system
-    w = np.asarray(weights, dtype=float)[pattern.half]
+    half = emb._laplacian_pattern.half
+    w = np.asarray(weights, dtype=float)[half]
     bad = np.flatnonzero(~((w > 0) & np.isfinite(w)))
     if bad.size:
-        u, v = emb.edge_array[pattern.half[bad[0]]].tolist()
+        u, v = emb.edge_array[half[bad[0]]].tolist()
         raise NonPositiveWeight(f"edge {(u, v)} needs a positive finite weight, got {w[bad[0]]!r}")
-    positions = np.zeros((emb.n, 2))
-    positions[pinned] = poly.positions
-    tol = RESIDUAL_RTOL * poly.radius
-    k = len(pattern.interior)
-    if not k:
-        return Drawing(positions, poly, 0.0)
+    return w
 
-    values = np.concatenate((-w[pattern.inner], np.bincount(pattern.row, w, k)))
-    system = csc_matrix((values[pattern.perm], pattern.indices, pattern.indptr), shape=(k, k))
-    out = pattern.boundary
-    pull = w[out, None] * positions[pattern.boundary_head]
-    rhs = np.column_stack([np.bincount(pattern.row[out], pull[:, c], k) for c in (0, 1)])
+
+def solve_stresses(
+    emb: PlanarEmbedding,
+    weightings: Iterable[np.ndarray],
+    poly: OuterPolygon,
+) -> Iterator[Drawing]:
+    """Solve the weighted equilibrium system with the outer face pinned,
+    once per (m,) weighting aligned with emb.edges(), yielding the
+    drawings in order.
+
+    The weightings are read lazily, max(1, BATCH_ROWS // k) at a time for
+    k interior vertices. A chunk's systems, in the embedding's cached
+    minimum-degree pattern, sit along the diagonal of one CSC matrix that
+    one sparse LU factors without pivoting (SPD_LU); all right-hand sides
+    are solved at once, then refined up to three times. With positive
+    weights and the outer face pinned each system is an irreducibly
+    diagonally dominant symmetric M-matrix, hence positive definite, and
+    LU without pivoting is then backward stable like Cholesky.
+
+    One force function, the net pull on each interior vertex, gives the
+    right-hand side (the pull with the interior at 0), each refinement gap
+    and the residual. A system whose gap is within 1 % of the residual
+    bound RESIDUAL_RTOL * poly.radius gets an exactly zero correction, so
+    each drawing is bit for bit the one its weighting gives alone. A
+    drawing over the bound raises ResidualExceeded.
+
+    Errors come in weighting order: the drawings before the first failing
+    weighting are yielded, then its error is raised. Weights that are not
+    m positive finite numbers raise NonPositiveWeight. One error breaks
+    that order: a pivot that is exactly zero raises SingularSystem for its
+    whole chunk. A polygon whose order does not list each outer-face vertex
+    exactly once, or whose positions are not one row of two per entry,
+    raises PreconditionError.
+    """
+    pinned = _pinned(emb, poly)
+    per = max(1, BATCH_ROWS // max(len(emb._laplacian_pattern.interior), 1))
+    todo = iter(weightings)
+    while True:
+        chunk, error = [], None
+        try:
+            for weights in todo:
+                chunk.append(_row_weights(emb, weights))
+                if len(chunk) == per:
+                    break
+        except StressDrawError as exc:  # raised after the drawings before it
+            error = exc
+        if chunk:
+            yield from _solve_chunk(emb, np.array(chunk), poly, pinned)
+        if error is not None:
+            raise error
+        if len(chunk) < per:
+            return
+
+
+def _solve_chunk(
+    emb: PlanarEmbedding, w: np.ndarray, poly: OuterPolygon, pinned: list[int],
+) -> Iterator[Drawing]:
+    """The drawings of the (b, h) row weights w, factored as one
+    block-diagonal system."""
+    pattern = emb._laplacian_pattern
+    b, k = len(w), len(pattern.interior)
+    positions = np.zeros((b, emb.n, 2))
+    positions[:, pinned] = poly.positions
+    if not k:
+        yield from (Drawing(p, poly, 0.0) for p in positions)
+        return
+    shift = np.arange(b, dtype=np.intc)[:, None]
+    slot = shift * k + pattern.row  # the system row of each half-edge's pull
+    values = np.concatenate(
+        (-w[:, pattern.inner], np.bincount(slot.ravel(), w.ravel(), b * k).reshape(b, k)), axis=1,
+    )
+    indptr = np.zeros(b * k + 1, dtype=np.intc)
+    indptr[1:] = (pattern.indptr[1:] + shift * len(pattern.indices)).ravel()
+    system = csc_matrix(
+        (values[:, pattern.perm].ravel(), (pattern.indices + shift * k).ravel(), indptr),
+        shape=(b * k, b * k),
+    )
     try:
         lu = splu(system, permc_spec="NATURAL", **SPD_LU)
     except RuntimeError as exc:
         raise SingularSystem(f"interior system could not be factorized: {exc}") from exc
-    sol = lu.solve(rhs)
-    for _ in range(3):
-        gap = rhs - system @ sol
-        if np.abs(gap).max() <= 0.01 * tol:
+    tol = RESIDUAL_RTOL * poly.radius
+    # the pull with the interior at 0 is the right-hand side
+    sol = lu.solve(_net_pull(w, pattern.tail, pattern.head, slot, b * k, positions))
+    for passes in range(4):
+        positions[:, pattern.interior] = sol.reshape(b, k, 2)
+        gap = _net_pull(w, pattern.tail, pattern.head, slot, b * k, positions)
+        residual = np.abs(gap).reshape(b, -1).max(axis=1)
+        done = residual <= 0.01 * tol
+        if passes == 3 or done.all():
             break
+        gap.reshape(b, -1)[done] = 0.0
         sol += lu.solve(gap)
 
-    positions[pattern.interior] = sol
-    residual = equilibrium_residual(emb, weights, positions, pinned)
-    if not residual <= tol:  # a NaN residual fails too
-        raise ResidualExceeded(
-            f"equilibrium residual {residual:.3e} exceeds {tol:.3e}"
-        )
-    return Drawing(positions, poly, residual)
+    for p, r in zip(positions, residual.tolist()):
+        if not r <= tol:  # a NaN residual fails too
+            raise ResidualExceeded(f"equilibrium residual {r:.3e} exceeds {tol:.3e}")
+        yield Drawing(p, poly, r)
+
+
+def solve_stress(
+    emb: PlanarEmbedding,
+    weights: np.ndarray,
+    poly: OuterPolygon,
+) -> Drawing:
+    """The drawing of one weighting: solve_stresses(emb, [weights], poly)."""
+    return next(solve_stresses(emb, [weights], poly))
 
 
 def unit_weights(emb: PlanarEmbedding) -> np.ndarray:

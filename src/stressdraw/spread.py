@@ -15,12 +15,14 @@ x-equilibrium of each vertex it passes through.
 Every step works on numpy arrays over the embedding's edge array: the
 orientation is a pair of (m,) tail/head arrays aligned with emb.edges(),
 each BFS tree an (n,) parent array, and targets, path counts and weights
-come out as (n,), (m,) and (m,) arrays.
+come out as (n,), (m,) and (m,) arrays. Spreads of several directions of
+one reference, as the kaleidoscope and the xy-morph need, are weighted one
+by one and solved in one solve_stresses batch.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +34,11 @@ from .errors import (
     NotStOrientation,
     PreconditionError,
     ResidualExceeded,
+    StressDrawError,
     ZeroGap,
 )
 from .graph import PlanarEmbedding
-from .solver import Drawing, OuterPolygon, solve_stress, tutte
+from .solver import Drawing, OuterPolygon, solve_stresses, tutte
 
 # Pinned x-values closer than this fraction of the largest |pinned x| are
 # one value: a turned regular polygon puts equal corners ~1e-16 apart.
@@ -259,22 +262,54 @@ class SpreadResult:
     orientation: StOrientation
 
 
-def _solve_to_targets(
+def _check_direction(direction: float) -> None:
+    if not math.isfinite(direction):
+        raise BadParams(f"direction must be finite, got {direction!r}")
+
+
+def _direction_plans(
+    emb: PlanarEmbedding, poly: OuterPolygon, reference: Drawing, directions: Iterable[float],
+) -> Iterator[tuple[StOrientation, np.ndarray, float]]:
+    """(orientation, targets, turn) for each direction: the reference's
+    positions turned by -direction, so the direction becomes the x-axis,
+    give the x-order (ties broken as in st_orient) and the pinned targets."""
+    for direction in directions:
+        x = _turn(reference.positions, -direction)[:, 0]
+        o = st_orient(x, emb)
+        yield o, target_x(o, x, poly.order), -direction
+
+
+def _spreads(
     emb: PlanarEmbedding,
-    o: StOrientation,
-    targets: np.ndarray,
     poly: OuterPolygon,
-    angle: float,
-) -> tuple[np.ndarray, Drawing]:
-    """Weight by path counts over target gaps and solve. The drawing,
-    rotated by angle, must match the targets within TARGET_RTOL * radius;
-    a miss raises ResidualExceeded."""
-    weights = spread_weights(o, targets, count_paths(o))
-    drawing = solve_stress(emb, weights, poly)
-    miss = float(np.abs(_turn(drawing.positions, angle)[:, 0] - targets).max())
-    if not miss <= TARGET_RTOL * poly.radius:
-        raise ResidualExceeded(f"drawing misses its targets by {miss:.3e}")
-    return weights, drawing
+    plans: Iterable[tuple[StOrientation, np.ndarray, float]],
+) -> list[SpreadResult]:
+    """The spread of each plan (orientation, targets, turn), all solved in
+    one batch.
+
+    Each plan's edges are weighted by path count / target gap, and one
+    solve_stresses batch draws every weighting. Each drawing, turned by
+    its plan's turn, must match its targets within TARGET_RTOL * radius; a
+    miss raises ResidualExceeded. Errors, those of reading the plans
+    included, come in plan order, as one whole spread after another would
+    raise them.
+    """
+    todo, error = [], None
+    try:
+        for o, targets, turn in plans:
+            todo.append((spread_weights(o, targets, count_paths(o)), o, targets, turn))
+    except StressDrawError as exc:  # raised after the plans before it are solved
+        error = exc
+    results = []
+    drawings = solve_stresses(emb, (weights for weights, *_ in todo), poly)
+    for (weights, o, targets, turn), drawing in zip(todo, drawings):
+        miss = float(np.abs(_turn(drawing.positions, turn)[:, 0] - targets).max())
+        if not miss <= TARGET_RTOL * poly.radius:
+            raise ResidualExceeded(f"drawing misses its targets by {miss:.3e}")
+        results.append(SpreadResult(weights, drawing, targets, o))
+    if error is not None:
+        raise error
+    return results
 
 
 def spread_pipeline(
@@ -290,13 +325,10 @@ def spread_pipeline(
     the direction becomes the x-axis, give the orientation (ties broken as
     in st_orient) and the pinned targets. The solved drawing, turned the
     same way, must match the targets within TARGET_RTOL * radius; a miss
-    raises ResidualExceeded.
+    raises ResidualExceeded. The kaleidoscope and the xy-morph spread many
+    directions of one reference in one batch; each gets the result this
+    function gives for it alone.
     """
-    if not math.isfinite(direction):
-        raise BadParams(f"direction must be finite, got {direction!r}")
+    _check_direction(direction)
     ref = reference if reference is not None else tutte(emb, poly)
-    x = _turn(ref.positions, -direction)[:, 0]
-    o = st_orient(x, emb)
-    targets = target_x(o, x, poly.order)
-    weights, drawing = _solve_to_targets(emb, o, targets, poly, -direction)
-    return SpreadResult(weights, drawing, targets, o)
+    return _spreads(emb, poly, _direction_plans(emb, poly, ref, [direction]))[0]

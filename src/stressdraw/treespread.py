@@ -4,12 +4,14 @@ Both variants give an edge a weight a / r**depth so that edges far from
 the outer boundary carry exponentially less pull, which counteracts the
 central collapse of unit-weight drawings. BFS depth measures hops from
 the outer face; Schnyder depth measures position within one of the three
-trees of a realizer of a triangulation.
+trees of a realizer of a triangulation. best_r solves the weightings of
+all its decay bases in one solve_stresses batch.
 """
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +21,7 @@ from scipy.sparse.csgraph import dijkstra
 from .errors import BadParams, InvalidEmbedding, NotTriangulation, StressDrawError
 from .graph import PlanarEmbedding
 from .metrics import edge_length_ratio
-from .solver import Drawing, OuterPolygon, solve_stress
+from .solver import Drawing, OuterPolygon, solve_stress, solve_stresses
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +217,14 @@ def best_r(
 ) -> tuple[int, Drawing, float]:
     """Integer decay base in [2, r_hi] minimizing the edge-length ratio.
 
-    Ties go to the smallest base. Returns (r, drawing, ratio).
+    Ties go to the smallest base. Returns (r, drawing, ratio). r_hi must be
+    an integer of at least 2. The bases' weightings are fed lazily to one
+    solve_stresses batch.
     """
+    try:
+        r_hi = operator.index(r_hi)
+    except TypeError:
+        raise BadParams(f"r_hi must be an integer, got {r_hi!r}") from None
     if r_hi < 2:
         raise BadParams(f"need r_hi >= 2, got {r_hi}")
     if method == "bfs":
@@ -225,9 +233,10 @@ def best_r(
         depths = schnyder_depths(emb)
     else:
         raise BadParams(f"unknown tree-spread method {method!r}")
+    bases = range(2, r_hi + 1)
+    drawings = solve_stresses(emb, (depth_weights(depths, a, float(r)) for r in bases), poly)
     best: tuple[int, Drawing, float] | None = None
-    for r in range(2, r_hi + 1):
-        d = solve_stress(emb, depth_weights(depths, a, float(r)), poly)
+    for r, d in zip(bases, drawings):
         rho = edge_length_ratio(d, emb)
         if best is None or rho < best[2]:
             best = (r, d, rho)

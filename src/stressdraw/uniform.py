@@ -21,7 +21,7 @@ from .errors import NoValidTopBottom, PreconditionError, StressDrawError
 from .graph import PlanarEmbedding
 from .metrics import _convex_ring_turn
 from .solver import Drawing, OuterPolygon, regular_polygon, tutte
-from .spread import StOrientation, _solve_to_targets, st_orient
+from .spread import StOrientation, _spreads, st_orient
 
 # steepest slope angle used by the caps around the leftmost/rightmost vertex
 CAP_ANGLE_DEG = 80.0
@@ -174,7 +174,7 @@ def uniform_pipeline(emb: PlanarEmbedding) -> UniformResult:
     """
     ref = tutte(emb, regular_polygon(emb.outer_face))
     o = st_orient(ref.positions[:, 0], emb)
-    targets = (o.rank + 1).astype(float)
+    targets = o.rank + 1.0
     poly = convex_outer_placement(emb.outer_face, targets)
-    weights, drawing = _solve_to_targets(emb, o, targets, poly, 0.0)
-    return UniformResult(weights, drawing, o, poly)
+    s = _spreads(emb, poly, [(o, targets, 0.0)])[0]
+    return UniformResult(s.weights, s.drawing, o, poly)

@@ -17,13 +17,13 @@ from stressdraw import (
     regular_polygon,
     render_svg,
     save_graph,
-    spread_pipeline,
     tutte,
     validate,
     validate_three_connected,
     xy_morph,
 )
 from stressdraw.cli import METHODS, run
+from stressdraw.spread import _spreads
 
 
 @pytest.fixture
@@ -252,18 +252,25 @@ def test_kaleidoscope_svgs_reuse_the_sweep(tmp_path, monkeypatch):
     path = tmp_path / "g.json"
     save_graph(generate_planar(30, 84, 1), path)
     calls = Counter()
-    for name, fn in (("tutte", tutte), ("spread_pipeline", spread_pipeline)):
-        def counted(*a, _fn=fn, _name=name, **k):
-            calls[_name] += 1
-            return _fn(*a, **k)
+
+    def counted_tutte(*a, **k):
+        calls["tutte"] += 1
+        return tutte(*a, **k)
+
+    def counted_spreads(emb, poly, plans):
+        plans = list(plans)
+        calls["directions"] += len(plans)
+        return _spreads(emb, poly, plans)
+
+    for name, fn, wrapper in (("tutte", tutte, counted_tutte), ("_spreads", _spreads, counted_spreads)):
         for mod in [m for key, m in sys.modules.items() if key.startswith("stressdraw")]:
             if getattr(mod, name, None) is fn:
-                monkeypatch.setattr(mod, name, counted)
+                monkeypatch.setattr(mod, name, wrapper)
     assert run(["kaleidoscope", str(path), "--step", "15",
                 "--out-csv", str(tmp_path / "rows.csv"),
                 "--best-svg", str(tmp_path / "best.svg"),
                 "--worst-svg", str(tmp_path / "worst.svg")]) == 0
-    assert calls == {"tutte": 1, "spread_pipeline": 13}
+    assert calls == {"tutte": 1, "directions": 13}
 
 
 # each value is infinite or NaN; the expected exit code and error class

@@ -121,6 +121,27 @@ def test_three_connected_positive(k4, octahedron, two_ring_wheel):
     assert validate_three_connected(two_ring_wheel)
 
 
+def test_validate_searches_connectivity_once(monkeypatch):
+    """validate and the 3-connectivity test it runs share one search per
+    embedding; two disjoint tetrahedra keep the disconnected message."""
+    import collections
+
+    searches = []
+    monkeypatch.setattr(graph, "deque", lambda *a: searches.append(a) or collections.deque(*a))
+    emb = generate_planar(30, 70, seed=3)
+    searches.clear()
+    fresh = PlanarEmbedding(emb.n, emb.rotation, emb.outer_face)
+    validate(fresh)
+    assert validate_three_connected(fresh)
+    assert len(searches) == 1
+    tet = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
+    two = PlanarEmbedding(8, tet + tuple(tuple(w + 4 for w in r) for r in tet), (0, 2, 1))
+    with pytest.raises(InvalidEmbedding, match="^graph is disconnected$"):
+        validate(two)
+    assert not validate_three_connected(two)
+    assert len(searches) == 2
+
+
 def test_cycle_not_three_connected():
     n = 5
     rot = tuple(((v - 1) % n, (v + 1) % n) for v in range(n))

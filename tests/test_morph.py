@@ -106,12 +106,18 @@ def test_kaleidoscope_spreads_each_direction_once(monkeypatch, step, spreads):
     degree direction serves two rows and is spread once. Every row's
     drawing and ratio equal the xy-morph at its angle."""
     from stressdraw import morph
+    from stressdraw.spread import _spreads
 
     emb = generate_planar(14, 32, seed=31)
     poly = regular_polygon(emb.outer_face)
     calls = []
-    monkeypatch.setattr(morph, "spread_pipeline",
-                        lambda *a, **k: calls.append(a[2]) or spread_pipeline(*a, **k))
+
+    def counted(emb, poly, plans):
+        plans = list(plans)
+        calls.extend(-turn for _, _, turn in plans)  # a plan turns by -direction
+        return _spreads(emb, poly, plans)
+
+    monkeypatch.setattr(morph, "_spreads", counted)
     rows = kaleidoscope(emb, poly, step)
     assert len(calls) == len(set(calls)) == spreads
     ref = tutte(emb, poly)

@@ -10,6 +10,7 @@ from conftest import (
     dense_stress_positions,
     dict_polygon,
     dict_regular_polygon,
+    flip_edges,
     max_position_gap,
     scratch_factor,
     scratch_solve_stress,
@@ -23,20 +24,24 @@ from stressdraw import (
     PreconditionError,
     ResidualExceeded,
     SingularSystem,
+    StressDrawError,
     bfs_depths,
     depth_weights,
     edge_key,
     equilibrium_residual,
     generate_planar,
+    morph_weights,
     regular_polygon,
     schnyder_depths,
     solve_stress,
+    solve_stresses,
     spread_pipeline,
     tutte,
     uniform_pipeline,
     unit_weights,
     xy_morph,
 )
+from stressdraw import solver
 
 
 def test_regular_polygon_triangle():
@@ -360,3 +365,163 @@ def test_elimination_order_fills_no_more_than_colamd(n, m):
         return lu.L.nnz + lu.U.nnz
 
     assert fill(True) <= fill(False)
+
+
+# ---------------------------------------------------------------------------
+# batched solves
+# ---------------------------------------------------------------------------
+
+def _batch_graphs():
+    return [
+        generate_planar(40, 100, seed=81),
+        generate_planar(90, 264, seed=82),
+        flip_edges(generate_planar(60, 174, seed=83), 300, 83),
+        flip_edges(generate_planar(120, 354, seed=86), 300, 86),
+    ]
+
+
+def _stiff_weights(emb, decades, seed=0):
+    """Weights spread log-uniformly over 2 * decades decades: at 6 the
+    first solve misses the refinement target, at 10 the residual bound."""
+    return 10.0 ** np.random.default_rng(seed).uniform(-decades, decades, emb.m)
+
+
+def _weightings(emb, poly):
+    """Spread, morph and decay weights, and one weighting that needs
+    refinement passes."""
+    ref = tutte(emb, poly)
+    spreads = [spread_pipeline(emb, poly, math.radians(d), reference=ref).weights
+               for d in (0, 30, 90, 135)]
+    return (spreads + [morph_weights(spreads[0], spreads[2], t) for t in (0.25, 0.5)]
+            + [depth_weights(bfs_depths(emb), 1.0, r) for r in (2, 5, 16)]
+            + [_stiff_weights(emb, 6)])
+
+
+def _drain(drawings):
+    """The drawings an iterator yields before it raises, and the error."""
+    out = []
+    try:
+        for d in drawings:
+            out.append(d)
+    except StressDrawError as exc:
+        return out, exc
+    return out, None
+
+
+def _assert_same(got, want):
+    assert np.array_equal(got.positions, want.positions)
+    assert got.residual == want.residual
+
+
+@pytest.mark.parametrize("per", [None, 1, 2, 4])
+def test_batched_solves_match_solving_alone(monkeypatch, per):
+    """Every weighting solved in a batch gives its drawing alone, bit for
+    bit in positions and residual: in scipy-sized chunks and in chunks of
+    1, 2 and 4 weightings, which the ten weightings cross."""
+    for emb in _batch_graphs():
+        poly = regular_polygon(emb.outer_face)
+        ws = _weightings(emb, poly)
+        alone = [solve_stress(emb, w, poly) for w in ws]
+        if per is not None:
+            monkeypatch.setattr(solver, "BATCH_ROWS", per * len(emb._laplacian_pattern.interior))
+        got = list(solve_stresses(emb, ws, poly))
+        assert len(got) == len(ws)
+        for g, a in zip(got, alone):
+            _assert_same(g, a)
+
+
+def test_a_block_needing_refinement_leaves_the_others_alone(monkeypatch):
+    """A weighting that needs refinement passes shares a factorization
+    with weightings that need none; each comes out as it does alone."""
+    from scipy.sparse.linalg import splu
+
+    solves = []
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            solves.append(len(rhs))
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(solver, "splu", lambda *a, **k: Counted(splu(*a, **k)))
+    emb = generate_planar(90, 264, seed=82)
+    poly = regular_polygon(emb.outer_face)
+    easy, stiff = depth_weights(bfs_depths(emb), 1.0, 5.0), _stiff_weights(emb, 6)
+    alone, passes = [], []
+    for w in (easy, stiff):
+        solves.clear()
+        alone.append(solve_stress(emb, w, poly))
+        passes.append(len(solves))
+    assert passes[0] == 1 < passes[1]
+    solves.clear()
+    got = list(solve_stresses(emb, [easy, stiff, easy], poly))
+    assert len(solves) == passes[1]
+    for g, a in zip(got, [alone[0], alone[1], alone[0]]):
+        _assert_same(g, a)
+
+
+def _broken(emb, poly, kind):
+    if kind == "non-positive":
+        w = unit_weights(emb)
+        w[emb._laplacian_pattern.half[0]] = -1.0
+        return w
+    return _stiff_weights(emb, 10, seed=1)
+
+
+@pytest.mark.parametrize("kind", ["non-positive", "residual"])
+@pytest.mark.parametrize("j", [0, 1, 3, 5])
+def test_batch_raises_where_solving_one_by_one_would(monkeypatch, kind, j):
+    """The j-th weighting fails: the batch yields the first j drawings,
+    each as alone, then raises the error solving the j-th alone raises, in
+    class and message. Chunks of two weightings put j at either end of a
+    chunk."""
+    emb = generate_planar(40, 100, seed=81)
+    poly = regular_polygon(emb.outer_face)
+    good = _weightings(emb, poly)
+    bad = _broken(emb, poly, kind)
+    with pytest.raises(StressDrawError) as alone:
+        solve_stress(emb, bad, poly)
+    monkeypatch.setattr(solver, "BATCH_ROWS", 2 * len(emb._laplacian_pattern.interior))
+    got, error = _drain(solve_stresses(emb, good[:j] + [bad] + good[j:], poly))
+    assert len(got) == j
+    for g, w in zip(got, good):
+        _assert_same(g, solve_stress(emb, w, poly))
+    assert type(error) is type(alone.value)
+    assert str(error) == str(alone.value)
+
+
+def test_no_factorization_exceeds_the_batch_rows(monkeypatch):
+    """With k interior vertices, every splu call factors at most BATCH_ROWS
+    rows, max(1, BATCH_ROWS // k) weightings at a time."""
+    from scipy.sparse.linalg import splu
+
+    rows = []
+    monkeypatch.setattr(solver, "splu", lambda a, **k: rows.append(a.shape[0]) or splu(a, **k))
+    for emb in (generate_planar(40, 100, seed=81), generate_planar(700, 2000, seed=87)):
+        poly = regular_polygon(emb.outer_face)
+        k = len(emb._laplacian_pattern.interior)
+        per = max(1, solver.BATCH_ROWS // k)
+        rows.clear()
+        ws = [depth_weights(bfs_depths(emb), 1.0, r) for r in range(2, 14)]
+        assert len(list(solve_stresses(emb, ws, poly))) == 12
+        assert k <= solver.BATCH_ROWS and max(rows) <= solver.BATCH_ROWS
+        assert rows == [k * min(per, 12 - i) for i in range(0, 12, per)]
+
+
+def test_weightings_are_read_one_chunk_at_a_time():
+    emb = generate_planar(700, 2000, seed=87)
+    poly = regular_polygon(emb.outer_face)
+    per = max(1, solver.BATCH_ROWS // len(emb._laplacian_pattern.interior))
+    read = []
+
+    def weightings():
+        for r in range(2, 100):
+            read.append(r)
+            yield depth_weights(bfs_depths(emb), 1.0, r)
+
+    drawings = solve_stresses(emb, weightings(), poly)
+    assert read == []
+    next(drawings)
+    assert len(read) == per

@@ -275,3 +275,6 @@ def test_best_r_rejects_bad_range(octahedron):
         best_r(octahedron, poly, r_hi=1)
     with pytest.raises(BadParams):
         best_r(octahedron, poly, method="nope")
+    for r_hi in (2.5, "5", float("nan"), 4.0):
+        with pytest.raises(BadParams, match="r_hi must be an integer"):
+            best_r(octahedron, poly, "bfs", r_hi=r_hi)

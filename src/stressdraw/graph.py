@@ -155,7 +155,9 @@ class _LaplacianPattern(NamedTuple):
     order. Half-edge i leaves interior vertex tail[i] for vertex head[i],
     forward ones (edge_array column 0 to column 1) before backward ones; it
     carries the weight of edge half[i] into row[i], the row of tail[i].
-    Those in inner (interior head) fill an off-diagonal entry. With entry
+    Those in inner (interior head) fill an off-diagonal entry; those in
+    boundary (pinned head) are the only ones that pull while the interior
+    sits at 0, as it does for the right-hand side. With entry
     values listed as the off-diagonal ones of inner followed by the k row
     sums, the CSC matrix has data values[perm], row indices `indices` and
     column pointers `indptr`.
@@ -165,6 +167,7 @@ class _LaplacianPattern(NamedTuple):
     half: np.ndarray
     row: np.ndarray
     inner: np.ndarray
+    boundary: np.ndarray
     tail: np.ndarray
     head: np.ndarray
     perm: np.ndarray
@@ -208,8 +211,8 @@ def _build_laplacian_pattern(emb: PlanarEmbedding) -> _LaplacianPattern:
         interior = interior[np.argsort(place)]
         row, off_row, off_col = place[row], place[off_row], place[off_col]
     return _LaplacianPattern(
-        interior, np.tile(np.arange(len(edges)), 2)[live], row, inner, tail[live],
-        head[live], *_csc_layout(off_row, off_col, k),
+        interior, np.tile(np.arange(len(edges)), 2)[live], row, inner, np.flatnonzero(col < 0),
+        tail[live], head[live], *_csc_layout(off_row, off_col, k),
     )
 
 
@@ -358,7 +361,9 @@ def validate_three_connected(emb: PlanarEmbedding) -> bool:
     The rotation must traverse to a sphere embedding, and the answer comes
     from its faces in O(m) (see _faces_meet_properly). A connected rotation
     of minimum degree 3 that is not a sphere embedding raises, from
-    emb.faces, MalformedRotation or EulerViolation.
+    emb.faces, MalformedRotation or EulerViolation. A simple sphere
+    embedding with m = 3n - 6 edges has only triangular faces, and such a
+    triangulation with n >= 4 is 3-connected, so it skips the face test.
     """
     n = emb.n
     if n < 4:
@@ -367,7 +372,10 @@ def validate_three_connected(emb: PlanarEmbedding) -> bool:
         return False
     if not emb._connected:
         return False
-    return _faces_meet_properly([f.vertices for f in emb.faces])
+    faces = emb.faces  # raises unless the rotation is a simple sphere embedding
+    if emb.m == 3 * n - 6:
+        return True
+    return _faces_meet_properly([f.vertices for f in faces])
 
 
 def _faces_meet_properly(faces: Sequence[Sequence[int]]) -> bool:

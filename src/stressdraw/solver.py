@@ -234,8 +234,11 @@ def _solve_chunk(
     except RuntimeError as exc:
         raise SingularSystem(f"interior system could not be factorized: {exc}") from exc
     tol = RESIDUAL_RTOL * poly.radius
-    # the pull with the interior at 0 is the right-hand side
-    sol = lu.solve(_net_pull(w, pattern.tail, pattern.head, slot, b * k, positions))
+    # the pull with the interior at 0 is the right-hand side; only the
+    # half-edges to pinned vertices add to it (the rest add +0.0)
+    edge = pattern.boundary
+    rhs = _net_pull(w[:, edge], pattern.tail[edge], pattern.head[edge], slot[:, edge], b * k, positions)
+    sol = lu.solve(rhs)
     for passes in range(4):
         positions[:, pattern.interior] = sol.reshape(b, k, 2)
         gap = _net_pull(w, pattern.tail, pattern.head, slot, b * k, positions)

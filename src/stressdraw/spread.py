@@ -16,14 +16,18 @@ Every step works on numpy arrays over the embedding's edge array: the
 orientation is a pair of (m,) tail/head arrays aligned with emb.edges(),
 each BFS tree an (n,) parent array, and targets, path counts and weights
 come out as (n,), (m,) and (m,) arrays. Spreads of several directions of
-one reference, as the kaleidoscope and the xy-morph need, are weighted one
-by one and solved in one solve_stresses batch.
+one reference, as the kaleidoscope and the xy-morph need, are planned as
+one batch: each step runs once over (d, n) and (d, m) arrays, one row per
+direction, one breadth-first search grows all 2d trees, and one
+solve_stresses batch draws the weightings. st_orient, target_x,
+count_paths and spread_weights are the d = 1 case of that code.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -55,6 +59,18 @@ def _turn(xy: np.ndarray, angle: float) -> np.ndarray:
     return xy @ np.array([[c, s], [-s, c]])  # row vectors times turn
 
 
+def _flat(v: np.ndarray, n: int) -> np.ndarray:
+    """Row j's vertex v of the (d, k) array v as the index j*n + v into a
+    raveled (d, n) array."""
+    return v + n * np.arange(len(v))[:, None]
+
+
+def _first_true(failed: np.ndarray) -> int:
+    """The index of the first True in the (d,) bool array failed, or d: the
+    number of rows before the first that failed."""
+    return int(failed.argmax()) if failed.any() else len(failed)
+
+
 # ---------------------------------------------------------------------------
 # left-to-right orientation
 # ---------------------------------------------------------------------------
@@ -71,7 +87,14 @@ class StOrientation:
     entering each vertex. t1_parent holds every non-source vertex's tree
     predecessor (an in-neighbor), tn_parent every non-sink vertex's tree
     successor (an out-neighbor), both (n,) arrays with -1 at the root. BFS
-    ties are broken toward the lowest vertex id.
+    ties are broken toward the lowest vertex id. t1_sum sums out_deg over
+    each vertex's subtree of the source tree, tn_sum in_deg over its
+    subtree of the sink tree, (n,) arrays that count_paths reads.
+
+    The spread pipeline orients d directions as one batch: an
+    StOrientation whose fields carry a leading axis of length d, row j
+    holding direction j's arrays. source and sink belong to a single
+    orientation.
     """
 
     order: np.ndarray
@@ -83,6 +106,8 @@ class StOrientation:
     in_deg: np.ndarray
     t1_parent: np.ndarray
     tn_parent: np.ndarray
+    t1_sum: np.ndarray
+    tn_sum: np.ndarray
 
     @property
     def source(self) -> int:
@@ -93,32 +118,110 @@ class StOrientation:
         return int(self.order[-1])
 
 
-def _bfs_trees(
-    emb: PlanarEmbedding, rank: np.ndarray, out_deg: np.ndarray, in_deg: np.ndarray,
-    source: int, sink: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Parent arrays, -1 at the root, of the BFS along out-edges from the
-    source and along in-edges from the sink.
+_FIELDS = tuple(f.name for f in fields(StOrientation))
 
-    Both searches run as one: vertex v is node v along out-edges and node
-    n + v along in-edges, and node 2n leads to the source and to n + sink.
-    The two halves share no arc, so each keeps its own dequeue order.
-    Neighbors are listed in increasing id order, so the first dequeued
-    vertex, lowest id among equals, becomes the parent.
+
+def _take(o: StOrientation, key: int | slice | None) -> StOrientation:
+    """o with every field indexed by key along the leading axis: row j of a
+    batch, its leading rows, or (key None) a single orientation as a batch
+    of one."""
+    return StOrientation(*(getattr(o, name)[key] for name in _FIELDS))
+
+
+def _bfs_trees(
+    emb: PlanarEmbedding, order: np.ndarray, rank: np.ndarray, degree: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Parent arrays, -1 at the root, of the BFS along out-edges from the
+    source and along in-edges from the sink of every row of the (d, n)
+    order, and the out-degrees summed over each source-tree subtree and the
+    in-degrees over each sink-tree subtree, all (d, n) arrays. degree
+    lists the out-degree of every node of the search below: the rows'
+    out-degrees, then their in-degrees, then 2d.
+
+    All 2d searches run as one: in row j vertex v is node jn + v along
+    out-edges and node (d + j)n + v along in-edges, and node 2dn leads to
+    every row's source and sink. The trees share no arc, so each keeps its
+    own dequeue order. Neighbors are listed in increasing id order, so the
+    first dequeued vertex, lowest id among equals, becomes the parent.
     """
-    n = emb.n
-    frm, to = emb._arcs
-    out = rank[to] > rank[frm]
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate((out_deg, in_deg, [2])))), dtype=np.int32)
-    indices = np.concatenate((to[out], to[~out] + n, [source, n + sink]), dtype=np.int32)
-    arcs = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(2 * n + 1, 2 * n + 1))
+    d, n = order.shape
+    size = 2 * d * n
+    frm, to = emb._arcs  # sorted by from, then to
+    shift = n * np.arange(d)
+    ahead = (rank.take(to, axis=1) > rank.take(frm, axis=1)).ravel()
+    node = to + shift[:, None]
+    indices = np.concatenate((np.compress(ahead, node), np.compress(~ahead, node) + d * n,
+                              order[:, 0] + shift, order[:, -1] + (shift + d * n)), dtype=np.int32)
+    roots = indices[-2 * d:]
+    indptr = np.zeros(size + 2, dtype=np.int32)
+    indptr[1:] = degree.cumsum()
+    arcs = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(size + 1, size + 1))
     # every vertex is reached: walking in-edges back from it lowers the rank
     # until the source, the one vertex without one (out-edges to the sink alike)
-    _, parent = breadth_first_order(arcs, 2 * n, directed=True, return_predecessors=True)
-    parent = parent.astype(np.intp)
-    t1_parent, tn_parent = parent[:n], parent[n:2 * n] - n
-    t1_parent[source] = tn_parent[sink] = -1
-    return t1_parent, tn_parent
+    bfs, parent = breadth_first_order(arcs, size, directed=True, return_predecessors=True)
+    parent[size] = size  # node 2dn, first in bfs, stands in as its own parent
+    at = np.empty(size + 1, dtype=np.intp)
+    at[bfs] = np.arange(size + 1)
+    up = at[parent[bfs]]  # the BFS position of each position's parent: non-decreasing
+    below = degree[bfs]
+    # Bottom-up subtree sums, one vector step per tree level: no node in
+    # positions up[b - 1] + 1 .. b - 1 is the parent of another, because
+    # every parent sits before its children. The roots, at positions 1 to
+    # 2d, have only node 2dn above them.
+    b = size + 1
+    while b > 2 * d + 1:
+        a = int(up[b - 1]) + 1
+        np.add.at(below, up[a:b], below[a:b])
+        b = a
+    total = below[at[:size]].reshape(2, d, n)
+    # a parent is a node of the same n-node block
+    parent = np.remainder(parent[:size], n, dtype=np.intp)
+    parent[roots] = -1
+    parent = parent.reshape(2, d, n)
+    return parent[0], parent[1], total[0], total[1]
+
+
+def _st_orient(xs: np.ndarray, emb: PlanarEmbedding) -> tuple[StOrientation, StressDrawError | None]:
+    """st_orient of every row of the (d, n) array xs as one batch, up to
+    the first row whose order leaves a vertex other than the ends without
+    an incoming or an outgoing edge; with that row's NotStOrientation, or
+    None when every row is oriented."""
+    d, n = xs.shape
+    rows = np.arange(d)[:, None]
+    pinned = np.zeros((d, n), dtype=bool)
+    pinned[:, list(emb.outer_face)] = True
+    ring = np.flatnonzero(pinned[0])
+    ring = ring[np.argsort(xs.take(ring, axis=1), axis=1, kind="stable")]
+    px = xs[rows, ring]
+    fresh = np.ones(px.shape, dtype=bool)
+    fresh[:, 1:] = px[:, 1:] - px[:, :-1] > GENERAL_POSITION_RTOL * np.abs(px).max(axis=1, keepdims=True)
+    value = xs.copy()
+    # a chained pinned value takes the lowest of its chain: the last fresh one
+    value[rows, ring] = np.maximum.accumulate(np.where(fresh, px, -np.inf), axis=1)
+    order = np.lexsort((xs, ~pinned, value))  # stable: ids break what is left
+    rank = np.empty_like(order)
+    rank[rows, order] = np.arange(n)
+    lo, hi = emb.edge_array.T
+    forward = rank.take(lo, axis=1) < rank.take(hi, axis=1)
+    tail, head = np.where(forward, lo, hi), np.where(forward, hi, lo)
+    # out-degrees of every row, then in-degrees, then node 2dn's of _bfs_trees
+    degree = np.bincount(np.concatenate((_flat(tail, n), _flat(head, n) + d * n), axis=None),
+                         minlength=2 * d * n + 1)
+    degree[-1] = 2 * d
+    # the source has no in-edge and the sink no out-edge; a row is no
+    # st-order when another vertex lacks one too
+    lonely = degree[:-1].reshape(2, d, n) == 0
+    k, error = _first_true(lonely.sum(axis=(0, 2)) > 2), None
+    if k < d:
+        no_out, no_in = lonely[:, k]
+        no_in[order[k, 0]] = no_out[order[k, -1]] = False
+        v = int((no_in | no_out).argmax())
+        error = NotStOrientation(f"vertex {v} has no {'incoming' if no_in[v] else 'outgoing'} edge")
+        order, rank, pinned, tail, head = (a[:k] for a in (order, rank, pinned, tail, head))
+        degree = np.concatenate((degree[:-1].reshape(2, d, n)[:, :k], 2 * k), axis=None)
+    trees = _bfs_trees(emb, order, rank, degree)
+    out_deg, in_deg = degree[:-1].reshape(2, k, n)
+    return StOrientation(order, rank, pinned, tail, head, out_deg, in_deg, *trees), error
 
 
 def st_orient(x: np.ndarray, emb: PlanarEmbedding) -> StOrientation:
@@ -132,70 +235,72 @@ def st_orient(x: np.ndarray, emb: PlanarEmbedding) -> StOrientation:
     tied pinned ones. An order in which a vertex other than the ends lacks
     an incoming or an outgoing edge raises NotStOrientation.
     """
-    xs = np.asarray(x)
-    n = emb.n
-    pinned = np.zeros(n, dtype=bool)
-    pinned[list(emb.outer_face)] = True
-    ring = np.flatnonzero(pinned)
-    ring = ring[np.argsort(xs[ring], kind="stable")]
-    px = xs[ring]
-    fresh = np.concatenate(([True], np.diff(px) > GENERAL_POSITION_RTOL * np.abs(px).max()))
-    value = xs.copy()
-    value[ring] = px[fresh][np.cumsum(fresh) - 1]
-    order = np.lexsort((xs, ~pinned, value))  # stable: ids break what is left
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    lo, hi = emb.edge_array.T
-    forward = rank[lo] < rank[hi]
-    tail, head = np.where(forward, lo, hi), np.where(forward, hi, lo)
-    out_deg = np.bincount(tail, minlength=n)
-    in_deg = np.bincount(head, minlength=n)
-    source, sink = int(order[0]), int(order[-1])
-    no_in, no_out = in_deg == 0, out_deg == 0
-    no_in[source] = no_out[sink] = False
-    stuck = np.flatnonzero(no_in | no_out)
-    if stuck.size:
-        v = stuck[0]
-        raise NotStOrientation(
-            f"vertex {v} has no {'incoming' if no_in[v] else 'outgoing'} edge"
-        )
-    t1_parent, tn_parent = _bfs_trees(emb, rank, out_deg, in_deg, source, sink)
-    return StOrientation(order, rank, pinned, tail, head, out_deg, in_deg, t1_parent, tn_parent)
+    o, error = _st_orient(np.asarray(x)[None], emb)
+    if error is not None:
+        raise error
+    return _take(o, 0)
 
 
 # ---------------------------------------------------------------------------
 # targets, path counts, weights
 # ---------------------------------------------------------------------------
 
+_TARGET_ERRORS = (
+    "leftmost vertex is interior; drawing is not pinned-convex",
+    "pinned x-values are not increasing",
+    "rightmost vertex is interior; drawing is not pinned-convex",
+)
+
+
+def _target_x(
+    order: np.ndarray, xs: np.ndarray, pinned: Iterable[int],
+) -> tuple[np.ndarray, PreconditionError | None]:
+    """target_x for every row of the (d, n) order and x, as a (d, n) array,
+    up to the first row that target_x rejects; with that row's
+    PreconditionError, or None when every row has targets."""
+    d, n = order.shape
+    rows = np.arange(d)[:, None]
+    is_pinned = np.zeros(n, dtype=bool)
+    is_pinned[list(pinned)] = True
+    targets = np.where(is_pinned, xs, 0.0)
+    in_order = is_pinned[order]
+    c = np.count_nonzero(is_pinned)
+    at = np.nonzero(in_order)[1].reshape(d, c)  # positions of the pinned vertices in order
+    ends = targets[rows, order[rows, at]]
+    step = at[:, 1:] - at[:, :-1]  # one more than the interior vertices between
+    falling = ((step > 1) & ~(ends[:, 1:] > ends[:, :-1])).any(axis=1)
+    k, error = _first_true(~in_order[:, 0] | falling | ~in_order[:, -1]), None
+    if k < d:
+        which = 0 if not in_order[k, 0] else 1 if falling[k] else 2
+        error = PreconditionError(_TARGET_ERRORS[which])
+        rows, order, targets, in_order, at, ends = (
+            a[:k] for a in (rows, order, targets, in_order, at, ends))
+    inner = np.nonzero(~in_order)[1].reshape(k, n - c)
+    # the pinned vertex before each interior one, as an index into ends.ravel()
+    j = inner - np.arange(1, n - c + 1) + c * rows
+    ends, at = ends.ravel(), at.ravel()
+    a, lo, hi = at[j], ends[j], ends[j + 1]
+    targets[rows, order[rows, inner]] = lo + (inner - a) * (hi - lo) / (at[j + 1] - a)
+    return targets, error
+
+
 def target_x(o: StOrientation, x: np.ndarray, pinned: Iterable[int]) -> np.ndarray:
     """Target x for every vertex, an (n,) array: the pinned vertices keep
     their x, each maximal run of L interior vertices between consecutive
     pinned values a < b is spaced evenly at a + j*(b-a)/(L+1), j = 1..L."""
-    n = len(o.order)
-    corners = list(pinned)
-    targets = np.zeros(n)
-    targets[corners] = np.asarray(x)[corners]
-    is_pinned = np.zeros(n, dtype=bool)
-    is_pinned[corners] = True
-    in_order = is_pinned[o.order]
-    if not in_order[0]:
-        raise PreconditionError(
-            "leftmost vertex is interior; drawing is not pinned-convex"
-        )
-    at = np.flatnonzero(in_order)  # positions of the pinned vertices in order
-    ends = targets[o.order[at]]
-    run = np.diff(at) - 1  # interior vertices between consecutive pinned ones
-    if np.any((run > 0) & ~(ends[1:] > ends[:-1])):
-        raise PreconditionError("pinned x-values are not increasing")
-    if not in_order[-1]:
-        raise PreconditionError(
-            "rightmost vertex is interior; drawing is not pinned-convex"
-        )
-    inner = np.flatnonzero(~in_order)
-    k = np.searchsorted(at, inner) - 1  # the run each interior vertex is in
-    span = ends[1:] - ends[:-1]
-    targets[o.order[inner]] = ends[k] + (inner - at[k]) * span[k] / (run[k] + 1)
-    return targets
+    targets, error = _target_x(o.order[None], np.asarray(x)[None], pinned)
+    if error is not None:
+        raise error
+    return targets[0]
+
+
+def _count_paths(o: StOrientation) -> np.ndarray:
+    """count_paths of every row of a batch, a (d, m) array."""
+    t, h = o.tail, o.head
+    n = o.order.shape[1]
+    tf, hf = _flat(t, n), _flat(h, n)
+    return (1 + np.where(o.t1_parent.ravel()[hf] == t, o.t1_sum.ravel()[hf], 0)
+            + np.where(o.tn_parent.ravel()[tf] == h, o.tn_sum.ravel()[tf], 0))
 
 
 def count_paths(o: StOrientation) -> np.ndarray:
@@ -206,22 +311,30 @@ def count_paths(o: StOrientation) -> np.ndarray:
     source to a, crosses e, then walks the sink tree from b to the sink.
     The count for a directed edge (u, v) is 1 for its own path, plus, when
     (u, v) is a source-tree edge, the out-degrees summed over the subtree
-    below v, plus, when it is a sink-tree edge, the in-degrees summed over
-    the subtree below u. Both sums accumulate bottom-up in linear time;
-    they are integers, so the order of the additions cannot change them.
+    below v (o.t1_sum), plus, when it is a sink-tree edge, the in-degrees
+    summed over the subtree below u (o.tn_sum). st_orient sums both while
+    it grows the trees, bottom-up in one vector step per tree level.
     """
-    order = o.order.tolist()
-    # one spare slot at the end takes the roots' additions to parent -1
-    s1, sn = o.out_deg.tolist() + [0], o.in_deg.tolist() + [0]
-    up1, upn = o.t1_parent.tolist(), o.tn_parent.tolist()
-    # source-tree children have larger x than their parent, sink-tree ones smaller
-    for v, w in zip(reversed(order), order):
-        s1[up1[v]] += s1[v]
-        sn[upn[w]] += sn[w]
-    s1, sn = np.array(s1[:-1]), np.array(sn[:-1])
+    return _count_paths(_take(o, None))[0]
+
+
+def _spread_weights(
+    o: StOrientation, targets: np.ndarray, counts: np.ndarray,
+) -> tuple[np.ndarray, ZeroGap | None]:
+    """spread_weights of every row of a batch, as a (d, m) array, up to the
+    first row with a bad gap; with that row's ZeroGap, or None."""
     t, h = o.tail, o.head
-    return (1 + np.where(o.t1_parent[h] == t, s1[h], 0)
-            + np.where(o.tn_parent[t] == h, sn[t], 0))
+    n = targets.shape[1]
+    tf, hf = _flat(t, n), _flat(h, n)
+    gap = targets.ravel()[hf] - targets.ravel()[tf]
+    pinned = o.pinned.ravel()
+    tied = (gap == 0) & pinned[tf] & pinned[hf]
+    bad = (gap <= 0) & ~tied
+    k, error = _first_true(bad.any(axis=1)), None
+    if k < len(bad):
+        i = int(bad[k].argmax())
+        error = ZeroGap(f"edge ({t[k, i]}, {h[k, i]}) has non-positive target gap {float(gap[k, i])!r}")
+    return counts[:k] / np.where(tied[:k], 1.0, gap[:k]), error
 
 
 def spread_weights(
@@ -236,16 +349,10 @@ def spread_weights(
     its path count instead: the solve never reads it. Any other gap <= 0
     raises ZeroGap.
     """
-    targets = np.asarray(targets)
-    gap = targets[o.head] - targets[o.tail]
-    tied = (gap == 0) & o.pinned[o.tail] & o.pinned[o.head]
-    bad = np.flatnonzero((gap <= 0) & ~tied)
-    if bad.size:
-        i = bad[0]
-        raise ZeroGap(
-            f"edge ({o.tail[i]}, {o.head[i]}) has non-positive target gap {float(gap[i])!r}"
-        )
-    return counts / np.where(tied, 1.0, gap)
+    weights, error = _spread_weights(_take(o, None), np.asarray(targets)[None], np.asarray(counts)[None])
+    if error is not None:
+        raise error
+    return weights[0]
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +369,18 @@ class SpreadResult:
     orientation: StOrientation
 
 
+class _Plans(NamedTuple):
+    """The spread plans of d directions: their orientations as one batch,
+    (d, n) targets, and the turn that takes each drawing into its frame;
+    error is that of the plan after the last, None when every plan was
+    made."""
+
+    orientation: StOrientation
+    targets: np.ndarray
+    turns: list[float]
+    error: StressDrawError | None
+
+
 def _check_direction(direction: float) -> None:
     if not math.isfinite(direction):
         raise BadParams(f"direction must be finite, got {direction!r}")
@@ -269,44 +388,42 @@ def _check_direction(direction: float) -> None:
 
 def _direction_plans(
     emb: PlanarEmbedding, poly: OuterPolygon, reference: Drawing, directions: Iterable[float],
-) -> Iterator[tuple[StOrientation, np.ndarray, float]]:
-    """(orientation, targets, turn) for each direction: the reference's
-    positions turned by -direction, so the direction becomes the x-axis,
-    give the x-order (ties broken as in st_orient) and the pinned targets."""
-    for direction in directions:
-        x = _turn(reference.positions, -direction)[:, 0]
-        o = st_orient(x, emb)
-        yield o, target_x(o, x, poly.order), -direction
+) -> _Plans:
+    """The plan of each direction: the reference's positions turned by
+    -direction, so the direction becomes the x-axis, give the x-order
+    (ties broken as in st_orient) and the pinned targets. Planning stops at
+    the first direction that st_orient or target_x rejects, with its
+    error."""
+    turns = [-direction for direction in directions]
+    xs = np.array([_turn(reference.positions, turn)[:, 0] for turn in turns])
+    o, error = _st_orient(xs, emb)
+    k = len(o.order)
+    targets, rejected = _target_x(o.order, xs[:k], poly.order)
+    if rejected is not None:
+        k, error = len(targets), rejected
+        o = _take(o, slice(k))
+    return _Plans(o, targets, turns[:k], error)
 
 
-def _spreads(
-    emb: PlanarEmbedding,
-    poly: OuterPolygon,
-    plans: Iterable[tuple[StOrientation, np.ndarray, float]],
-) -> list[SpreadResult]:
-    """The spread of each plan (orientation, targets, turn), all solved in
-    one batch.
+def _spreads(emb: PlanarEmbedding, poly: OuterPolygon, plans: _Plans) -> list[SpreadResult]:
+    """The spread of each plan, all solved in one batch.
 
     Each plan's edges are weighted by path count / target gap, and one
     solve_stresses batch draws every weighting. Each drawing, turned by
     its plan's turn, must match its targets within TARGET_RTOL * radius; a
-    miss raises ResidualExceeded. Errors, those of reading the plans
-    included, come in plan order, as one whole spread after another would
-    raise them.
+    miss raises ResidualExceeded. Errors, the plans' own included, come in
+    plan order, as one whole spread after another would raise them.
     """
-    todo, error = [], None
-    try:
-        for o, targets, turn in plans:
-            todo.append((spread_weights(o, targets, count_paths(o)), o, targets, turn))
-    except StressDrawError as exc:  # raised after the plans before it are solved
-        error = exc
+    o, targets, turns, error = plans
+    weights, rejected = _spread_weights(o, targets, _count_paths(o))
     results = []
-    drawings = solve_stresses(emb, (weights for weights, *_ in todo), poly)
-    for (weights, o, targets, turn), drawing in zip(todo, drawings):
-        miss = float(np.abs(_turn(drawing.positions, turn)[:, 0] - targets).max())
+    for j, drawing in enumerate(solve_stresses(emb, weights, poly)):
+        miss = float(np.abs(_turn(drawing.positions, turns[j])[:, 0] - targets[j]).max())
         if not miss <= TARGET_RTOL * poly.radius:
             raise ResidualExceeded(f"drawing misses its targets by {miss:.3e}")
-        results.append(SpreadResult(weights, drawing, targets, o))
+        results.append(SpreadResult(weights[j], drawing, targets[j], _take(o, j)))
+    if rejected is not None:
+        raise rejected
     if error is not None:
         raise error
     return results

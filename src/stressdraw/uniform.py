@@ -21,7 +21,7 @@ from .errors import NoValidTopBottom, PreconditionError, StressDrawError
 from .graph import PlanarEmbedding
 from .metrics import _convex_ring_turn
 from .solver import Drawing, OuterPolygon, regular_polygon, tutte
-from .spread import StOrientation, _spreads, st_orient
+from .spread import StOrientation, _Plans, _spreads, _take, st_orient
 
 # steepest slope angle used by the caps around the leftmost/rightmost vertex
 CAP_ANGLE_DEG = 80.0
@@ -176,5 +176,5 @@ def uniform_pipeline(emb: PlanarEmbedding) -> UniformResult:
     o = st_orient(ref.positions[:, 0], emb)
     targets = o.rank + 1.0
     poly = convex_outer_placement(emb.outer_face, targets)
-    s = _spreads(emb, poly, [(o, targets, 0.0)])[0]
+    s = _spreads(emb, poly, _Plans(_take(o, None), targets[None], [0.0], None))[0]
     return UniformResult(s.weights, s.drawing, o, poly)

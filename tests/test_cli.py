@@ -258,8 +258,7 @@ def test_kaleidoscope_svgs_reuse_the_sweep(tmp_path, monkeypatch):
         return tutte(*a, **k)
 
     def counted_spreads(emb, poly, plans):
-        plans = list(plans)
-        calls["directions"] += len(plans)
+        calls["directions"] += len(plans.turns)
         return _spreads(emb, poly, plans)
 
     for name, fn, wrapper in (("tutte", tutte, counted_tutte), ("_spreads", _spreads, counted_spreads)):

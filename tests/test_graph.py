@@ -142,6 +142,27 @@ def test_validate_searches_connectivity_once(monkeypatch):
     assert len(searches) == 2
 
 
+def test_triangulations_skip_the_face_test(monkeypatch):
+    """A simple sphere embedding with m = 3n - 6 is a triangulation, hence
+    3-connected: the face test runs only on sparser graphs."""
+    tests = []
+    meet = graph._faces_meet_properly
+    cases = [generate_planar(n, 3 * n - 6, seed=n) for n in (4, 12, 40)]
+    cases += [worst_case_graph(k) for k in (2, 5, 30)]
+    sparse = generate_planar(20, 45, seed=7)
+    monkeypatch.setattr(graph, "_faces_meet_properly", lambda faces: tests.append(1) or meet(faces))
+    for emb in cases:
+        assert emb.m == 3 * emb.n - 6
+        assert validate_three_connected(PlanarEmbedding(emb.n, emb.rotation, emb.outer_face))
+    assert tests == []
+    assert validate_three_connected(PlanarEmbedding(sparse.n, sparse.rotation, sparse.outer_face))
+    assert tests == [1]
+    # the octahedron's edges under a rotation that is no sphere embedding
+    twisted = ((1, 3, 5, 2), (2, 4, 3, 0), (0, 5, 4, 1), (0, 5, 1, 4), (5, 3, 1, 2), (0, 3, 4, 2))
+    with pytest.raises(EulerViolation, match=r"^n=6 m=12 f=6 violates"):
+        validate_three_connected(PlanarEmbedding(6, twisted, (0, 2, 1)))
+
+
 def test_cycle_not_three_connected():
     n = 5
     rot = tuple(((v - 1) % n, (v + 1) % n) for v in range(n))

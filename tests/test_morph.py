@@ -113,8 +113,7 @@ def test_kaleidoscope_spreads_each_direction_once(monkeypatch, step, spreads):
     calls = []
 
     def counted(emb, poly, plans):
-        plans = list(plans)
-        calls.extend(-turn for _, _, turn in plans)  # a plan turns by -direction
+        calls.extend(-turn for turn in plans.turns)  # a plan turns by -direction
         return _spreads(emb, poly, plans)
 
     monkeypatch.setattr(morph, "_spreads", counted)
@@ -125,6 +124,23 @@ def test_kaleidoscope_spreads_each_direction_once(monkeypatch, step, spreads):
         _, d = xy_morph(emb, poly, math.radians(row.angle_degrees), reference=ref)
         assert np.array_equal(row.drawing.positions, d.positions)
         assert row.ratio == edge_length_ratio(d, emb)
+
+
+def test_sweeps_search_once(monkeypatch):
+    """One breadth-first search grows the trees of every direction of a
+    kaleidoscope, and of both directions of an xy-morph."""
+    from stressdraw import spread
+
+    searches = []
+    search = spread.breadth_first_order
+    monkeypatch.setattr(spread, "breadth_first_order",
+                        lambda *a, **k: searches.append(1) or search(*a, **k))
+    emb = generate_planar(14, 32, seed=31)
+    poly = regular_polygon(emb.outer_face)
+    kaleidoscope(emb, poly, 5.0)
+    assert len(searches) == 1
+    xy_morph(emb, poly, 0.3)
+    assert len(searches) == 2
 
 
 def test_kaleidoscope_appends_endpoint_when_step_misses(octahedron):

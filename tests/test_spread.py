@@ -12,6 +12,7 @@ from conftest import (
     dict_st_orient,
     dict_target_x,
     enumerate_canonical_paths,
+    flip_edges,
     scratch_solve_stress,
     turn,
 )
@@ -21,6 +22,7 @@ from stressdraw import (
     OuterPolygon,
     PlanarEmbedding,
     PreconditionError,
+    StressDrawError,
     ZeroGap,
     count_paths,
     crossing_count,
@@ -37,6 +39,17 @@ from stressdraw import (
     tutte,
     uniform_pipeline,
     worst_case_graph,
+)
+from stressdraw import spread
+from stressdraw.solver import Drawing
+from stressdraw.spread import (
+    _count_paths,
+    _direction_plans,
+    _spread_weights,
+    _spreads,
+    _st_orient,
+    _take,
+    _target_x,
 )
 
 TARGET_RTOL = 1e-6
@@ -401,6 +414,142 @@ def test_rejections_match_dict_oracle(case):
         with pytest.raises(error) as info:
             call()
         assert info.type is error
+
+
+# ---------------------------------------------------------------------------
+# batches: the directions of a sweep planned at once
+# ---------------------------------------------------------------------------
+
+SWEEP = [math.radians(5.0 * i) for i in range(37)]  # 0 to 180 degrees, as a 5-degree kaleidoscope
+
+BATCH_GRAPHS = {
+    "tri-30": lambda: generate_planar(30, 84, seed=1),
+    "planar-30-75": lambda: generate_planar(30, 75, seed=2),
+    "planar-40-80": lambda: generate_planar(40, 80, seed=4),
+    "flipped-30": lambda: flip_edges(generate_planar(30, 84, seed=5), 60, seed=5),
+    "nested-3": lambda: worst_case_graph(3),
+    "nested-10": lambda: worst_case_graph(10),
+    "nested-30": lambda: worst_case_graph(30),
+}
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("build", BATCH_GRAPHS.values(), ids=BATCH_GRAPHS.keys())
+def test_batched_plans_match_one_direction_at_a_time(build):
+    """Each row of a 37-direction batch, from the orientation and both BFS
+    trees to the targets, counts and weights, is bit for bit what the
+    single-direction functions give for that direction."""
+    emb = build()
+    if emb.m < 3 * emb.n - 6:
+        assert len(emb.outer_face) >= 4
+    poly = regular_polygon(emb.outer_face)
+    ref = tutte(emb, poly)
+    plans = _direction_plans(emb, poly, ref, SWEEP)
+    assert plans.error is None and plans.turns == [-d for d in SWEEP]
+    batch = plans.orientation
+    counts = _count_paths(batch)
+    weights, rejected = _spread_weights(batch, plans.targets, counts)
+    assert rejected is None
+    for j, direction in enumerate(SWEEP):
+        x = turn(ref.positions, -direction)[:, 0]
+        o = st_orient(x, emb)
+        row = _take(batch, j)
+        for name in ("order", "rank", "pinned", "tail", "head", "out_deg", "in_deg",
+                     "t1_parent", "tn_parent", "t1_sum", "tn_sum"):
+            assert _same_bits(getattr(row, name), getattr(o, name)), (direction, name)
+        targets, one_counts = target_x(o, x, poly.order), count_paths(o)
+        assert _same_bits(plans.targets[j], targets)
+        assert _same_bits(counts[j], one_counts)
+        assert _same_bits(weights[j], spread_weights(o, targets, one_counts))
+
+
+def test_sweep_stops_at_the_first_direction_that_fails(monkeypatch):
+    """worst_case_graph(31) has no st-order at 90 degrees: a sweep plans
+    and solves the directions before it, then raises st_orient's error."""
+    emb = worst_case_graph(31)
+    poly = regular_polygon(emb.outer_face)
+    ref = tutte(emb, poly)
+    with pytest.raises(NotStOrientation) as alone:
+        st_orient(turn(ref.positions, -math.pi / 2)[:, 0], emb)
+    sweep = [0.0, math.radians(45.0), math.pi / 2, math.radians(135.0)]
+    plans = _direction_plans(emb, poly, ref, sweep)
+    assert plans.turns == [-0.0, -math.radians(45.0)]
+    assert plans.orientation.order.shape == plans.targets.shape == (2, emb.n)
+    assert type(plans.error) is NotStOrientation and str(plans.error) == str(alone.value)
+    solved = []
+    solve = spread.solve_stresses
+    monkeypatch.setattr(spread, "solve_stresses", lambda *a: (solved.append(d) or d for d in solve(*a)))
+    with pytest.raises(NotStOrientation) as swept:
+        _spreads(emb, poly, plans)
+    assert str(swept.value) == str(alone.value)
+    assert len(solved) == 2
+    # with path vertex 1 pulled left, target_x rejects 0 degrees: that
+    # error, not the later direction's, ends the sweep
+    pulled = ref.positions.copy()
+    pulled[1, 0] -= 3.0
+    sweep = [math.radians(105.0), 0.0, math.pi / 2]
+    plans = _direction_plans(emb, poly, Drawing(pulled, poly, 0.0), sweep)
+    assert plans.turns == [-math.radians(105.0)]
+    assert type(plans.error) is PreconditionError
+    assert str(plans.error) == "leftmost vertex is interior; drawing is not pinned-convex"
+
+
+def _raised(call) -> tuple[type, str]:
+    with pytest.raises(StressDrawError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_batch_steps_stop_at_the_first_rejected_row():
+    """Each batched step keeps the rows before the first one it rejects and
+    returns that row's error, the one the single-direction function
+    raises, instead of raising it."""
+    good, bad = np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 1.0])
+    o, error = _st_orient(np.array([good, bad, good]), _PATH3)
+    assert o.order.tolist() == [[0, 1, 2]]
+    assert (type(error), str(error)) == _raised(lambda: st_orient(bad, _PATH3))
+
+    emb, poly, x = _path_graph()
+    o = st_orient(x, emb)
+    falling = x.copy()
+    falling[4] = -1.0
+    orders = np.array([o.order] * 3)
+    targets, error = _target_x(orders, np.array([x, x, falling]), poly.order)
+    assert _same_bits(targets, target_x(o, x, poly.order)[None].repeat(2, axis=0))
+    assert (type(error), str(error)) == _raised(lambda: target_x(o, falling, poly.order))
+
+    emb, poly, x = _house_graph()
+    o = st_orient(x, emb)
+    t, counts = target_x(o, x, poly.order), count_paths(o)
+    tied = np.array([0.0, 0.5, 0.5, 3.0])
+    batch = _take(_take(o, None), np.zeros(3, dtype=int))
+    weights, error = _spread_weights(batch, np.array([t, tied, t]), np.array([counts] * 3))
+    assert _same_bits(weights, spread_weights(o, t, counts)[None])
+    assert (type(error), str(error)) == _raised(lambda: spread_weights(o, tied, counts))
+
+
+def _depth(parent: np.ndarray) -> int:
+    """Most tree edges from any vertex up to the root."""
+    up, depth = parent.tolist(), 0
+    for v in range(len(up)):
+        steps = 0
+        while up[v] >= 0:
+            v, steps = up[v], steps + 1
+        depth = max(depth, steps)
+    return depth
+
+
+def test_counts_match_enumeration_on_a_deep_tree():
+    """At 90 degrees the sink tree of worst_case_graph(30) is 29 levels
+    deep: the bottom-up sums take one step per level."""
+    emb = worst_case_graph(30)
+    x = turn(tutte(emb, regular_polygon(emb.outer_face)).positions, -math.pi / 2)[:, 0]
+    o = st_orient(x, emb)
+    assert _depth(o.tn_parent) == 29
+    assert np.array_equal(count_paths(o), enumerate_canonical_paths(o))
 
 
 def test_array_results_compare_by_identity(octahedron):

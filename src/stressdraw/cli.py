@@ -34,11 +34,13 @@ from .uniform import uniform_pipeline
 
 
 def _write_text(path: str, text: str) -> None:
-    """Write through a sibling temp file and an atomic rename."""
+    """Write UTF-8 through a sibling temp file and an atomic rename. A file
+    name the locale could not decode, as a gallery row's graph name, goes
+    out as its own bytes."""
     target = os.path.abspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp.")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", errors="surrogateescape") as fh:
             fh.write(text)
         os.replace(tmp, target)
     except BaseException:

@@ -1,7 +1,8 @@
 """Per-edge interpolation between spread weightings, and the angle sweep.
 
 Both solve in batches (solve_stresses): the xy-morph its two spreads, the
-sweep every distinct direction's spread and then every row's blend.
+sweep every distinct direction's spread and then every row's blend. A
+direction that cannot be spread raises before any spread is solved.
 """
 from __future__ import annotations
 
@@ -71,7 +72,8 @@ def kaleidoscope(
     so directions meet across rows (0 + 90 is the 90-degree row's own
     direction); every distinct direction is spread once. The spreads, in
     the order the rows first use them, are solved in one batch, and the
-    rows' blends in another (solve_stresses).
+    rows' blends in another (solve_stresses). A direction that cannot be
+    spread raises before any spread is solved (spread_pipeline).
     """
     if not 0.0 < step_degrees <= 90.0:
         raise BadParams(f"step must lie in (0, 90], got {step_degrees}")

@@ -13,6 +13,7 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 from scipy.sparse import csc_matrix
@@ -23,7 +24,6 @@ from .errors import (
     PreconditionError,
     ResidualExceeded,
     SingularSystem,
-    StressDrawError,
 )
 from .graph import SPD_LU, PlanarEmbedding
 
@@ -117,7 +117,11 @@ def equilibrium_residual(
     """Max absolute per-coordinate imbalance over the vertices not pinned:
     the net pull sum_{v ~ u} w_uv (p_v - p_u) on each. Computed as
     solve_stresses computes it, so a drawing's residual field recomputes
-    bit for bit."""
+    bit for bit. Weights that are not m numbers raise NonPositiveWeight,
+    positions that are not n rows of two PreconditionError."""
+    _check_weight_count(emb, weights)
+    if np.shape(positions) != (emb.n, 2):
+        raise PreconditionError(f"positions need shape {(emb.n, 2)}, got {np.shape(positions)}")
     lo, hi = emb.edge_array.T
     tail, head = np.concatenate((lo, hi)), np.concatenate((hi, lo))
     w = np.tile(np.asarray(weights, dtype=float), 2)[None]
@@ -137,13 +141,17 @@ def _pinned(emb: PlanarEmbedding, poly: OuterPolygon) -> list[int]:
     return pinned
 
 
+def _check_weight_count(emb: PlanarEmbedding, weights: np.ndarray) -> None:
+    m = len(emb.edge_array)
+    if np.shape(weights) != (m,):
+        raise NonPositiveWeight(f"need {m} edge weights, got shape {np.shape(weights)}")
+
+
 def _row_weights(emb: PlanarEmbedding, weights: np.ndarray) -> np.ndarray:
     """The weight of every edge seen from each interior end, one entry per
     half-edge of the system pattern; NonPositiveWeight unless there are m
     weights and each of those is positive and finite."""
-    m = len(emb.edge_array)
-    if np.shape(weights) != (m,):
-        raise NonPositiveWeight(f"need {m} edge weights, got shape {np.shape(weights)}")
+    _check_weight_count(emb, weights)
     half = emb._laplacian_pattern.half
     w = np.asarray(weights, dtype=float)[half]
     bad = np.flatnonzero(~((w > 0) & np.isfinite(w)))
@@ -178,32 +186,19 @@ def solve_stresses(
     each drawing is bit for bit the one its weighting gives alone. A
     drawing over the bound raises ResidualExceeded.
 
-    Errors come in weighting order: the drawings before the first failing
-    weighting are yielded, then its error is raised. Weights that are not
-    m positive finite numbers raise NonPositiveWeight. One error breaks
-    that order: a pivot that is exactly zero raises SingularSystem for its
-    whole chunk. A polygon whose order does not list each outer-face vertex
-    exactly once, or whose positions are not one row of two per entry,
-    raises PreconditionError.
+    An error ends the batch after the drawings of the earlier chunks. A
+    chunk's weightings are all checked before it is factored: weights that
+    are not m positive finite numbers raise NonPositiveWeight, a pivot that
+    is exactly zero raises SingularSystem. Only ResidualExceeded comes
+    after the drawings of its own chunk before it. A polygon whose order
+    does not list each outer-face vertex exactly once, or whose positions
+    are not one row of two per entry, raises PreconditionError.
     """
     pinned = _pinned(emb, poly)
     per = max(1, BATCH_ROWS // max(len(emb._laplacian_pattern.interior), 1))
     todo = iter(weightings)
-    while True:
-        chunk, error = [], None
-        try:
-            for weights in todo:
-                chunk.append(_row_weights(emb, weights))
-                if len(chunk) == per:
-                    break
-        except StressDrawError as exc:  # raised after the drawings before it
-            error = exc
-        if chunk:
-            yield from _solve_chunk(emb, np.array(chunk), poly, pinned)
-        if error is not None:
-            raise error
-        if len(chunk) < per:
-            return
+    while chunk := [_row_weights(emb, w) for w in islice(todo, per)]:
+        yield from _solve_chunk(emb, np.array(chunk), poly, pinned)
 
 
 def _solve_chunk(

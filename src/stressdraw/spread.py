@@ -20,7 +20,10 @@ one reference, as the kaleidoscope and the xy-morph need, are planned as
 one batch: each step runs once over (d, n) and (d, m) arrays, one row per
 direction, one breadth-first search grows all 2d trees, and one
 solve_stresses batch draws the weightings. st_orient, target_x,
-count_paths and spread_weights are the d = 1 case of that code.
+count_paths and spread_weights are the d = 1 case of that code. Each step
+checks every row before it returns and raises, for the first row it
+rejects, the error the single-direction function raises; so a batch that
+cannot plan a direction raises before it solves any.
 """
 from __future__ import annotations
 
@@ -38,7 +41,6 @@ from .errors import (
     NotStOrientation,
     PreconditionError,
     ResidualExceeded,
-    StressDrawError,
     ZeroGap,
 )
 from .graph import PlanarEmbedding
@@ -63,12 +65,6 @@ def _flat(v: np.ndarray, n: int) -> np.ndarray:
     """Row j's vertex v of the (d, k) array v as the index j*n + v into a
     raveled (d, n) array."""
     return v + n * np.arange(len(v))[:, None]
-
-
-def _first_true(failed: np.ndarray) -> int:
-    """The index of the first True in the (d,) bool array failed, or d: the
-    number of rows before the first that failed."""
-    return int(failed.argmax()) if failed.any() else len(failed)
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +117,9 @@ class StOrientation:
 _FIELDS = tuple(f.name for f in fields(StOrientation))
 
 
-def _take(o: StOrientation, key: int | slice | None) -> StOrientation:
+def _take(o: StOrientation, key: int | None) -> StOrientation:
     """o with every field indexed by key along the leading axis: row j of a
-    batch, its leading rows, or (key None) a single orientation as a batch
-    of one."""
+    batch, or (key None) a single orientation as a batch of one."""
     return StOrientation(*(getattr(o, name)[key] for name in _FIELDS))
 
 
@@ -181,11 +176,9 @@ def _bfs_trees(
     return parent[0], parent[1], total[0], total[1]
 
 
-def _st_orient(xs: np.ndarray, emb: PlanarEmbedding) -> tuple[StOrientation, StressDrawError | None]:
-    """st_orient of every row of the (d, n) array xs as one batch, up to
-    the first row whose order leaves a vertex other than the ends without
-    an incoming or an outgoing edge; with that row's NotStOrientation, or
-    None when every row is oriented."""
+def _st_orient(xs: np.ndarray, emb: PlanarEmbedding) -> StOrientation:
+    """st_orient of every row of the (d, n) array xs as one batch; the
+    first row that st_orient rejects raises its NotStOrientation."""
     d, n = xs.shape
     rows = np.arange(d)[:, None]
     pinned = np.zeros((d, n), dtype=bool)
@@ -211,17 +204,16 @@ def _st_orient(xs: np.ndarray, emb: PlanarEmbedding) -> tuple[StOrientation, Str
     # the source has no in-edge and the sink no out-edge; a row is no
     # st-order when another vertex lacks one too
     lonely = degree[:-1].reshape(2, d, n) == 0
-    k, error = _first_true(lonely.sum(axis=(0, 2)) > 2), None
-    if k < d:
+    bad = lonely.sum(axis=(0, 2)) > 2
+    if bad.any():
+        k = bad.argmax()
         no_out, no_in = lonely[:, k]
         no_in[order[k, 0]] = no_out[order[k, -1]] = False
         v = int((no_in | no_out).argmax())
-        error = NotStOrientation(f"vertex {v} has no {'incoming' if no_in[v] else 'outgoing'} edge")
-        order, rank, pinned, tail, head = (a[:k] for a in (order, rank, pinned, tail, head))
-        degree = np.concatenate((degree[:-1].reshape(2, d, n)[:, :k], 2 * k), axis=None)
+        raise NotStOrientation(f"vertex {v} has no {'incoming' if no_in[v] else 'outgoing'} edge")
     trees = _bfs_trees(emb, order, rank, degree)
-    out_deg, in_deg = degree[:-1].reshape(2, k, n)
-    return StOrientation(order, rank, pinned, tail, head, out_deg, in_deg, *trees), error
+    out_deg, in_deg = degree[:-1].reshape(2, d, n)
+    return StOrientation(order, rank, pinned, tail, head, out_deg, in_deg, *trees)
 
 
 def st_orient(x: np.ndarray, emb: PlanarEmbedding) -> StOrientation:
@@ -235,10 +227,7 @@ def st_orient(x: np.ndarray, emb: PlanarEmbedding) -> StOrientation:
     tied pinned ones. An order in which a vertex other than the ends lacks
     an incoming or an outgoing edge raises NotStOrientation.
     """
-    o, error = _st_orient(np.asarray(x)[None], emb)
-    if error is not None:
-        raise error
-    return _take(o, 0)
+    return _take(_st_orient(np.asarray(x)[None], emb), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +241,9 @@ _TARGET_ERRORS = (
 )
 
 
-def _target_x(
-    order: np.ndarray, xs: np.ndarray, pinned: Iterable[int],
-) -> tuple[np.ndarray, PreconditionError | None]:
-    """target_x for every row of the (d, n) order and x, as a (d, n) array,
-    up to the first row that target_x rejects; with that row's
-    PreconditionError, or None when every row has targets."""
+def _target_x(order: np.ndarray, xs: np.ndarray, pinned: Iterable[int]) -> np.ndarray:
+    """target_x for every row of the (d, n) order and x, as a (d, n) array;
+    the first row that target_x rejects raises its PreconditionError."""
     d, n = order.shape
     rows = np.arange(d)[:, None]
     is_pinned = np.zeros(n, dtype=bool)
@@ -269,29 +255,24 @@ def _target_x(
     ends = targets[rows, order[rows, at]]
     step = at[:, 1:] - at[:, :-1]  # one more than the interior vertices between
     falling = ((step > 1) & ~(ends[:, 1:] > ends[:, :-1])).any(axis=1)
-    k, error = _first_true(~in_order[:, 0] | falling | ~in_order[:, -1]), None
-    if k < d:
-        which = 0 if not in_order[k, 0] else 1 if falling[k] else 2
-        error = PreconditionError(_TARGET_ERRORS[which])
-        rows, order, targets, in_order, at, ends = (
-            a[:k] for a in (rows, order, targets, in_order, at, ends))
-    inner = np.nonzero(~in_order)[1].reshape(k, n - c)
+    bad = ~in_order[:, 0] | falling | ~in_order[:, -1]
+    if bad.any():
+        k = bad.argmax()
+        raise PreconditionError(_TARGET_ERRORS[0 if not in_order[k, 0] else 1 if falling[k] else 2])
+    inner = np.nonzero(~in_order)[1].reshape(d, n - c)
     # the pinned vertex before each interior one, as an index into ends.ravel()
     j = inner - np.arange(1, n - c + 1) + c * rows
     ends, at = ends.ravel(), at.ravel()
     a, lo, hi = at[j], ends[j], ends[j + 1]
     targets[rows, order[rows, inner]] = lo + (inner - a) * (hi - lo) / (at[j + 1] - a)
-    return targets, error
+    return targets
 
 
 def target_x(o: StOrientation, x: np.ndarray, pinned: Iterable[int]) -> np.ndarray:
     """Target x for every vertex, an (n,) array: the pinned vertices keep
     their x, each maximal run of L interior vertices between consecutive
     pinned values a < b is spaced evenly at a + j*(b-a)/(L+1), j = 1..L."""
-    targets, error = _target_x(o.order[None], np.asarray(x)[None], pinned)
-    if error is not None:
-        raise error
-    return targets[0]
+    return _target_x(o.order[None], np.asarray(x)[None], pinned)[0]
 
 
 def _count_paths(o: StOrientation) -> np.ndarray:
@@ -318,11 +299,9 @@ def count_paths(o: StOrientation) -> np.ndarray:
     return _count_paths(_take(o, None))[0]
 
 
-def _spread_weights(
-    o: StOrientation, targets: np.ndarray, counts: np.ndarray,
-) -> tuple[np.ndarray, ZeroGap | None]:
-    """spread_weights of every row of a batch, as a (d, m) array, up to the
-    first row with a bad gap; with that row's ZeroGap, or None."""
+def _spread_weights(o: StOrientation, targets: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """spread_weights of every row of a batch, as a (d, m) array; the first
+    row with a bad gap raises its ZeroGap."""
     t, h = o.tail, o.head
     n = targets.shape[1]
     tf, hf = _flat(t, n), _flat(h, n)
@@ -330,11 +309,10 @@ def _spread_weights(
     pinned = o.pinned.ravel()
     tied = (gap == 0) & pinned[tf] & pinned[hf]
     bad = (gap <= 0) & ~tied
-    k, error = _first_true(bad.any(axis=1)), None
-    if k < len(bad):
-        i = int(bad[k].argmax())
-        error = ZeroGap(f"edge ({t[k, i]}, {h[k, i]}) has non-positive target gap {float(gap[k, i])!r}")
-    return counts[:k] / np.where(tied[:k], 1.0, gap[:k]), error
+    if bad.any():
+        k, i = np.argwhere(bad)[0]
+        raise ZeroGap(f"edge ({t[k, i]}, {h[k, i]}) has non-positive target gap {float(gap[k, i])!r}")
+    return counts / np.where(tied, 1.0, gap)
 
 
 def spread_weights(
@@ -349,10 +327,7 @@ def spread_weights(
     its path count instead: the solve never reads it. Any other gap <= 0
     raises ZeroGap.
     """
-    weights, error = _spread_weights(_take(o, None), np.asarray(targets)[None], np.asarray(counts)[None])
-    if error is not None:
-        raise error
-    return weights[0]
+    return _spread_weights(_take(o, None), np.asarray(targets)[None], np.asarray(counts)[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +346,11 @@ class SpreadResult:
 
 class _Plans(NamedTuple):
     """The spread plans of d directions: their orientations as one batch,
-    (d, n) targets, and the turn that takes each drawing into its frame;
-    error is that of the plan after the last, None when every plan was
-    made."""
+    (d, n) targets, and the turn that takes each drawing into its frame."""
 
     orientation: StOrientation
     targets: np.ndarray
     turns: list[float]
-    error: StressDrawError | None
 
 
 def _check_direction(direction: float) -> None:
@@ -391,41 +363,32 @@ def _direction_plans(
 ) -> _Plans:
     """The plan of each direction: the reference's positions turned by
     -direction, so the direction becomes the x-axis, give the x-order
-    (ties broken as in st_orient) and the pinned targets. Planning stops at
-    the first direction that st_orient or target_x rejects, with its
-    error."""
+    (ties broken as in st_orient) and the pinned targets. Each step raises
+    for the first direction it rejects: st_orient's error for any
+    direction before target_x's."""
     turns = [-direction for direction in directions]
     xs = np.array([_turn(reference.positions, turn)[:, 0] for turn in turns])
-    o, error = _st_orient(xs, emb)
-    k = len(o.order)
-    targets, rejected = _target_x(o.order, xs[:k], poly.order)
-    if rejected is not None:
-        k, error = len(targets), rejected
-        o = _take(o, slice(k))
-    return _Plans(o, targets, turns[:k], error)
+    o = _st_orient(xs, emb)
+    return _Plans(o, _target_x(o.order, xs, poly.order), turns)
 
 
 def _spreads(emb: PlanarEmbedding, poly: OuterPolygon, plans: _Plans) -> list[SpreadResult]:
     """The spread of each plan, all solved in one batch.
 
     Each plan's edges are weighted by path count / target gap, and one
-    solve_stresses batch draws every weighting. Each drawing, turned by
-    its plan's turn, must match its targets within TARGET_RTOL * radius; a
-    miss raises ResidualExceeded. Errors, the plans' own included, come in
-    plan order, as one whole spread after another would raise them.
+    solve_stresses batch draws every weighting. Every gap is checked
+    before anything is solved: the first plan with a bad one raises its
+    ZeroGap. Each drawing, turned by its plan's turn, must match its
+    targets within TARGET_RTOL * radius; a miss raises ResidualExceeded.
     """
-    o, targets, turns, error = plans
-    weights, rejected = _spread_weights(o, targets, _count_paths(o))
+    o, targets, turns = plans
+    weights = _spread_weights(o, targets, _count_paths(o))
     results = []
     for j, drawing in enumerate(solve_stresses(emb, weights, poly)):
         miss = float(np.abs(_turn(drawing.positions, turns[j])[:, 0] - targets[j]).max())
         if not miss <= TARGET_RTOL * poly.radius:
             raise ResidualExceeded(f"drawing misses its targets by {miss:.3e}")
         results.append(SpreadResult(weights[j], drawing, targets[j], _take(o, j)))
-    if rejected is not None:
-        raise rejected
-    if error is not None:
-        raise error
     return results
 
 
@@ -444,7 +407,10 @@ def spread_pipeline(
     same way, must match the targets within TARGET_RTOL * radius; a miss
     raises ResidualExceeded. The kaleidoscope and the xy-morph spread many
     directions of one reference in one batch; each gets the result this
-    function gives for it alone.
+    function gives for it alone. A batch in which some direction cannot be
+    planned raises, before it solves any, the error this function raises
+    for one such direction: the first that st_orient rejects, else the
+    first that target_x rejects, else the first with a bad gap.
     """
     _check_direction(direction)
     ref = reference if reference is not None else tutte(emb, poly)

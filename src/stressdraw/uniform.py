@@ -176,5 +176,5 @@ def uniform_pipeline(emb: PlanarEmbedding) -> UniformResult:
     o = st_orient(ref.positions[:, 0], emb)
     targets = o.rank + 1.0
     poly = convex_outer_placement(emb.outer_face, targets)
-    s = _spreads(emb, poly, _Plans(_take(o, None), targets[None], [0.0], None))[0]
+    s = _spreads(emb, poly, _Plans(_take(o, None), targets[None], [0.0]))[0]
     return UniformResult(s.weights, s.drawing, o, poly)

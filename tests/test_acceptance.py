@@ -222,7 +222,7 @@ def test_criterion_08_angle_sweep_cli(tmp_path, capsys):
         assert run(["kaleidoscope", str(graph), "--step", "5",
                     "--out-csv", str(csv_path),
                     "--best-svg", str(best), "--worst-svg", str(worst)]) == 0
-        lines = csv_path.read_text().strip().split("\n")
+        lines = csv_path.read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == "angle_degrees,edge_length_ratio"
         rows = [line.split(",") for line in lines[1:]]
         assert [float(a) for a, _ in rows] == [5.0 * i for i in range(19)]

@@ -1,13 +1,18 @@
-"""End-to-end command behavior, run in process."""
+"""End-to-end command behavior, run in process, and in a child process
+where the locale matters."""
 from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import stressdraw
 from stressdraw import (
     best_row,
     edge_length_ratio,
@@ -97,7 +102,7 @@ def test_draw_tutte_writes_svg(graph_path, capsys):
     assert "all_faces_convex=true" in out
     svg = graph_path.with_name("g.tutte.svg")
     assert svg.exists()
-    text = svg.read_text()
+    text = svg.read_text(encoding="utf-8")
     assert text.startswith("<svg")
     assert text.rstrip().endswith("</svg>")
     assert text.count("<line") == 27
@@ -109,12 +114,12 @@ def test_draw_metrics_and_coords(graph_path, tmp_path):
     cpath = tmp_path / "c.json"
     assert run(["draw", str(graph_path), "--method", "xspread",
                 "--out-metrics", str(mpath), "--out-coords", str(cpath)]) == 0
-    metrics = json.loads(mpath.read_text())
+    metrics = json.loads(mpath.read_text(encoding="utf-8"))
     assert set(metrics) == {"edge_length_ratio", "crossing_count",
                             "all_faces_convex"}
     assert metrics["crossing_count"] == 0
     assert metrics["all_faces_convex"] is True
-    coords = json.loads(cpath.read_text())
+    coords = json.loads(cpath.read_text(encoding="utf-8"))
     assert sorted(coords) == sorted(str(v) for v in range(12))
     for xy in coords.values():
         assert len(xy) == 2
@@ -127,7 +132,7 @@ def test_draw_xymorph_options(graph_path, tmp_path, capsys):
                 "--angle", "30", "--t", "0.25",
                 "--out-metrics", str(mpath)]) == 0
     assert "method=xymorph" in capsys.readouterr().out
-    assert json.loads(mpath.read_text())["crossing_count"] == 0
+    assert json.loads(mpath.read_text(encoding="utf-8"))["crossing_count"] == 0
 
 
 def test_draw_bfs_best_r(tri_path, capsys):
@@ -150,7 +155,7 @@ def test_draw_uniform_coords_are_integers(graph_path, tmp_path):
     cpath = tmp_path / "c.json"
     assert run(["draw", str(graph_path), "--method", "uniform",
                 "--out-coords", str(cpath)]) == 0
-    coords = json.loads(cpath.read_text())
+    coords = json.loads(cpath.read_text(encoding="utf-8"))
     xs = sorted(xy[0] for xy in coords.values())
     for i, x in enumerate(xs, start=1):
         assert abs(x - i) < 1e-6 * len(xs)
@@ -167,7 +172,7 @@ def test_draw_every_method_planar_convex(tri_path, tmp_path, method):
     assert run(["draw", str(tri_path), "--method", method,
                 "--out-svg", str(tmp_path / "d.svg"),
                 "--out-metrics", str(mpath)]) == 0
-    metrics = json.loads(mpath.read_text())
+    metrics = json.loads(mpath.read_text(encoding="utf-8"))
     assert metrics["crossing_count"] == 0
     assert metrics["all_faces_convex"] is True
 
@@ -177,7 +182,7 @@ def test_draw_non_integer_vertex_id_exits_2(tmp_path, capsys):
     bad.write_text(json.dumps({
         "n": 4, "rotation": [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]],
         "outer_face": [0, "x", 1],
-    }))
+    }), encoding="utf-8")
     assert run(["draw", str(bad), "--method", "tutte"]) == 2
     assert "InvalidEmbedding" in capsys.readouterr().err
 
@@ -202,7 +207,7 @@ def test_gallery_records_malformed_files_and_continues(graph_path, tmp_path, cap
         paths[-1].write_bytes(data)
     out_dir = tmp_path / "gal"
     assert run(["gallery", *map(str, paths), str(graph_path), "--out-dir", str(out_dir)]) == 0
-    summary = (out_dir / "summary.csv").read_text().strip().split("\n")
+    summary = (out_dir / "summary.csv").read_text(encoding="utf-8").strip().split("\n")
     rows = {line.split(",")[0]: line.split(",") for line in summary[1:]}
     for name in MALFORMED_FILES:
         assert rows[name][1] == "FAILED:InvalidEmbedding"
@@ -224,7 +229,7 @@ def test_kaleidoscope_csv_and_svgs(graph_path, tmp_path, capsys):
                 "--best-svg", str(best), "--worst-svg", str(worst)]) == 0
     out = capsys.readouterr().out
     assert "rows=19" in out
-    lines = csv_path.read_text().strip().split("\n")
+    lines = csv_path.read_text(encoding="utf-8").strip().split("\n")
     assert lines[0] == "angle_degrees,edge_length_ratio"
     assert len(lines) == 20
     angles = [float(l.split(",")[0]) for l in lines[1:]]
@@ -243,7 +248,7 @@ def test_kaleidoscope_best_svg_is_xy_morph_at_best_angle(graph_path, tmp_path):
     poly = regular_polygon(emb.outer_face)
     angle = best_row(kaleidoscope(emb, poly, 15.0)).angle_degrees
     _, drawing = xy_morph(emb, poly, math.radians(angle))
-    assert best.read_text() == render_svg(drawing, emb)
+    assert best.read_text(encoding="utf-8") == render_svg(drawing, emb)
 
 
 def test_kaleidoscope_svgs_reuse_the_sweep(tmp_path, monkeypatch):
@@ -300,7 +305,7 @@ def test_draw_at_extreme_radius(graph_path, tmp_path, capsys, radius):
     assert run(["draw", str(graph_path), "--method", "tutte", "--radius", radius,
                 "--out-svg", str(out)]) == 0
     assert "crossing_count=0 all_faces_convex=true" in capsys.readouterr().out
-    assert out.read_text().count("<circle") == 12
+    assert out.read_text(encoding="utf-8").count("<circle") == 12
 
 
 def test_kaleidoscope_deterministic(graph_path, tmp_path):
@@ -327,7 +332,7 @@ def test_gallery_summary_and_failure_row(graph_path, tri_path, tmp_path, capsys)
     assert rc == 0
     captured = capsys.readouterr()
     assert "failed" in captured.err
-    summary = (out_dir / "summary.csv").read_text().strip().split("\n")
+    summary = (out_dir / "summary.csv").read_text(encoding="utf-8").strip().split("\n")
     assert summary[0] == "graph,tutte,x_spread,y_spread,xy_morph,bfs_spread,bfs_r"
     assert len(summary) == 4
     rows = {line.split(",")[0]: line.split(",") for line in summary[1:]}
@@ -343,10 +348,28 @@ def test_gallery_summary_and_failure_row(graph_path, tri_path, tmp_path, capsys)
             assert (out_dir / f"{name}.{label}.svg").exists()
 
 
+def test_gallery_writes_a_non_ascii_name_under_the_c_locale(graph_path, tmp_path):
+    """Under the C locale the default encoding is ASCII: the summary and
+    its graph name are still written, as UTF-8."""
+    src = tmp_path / "größe.json"
+    src.write_bytes(graph_path.read_bytes())
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    package_root = str(Path(stressdraw.__file__).resolve().parents[1])
+    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-m", "stressdraw.cli", "gallery", str(src), "--out-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    summary = (tmp_path / "out" / "summary.csv").read_text(encoding="utf-8").split("\n")
+    assert summary[1].startswith("größe,")
+
+
 def test_gallery_xy_morph_cell_matches_library(graph_path, tmp_path):
     out_dir = tmp_path / "gal"
     assert run(["gallery", str(graph_path), "--out-dir", str(out_dir)]) == 0
-    header, row = (out_dir / "summary.csv").read_text().strip().split("\n")
+    header, row = (out_dir / "summary.csv").read_text(encoding="utf-8").strip().split("\n")
     cell = row.split(",")[header.split(",").index("xy_morph")]
     emb = load_graph(graph_path)
     _, drawing = xy_morph(emb, regular_polygon(emb.outer_face), 0.0)

@@ -472,13 +472,13 @@ def test_json_roundtrip(octahedron, tmp_path):
 
 def test_load_rejects_malformed(tmp_path):
     p = tmp_path / "bad.json"
-    p.write_text("not json at all")
+    p.write_text("not json at all", encoding="utf-8")
     with pytest.raises(InvalidEmbedding):
         load_graph(p)
-    p.write_text(json.dumps([1, 2, 3]))
+    p.write_text(json.dumps([1, 2, 3]), encoding="utf-8")
     with pytest.raises(InvalidEmbedding):
         load_graph(p)
-    p.write_text(json.dumps({"n": 3, "rotation": "nope", "outer_face": [0, 1, 2]}))
+    p.write_text(json.dumps({"n": 3, "rotation": "nope", "outer_face": [0, 1, 2]}), encoding="utf-8")
     with pytest.raises(InvalidEmbedding):
         load_graph(p)
 

@@ -164,6 +164,26 @@ def test_residual_matches_vertex_loop(two_ring_wheel):
     assert abs(got - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("shape", [(11,), (12, 1), (2, 12), ()])
+def test_residual_rejects_a_weight_count_that_is_not_m(octahedron, shape):
+    """Weights of any shape but (m,) raise solve_stresses' NonPositiveWeight."""
+    poly = regular_polygon(octahedron.outer_face)
+    pos = tutte(octahedron, poly).positions
+    w = np.ones(shape)
+    with pytest.raises(NonPositiveWeight) as alone:
+        solve_stress(octahedron, w, poly)
+    with pytest.raises(NonPositiveWeight) as info:
+        equilibrium_residual(octahedron, w, pos, poly.order)
+    assert str(info.value) == str(alone.value) == f"need 12 edge weights, got shape {shape}"
+
+
+@pytest.mark.parametrize("shape", [(5, 2), (6, 3), (6,), (12,), (1, 6, 2)])
+def test_residual_rejects_positions_that_are_not_n_rows_of_two(octahedron, shape):
+    poly = regular_polygon(octahedron.outer_face)
+    with pytest.raises(PreconditionError, match=r"positions need shape \(6, 2\)"):
+        equilibrium_residual(octahedron, unit_weights(octahedron), np.zeros(shape), poly.order)
+
+
 def test_scale_equivariance(octahedron):
     """Scaling every weight by the same constant leaves positions fixed."""
     poly = regular_polygon(octahedron.outer_face)
@@ -473,10 +493,12 @@ def _broken(emb, poly, kind):
 @pytest.mark.parametrize("kind", ["non-positive", "residual"])
 @pytest.mark.parametrize("j", [0, 1, 3, 5])
 def test_batch_raises_where_solving_one_by_one_would(monkeypatch, kind, j):
-    """The j-th weighting fails: the batch yields the first j drawings,
-    each as alone, then raises the error solving the j-th alone raises, in
-    class and message. Chunks of two weightings put j at either end of a
-    chunk."""
+    """The j-th weighting fails, and the batch raises the error solving it
+    alone raises, in class and message. A bad weight is rejected before
+    its chunk is factored, so the batch yields only the drawings of the
+    chunks before; a residual over the bound is found after the solve, so
+    it yields the first j drawings. Either way each drawing is as alone.
+    Chunks of two weightings put j at either end of a chunk."""
     emb = generate_planar(40, 100, seed=81)
     poly = regular_polygon(emb.outer_face)
     good = _weightings(emb, poly)
@@ -485,7 +507,7 @@ def test_batch_raises_where_solving_one_by_one_would(monkeypatch, kind, j):
         solve_stress(emb, bad, poly)
     monkeypatch.setattr(solver, "BATCH_ROWS", 2 * len(emb._laplacian_pattern.interior))
     got, error = _drain(solve_stresses(emb, good[:j] + [bad] + good[j:], poly))
-    assert len(got) == j
+    assert len(got) == (j - j % 2 if kind == "non-positive" else j)
     for g, w in zip(got, good):
         _assert_same(g, solve_stress(emb, w, poly))
     assert type(error) is type(alone.value)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -448,11 +449,10 @@ def test_batched_plans_match_one_direction_at_a_time(build):
     poly = regular_polygon(emb.outer_face)
     ref = tutte(emb, poly)
     plans = _direction_plans(emb, poly, ref, SWEEP)
-    assert plans.error is None and plans.turns == [-d for d in SWEEP]
+    assert plans.turns == [-d for d in SWEEP]
     batch = plans.orientation
     counts = _count_paths(batch)
-    weights, rejected = _spread_weights(batch, plans.targets, counts)
-    assert rejected is None
+    weights = _spread_weights(batch, plans.targets, counts)
     for j, direction in enumerate(SWEEP):
         x = turn(ref.positions, -direction)[:, 0]
         o = st_orient(x, emb)
@@ -466,69 +466,63 @@ def test_batched_plans_match_one_direction_at_a_time(build):
         assert _same_bits(weights[j], spread_weights(o, targets, one_counts))
 
 
-def test_sweep_stops_at_the_first_direction_that_fails(monkeypatch):
-    """worst_case_graph(31) has no st-order at 90 degrees: a sweep plans
-    and solves the directions before it, then raises st_orient's error."""
-    emb = worst_case_graph(31)
-    poly = regular_polygon(emb.outer_face)
-    ref = tutte(emb, poly)
-    with pytest.raises(NotStOrientation) as alone:
-        st_orient(turn(ref.positions, -math.pi / 2)[:, 0], emb)
-    sweep = [0.0, math.radians(45.0), math.pi / 2, math.radians(135.0)]
-    plans = _direction_plans(emb, poly, ref, sweep)
-    assert plans.turns == [-0.0, -math.radians(45.0)]
-    assert plans.orientation.order.shape == plans.targets.shape == (2, emb.n)
-    assert type(plans.error) is NotStOrientation and str(plans.error) == str(alone.value)
-    solved = []
-    solve = spread.solve_stresses
-    monkeypatch.setattr(spread, "solve_stresses", lambda *a: (solved.append(d) or d for d in solve(*a)))
-    with pytest.raises(NotStOrientation) as swept:
-        _spreads(emb, poly, plans)
-    assert str(swept.value) == str(alone.value)
-    assert len(solved) == 2
-    # with path vertex 1 pulled left, target_x rejects 0 degrees: that
-    # error, not the later direction's, ends the sweep
-    pulled = ref.positions.copy()
-    pulled[1, 0] -= 3.0
-    sweep = [math.radians(105.0), 0.0, math.pi / 2]
-    plans = _direction_plans(emb, poly, Drawing(pulled, poly, 0.0), sweep)
-    assert plans.turns == [-math.radians(105.0)]
-    assert type(plans.error) is PreconditionError
-    assert str(plans.error) == "leftmost vertex is interior; drawing is not pinned-convex"
-
-
 def _raised(call) -> tuple[type, str]:
     with pytest.raises(StressDrawError) as info:
         call()
     return type(info.value), str(info.value)
 
 
-def test_batch_steps_stop_at_the_first_rejected_row():
-    """Each batched step keeps the rows before the first one it rejects and
-    returns that row's error, the one the single-direction function
-    raises, instead of raising it."""
-    good, bad = np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 1.0])
-    o, error = _st_orient(np.array([good, bad, good]), _PATH3)
-    assert o.order.tolist() == [[0, 1, 2]]
-    assert (type(error), str(error)) == _raised(lambda: st_orient(bad, _PATH3))
+def test_sweep_raises_before_it_solves_a_direction(monkeypatch):
+    """worst_case_graph(31) has no st-order at 90 degrees: a sweep through
+    it raises st_orient's error for that direction and solves none."""
+    emb = worst_case_graph(31)
+    poly = regular_polygon(emb.outer_face)
+    ref = tutte(emb, poly)
+    alone = _raised(lambda: st_orient(turn(ref.positions, -math.pi / 2)[:, 0], emb))
+    assert alone[0] is NotStOrientation
+    solved = []
+    solve = spread.solve_stresses
+    monkeypatch.setattr(spread, "solve_stresses", lambda *a: (solved.append(d) or d for d in solve(*a)))
+    sweep = [0.0, math.radians(45.0), math.pi / 2, math.radians(135.0)]
+    assert _raised(lambda: _spreads(emb, poly, _direction_plans(emb, poly, ref, sweep))) == alone
+    assert solved == []
+    # with path vertex 1 pulled left, target_x rejects 0 degrees, but
+    # st_orient rejects 90 degrees: orientation errors come first
+    pulled = ref.positions.copy()
+    pulled[1, 0] -= 3.0
+    pulled = Drawing(pulled, poly, 0.0)
+    assert _raised(lambda: _direction_plans(emb, poly, pulled, [0.0])) == (
+        PreconditionError, "leftmost vertex is interior; drawing is not pinned-convex")
+    assert _raised(lambda: _direction_plans(emb, poly, pulled, [math.radians(105.0), 0.0, math.pi / 2])) == alone
+
+
+def test_batch_steps_raise_the_first_rejected_rows_error():
+    """Each batched step raises, for the first row it rejects, the error
+    the single-direction function raises for that row, in class and
+    message."""
+    good, bad, worse = np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 1.0]), np.array([1.0, 0.0, 0.5])
+    alone = _raised(lambda: st_orient(bad, _PATH3))
+    assert alone != _raised(lambda: st_orient(worse, _PATH3))
+    assert _raised(lambda: _st_orient(np.array([good, bad, worse]), _PATH3)) == alone
 
     emb, poly, x = _path_graph()
     o = st_orient(x, emb)
     falling = x.copy()
     falling[4] = -1.0
-    orders = np.array([o.order] * 3)
-    targets, error = _target_x(orders, np.array([x, x, falling]), poly.order)
-    assert _same_bits(targets, target_x(o, x, poly.order)[None].repeat(2, axis=0))
-    assert (type(error), str(error)) == _raised(lambda: target_x(o, falling, poly.order))
+    left = replace(o, order=np.array([1, 0, 2, 3, 4]))  # interior vertex 1 first
+    alone = _raised(lambda: target_x(o, falling, poly.order))
+    assert alone != _raised(lambda: target_x(left, x, poly.order))
+    orders = np.array([o.order, o.order, left.order])
+    assert _raised(lambda: _target_x(orders, np.array([x, falling, x]), poly.order)) == alone
 
     emb, poly, x = _house_graph()
     o = st_orient(x, emb)
     t, counts = target_x(o, x, poly.order), count_paths(o)
-    tied = np.array([0.0, 0.5, 0.5, 3.0])
-    batch = _take(_take(o, None), np.zeros(3, dtype=int))
-    weights, error = _spread_weights(batch, np.array([t, tied, t]), np.array([counts] * 3))
-    assert _same_bits(weights, spread_weights(o, t, counts)[None])
-    assert (type(error), str(error)) == _raised(lambda: spread_weights(o, tied, counts))
+    tied, back = np.array([0.0, 0.5, 0.5, 3.0]), np.array([0.0, 2.0, 1.0, 3.0])
+    alone = _raised(lambda: spread_weights(o, tied, counts))
+    assert alone != _raised(lambda: spread_weights(o, back, counts))
+    batch = _st_orient(np.array([x] * 3), emb)
+    assert _raised(lambda: _spread_weights(batch, np.array([t, tied, back]), np.array([counts] * 3))) == alone
 
 
 def _depth(parent: np.ndarray) -> int:

@@ -274,16 +274,15 @@ def _build_face_index(emb: PlanarEmbedding) -> _FaceIndex:
 
 
 def _cycle_key(seq: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical form of a cyclic sequence, invariant to rotation and reflection."""
-    best: tuple[int, ...] | None = None
-    forward = list(seq)
-    for cand in (forward, forward[::-1]):
-        for i in range(len(cand)):
-            rot = tuple(cand[i:] + cand[:i])
-            if best is None or rot < best:
-                best = rot
-    assert best is not None
-    return best
+    """Canonical form of a cyclic sequence, invariant to rotation and
+    reflection: its least rotation read either way, tried only from the
+    occurrences of the least element, where it starts, so O(len) for
+    distinct elements. The empty sequence keys to (), which matches no face."""
+    seq = tuple(seq)
+    low = min(seq, default=None)
+    return min(
+        (c[i:] + c[:i] for c in (seq, seq[::-1]) for i, v in enumerate(c) if v == low), default=()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +358,19 @@ def validate_three_connected(emb: PlanarEmbedding) -> bool:
     Requires n >= 4; a triangle counts as not 3-connected even though the
     rest of the package tolerates it as the degenerate no-interior case.
     The rotation must traverse to a sphere embedding, and the answer comes
-    from its faces in O(m) (see _faces_meet_properly). A connected rotation
-    of minimum degree 3 that is not a sphere embedding raises, from
-    emb.faces, MalformedRotation or EulerViolation. A simple sphere
+    from its faces in O(m) (see _faces_meet_properly). A rotation of
+    minimum degree 3 that is malformed raises MalformedRotation before the
+    connectivity search reads it; a connected one that is not a sphere
+    embedding raises EulerViolation from emb.faces. A simple sphere
     embedding with m = 3n - 6 edges has only triangular faces, and such a
     triangulation with n >= 4 is 3-connected, so it skips the face test.
     """
     n = emb.n
     if n < 4:
         return False
-    if min(map(len, emb.rotation)) < 3:
+    if min(map(len, emb.rotation), default=0) < 3:
         return False
+    emb._rotation_index  # raises on a malformed rotation before the search reads it
     if not emb._connected:
         return False
     faces = emb.faces  # raises unless the rotation is a simple sphere embedding
@@ -620,11 +621,8 @@ def generate_planar(
         rotation=tuple(tuple(r) for r in rot),
         outer_face=(),
     )
-    longest = max(len(f) for f in emb.faces)
-    outer = min(
-        (f.vertices for f in emb.faces if len(f) == longest),
-        key=_cycle_key,
-    )
+    longest = max(map(len, emb.faces))
+    outer = min((f.vertices for f in emb.faces if len(f) == longest), key=_cycle_key)
     emb = _with_outer_face(emb, outer)
     validate(emb)
     return emb

@@ -146,19 +146,19 @@ def _certified_planar(pts: np.ndarray, emb: PlanarEmbedding) -> bool:
 def _convex_ring_turn(ring: np.ndarray) -> int:
     """1 or -1, the exact turn sign of every corner, when the (k, 2) points
     of a closed ring, in order, form a strictly convex polygon that winds
-    once (counterclockwise 1, clockwise -1); else 0."""
+    once (counterclockwise 1, clockwise -1); else 0. With every corner
+    turning one way, each edge turns by less than pi from the last, so the
+    non-zero signs of the edges' y-steps change twice per winding; a float
+    difference has the sign of the exact one, so the count is exact too."""
     prv = np.concatenate((ring[-1:], ring[:-1]))
     nxt = np.concatenate((ring[1:], ring[:1]))
     turns = _orientation(prv, ring, nxt)
     if turns[0] == 0 or (turns != turns[0]).any():
         return 0
-    step, prev = nxt - ring, ring - prv
-    turning = np.arctan2(
-        prev[:, 0] * step[:, 1] - prev[:, 1] * step[:, 0], (prev * step).sum(axis=1)
-    ).sum()
-    if abs(turning) > 3.0 * np.pi:  # 2*pi per winding
-        return 0
-    return int(turns[0])
+    dy = nxt[:, 1] - ring[:, 1]
+    up = dy[dy != 0] > 0
+    changes = np.count_nonzero(up[1:] != up[:-1]) + (up[0] != up[-1])
+    return int(turns[0]) if changes == 2 else 0
 
 
 def faces_convex(d, emb: PlanarEmbedding) -> bool:

@@ -7,8 +7,9 @@ chain) are horizontal, and the remaining edges fan around the leftmost and
 rightmost vertices with steep, strictly monotone slopes. Interior vertices
 then land on their indices through the usual path-count weighting. The
 st-indices are read straight off the orientation as the (n,) array
-rank + 1, and the constructed polygon is checked with the same exact
-orientation signs and winding test that certify a drawing crossing-free.
+rank + 1. The polygon takes time linear in the outer face's length, and
+it is checked with the same exact orientation signs and winding test that
+certify a drawing crossing-free.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoValidTopBottom, PreconditionError, StressDrawError
-from .graph import PlanarEmbedding
+from .graph import PlanarEmbedding, edge_key
 from .metrics import _convex_ring_turn
 from .solver import Drawing, OuterPolygon, regular_polygon, tutte
 from .spread import StOrientation, _Plans, _spreads, _take, st_orient
@@ -31,16 +32,6 @@ CAP_ANGLE_DEG = 80.0
 # outer polygon with prescribed x-coordinates
 # ---------------------------------------------------------------------------
 
-def _arc(cyc: tuple[int, ...], start: int, stop: int) -> list[int]:
-    """Vertices of cyc from position start to position stop, inclusive."""
-    out = [cyc[start]]
-    i = start
-    while i != stop:
-        i = (i + 1) % len(cyc)
-        out.append(cyc[i])
-    return out
-
-
 def convex_outer_placement(outer: tuple[int, ...], x: np.ndarray) -> OuterPolygon:
     """Strictly convex polygon whose vertex v sits at x[v], for an (n,)
     array x indexed by vertex id, such as an orientation's rank + 1.
@@ -51,58 +42,59 @@ def convex_outer_placement(outer: tuple[int, ...], x: np.ndarray) -> OuterPolygo
     rightmost. Everything left of them winds around the leftmost vertex
     with slope angles evenly spaced up to +-80 degrees, mirrored on the
     right, and the right cap's y-values get an increasing linear remap so
-    both designated edges come out level. The finished polygon must pass
-    the exact strict-convexity ring test of the crossing certificate, or
+    both designated edges come out level. A cycle that repeats a vertex,
+    or an x missing or not finite at an outer vertex, raises
+    PreconditionError. The finished polygon must pass the exact
+    strict-convexity ring test of the crossing certificate, or
     StressDrawError is raised.
     """
     k = len(outer)
     if k < 3:
         raise PreconditionError("outer cycle needs at least 3 vertices")
-    xs = {v: float(x[v]) for v in outer}
-    li = min(range(k), key=lambda i: xs[outer[i]])
-    ri = max(range(k), key=lambda i: xs[outer[i]])
-    left, right = outer[li], outer[ri]
+    if len(set(outer)) != k:
+        raise PreconditionError(f"outer cycle {list(outer)!r} repeats a vertex")
+    for v in (min(outer), max(outer)):
+        if not 0 <= v < len(x):
+            raise PreconditionError(f"x has {len(x)} entries, none for outer vertex {v}")
+    # x-coordinates and, below, y-coordinates by position on the cycle
+    xs = [float(x[v]) for v in outer]
+    for v, xv in zip(outer, xs):
+        if not math.isfinite(xv):
+            raise PreconditionError(f"outer vertex {v} has non-finite x {xv!r}")
+    li, ri = xs.index(min(xs)), xs.index(max(xs))
+    y = [0.0] * k
 
     if k == 3:
-        apex = next(v for v in outer if v not in (left, right))
-        y = {left: 0.0, right: 0.0, apex: (xs[right] - xs[left]) / 2.0}
+        y[-li - ri] = (xs[ri] - xs[li]) / 2.0  # the apex: its position is 3 - li - ri
         return _convex_polygon(outer, xs, y)
 
-    chain1 = _arc(outer, li, ri)
-    chain2 = _arc(outer, ri, li)[::-1]
+    # positions of the two chains from the leftmost to the rightmost vertex
+    p, q = (ri - li) % k, (li - ri) % k
+    chain1 = [(li + t) % k for t in range(p + 1)]
+    chain2 = [(li - t) % k for t in range(q + 1)]
     for chain in (chain1, chain2):
-        for a, b in zip(chain, chain[1:]):
-            if xs[b] <= xs[a]:
-                raise PreconditionError(
-                    "outer chain x-coordinates must increase strictly; "
-                    "x does not come from a convex-position drawing"
-                )
-    p = len(chain1) - 1
-    q = len(chain2) - 1
-
-    # designated horizontal edges: edge j of chain1, edge i of chain2,
-    # excluding the two corner pairs; balance the caps, break ties by ids
-    pick: tuple[tuple, int, int] | None = None
-    for j in range(p):
-        for i in range(q):
-            k_left = j + i
-            k_right = (p - 1 - j) + (q - 1 - i)
-            if k_left < 1 or k_right < 1:
-                continue
-            key = (
-                -min(k_left, k_right),
-                tuple(sorted((chain1[j], chain1[j + 1]))),
-                tuple(sorted((chain2[i], chain2[i + 1]))),
+        if any(xs[b] <= xs[a] for a, b in zip(chain, chain[1:])):
+            raise PreconditionError(
+                "outer chain x-coordinates must increase strictly; "
+                "x does not come from a convex-position drawing"
             )
-            if pick is None or key < pick[0]:
-                pick = (key, j, i)
-    if pick is None:
+
+    # designated horizontal edges: edge j of chain1, edge i of chain2. The
+    # caps get j + i and s - j - i steep edges, s = p + q - 2, at least one
+    # each. Only j + i in {s // 2, s - s // 2} balances them best: O(p)
+    # pairs, compared by their edges' sorted ids (ends[a] for the edge from
+    # position a to a + 1)
+    s = p + q - 2
+    if s < 2:
         raise NoValidTopBottom(
             f"no valid horizontal edge pair on chains of {p} and {q} edges"
         )
-    _, j, i = pick
+    ends = [edge_key(u, v) for u, v in zip(outer, outer[1:] + outer[:1])]
+    j, i = min(
+        ((j, t - j) for j in range(p) for t in range(s // 2, s - s // 2 + 1) if 0 <= t - j < q),
+        key=lambda ji: (ends[chain1[ji[0]]], ends[chain2[ji[1] + 1]]),
+    )
 
-    y: dict[int, float] = {left: 0.0}
     for t in range(j):
         ang = math.radians(CAP_ANGLE_DEG * (j - t) / j)
         a, b = chain1[t], chain1[t + 1]
@@ -113,7 +105,7 @@ def convex_outer_placement(outer: tuple[int, ...], x: np.ndarray) -> OuterPolygo
         y[b] = y[a] + math.tan(ang) * (xs[b] - xs[a])
 
     # right cap against a provisional baseline y(rightmost) = 0
-    base: dict[int, float] = {right: 0.0}
+    base = [0.0] * k
     for t in range(p - 1, j, -1):
         ang = math.radians(-CAP_ANGLE_DEG * (t - j) / (p - 1 - j))
         a, b = chain1[t], chain1[t + 1]
@@ -131,17 +123,17 @@ def convex_outer_placement(outer: tuple[int, ...], x: np.ndarray) -> OuterPolygo
     beta = y[chain1[j]] - alpha * base[chain1[j + 1]]
     if not alpha > 0:
         raise StressDrawError(f"right-chain remap scale must be positive, got {alpha!r}")
-    for v, val in base.items():
-        y[v] = alpha * val + beta
+    for a in chain1[j + 1:] + chain2[i + 1:]:
+        y[a] = alpha * base[a] + beta
     y[chain1[j + 1]] = y[chain1[j]]
     y[chain2[i + 1]] = y[chain2[i]]
 
     return _convex_polygon(outer, xs, y)
 
 
-def _convex_polygon(outer: tuple[int, ...], xs: dict[int, float], y: dict[int, float]) -> OuterPolygon:
-    """The polygon at (xs[v], y[v]) in the order of outer, checked strictly convex."""
-    poly = OuterPolygon(tuple(outer), np.array([(xs[v], y[v]) for v in outer]))
+def _convex_polygon(outer: tuple[int, ...], xs: list[float], y: list[float]) -> OuterPolygon:
+    """The polygon at (xs[i], y[i]) for position i of outer, checked strictly convex."""
+    poly = OuterPolygon(tuple(outer), np.array(list(zip(xs, y))))
     if not _convex_ring_turn(poly.positions):
         raise StressDrawError("constructed outer polygon is not strictly convex")
     return poly

@@ -6,9 +6,11 @@ linear algebra) so the faster implementations in the package are checked
 against something honest. The dict-based spread construction, the
 quadratic Schnyder peel with its dict-based wood and depths, the uncached
 solve, the per-call face walks of the drawing checks, the line-by-line
-SVG writer, the dict-form outer polygon with its float convexity loop and
-the queue BFS are kept as differential oracles for their replacements,
-which must agree with them to the last bit.
+SVG writer, the dict-form outer polygon with its float convexity loop,
+the queue BFS, and the quadratic outer-face forms (the all-rotations cycle
+key, the pair-scan placement and the arctan2 winding sum) are kept as
+differential oracles for their replacements, which must agree with them to
+the last bit.
 """
 from __future__ import annotations
 
@@ -26,9 +28,11 @@ from scipy.sparse.linalg import splu
 
 from stressdraw import (
     InputError,
+    NoValidTopBottom,
     NotStOrientation,
     PlanarEmbedding,
     PreconditionError,
+    StressDrawError,
     ZeroGap,
     edge_key,
     generate_planar,
@@ -619,16 +623,8 @@ def scratch_certified_planar(pts: np.ndarray, emb: PlanarEmbedding) -> bool:
     face_of = np.repeat(np.arange(len(faces)), lengths)
     if lengths.min() < 3 or np.unique(face_of * emb.n + flat).size != flat.size:
         return False
-    ring = np.array(faces[outer].vertices)
-    turns = _orientation(pts[np.roll(ring, 1)], pts[ring], pts[np.roll(ring, -1)])
-    if turns[0] == 0 or (turns != turns[0]).any():
-        return False
-    step = pts[np.roll(ring, -1)] - pts[ring]
-    prev = np.roll(step, 1, axis=0)
-    turning = np.arctan2(
-        prev[:, 0] * step[:, 1] - prev[:, 1] * step[:, 0], (prev * step).sum(axis=1)
-    ).sum()
-    if abs(turning) > 3.0 * np.pi:
+    turn = arctan2_ring_turn(pts[np.array(faces[outer].vertices)])
+    if turn == 0:
         return False
     starts = np.cumsum(lengths) - lengths
     corner = np.arange(len(flat)) - starts[face_of]
@@ -636,7 +632,7 @@ def scratch_certified_planar(pts: np.ndarray, emb: PlanarEmbedding) -> bool:
         (corner >= 1) & (corner <= lengths[face_of] - 2) & (face_of != outer)
     )
     fans = _orientation(pts[flat[starts[face_of[mid]]]], pts[flat[mid]], pts[flat[mid + 1]])
-    return bool((fans == -turns[0]).all())
+    return bool((fans == -turn).all())
 
 
 def scratch_faces_convex(d: Drawing, emb: PlanarEmbedding) -> bool:
@@ -761,3 +757,136 @@ def deque_bfs_depths(emb: PlanarEmbedding) -> np.ndarray:
     level = deque_bfs_levels(emb)
     levels = np.array([level[v] for v in range(emb.n)])
     return levels[emb.edge_array].min(axis=1) + 1
+
+
+def wheel(k: int) -> PlanarEmbedding:
+    """W_k: rim vertices 0..k-1, rim i with rotation (i+1, k, i-1) mod k,
+    around the hub k with rotation (0..k-1). The rim is the outer face."""
+    rim = tuple(((i + 1) % k, k, (i - 1) % k) for i in range(k))
+    return PlanarEmbedding(k + 1, rim + (tuple(range(k)),), tuple(range(k)))
+
+
+# ---------------------------------------------------------------------------
+# the outer-face forms before the linear ones: the cycle key from all 2L
+# rotations, the placement scanning every horizontal edge pair into dicts,
+# and the winding test summing arctan2 turning angles
+# ---------------------------------------------------------------------------
+
+def rotations_cycle_key(seq: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The least of all rotations of seq, read either way; None when empty."""
+    best = None
+    forward = list(seq)
+    for cand in (forward, forward[::-1]):
+        for i in range(len(cand)):
+            rot = tuple(cand[i:] + cand[:i])
+            if best is None or rot < best:
+                best = rot
+    return best
+
+
+def arctan2_ring_turn(ring: np.ndarray) -> int:
+    """metrics._convex_ring_turn deciding winding from the float sum of the
+    corners' turning angles: more than 3 pi counts as winding twice."""
+    prv = np.concatenate((ring[-1:], ring[:-1]))
+    nxt = np.concatenate((ring[1:], ring[:1]))
+    turns = _orientation(prv, ring, nxt)
+    if turns[0] == 0 or (turns != turns[0]).any():
+        return 0
+    step, prev = nxt - ring, ring - prv
+    turning = np.arctan2(
+        prev[:, 0] * step[:, 1] - prev[:, 1] * step[:, 0], (prev * step).sum(axis=1)
+    ).sum()
+    if abs(turning) > 3.0 * np.pi:
+        return 0
+    return int(turns[0])
+
+
+def _arc(cyc: tuple[int, ...], start: int, stop: int) -> list[int]:
+    """Vertices of cyc from position start to position stop, inclusive."""
+    out = [cyc[start]]
+    i = start
+    while i != stop:
+        i = (i + 1) % len(cyc)
+        out.append(cyc[i])
+    return out
+
+
+def pair_scan_placement(outer: tuple[int, ...], x: np.ndarray) -> OuterPolygon:
+    """uniform.convex_outer_placement scoring all p * q horizontal edge
+    pairs, with x- and y-values in dicts keyed by vertex id and the
+    arctan2 winding test; it trusts x to be finite at every outer id."""
+    cap = 80.0
+    k = len(outer)
+    if k < 3:
+        raise PreconditionError("outer cycle needs at least 3 vertices")
+    xs = {v: float(x[v]) for v in outer}
+    li = min(range(k), key=lambda i: xs[outer[i]])
+    ri = max(range(k), key=lambda i: xs[outer[i]])
+    left, right = outer[li], outer[ri]
+    if k == 3:
+        apex = next(v for v in outer if v not in (left, right))
+        return _dict_convex_polygon(outer, xs, {left: 0.0, right: 0.0, apex: (xs[right] - xs[left]) / 2.0})
+    chain1 = _arc(outer, li, ri)
+    chain2 = _arc(outer, ri, li)[::-1]
+    for chain in (chain1, chain2):
+        for a, b in zip(chain, chain[1:]):
+            if xs[b] <= xs[a]:
+                raise PreconditionError(
+                    "outer chain x-coordinates must increase strictly; "
+                    "x does not come from a convex-position drawing"
+                )
+    p = len(chain1) - 1
+    q = len(chain2) - 1
+    pick = None
+    for j in range(p):
+        for i in range(q):
+            k_left = j + i
+            k_right = (p - 1 - j) + (q - 1 - i)
+            if k_left < 1 or k_right < 1:
+                continue
+            key = (
+                -min(k_left, k_right),
+                tuple(sorted((chain1[j], chain1[j + 1]))),
+                tuple(sorted((chain2[i], chain2[i + 1]))),
+            )
+            if pick is None or key < pick[0]:
+                pick = (key, j, i)
+    if pick is None:
+        raise NoValidTopBottom(f"no valid horizontal edge pair on chains of {p} and {q} edges")
+    _, j, i = pick
+    y = {left: 0.0}
+    for t in range(j):
+        ang = math.radians(cap * (j - t) / j)
+        a, b = chain1[t], chain1[t + 1]
+        y[b] = y[a] + math.tan(ang) * (xs[b] - xs[a])
+    for t in range(i):
+        ang = math.radians(-cap * (i - t) / i)
+        a, b = chain2[t], chain2[t + 1]
+        y[b] = y[a] + math.tan(ang) * (xs[b] - xs[a])
+    base = {right: 0.0}
+    for t in range(p - 1, j, -1):
+        ang = math.radians(-cap * (t - j) / (p - 1 - j))
+        a, b = chain1[t], chain1[t + 1]
+        base[a] = base[b] - math.tan(ang) * (xs[b] - xs[a])
+    for t in range(q - 1, i, -1):
+        ang = math.radians(cap * (t - i) / (q - 1 - i))
+        a, b = chain2[t], chain2[t + 1]
+        base[a] = base[b] - math.tan(ang) * (xs[b] - xs[a])
+    top_gap = y[chain1[j]] - y[chain2[i]]
+    base_gap = base[chain1[j + 1]] - base[chain2[i + 1]]
+    alpha = top_gap / base_gap
+    beta = y[chain1[j]] - alpha * base[chain1[j + 1]]
+    if not alpha > 0:
+        raise StressDrawError(f"right-chain remap scale must be positive, got {alpha!r}")
+    for v, val in base.items():
+        y[v] = alpha * val + beta
+    y[chain1[j + 1]] = y[chain1[j]]
+    y[chain2[i + 1]] = y[chain2[i]]
+    return _dict_convex_polygon(outer, xs, y)
+
+
+def _dict_convex_polygon(outer, xs: dict[int, float], y: dict[int, float]) -> OuterPolygon:
+    poly = OuterPolygon(tuple(outer), np.array([(xs[v], y[v]) for v in outer]))
+    if not arctan2_ring_turn(poly.positions):
+        raise StressDrawError("constructed outer polygon is not strictly convex")
+    return poly

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import brute_three_connected, disjoint_paths_at_least
+from conftest import brute_three_connected, disjoint_paths_at_least, rotations_cycle_key, wheel
 
 from stressdraw import graph
 from stressdraw import (
@@ -23,13 +23,17 @@ from stressdraw import (
     InvalidEmbedding,
     MalformedRotation,
     PlanarEmbedding,
+    faces_convex,
     from_dict,
     generate_planar,
     load_graph,
+    regular_polygon,
     save_graph,
     schnyder_depths,
     to_dict,
     traverse_faces,
+    tutte,
+    uniform_pipeline,
     validate,
     validate_three_connected,
     worst_case_graph,
@@ -168,6 +172,8 @@ def test_cycle_not_three_connected():
     rot = tuple(((v - 1) % n, (v + 1) % n) for v in range(n))
     emb = PlanarEmbedding(n, rot, tuple(range(n)))
     assert not validate_three_connected(emb)
+    # no rotation at all: minimum degree 0, not an error from min()
+    assert not validate_three_connected(PlanarEmbedding(n, (), tuple(range(n))))
 
 
 def test_shared_edge_two_cut():
@@ -306,6 +312,56 @@ def test_schnyder_depths_is_linear_around_hubs():
     start = time.perf_counter()
     schnyder_depths(hub)
     assert time.perf_counter() - start < 1.0
+
+
+def test_validate_and_uniform_are_linear_on_a_wheel():
+    """A rim of 4000 vertices as the outer face: its cycle key tries only
+    the rotations from its least vertex, and the placement compares only
+    the horizontal edge pairs that balance the caps."""
+    emb = wheel(4000)
+    start = time.perf_counter()
+    validate(emb)
+    uniform_pipeline(emb)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cycle_key_matches_all_rotations():
+    """The least rotation from the least element's occurrences equals the
+    least of all 2L rotations, with distinct and with repeated elements."""
+    rng = random.Random(5)
+    for _ in range(3000):
+        size = rng.randrange(1, 12)
+        if rng.random() < 0.5:
+            seq = tuple(rng.sample(range(40), size))
+        else:
+            seq = tuple(rng.randrange(rng.choice((1, 2, 3))) for _ in range(size))
+        assert graph._cycle_key(seq) == rotations_cycle_key(seq), seq
+
+
+def test_empty_outer_face_matches_no_face(octahedron):
+    """An empty outer face keys to (), which no face has, so looking it up
+    raises InvalidEmbedding, with or without assertions enabled."""
+    d = tutte(octahedron, regular_polygon(octahedron.outer_face))
+    emb = PlanarEmbedding(octahedron.n, octahedron.rotation, ())
+    assert graph._cycle_key(()) == ()
+    with pytest.raises(InvalidEmbedding, match="^outer face is not a face of the embedding$"):
+        emb.outer_index
+    with pytest.raises(InvalidEmbedding, match="^outer face is not a face of the embedding$"):
+        faces_convex(d, emb)
+
+
+@pytest.mark.parametrize("rotation, message", [
+    (((1, 2, 3), (0, 3, 2), (0, 1, 3)), "rotation table length differs from n"),
+    (((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 7)), "vertex 3 lists invalid neighbor 7"),
+    (((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1.5)), "vertex 3 lists invalid neighbor 1.5"),
+    (((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, -1)), "vertex 3 lists invalid neighbor -1"),
+], ids=["short", "too-large", "float", "negative"])
+def test_three_connectivity_rejects_a_malformed_rotation(rotation, message):
+    """The rotation is checked before the connectivity search reads it:
+    no bare IndexError or TypeError, and no answer through negative
+    indexing."""
+    with pytest.raises(MalformedRotation, match=f"^{message}$"):
+        validate_three_connected(PlanarEmbedding(4, rotation, (0, 2, 1)))
 
 
 def test_validate_checks_rotation_once(monkeypatch, octahedron):

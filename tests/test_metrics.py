@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    arctan2_ring_turn,
     brute_crossing_count,
     folded,
     method_drawings,
@@ -37,7 +38,7 @@ from stressdraw import (
     validate,
 )
 from stressdraw.graph import _with_outer_face
-from stressdraw.metrics import _certified_planar
+from stressdraw.metrics import _certified_planar, _convex_ring_turn, _orientation
 
 
 def _square():
@@ -245,6 +246,43 @@ def test_pentagram_rim_does_not_certify():
     assert crossing_count(d, emb) == brute_crossing_count(d.positions, emb) == 10
 
 
+def _star(k: int, winding: int, scale: float) -> np.ndarray:
+    """k points stepping winding / k of a turn each: a convex polygon for
+    winding 1, a star that winds that often otherwise."""
+    angles = [2 * math.pi * winding * i / k for i in range(k)]
+    return scale * np.array([(math.cos(a), math.sin(a)) for a in angles])
+
+
+def test_ring_turn_matches_arctan2_oracle():
+    """The y-step sign count gives the arctan2 sum's verdict: stars winding
+    1 to 4 times in either direction, shifted or not, random lattice rings
+    and lattice polygons in angular order, at scales from 1e-200 to
+    1e200, where the orientation signs give up first. Stars of every
+    winding pass the corner test at some scale, so the winding count is
+    what rejects those of winding 2 to 4."""
+    rng = random.Random(8)
+    turning_stars = set()
+    for case in range(3000):
+        scale = 10.0 ** rng.randrange(-200, 201)
+        if case % 3 == 0:
+            w = rng.randrange(1, 5)
+            k = next(k for k in range(rng.randrange(2 * w + 1, 2 * w + 20), 99) if math.gcd(k, w) == 1)
+            ring = _star(k, w, scale)[:: rng.choice((1, -1))] + rng.choice((0.0, 0.25)) * scale
+        elif case % 3 == 1:
+            ring = scale * np.array([(rng.randrange(-4, 5), rng.randrange(-4, 5)) for _ in range(rng.randrange(3, 12))], float)
+        else:
+            pts = {(rng.randrange(-20, 21), rng.randrange(-20, 21)) for _ in range(rng.randrange(3, 30))}
+            ring = scale * np.array(sorted(pts, key=lambda p: math.atan2(p[1], p[0])), float)[:: rng.choice((1, -1))]
+        with np.errstate(all="ignore"):
+            turn = _convex_ring_turn(ring)
+            assert turn == arctan2_ring_turn(ring), ring.tolist()
+            corners = _orientation(np.roll(ring, 1, axis=0), ring, np.roll(ring, -1, axis=0))
+        if case % 3 == 0 and abs(int(corners.sum())) == len(ring):
+            turning_stars.add(w)
+            assert (turn != 0) == (w == 1)
+    assert turning_stars == {1, 2, 3, 4}
+
+
 @pytest.mark.parametrize("where", ["outer", "inner"])
 def test_straight_angle_falls_back(where):
     """An exactly straight angle leaves a corner or fan triangle with
@@ -276,7 +314,7 @@ def test_metrics_at_n_5000():
     assert m.all_faces_convex
 
 
-@pytest.mark.parametrize("outer", [(0, 3, 4), (0, None, 1)], ids=["not-a-face", "non-integer"])
+@pytest.mark.parametrize("outer", [(0, 3, 4), (0, None, 1), ()], ids=["not-a-face", "non-integer", "empty"])
 def test_outer_face_outside_the_traversal_falls_back(octahedron, outer):
     """crossing_count takes unvalidated embeddings: an outer face that names
     no traversed face leaves nothing to certify, and the count still comes."""

@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from conftest import dict_polygon, dict_strictly_convex
+from conftest import dict_polygon, dict_strictly_convex, pair_scan_placement
 
 from stressdraw import (
     OuterPolygon,
@@ -110,6 +111,66 @@ def test_placement_raises_when_the_ring_test_fails(monkeypatch):
     assert len(rings) == 1 and rings[0].shape == (4, 2)
 
 
+def _outcome(place, outer, x):
+    try:
+        poly = place(outer, x)
+    except StressDrawError as exc:
+        return type(exc), str(exc)
+    return poly.order, poly.positions.tobytes()
+
+
+def _convex_position(k: int, values: list, rng: random.Random) -> list:
+    """values on a cycle of k that splits into two x-monotone chains."""
+    lo, *mid, hi = sorted(values)
+    upper = sorted(rng.sample(mid, rng.randrange(len(mid) + 1)))
+    lower = sorted(set(mid) - set(upper), reverse=True)
+    cyc = [lo, *upper, hi, *lower]
+    shift = rng.randrange(k)
+    return cyc[shift:] + cyc[:shift]
+
+
+def test_placement_matches_pair_scan_oracle():
+    """Against the dict form that scored every horizontal edge pair: the
+    same polygon to the last bit, or the same error, on cycles of 3 to 40
+    with convex-position integer ranks, convex-position reals, ties among
+    a few integers, and random reals, the ids scattered over 0..k+3.
+    Three equal x now raise StressDrawError, where the dicts lost a vertex
+    and raised KeyError."""
+    rng = random.Random(3)
+    for case in range(2000):
+        k = rng.randrange(3, 41)
+        values = (
+            _convex_position(k, rng.sample(range(1, 3 * k), k), rng),
+            _convex_position(k, [rng.uniform(-1e3, 1e3) for _ in range(k)], rng),
+            [rng.randrange(4) for _ in range(k)],
+            [rng.uniform(-5.0, 5.0) for _ in range(k)],
+        )[case % 4]
+        outer = tuple(rng.sample(range(k + rng.randrange(4)), k))
+        x = np.zeros(max(outer) + 1)
+        x[list(outer)] = values
+        got = _outcome(convex_outer_placement, outer, x)
+        if k == 3 and len(set(values)) == 1:
+            assert got == (StressDrawError, "constructed outer polygon is not strictly convex")
+            continue
+        assert got == _outcome(pair_scan_placement, outer, x), (outer, values)
+
+
+@pytest.mark.parametrize("outer, x, error, message", [
+    ((0, 1, 2), [1.0, math.nan, 2.0], PreconditionError, "outer vertex 1 has non-finite x nan"),
+    ((0, 1, 2, 3), [1.0, 2.0, math.inf, 3.0], PreconditionError, "outer vertex 2 has non-finite x inf"),
+    ((0, 1, 2, 3), [-math.inf] * 4, PreconditionError, "outer vertex 0 has non-finite x -inf"),
+    ((0, 1, 5), [1.0, 2.0, 3.0], PreconditionError, "x has 3 entries, none for outer vertex 5"),
+    ((0, 1, -1), [1.0, 2.0, 3.0], PreconditionError, "x has 3 entries, none for outer vertex -1"),
+    ((0, 1, 0, 2), [1.0, 2.0, 3.0], PreconditionError, r"outer cycle \[0, 1, 0, 2\] repeats a vertex"),
+    ((0, 1, 2), [2.0, 2.0, 2.0], StressDrawError, "constructed outer polygon is not strictly convex"),
+], ids=["nan", "inf", "minus-inf", "short-x", "negative-id", "repeat", "three-equal"])
+def test_placement_rejects_x_it_cannot_place(outer, x, error, message):
+    """Bad x raises the package's own errors, with plain float reprs."""
+    with pytest.raises(error, match=f"^{message}$") as info:
+        convex_outer_placement(outer, np.array(x))
+    assert type(info.value) is error
+
+
 def test_pipeline_octahedron_x_are_the_indices(octahedron):
     res = uniform_pipeline(octahedron)
     tol = TARGET_RTOL * res.polygon.radius
@@ -136,6 +197,7 @@ def test_uniform_polygons_match_dict_oracle():
         old = dict_polygon(poly)
         assert repr((poly.centroid, poly.radius)) == repr((old.centroid, old.radius))
         assert _strictly_convex(poly)
+        assert poly.positions.tobytes() == pair_scan_placement(emb.outer_face, o.rank + 1.0).positions.tobytes()
 
 
 def test_ring_test_verdicts_on_other_polygons():

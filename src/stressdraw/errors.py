@@ -83,7 +83,9 @@ class SingularSystem(NumericError):
 
 
 class ResidualExceeded(NumericError):
-    """A solved drawing misses its residual or target tolerance."""
+    """A solved drawing misses its residual or target tolerance, or a
+    spread plan's path counts do not balance, so no solve could meet its
+    targets."""
 
 
 class NoValidTopBottom(NumericError):

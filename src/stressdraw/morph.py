@@ -1,8 +1,11 @@
 """Per-edge interpolation between spread weightings, and the angle sweep.
 
-Both solve in batches (solve_stresses): the xy-morph its two spreads, the
-sweep every distinct direction's spread and then every row's blend. A
-direction that cannot be spread raises before any spread is solved.
+Both only blend spread weights, so neither solves a spread: each plans
+its directions in one batch (spread._plan_weights), which checks exactly
+that every direction's path counts balance, and then solves only its
+blends, the sweep all of its rows in one solve_stresses batch. A
+direction that cannot be planned raises before anything past the
+reference is solved.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from .errors import BadParams, EdgeSetMismatch
 from .graph import PlanarEmbedding
 from .metrics import edge_length_ratio
 from .solver import Drawing, OuterPolygon, solve_stress, solve_stresses, tutte
-from .spread import _check_direction, _direction_plans, _spreads
+from .spread import _check_direction, _direction_plans, _plan_weights
 
 
 def morph_weights(
@@ -44,12 +47,13 @@ def xy_morph(
     The default t = 1/2 averages the two weightings. Both spreads start
     from the same unit-weight reference drawing, which is deterministic,
     so passing a precomputed reference only saves the repeated solve. The
-    two spreads are solved in one batch, each as spread_pipeline draws it.
+    two directions are planned in one batch, each weighted as
+    spread_pipeline weights it, and only the blend is solved.
     """
     _check_direction(angle)
     ref = reference if reference is not None else tutte(emb, poly)
-    s0, s1 = _spreads(emb, poly, _direction_plans(emb, poly, ref, [angle, angle + math.pi / 2]))
-    weights = morph_weights(s0.weights, s1.weights, t)
+    w0, w1 = _plan_weights(_direction_plans(emb, poly, ref, [angle, angle + math.pi / 2]))
+    weights = morph_weights(w0, w1, t)
     return weights, solve_stress(emb, weights, poly)
 
 
@@ -68,12 +72,14 @@ def kaleidoscope(
     """The xy-morph and its edge-length ratio at angles 0, step, ..., 90
     inclusive.
 
-    Each row blends the spreads along its angle and the angle + 90 degrees,
-    so directions meet across rows (0 + 90 is the 90-degree row's own
-    direction); every distinct direction is spread once. The spreads, in
-    the order the rows first use them, are solved in one batch, and the
-    rows' blends in another (solve_stresses). A direction that cannot be
-    spread raises before any spread is solved (spread_pipeline).
+    Each row blends the spread weights along its angle and the angle + 90
+    degrees, so directions meet across rows (0 + 90 is the 90-degree row's
+    own direction); every distinct direction is planned once. The
+    directions, in the order the rows first use them, are planned in one
+    batch, which solves nothing, and the rows' blends are solved in one
+    solve_stresses batch: 1 + rows systems with the reference. A direction
+    that cannot be planned raises before any blend is solved
+    (spread_pipeline).
     """
     if not 0.0 < step_degrees <= 90.0:
         raise BadParams(f"step must lie in (0, 90], got {step_degrees}")
@@ -87,8 +93,7 @@ def kaleidoscope(
         angles.append(90.0)
     pairs = [(math.radians(deg), math.radians(deg) + math.pi / 2) for deg in angles]
     directions = list(dict.fromkeys(chain.from_iterable(pairs)))
-    spreads = _spreads(emb, poly, _direction_plans(emb, poly, ref, directions))
-    weights = dict(zip(directions, (s.weights for s in spreads)))
+    weights = dict(zip(directions, _plan_weights(_direction_plans(emb, poly, ref, directions))))
     blends = (morph_weights(weights[a], weights[b]) for a, b in pairs)
     return [
         KaleidoscopeRow(deg, edge_length_ratio(d, emb), d)

@@ -18,12 +18,18 @@ each BFS tree an (n,) parent array, and targets, path counts and weights
 come out as (n,), (m,) and (m,) arrays. Spreads of several directions of
 one reference, as the kaleidoscope and the xy-morph need, are planned as
 one batch: each step runs once over (d, n) and (d, m) arrays, one row per
-direction, one breadth-first search grows all 2d trees, and one
-solve_stresses batch draws the weightings. st_orient, target_x,
-count_paths and spread_weights are the d = 1 case of that code. Each step
-checks every row before it returns and raises, for the first row it
-rejects, the error the single-direction function raises; so a batch that
-cannot plan a direction raises before it solves any.
+direction, and one breadth-first search grows all 2d trees. st_orient,
+target_x, count_paths and spread_weights are the d = 1 case of that code.
+Each step checks every row before it returns and raises, for the first
+row it rejects, the error the single-direction function raises; so a
+batch that cannot plan a direction raises before it solves any.
+
+The targets hold exactly when the integer path counts balance at every
+interior vertex, and each plan checks that exactly. So the sweeps, which
+only blend the weights, solve no spread: they plan every direction and
+solve only their blends. spread_pipeline and uniform_pipeline, which
+return the spread drawing, solve it and also check it against the
+targets within TARGET_RTOL.
 """
 from __future__ import annotations
 
@@ -372,17 +378,39 @@ def _direction_plans(
     return _Plans(o, _target_x(o.order, xs, poly.order), turns)
 
 
+def _plan_weights(plans: _Plans) -> np.ndarray:
+    """The spread weights of every plan, a (d, m) array, solving nothing.
+
+    Each edge is weighted by path count / target gap. Those weights put an
+    interior vertex exactly on its target when as many counted paths leave
+    it as enter it, which is checked exactly on the integer counts (their
+    float sums stay below 2**53): the first plan with an unbalanced
+    interior vertex raises ResidualExceeded naming it, before any gap is
+    read. Then the first plan with a bad gap raises its ZeroGap.
+    """
+    o, targets, _ = plans
+    counts = _count_paths(o)
+    d, n = targets.shape
+    flow = (np.bincount(_flat(o.tail, n).ravel(), counts.ravel(), d * n)
+            - np.bincount(_flat(o.head, n).ravel(), counts.ravel(), d * n)).reshape(d, n)
+    bad = (flow != 0) & ~o.pinned
+    if bad.any():
+        k, v = np.argwhere(bad)[0]
+        raise ResidualExceeded(
+            f"path counts do not balance at vertex {v}: {int(flow[k, v]):+d} more leave than enter")
+    return _spread_weights(o, targets, counts)
+
+
 def _spreads(emb: PlanarEmbedding, poly: OuterPolygon, plans: _Plans) -> list[SpreadResult]:
     """The spread of each plan, all solved in one batch.
 
-    Each plan's edges are weighted by path count / target gap, and one
-    solve_stresses batch draws every weighting. Every gap is checked
-    before anything is solved: the first plan with a bad one raises its
-    ZeroGap. Each drawing, turned by its plan's turn, must match its
-    targets within TARGET_RTOL * radius; a miss raises ResidualExceeded.
+    The weights come from _plan_weights, so every plan is checked before
+    anything is solved, and one solve_stresses batch draws them. Each
+    drawing, turned by its plan's turn, must match its targets within
+    TARGET_RTOL * radius; a miss raises ResidualExceeded.
     """
     o, targets, turns = plans
-    weights = _spread_weights(o, targets, _count_paths(o))
+    weights = _plan_weights(plans)
     results = []
     for j, drawing in enumerate(solve_stresses(emb, weights, poly)):
         miss = float(np.abs(_turn(drawing.positions, turns[j])[:, 0] - targets[j]).max())
@@ -405,12 +433,13 @@ def spread_pipeline(
     the direction becomes the x-axis, give the orientation (ties broken as
     in st_orient) and the pinned targets. The solved drawing, turned the
     same way, must match the targets within TARGET_RTOL * radius; a miss
-    raises ResidualExceeded. The kaleidoscope and the xy-morph spread many
-    directions of one reference in one batch; each gets the result this
+    raises ResidualExceeded. The kaleidoscope and the xy-morph plan many
+    directions of one reference in one batch; each gets the weights this
     function gives for it alone. A batch in which some direction cannot be
     planned raises, before it solves any, the error this function raises
     for one such direction: the first that st_orient rejects, else the
-    first that target_x rejects, else the first with a bad gap.
+    first that target_x rejects, else the first whose path counts do not
+    balance (ResidualExceeded), else the first with a bad gap.
     """
     _check_direction(direction)
     ref = reference if reference is not None else tutte(emb, poly)

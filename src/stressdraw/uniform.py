@@ -132,9 +132,14 @@ def convex_outer_placement(outer: tuple[int, ...], x: np.ndarray) -> OuterPolygo
 
 
 def _convex_polygon(outer: tuple[int, ...], xs: list[float], y: list[float]) -> OuterPolygon:
-    """The polygon at (xs[i], y[i]) for position i of outer, checked strictly convex."""
+    """The polygon at (xs[i], y[i]) for position i of outer, checked strictly
+    convex. The check runs on the positions scaled by the power of two that
+    brings the largest |coordinate| into [0.5, 1), as faces_convex scales:
+    exact, so the products of the ring test neither overflow nor fall under
+    its floor at any scale float64 holds."""
     poly = OuterPolygon(tuple(outer), np.array(list(zip(xs, y))))
-    if not _convex_ring_turn(poly.positions):
+    shift = -math.frexp(float(np.abs(poly.positions).max()))[1]
+    if not _convex_ring_turn(np.ldexp(poly.positions, shift)):
         raise StressDrawError("constructed outer polygon is not strictly convex")
     return poly
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -41,7 +42,13 @@ from stressdraw import (
 from stressdraw.cli import METHODS, _Context
 from stressdraw.graph import SPD_LU
 from stressdraw.metrics import CONVEXITY_RTOL, CROSSING_EPS, _orientation
-from stressdraw.solver import RESIDUAL_RTOL, Drawing, OuterPolygon, equilibrium_residual
+from stressdraw.solver import (
+    RESIDUAL_RTOL,
+    Drawing,
+    OuterPolygon,
+    equilibrium_residual,
+    solve_stresses,
+)
 from stressdraw.spread import StOrientation
 
 # Property tests draw the same bounded set of examples on every run and keep
@@ -764,6 +771,22 @@ def wheel(k: int) -> PlanarEmbedding:
     around the hub k with rotation (0..k-1). The rim is the outer face."""
     rim = tuple(((i + 1) % k, k, (i - 1) % k) for i in range(k))
     return PlanarEmbedding(k + 1, rim + (tuple(range(k)),), tuple(range(k)))
+
+
+def record_solves(monkeypatch) -> list[np.ndarray]:
+    """The list of every weighting solve_stresses reads from now on, in
+    order, however it is reached (solve_stress and tutte go through it).
+    The modules import it by name, so every stressdraw namespace that
+    binds it gets the recording wrapper."""
+    solved: list[np.ndarray] = []
+
+    def recorded(emb, weightings, poly):
+        return solve_stresses(emb, (solved.append(w) or w for w in weightings), poly)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("stressdraw") and getattr(mod, "solve_stresses", None) is solve_stresses:
+            monkeypatch.setattr(mod, "solve_stresses", recorded)
+    return solved
 
 
 # ---------------------------------------------------------------------------

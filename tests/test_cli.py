@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import record_solves
+
 import stressdraw
 from stressdraw import (
     best_row,
@@ -28,7 +30,7 @@ from stressdraw import (
     xy_morph,
 )
 from stressdraw.cli import METHODS, run
-from stressdraw.spread import _spreads
+from stressdraw.spread import _plan_weights
 
 
 @pytest.fixture
@@ -253,7 +255,9 @@ def test_kaleidoscope_best_svg_is_xy_morph_at_best_angle(graph_path, tmp_path):
 
 def test_kaleidoscope_svgs_reuse_the_sweep(tmp_path, monkeypatch):
     """The best and worst SVGs draw the sweep's own rows: one reference
-    solve and one spread per direction, 13 at a 15-degree step."""
+    solve and one plan per direction, 13 at a 15-degree step, and no
+    spread solved: the 8 weightings solved are the reference and the 7
+    rows' blends."""
     path = tmp_path / "g.json"
     save_graph(generate_planar(30, 84, 1), path)
     calls = Counter()
@@ -262,19 +266,21 @@ def test_kaleidoscope_svgs_reuse_the_sweep(tmp_path, monkeypatch):
         calls["tutte"] += 1
         return tutte(*a, **k)
 
-    def counted_spreads(emb, poly, plans):
+    def counted_plans(plans):
         calls["directions"] += len(plans.turns)
-        return _spreads(emb, poly, plans)
+        return _plan_weights(plans)
 
-    for name, fn, wrapper in (("tutte", tutte, counted_tutte), ("_spreads", _spreads, counted_spreads)):
+    for name, fn, wrapper in (("tutte", tutte, counted_tutte), ("_plan_weights", _plan_weights, counted_plans)):
         for mod in [m for key, m in sys.modules.items() if key.startswith("stressdraw")]:
             if getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, wrapper)
+    solved = record_solves(monkeypatch)
     assert run(["kaleidoscope", str(path), "--step", "15",
                 "--out-csv", str(tmp_path / "rows.csv"),
                 "--best-svg", str(tmp_path / "best.svg"),
                 "--worst-svg", str(tmp_path / "worst.svg")]) == 0
     assert calls == {"tutte": 1, "directions": 13}
+    assert len(solved) == 1 + 7
 
 
 # each value is infinite or NaN; the expected exit code and error class

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import record_solves
+
 from stressdraw import (
     BadParams,
     EdgeSetMismatch,
@@ -102,28 +104,45 @@ def test_kaleidoscope_row_count(octahedron):
 
 @pytest.mark.parametrize("step, spreads", [(5.0, 37), (7.0, 27), (90.0, 3)])
 def test_kaleidoscope_spreads_each_direction_once(monkeypatch, step, spreads):
-    """Rows blend the spreads along angle and angle + 90 degrees; the 90
-    degree direction serves two rows and is spread once. Every row's
-    drawing and ratio equal the xy-morph at its angle."""
+    """Rows blend the spread weights along angle and angle + 90 degrees;
+    the 90 degree direction serves two rows and is planned once. No spread
+    is solved: the weightings solved are the reference and one blend per
+    row. Every row's drawing and ratio equal the xy-morph at its angle."""
     from stressdraw import morph
-    from stressdraw.spread import _spreads
+    from stressdraw.spread import _plan_weights
 
     emb = generate_planar(14, 32, seed=31)
     poly = regular_polygon(emb.outer_face)
     calls = []
 
-    def counted(emb, poly, plans):
+    def counted(plans):
         calls.extend(-turn for turn in plans.turns)  # a plan turns by -direction
-        return _spreads(emb, poly, plans)
+        return _plan_weights(plans)
 
-    monkeypatch.setattr(morph, "_spreads", counted)
+    monkeypatch.setattr(morph, "_plan_weights", counted)
+    solved = record_solves(monkeypatch)
     rows = kaleidoscope(emb, poly, step)
     assert len(calls) == len(set(calls)) == spreads
+    assert len(rows) == math.ceil(90.0 / step) + 1
+    assert len(solved) == 1 + len(rows)
     ref = tutte(emb, poly)
     for row in rows:
         _, d = xy_morph(emb, poly, math.radians(row.angle_degrees), reference=ref)
         assert np.array_equal(row.drawing.positions, d.positions)
         assert row.ratio == edge_length_ratio(d, emb)
+
+
+def test_xy_morph_solves_only_its_blend(monkeypatch, octahedron):
+    """xy_morph solves the reference and the blend, and only the blend
+    when it is given the reference; the blend is the weighting returned."""
+    poly = regular_polygon(octahedron.outer_face)
+    ref = tutte(octahedron, poly)
+    solved = record_solves(monkeypatch)
+    w, _ = xy_morph(octahedron, poly, 0.3)
+    assert len(solved) == 2 and solved[1] is w
+    solved.clear()
+    w, _ = xy_morph(octahedron, poly, 0.3, reference=ref)
+    assert len(solved) == 1 and solved[0] is w
 
 
 def test_sweeps_search_once(monkeypatch):

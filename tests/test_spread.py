@@ -14,6 +14,7 @@ from conftest import (
     dict_target_x,
     enumerate_canonical_paths,
     flip_edges,
+    record_solves,
     scratch_solve_stress,
     turn,
 )
@@ -23,6 +24,7 @@ from stressdraw import (
     OuterPolygon,
     PlanarEmbedding,
     PreconditionError,
+    ResidualExceeded,
     StressDrawError,
     ZeroGap,
     count_paths,
@@ -30,6 +32,7 @@ from stressdraw import (
     edge_length_ratio,
     faces_convex,
     generate_planar,
+    kaleidoscope,
     regular_polygon,
     schnyder_wood,
     solve_stress,
@@ -40,12 +43,14 @@ from stressdraw import (
     tutte,
     uniform_pipeline,
     worst_case_graph,
+    xy_morph,
 )
 from stressdraw import spread
 from stressdraw.solver import Drawing
 from stressdraw.spread import (
     _count_paths,
     _direction_plans,
+    _plan_weights,
     _spread_weights,
     _spreads,
     _st_orient,
@@ -464,6 +469,63 @@ def test_batched_plans_match_one_direction_at_a_time(build):
         assert _same_bits(plans.targets[j], targets)
         assert _same_bits(counts[j], one_counts)
         assert _same_bits(weights[j], spread_weights(o, targets, one_counts))
+
+
+@pytest.mark.parametrize("build", BATCH_GRAPHS.values(), ids=BATCH_GRAPHS.keys())
+def test_path_counts_balance_on_every_row(build):
+    """On every row of a 37-direction plan, as many counted paths leave
+    each vertex as enter it, summed in exact integers, but at the source
+    and the sink, which one path per edge leaves and enters; so the plan's
+    weights are the spread weights of its counts."""
+    emb = build()
+    poly = regular_polygon(emb.outer_face)
+    plans = _direction_plans(emb, poly, tutte(emb, poly), SWEEP)
+    o = plans.orientation
+    counts = _count_paths(o)
+    for j in range(len(SWEEP)):
+        flow = np.zeros(emb.n, dtype=np.int64)
+        np.add.at(flow, o.tail[j], counts[j])
+        np.subtract.at(flow, o.head[j], counts[j])
+        ends = np.zeros(emb.n, dtype=np.int64)
+        ends[o.order[j, 0]], ends[o.order[j, -1]] = emb.m, -emb.m
+        assert np.array_equal(flow, ends), SWEEP[j]
+    assert _same_bits(_plan_weights(plans), _spread_weights(o, plans.targets, counts))
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_unbalanced_counts_raise_before_any_solve(monkeypatch, delta):
+    """A path count off by one on an edge with an interior end, in the last
+    planned direction, raises ResidualExceeded naming the lowest interior
+    end, before anything past the reference is solved."""
+    emb = generate_planar(30, 84, seed=1)
+    poly = regular_polygon(emb.outer_face)
+    ref = tutte(emb, poly)
+    count = spread._count_paths
+    broken = []
+
+    def off_by_one(o):
+        counts = count(o)
+        j = len(counts) - 1
+        tail, head, pinned = o.tail[j], o.head[j], o.pinned[j]
+        i = int(np.flatnonzero(~(pinned[tail] & pinned[head]))[0])
+        counts[j, i] += delta
+        t, h = int(tail[i]), int(head[i])
+        v = min(u for u in (t, h) if not pinned[u])
+        broken.append(f"path counts do not balance at vertex {v}: "
+                      f"{delta if v == t else -delta:+d} more leave than enter")
+        return counts
+
+    monkeypatch.setattr(spread, "_count_paths", off_by_one)
+    solved = record_solves(monkeypatch)
+    for call, references in (
+        (lambda: kaleidoscope(emb, poly, 5.0), 1),
+        (lambda: xy_morph(emb, poly, 0.3, reference=ref), 0),
+        (lambda: spread_pipeline(emb, poly, 0.3, reference=ref), 0),
+        (lambda: uniform_pipeline(emb), 1),
+    ):
+        solved.clear()
+        assert _raised(call) == (ResidualExceeded, broken[-1])
+        assert len(solved) == references
 
 
 def _raised(call) -> tuple[type, str]:

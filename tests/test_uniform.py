@@ -171,6 +171,22 @@ def test_placement_rejects_x_it_cannot_place(outer, x, error, message):
     assert type(info.value) is error
 
 
+@pytest.mark.parametrize("outer, x", [
+    ((0, 1, 2, 3), [1.0, 2.0, 4.0, 3.0]),
+    ((0, 1, 2), [1.0, 3.0, 2.0]),
+    ((4, 0, 3, 1, 2), [1.0, 5.0, 4.0, 2.0, 3.0]),
+], ids=["quad", "triangle", "pentagon"])
+def test_placement_is_scale_free(outer, x):
+    """x times 2**s places as x does, times 2**s to the last bit, for every
+    s in -600..600: the ring test runs on the polygon scaled to a unit box,
+    so its products neither overflow nor underflow."""
+    x = np.array(x)
+    base = convex_outer_placement(outer, x).positions
+    for s in range(-600, 601):
+        poly = convex_outer_placement(outer, np.ldexp(x, s))
+        assert poly.positions.tobytes() == np.ldexp(base, s).tobytes(), s
+
+
 def test_pipeline_octahedron_x_are_the_indices(octahedron):
     res = uniform_pipeline(octahedron)
     tol = TARGET_RTOL * res.polygon.radius

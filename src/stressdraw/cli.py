@@ -13,8 +13,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import BadParams, InputError, NumericError, PreconditionError, StressDrawError
 from .graph import (
@@ -79,53 +77,36 @@ def _parse_r(raw: str) -> float:
         raise BadParams(f"--r must be a number or 'best', got {raw!r}") from None
 
 
-@dataclass
-class _Context:
-    """One graph and the method parameters, with the unit-weight reference
-    drawing computed at most once."""
-
-    emb: PlanarEmbedding
-    poly: OuterPolygon
-    angle: float = 0.0  # radians
-    t: float = 0.5
-    a: float = 1.0
-    r: str = "5"
-
-    @cached_property
-    def reference(self) -> Drawing:
-        return tutte(self.emb, self.poly)
-
-
-def _decay(c: _Context, method: str) -> tuple[Drawing, int | None]:
-    if c.r == "best":
-        r, drawing, _rho = best_r(c.emb, c.poly, method, c.a)
+def _decay(emb: PlanarEmbedding, poly: OuterPolygon, p: argparse.Namespace,
+           method: str) -> tuple[Drawing, int | None]:
+    if p.r == "best":
+        r, drawing, _rho = best_r(emb, poly, method, p.a)
         return drawing, r
     spread = bfs_spread if method == "bfs" else schnyder_spread
-    return spread(c.emb, c.poly, c.a, _parse_r(c.r)), None
+    return spread(emb, poly, p.a, _parse_r(p.r)), None
 
 
-def _spread(c: _Context, direction: float) -> tuple[Drawing, int | None]:
-    return spread_pipeline(c.emb, c.poly, direction, reference=c.reference).drawing, None
+def _spread(emb: PlanarEmbedding, poly: OuterPolygon, direction: float) -> tuple[Drawing, int | None]:
+    return spread_pipeline(emb, poly, direction).drawing, None
 
 
-# Every drawing method by CLI name: the drawing, and the decay base that
-# `--r best` chose (None otherwise).
+# Every drawing method by CLI name, on the graph, its polygon and the draw
+# options: the drawing, and the decay base `--r best` chose (None otherwise).
 METHODS = {
-    "tutte": lambda c: (c.reference, None),
-    "xspread": lambda c: _spread(c, c.angle),
-    "yspread": lambda c: _spread(c, c.angle + math.pi / 2.0),
-    "xymorph": lambda c: (xy_morph(c.emb, c.poly, c.angle, c.t, reference=c.reference)[1], None),
-    "bfs": lambda c: _decay(c, "bfs"),
-    "schnyder": lambda c: _decay(c, "schnyder"),
-    "uniform": lambda c: (uniform_pipeline(c.emb).drawing, None),
+    "tutte": lambda emb, poly, p: (tutte(emb, poly), None),
+    "xspread": lambda emb, poly, p: _spread(emb, poly, math.radians(p.angle)),
+    "yspread": lambda emb, poly, p: _spread(emb, poly, math.radians(p.angle) + math.pi / 2.0),
+    "xymorph": lambda emb, poly, p: (xy_morph(emb, poly, math.radians(p.angle), p.t)[1], None),
+    "bfs": lambda emb, poly, p: _decay(emb, poly, p, "bfs"),
+    "schnyder": lambda emb, poly, p: _decay(emb, poly, p, "schnyder"),
+    "uniform": lambda emb, poly, p: (uniform_pipeline(emb).drawing, None),
 }
 
 
 def cmd_draw(args: argparse.Namespace) -> int:
     emb = load_graph(args.graph)
     poly = regular_polygon(emb.outer_face, args.radius)
-    ctx = _Context(emb, poly, math.radians(args.angle), args.t, args.a, args.r)
-    drawing, chosen_r = METHODS[args.method](ctx)
+    drawing, chosen_r = METHODS[args.method](emb, poly, args)
     met = compute_metrics(drawing, emb)
 
     out_svg = args.out_svg
@@ -173,8 +154,9 @@ GALLERY_COLUMNS = (("tutte", "tutte"), ("x_spread", "xspread"), ("y_spread", "ys
 
 
 def _gallery_row(emb: PlanarEmbedding, name: str, out_dir: str, radius: float, a: float) -> str:
-    ctx = _Context(emb, regular_polygon(emb.outer_face, radius), a=a, r="best")
-    drawings = {label: METHODS[method](ctx) for label, method in GALLERY_COLUMNS}
+    poly = regular_polygon(emb.outer_face, radius)
+    params = argparse.Namespace(angle=0.0, t=0.5, a=a, r="best")
+    drawings = {label: METHODS[method](emb, poly, params) for label, method in GALLERY_COLUMNS}
     cells = [name]
     for label, (drawing, _r) in drawings.items():
         met = compute_metrics(drawing, emb)

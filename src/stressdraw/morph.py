@@ -40,18 +40,17 @@ def xy_morph(
     poly: OuterPolygon,
     angle: float = 0.0,
     t: float = 0.5,
-    reference: Drawing | None = None,
 ) -> tuple[np.ndarray, Drawing]:
     """Blend the spreads along `angle` and `angle + pi/2`, then solve.
 
-    The default t = 1/2 averages the two weightings. Both spreads start
-    from the same unit-weight reference drawing, which is deterministic,
-    so passing a precomputed reference only saves the repeated solve. The
-    two directions are planned in one batch, each weighted as
-    spread_pipeline weights it, and only the blend is solved.
+    The default t = 1/2 averages the two weightings. Both spreads read the
+    same unit-weight reference drawing, tutte(emb, poly). The two
+    directions are planned in one batch, each weighted as spread_pipeline
+    weights it, and only the blend is solved: two solves with the
+    reference.
     """
     _check_direction(angle)
-    ref = reference if reference is not None else tutte(emb, poly)
+    ref = tutte(emb, poly)
     w0, w1 = _plan_weights(_direction_plans(emb, poly, ref, [angle, angle + math.pi / 2]))
     weights = morph_weights(w0, w1, t)
     return weights, solve_stress(emb, weights, poly)

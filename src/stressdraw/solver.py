@@ -157,7 +157,7 @@ def _row_weights(emb: PlanarEmbedding, weights: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(~((w > 0) & np.isfinite(w)))
     if bad.size:
         u, v = emb.edge_array[half[bad[0]]].tolist()
-        raise NonPositiveWeight(f"edge {(u, v)} needs a positive finite weight, got {w[bad[0]]!r}")
+        raise NonPositiveWeight(f"edge {(u, v)} needs a positive finite weight, got {float(w[bad[0]])!r}")
     return w
 
 

@@ -342,10 +342,11 @@ def spread_weights(
 
 @dataclass(frozen=True, eq=False)
 class SpreadResult:
-    """Everything the spread pipeline produced for one direction."""
+    """Everything a spread construction produced for one direction, as
+    spread_pipeline or uniform_pipeline (direction 0) returns it."""
 
     weights: np.ndarray        # (m,), aligned with emb.edges()
-    drawing: Drawing           # solved against the original polygon
+    drawing: Drawing           # solved against the pinned polygon, drawing.polygon
     targets: np.ndarray        # (n,) x-targets in the frame turned by -direction
     orientation: StOrientation
 
@@ -424,14 +425,13 @@ def spread_pipeline(
     emb: PlanarEmbedding,
     poly: OuterPolygon,
     direction: float = 0.0,
-    reference: Drawing | None = None,
 ) -> SpreadResult:
     """Run the whole spread construction for one direction (radians).
 
     direction 0 spreads x-coordinates, pi/2 spreads y-coordinates; it must
-    be finite. The reference's positions, turned by exactly -direction so
-    the direction becomes the x-axis, give the orientation (ties broken as
-    in st_orient) and the pinned targets. The solved drawing, turned the
+    be finite. Its reference tutte(emb, poly), turned by exactly -direction
+    so the direction becomes the x-axis, gives the orientation (ties broken
+    as in st_orient) and the pinned targets. The solved drawing, turned the
     same way, must match the targets within TARGET_RTOL * radius; a miss
     raises ResidualExceeded. The kaleidoscope and the xy-morph plan many
     directions of one reference in one batch; each gets the weights this
@@ -442,5 +442,4 @@ def spread_pipeline(
     balance (ResidualExceeded), else the first with a bad gap.
     """
     _check_direction(direction)
-    ref = reference if reference is not None else tutte(emb, poly)
-    return _spreads(emb, poly, _direction_plans(emb, poly, ref, [direction]))[0]
+    return _spreads(emb, poly, _direction_plans(emb, poly, tutte(emb, poly), [direction]))[0]

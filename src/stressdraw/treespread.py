@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import BadParams, InvalidEmbedding, NotTriangulation, StressDrawError
+from .errors import BadParams, InvalidEmbedding, NotTriangulation, StressDrawError, ZeroLengthEdge
 from .graph import PlanarEmbedding
 from .metrics import edge_length_ratio
 from .solver import Drawing, OuterPolygon, solve_stress, solve_stresses
@@ -219,7 +219,8 @@ def best_r(
 
     Ties go to the smallest base. Returns (r, drawing, ratio). r_hi must be
     an integer of at least 2. The bases' weightings are fed lazily to one
-    solve_stresses batch.
+    solve_stresses batch. A base whose drawing has a zero-length edge has
+    no ratio and is skipped; when every base is, ZeroLengthEdge is raised.
     """
     try:
         r_hi = operator.index(r_hi)
@@ -237,7 +238,12 @@ def best_r(
     drawings = solve_stresses(emb, (depth_weights(depths, a, float(r)) for r in bases), poly)
     best: tuple[int, Drawing, float] | None = None
     for r, d in zip(bases, drawings):
-        rho = edge_length_ratio(d, emb)
+        try:
+            rho = edge_length_ratio(d, emb)
+        except ZeroLengthEdge:
+            if best is None and r == r_hi:
+                raise  # no base has a ratio
+            continue
         if best is None or rho < best[2]:
             best = (r, d, rho)
     assert best is not None

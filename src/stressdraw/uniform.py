@@ -14,15 +14,14 @@ certify a drawing crossing-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoValidTopBottom, PreconditionError, StressDrawError
 from .graph import PlanarEmbedding, edge_key
 from .metrics import _convex_ring_turn
-from .solver import Drawing, OuterPolygon, regular_polygon, tutte
-from .spread import StOrientation, _Plans, _spreads, _take, st_orient
+from .solver import OuterPolygon, regular_polygon, tutte
+from .spread import SpreadResult, _Plans, _spreads, _take, st_orient
 
 # steepest slope angle used by the caps around the leftmost/rightmost vertex
 CAP_ANGLE_DEG = 80.0
@@ -148,30 +147,17 @@ def _convex_polygon(outer: tuple[int, ...], xs: list[float], y: list[float]) -> 
 # full construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class UniformResult:
-    """Weights, drawing, and the pieces the construction derived them from.
-
-    Vertex v's st-index, its target x, is orientation.rank[v] + 1.
-    """
-
-    weights: np.ndarray  # (m,), aligned with emb.edges()
-    drawing: Drawing
-    orientation: StOrientation
-    polygon: OuterPolygon
-
-
-def uniform_pipeline(emb: PlanarEmbedding) -> UniformResult:
+def uniform_pipeline(emb: PlanarEmbedding) -> SpreadResult:
     """Solve with path-count weights against the constructed outer polygon.
 
     Targets are the 1-based ranks themselves, rank + 1 of the orientation
     of the unit drawing's x-order, ties broken as in st_orient: an
     st-numbering for the outer face. No rotation is involved, so the
-    solved x-coordinates must come out as 1..n directly.
+    solved x-coordinates must come out as 1..n directly. The spread's
+    targets are rank + 1, and its drawing.polygon is the constructed one.
     """
     ref = tutte(emb, regular_polygon(emb.outer_face))
     o = st_orient(ref.positions[:, 0], emb)
     targets = o.rank + 1.0
     poly = convex_outer_placement(emb.outer_face, targets)
-    s = _spreads(emb, poly, _Plans(_take(o, None), targets[None], [0.0]))[0]
-    return UniformResult(s.weights, s.drawing, o, poly)
+    return _spreads(emb, poly, _Plans(_take(o, None), targets[None], [0.0]))[0]

@@ -14,6 +14,7 @@ the last bit.
 """
 from __future__ import annotations
 
+import argparse
 import math
 import random
 import sys
@@ -39,7 +40,7 @@ from stressdraw import (
     generate_planar,
     regular_polygon,
 )
-from stressdraw.cli import METHODS, _Context
+from stressdraw.cli import METHODS
 from stressdraw.graph import SPD_LU
 from stressdraw.metrics import CONVEXITY_RTOL, CROSSING_EPS, _orientation
 from stressdraw.solver import (
@@ -590,10 +591,11 @@ def method_drawings(sizes, seed: int):
     for i, n in enumerate(sizes):
         tri = i % 3 == 0
         emb = generate_planar(n, 3 * n - 6 if tri else (5 * n) // 2, seed=seed + i)
-        ctx = _Context(emb, regular_polygon(emb.outer_face), r="2")
+        poly = regular_polygon(emb.outer_face)
+        params = argparse.Namespace(angle=0.0, t=0.5, a=1.0, r="2")
         for name, method in METHODS.items():
             if name != "schnyder" or tri:
-                yield emb, method(ctx)[0]
+                yield emb, method(emb, poly, params)[0]
 
 
 def folded(d: Drawing, emb: PlanarEmbedding, rng) -> Drawing:

@@ -66,10 +66,10 @@ def suite_drawings(suite):
             "emb": emb,
             "poly": poly,
             "tutte": ref,
-            "xspread": sd.spread_pipeline(emb, poly, 0.0, reference=ref),
+            "xspread": sd.spread_pipeline(emb, poly, 0.0),
             "yspread": sd.spread_pipeline(
-                emb, poly, math.pi / 2.0, reference=ref),
-            "xymorph": sd.xy_morph(emb, poly, 0.0, 0.5, reference=ref)[1],
+                emb, poly, math.pi / 2.0),
+            "xymorph": sd.xy_morph(emb, poly, 0.0, 0.5)[1],
             "bfs": sd.bfs_spread(emb, poly, r=5.0),
             "uniform": sd.uniform_pipeline(emb),
         }
@@ -125,7 +125,7 @@ def test_criterion_03_exact_spread_targets(suite_drawings, capsys):
             for v, x in enumerate(res.targets.tolist()):
                 assert abs(frame[v][0] - x) <= tol
             uni = row["uniform"]
-            utol = TARGET_RTOL * uni.polygon.radius
+            utol = TARGET_RTOL * uni.drawing.polygon.radius
             xs = sorted(uni.drawing.positions[:, 0].tolist())
             for i, x in enumerate(xs, start=1):
                 assert abs(x - i) <= utol
@@ -159,7 +159,7 @@ def test_criterion_05_nested_triangle_growth(capsys):
             if previous is not None:
                 assert rho_t > 1.3 * previous
             previous = rho_t
-            res = sd.spread_pipeline(emb, poly, 0.0, reference=ref)
+            res = sd.spread_pipeline(emb, poly, 0.0)
             rho_x = sd.edge_length_ratio(res.drawing, emb)
             assert rho_x <= 3 * (k + 2)
 
@@ -173,7 +173,7 @@ def _ratio_population():
         ref = sd.tutte(emb, poly)
         rho_t = sd.edge_length_ratio(ref, emb)
         rho_x = sd.edge_length_ratio(
-            sd.spread_pipeline(emb, poly, 0.0, reference=ref).drawing, emb)
+            sd.spread_pipeline(emb, poly, 0.0).drawing, emb)
         _, _, rho_b = sd.best_r(emb, poly, method="bfs")
         rows.append((n, rho_t, rho_x, rho_b))
     return rows
@@ -270,16 +270,15 @@ def test_criterion_10_morph_is_linear_in_weights(octahedron, capsys):
         graphs = [octahedron, sd.generate_planar(18, 44, seed=77)]
         for emb in graphs:
             poly = sd.regular_polygon(emb.outer_face)
-            ref = sd.tutte(emb, poly)
-            w0 = sd.spread_pipeline(emb, poly, 0.0, reference=ref).weights
+            w0 = sd.spread_pipeline(emb, poly, 0.0).weights
             w1 = sd.spread_pipeline(
-                emb, poly, math.pi / 2.0, reference=ref).weights
+                emb, poly, math.pi / 2.0).weights
             for t in (0.0, 0.25, 0.5, 1.0):
-                got, _ = sd.xy_morph(emb, poly, 0.0, t, reference=ref)
+                got, _ = sd.xy_morph(emb, poly, 0.0, t)
                 assert got.shape == w0.shape == (emb.m,)
                 for e, (a, b) in enumerate(zip(w0.tolist(), w1.tolist())):
                     assert got[e] == (1.0 - t) * a + t * b
-            exact0, _ = sd.xy_morph(emb, poly, 0.0, 0.0, reference=ref)
-            exact1, _ = sd.xy_morph(emb, poly, 0.0, 1.0, reference=ref)
+            exact0, _ = sd.xy_morph(emb, poly, 0.0, 0.0)
+            exact1, _ = sd.xy_morph(emb, poly, 0.0, 1.0)
             assert np.array_equal(exact0, w0)
             assert np.array_equal(exact1, w1)

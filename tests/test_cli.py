@@ -29,7 +29,7 @@ from stressdraw import (
     validate_three_connected,
     xy_morph,
 )
-from stressdraw.cli import METHODS, run
+from stressdraw.cli import GALLERY_COLUMNS, METHODS, run
 from stressdraw.spread import _plan_weights
 
 
@@ -143,6 +143,24 @@ def test_draw_bfs_best_r(tri_path, capsys):
     # the scan picks the base, which differs from the default here
     assert "method=bfs r=2 " in out
     assert tri_path.with_name("t.bfs.svg").exists()
+
+
+def test_draw_bfs_best_r_skips_bases_without_a_ratio(tmp_path, capsys):
+    """On the nested family at k = 20 most decay bases draw a zero-length
+    edge; --r best picks among the rest."""
+    p = tmp_path / "w.json"
+    assert run(["generate", "--worst-case", "20", "--out", str(p)]) == 0
+    assert run(["draw", str(p), "--method", "bfs", "--r", "best"]) == 0
+    assert "method=bfs r=2 " in capsys.readouterr().out
+
+
+def test_draw_reports_a_vanishing_weight_as_a_float(graph_path, tmp_path, capsys):
+    """A decay weight that underflows to zero is named as a plain float."""
+    assert run(["draw", str(graph_path), "--method", "bfs", "--a", "1e-300", "--r", "1e100",
+                "--out-svg", str(tmp_path / "d.svg")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: NonPositiveWeight: ")
+    assert err.endswith("got 0.0\n")
 
 
 def test_draw_schnyder_fixed_r(tri_path, capsys):
@@ -380,3 +398,17 @@ def test_gallery_xy_morph_cell_matches_library(graph_path, tmp_path):
     emb = load_graph(graph_path)
     _, drawing = xy_morph(emb, regular_polygon(emb.outer_face), 0.0)
     assert cell == f"{edge_length_ratio(drawing, emb):.6f}"
+
+
+@pytest.mark.parametrize("path", ["graph_path", "tri_path"])
+def test_gallery_svgs_match_draw(path, tmp_path, request):
+    """Every gallery column's SVG is byte for byte the one draw writes with
+    that column's method and the gallery's options (bfs with --r best)."""
+    graph = request.getfixturevalue(path)
+    out_dir = tmp_path / "gal"
+    assert run(["gallery", str(graph), "--out-dir", str(out_dir)]) == 0
+    for label, method in GALLERY_COLUMNS:
+        svg = tmp_path / f"{label}.svg"
+        best = ["--r", "best"] if method == "bfs" else []
+        assert run(["draw", str(graph), "--method", method, *best, "--out-svg", str(svg)]) == 0
+        assert svg.read_bytes() == (out_dir / f"{graph.stem}.{label}.svg").read_bytes(), label

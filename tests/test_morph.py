@@ -22,6 +22,7 @@ from stressdraw import (
     rows_to_csv,
     spread_pipeline,
     tutte,
+    unit_weights,
     worst_case_graph,
     worst_row,
     xy_morph,
@@ -125,24 +126,20 @@ def test_kaleidoscope_spreads_each_direction_once(monkeypatch, step, spreads):
     assert len(calls) == len(set(calls)) == spreads
     assert len(rows) == math.ceil(90.0 / step) + 1
     assert len(solved) == 1 + len(rows)
-    ref = tutte(emb, poly)
     for row in rows:
-        _, d = xy_morph(emb, poly, math.radians(row.angle_degrees), reference=ref)
+        _, d = xy_morph(emb, poly, math.radians(row.angle_degrees))
         assert np.array_equal(row.drawing.positions, d.positions)
         assert row.ratio == edge_length_ratio(d, emb)
 
 
 def test_xy_morph_solves_only_its_blend(monkeypatch, octahedron):
-    """xy_morph solves the reference and the blend, and only the blend
-    when it is given the reference; the blend is the weighting returned."""
+    """xy_morph solves the unit-weight reference and the blend, nothing
+    else; the blend is the weighting returned."""
     poly = regular_polygon(octahedron.outer_face)
-    ref = tutte(octahedron, poly)
     solved = record_solves(monkeypatch)
     w, _ = xy_morph(octahedron, poly, 0.3)
     assert len(solved) == 2 and solved[1] is w
-    solved.clear()
-    w, _ = xy_morph(octahedron, poly, 0.3, reference=ref)
-    assert len(solved) == 1 and solved[0] is w
+    assert np.array_equal(solved[0], unit_weights(octahedron))
 
 
 def test_sweeps_search_once(monkeypatch):

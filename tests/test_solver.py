@@ -245,17 +245,16 @@ def test_tutte_is_unit_weight_solve(octahedron):
 def _method_weights(emb):
     """(name, weights, polygon) for the weight array of every method."""
     poly = regular_polygon(emb.outer_face)
-    ref = tutte(emb, poly)
     out = [
-        ("xspread", spread_pipeline(emb, poly, 0.0, reference=ref).weights, poly),
-        ("yspread", spread_pipeline(emb, poly, math.pi / 2, reference=ref).weights, poly),
-        ("xymorph", xy_morph(emb, poly, 0.0, 0.5, reference=ref)[0], poly),
+        ("xspread", spread_pipeline(emb, poly, 0.0).weights, poly),
+        ("yspread", spread_pipeline(emb, poly, math.pi / 2).weights, poly),
+        ("xymorph", xy_morph(emb, poly, 0.0, 0.5)[0], poly),
         ("bfs", depth_weights(bfs_depths(emb), 1.0, 3.0), poly),
     ]
     if emb.m == 3 * emb.n - 6:
         out.append(("schnyder", depth_weights(schnyder_depths(emb), 1.0, 3.0), poly))
     uni = uniform_pipeline(emb)
-    out.append(("uniform", uni.weights, uni.polygon))
+    out.append(("uniform", uni.weights, uni.drawing.polygon))
     return out
 
 
@@ -359,11 +358,10 @@ def test_ordered_solve_matches_colamd_pivoted_solve(n, m, seed):
     radius, for spread weights at 0 and 37 degrees and BFS decay r = 5."""
     emb = generate_planar(n, m, seed=seed)
     poly = regular_polygon(emb.outer_face)
-    ref = tutte(emb, poly)
     for w in (
         unit_weights(emb),
-        spread_pipeline(emb, poly, 0.0, reference=ref).weights,
-        spread_pipeline(emb, poly, math.radians(37.0), reference=ref).weights,
+        spread_pipeline(emb, poly, 0.0).weights,
+        spread_pipeline(emb, poly, math.radians(37.0)).weights,
         depth_weights(bfs_depths(emb), 1.0, 5.0),
     ):
         got = solve_stress(emb, w, poly).positions
@@ -409,8 +407,7 @@ def _stiff_weights(emb, decades, seed=0):
 def _weightings(emb, poly):
     """Spread, morph and decay weights, and one weighting that needs
     refinement passes."""
-    ref = tutte(emb, poly)
-    spreads = [spread_pipeline(emb, poly, math.radians(d), reference=ref).weights
+    spreads = [spread_pipeline(emb, poly, math.radians(d)).weights
                for d in (0, 30, 90, 135)]
     return (spreads + [morph_weights(spreads[0], spreads[2], t) for t in (0.25, 0.5)]
             + [depth_weights(bfs_depths(emb), 1.0, r) for r in (2, 5, 16)]

@@ -31,6 +31,7 @@ from stressdraw import (
     schnyder_depths,
     schnyder_spread,
     schnyder_wood,
+    ZeroLengthEdge,
     tutte,
     worst_case_graph,
 )
@@ -267,6 +268,32 @@ def test_best_r_matches_explicit_scan():
     # ties break toward the smaller r
     firsts = [c for rr, c in scan if rr == best_ratio]
     assert r == min(firsts)
+
+
+@pytest.mark.parametrize("k, method", [(10, "schnyder"), (20, "bfs")])
+def test_best_r_skips_bases_with_a_zero_length_edge(k, method):
+    """A base whose drawing has a zero-length edge has no ratio: the scan
+    picks among the other bases, as an explicit scan that skips it does."""
+    emb = worst_case_graph(k)
+    poly = regular_polygon(emb.outer_face)
+    spread = bfs_spread if method == "bfs" else schnyder_spread
+    scan = []
+    for cand in range(2, 17):
+        try:
+            scan.append((edge_length_ratio(spread(emb, poly, r=float(cand)), emb), cand))
+        except ZeroLengthEdge:
+            pass
+    assert 0 < len(scan) < 15
+    r, d, ratio = best_r(emb, poly, method)
+    assert (ratio, r) == min(scan)
+    assert edge_length_ratio(d, emb) == ratio
+
+
+def test_best_r_raises_when_no_base_has_a_ratio():
+    emb = worst_case_graph(30)
+    poly = regular_polygon(emb.outer_face)
+    with pytest.raises(ZeroLengthEdge, match="zero length"):
+        best_r(emb, poly, "bfs")
 
 
 def test_best_r_rejects_bad_range(octahedron):

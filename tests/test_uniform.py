@@ -189,7 +189,7 @@ def test_placement_is_scale_free(outer, x):
 
 def test_pipeline_octahedron_x_are_the_indices(octahedron):
     res = uniform_pipeline(octahedron)
-    tol = TARGET_RTOL * res.polygon.radius
+    tol = TARGET_RTOL * res.drawing.polygon.radius
     idx = res.orientation.rank + 1
     assert np.abs(res.drawing.positions[:, 0] - idx).max() <= tol
     xs = sorted(res.drawing.positions[:, 0].tolist())
@@ -197,7 +197,7 @@ def test_pipeline_octahedron_x_are_the_indices(octahedron):
         assert abs(x - i) <= tol
     assert crossing_count(res.drawing, octahedron) == 0
     assert faces_convex(res.drawing, octahedron)
-    assert _strictly_convex(res.polygon)
+    assert _strictly_convex(res.drawing.polygon)
 
 
 def test_uniform_polygons_match_dict_oracle():
@@ -240,7 +240,7 @@ def test_pipeline_on_generated_graphs():
     for n, m, seed in ((12, 27, 51), (20, 48, 52), (26, 3 * 26 - 6, 53)):
         emb = generate_planar(n, m, seed=seed)
         res = uniform_pipeline(emb)
-        tol = TARGET_RTOL * res.polygon.radius
+        tol = TARGET_RTOL * res.drawing.polygon.radius
         xs = sorted(res.drawing.positions[:, 0].tolist())
         for i, x in enumerate(xs, start=1):
             assert abs(x - i) <= tol
@@ -252,7 +252,8 @@ def test_pipeline_on_generated_graphs():
 
 def test_pipeline_outer_positions_come_from_polygon(octahedron):
     res = uniform_pipeline(octahedron)
-    assert np.array_equal(res.drawing.positions[list(res.polygon.order)], res.polygon.positions)
+    poly = res.drawing.polygon
+    assert np.array_equal(res.drawing.positions[list(poly.order)], poly.positions)
 
 
 def test_pipeline_deterministic():

@@ -24,7 +24,7 @@ from .graph import (
 )
 from .metrics import compute_metrics, metrics_json
 from .morph import best_row, kaleidoscope, rows_to_csv, worst_row, xy_morph
-from .solver import Drawing, OuterPolygon, regular_polygon, tutte
+from .solver import Drawing, OuterPolygon, _reference, regular_polygon
 from .spread import spread_pipeline
 from .svg import render_svg
 from .treespread import best_r, bfs_spread, schnyder_spread
@@ -93,7 +93,7 @@ def _spread(emb: PlanarEmbedding, poly: OuterPolygon, direction: float) -> tuple
 # Every drawing method by CLI name, on the graph, its polygon and the draw
 # options: the drawing, and the decay base `--r best` chose (None otherwise).
 METHODS = {
-    "tutte": lambda emb, poly, p: (tutte(emb, poly), None),
+    "tutte": lambda emb, poly, p: (_reference(emb, poly), None),
     "xspread": lambda emb, poly, p: _spread(emb, poly, math.radians(p.angle)),
     "yspread": lambda emb, poly, p: _spread(emb, poly, math.radians(p.angle) + math.pi / 2.0),
     "xymorph": lambda emb, poly, p: (xy_morph(emb, poly, math.radians(p.angle), p.t)[1], None),

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BadParams, EdgeSetMismatch
 from .graph import PlanarEmbedding
 from .metrics import edge_length_ratio
-from .solver import Drawing, OuterPolygon, solve_stress, solve_stresses, tutte
+from .solver import Drawing, OuterPolygon, _reference, solve_stress, solve_stresses
 from .spread import _check_direction, _direction_plans, _plan_weights
 
 
@@ -44,13 +44,13 @@ def xy_morph(
     """Blend the spreads along `angle` and `angle + pi/2`, then solve.
 
     The default t = 1/2 averages the two weightings. Both spreads read the
-    same unit-weight reference drawing, tutte(emb, poly). The two
-    directions are planned in one batch, each weighted as spread_pipeline
-    weights it, and only the blend is solved: two solves with the
-    reference.
+    same unit-weight reference drawing, tutte(emb, poly), solved once per
+    embedding and polygon. The two directions are planned in one batch,
+    each weighted as spread_pipeline weights it, and only the blend is
+    solved, after the reference when the embedding does not hold it yet.
     """
     _check_direction(angle)
-    ref = tutte(emb, poly)
+    ref = _reference(emb, poly)
     w0, w1 = _plan_weights(_direction_plans(emb, poly, ref, [angle, angle + math.pi / 2]))
     weights = morph_weights(w0, w1, t)
     return weights, solve_stress(emb, weights, poly)
@@ -76,13 +76,15 @@ def kaleidoscope(
     own direction); every distinct direction is planned once. The
     directions, in the order the rows first use them, are planned in one
     batch, which solves nothing, and the rows' blends are solved in one
-    solve_stresses batch: 1 + rows systems with the reference. A direction
+    solve_stresses batch. The reference, tutte(emb, poly), is solved once
+    per embedding and polygon, so a sweep solves one system per row, plus
+    the reference when the embedding does not hold it yet. A direction
     that cannot be planned raises before any blend is solved
     (spread_pipeline).
     """
     if not 0.0 < step_degrees <= 90.0:
         raise BadParams(f"step must lie in (0, 90], got {step_degrees}")
-    ref = tutte(emb, poly)
+    ref = _reference(emb, poly)
     angles: list[float] = []
     k = 0
     while k * step_degrees <= 90.0 + 1e-9:

@@ -50,7 +50,7 @@ from .errors import (
     ZeroGap,
 )
 from .graph import PlanarEmbedding
-from .solver import Drawing, OuterPolygon, solve_stresses, tutte
+from .solver import Drawing, OuterPolygon, _reference, solve_stresses
 
 # Pinned x-values closer than this fraction of the largest |pinned x| are
 # one value: a turned regular polygon puts equal corners ~1e-16 apart.
@@ -429,9 +429,10 @@ def spread_pipeline(
     """Run the whole spread construction for one direction (radians).
 
     direction 0 spreads x-coordinates, pi/2 spreads y-coordinates; it must
-    be finite. Its reference tutte(emb, poly), turned by exactly -direction
-    so the direction becomes the x-axis, gives the orientation (ties broken
-    as in st_orient) and the pinned targets. The solved drawing, turned the
+    be finite. Its reference tutte(emb, poly), solved once per embedding
+    and polygon (solver._reference) and turned by exactly -direction so the
+    direction becomes the x-axis, gives the orientation (ties broken as in
+    st_orient) and the pinned targets. The solved drawing, turned the
     same way, must match the targets within TARGET_RTOL * radius; a miss
     raises ResidualExceeded. The kaleidoscope and the xy-morph plan many
     directions of one reference in one batch; each gets the weights this
@@ -442,4 +443,4 @@ def spread_pipeline(
     balance (ResidualExceeded), else the first with a bad gap.
     """
     _check_direction(direction)
-    return _spreads(emb, poly, _direction_plans(emb, poly, tutte(emb, poly), [direction]))[0]
+    return _spreads(emb, poly, _direction_plans(emb, poly, _reference(emb, poly), [direction]))[0]

@@ -31,16 +31,15 @@ def _fit(drawing: Drawing) -> np.ndarray:
 
 
 def render_svg(drawing: Drawing, emb: PlanarEmbedding) -> str:
-    mapped, ends = _fit(drawing), emb.edge_array
-    line = (
-        '  <line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f"'
-        f' stroke="black" stroke-width="{STROKE_WIDTH:g}"/>\n'
-    )
-    dot = f'  <circle cx="%.3f" cy="%.3f" r="{DOT_RADIUS:g}" fill="black"/>\n'
+    # each vertex's coordinates are formatted once, for its dot and its edge ends
+    x, y = (["%.3f" % c for c in col] for col in _fit(drawing).T.tolist())
+    line = f' stroke="black" stroke-width="{STROKE_WIDTH:g}"/>\n'
+    dot = f' r="{DOT_RADIUS:g}" fill="black"/>\n'
     return (
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="0 0 {VIEW:g} {VIEW:g}">\n'
-        + (line * len(ends)) % tuple(mapped[ends].ravel().tolist())
-        + (dot * emb.n) % tuple(mapped[:emb.n].ravel().tolist())
+        + "".join([f'  <line x1="{x[u]}" y1="{y[u]}" x2="{x[v]}" y2="{y[v]}"{line}'
+                   for u, v in emb.edge_array.tolist()])
+        + "".join([f'  <circle cx="{a}" cy="{b}"{dot}' for a, b in zip(x, y)])
         + "</svg>\n"
     )

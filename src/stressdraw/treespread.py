@@ -50,12 +50,15 @@ def depth_weights(
     a: float = 1.0,
     r: float = 5.0,
 ) -> np.ndarray:
-    """Exponential decay a / r**depth; requires finite a > 0 and r > 1."""
+    """Exponential decay a / r**depth; requires finite a > 0 and r > 1.
+    A power past float64 is inf, its weight 0.0, which the solve rejects
+    as NonPositiveWeight."""
     if not 0 < a < math.inf:
         raise BadParams(f"a must be positive and finite, got {a}")
     if not 1 < r < math.inf:
         raise BadParams(f"r must exceed 1 and be finite, got {r}")
-    return a / float(r) ** np.asarray(depths)
+    with np.errstate(over="ignore"):
+        return a / float(r) ** np.asarray(depths)
 
 
 def bfs_spread(

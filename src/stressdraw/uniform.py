@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NoValidTopBottom, PreconditionError, StressDrawError
 from .graph import PlanarEmbedding, edge_key
 from .metrics import _convex_ring_turn
-from .solver import OuterPolygon, regular_polygon, tutte
+from .solver import OuterPolygon, _reference, regular_polygon
 from .spread import SpreadResult, _Plans, _spreads, _take, st_orient
 
 # steepest slope angle used by the caps around the leftmost/rightmost vertex
@@ -152,11 +152,14 @@ def uniform_pipeline(emb: PlanarEmbedding) -> SpreadResult:
 
     Targets are the 1-based ranks themselves, rank + 1 of the orientation
     of the unit drawing's x-order, ties broken as in st_orient: an
-    st-numbering for the outer face. No rotation is involved, so the
-    solved x-coordinates must come out as 1..n directly. The spread's
-    targets are rank + 1, and its drawing.polygon is the constructed one.
+    st-numbering for the outer face. The unit drawing is the reference on
+    the radius-1 regular polygon, solved once per embedding and polygon,
+    so the spreads drawn on that polygon share it. No rotation is
+    involved, so the solved x-coordinates must come out as 1..n directly.
+    The spread's targets are rank + 1, and its drawing.polygon is the
+    constructed one.
     """
-    ref = tutte(emb, regular_polygon(emb.outer_face))
+    ref = _reference(emb, regular_polygon(emb.outer_face))
     o = st_orient(ref.positions[:, 0], emb)
     targets = o.rank + 1.0
     poly = convex_outer_placement(emb.outer_face, targets)

@@ -2,6 +2,7 @@
 where the locale matters."""
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import record_solves
@@ -157,6 +159,16 @@ def test_draw_bfs_best_r_skips_bases_without_a_ratio(tmp_path, capsys):
 def test_draw_reports_a_vanishing_weight_as_a_float(graph_path, tmp_path, capsys):
     """A decay weight that underflows to zero is named as a plain float."""
     assert run(["draw", str(graph_path), "--method", "bfs", "--a", "1e-300", "--r", "1e100",
+                "--out-svg", str(tmp_path / "d.svg")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: NonPositiveWeight: ")
+    assert err.endswith("got 0.0\n")
+
+
+def test_draw_reports_an_overflowing_decay_power_as_a_zero_weight(graph_path, tmp_path, capsys):
+    """r**depth past float64 gives the weight 0.0 without a RuntimeWarning,
+    which the suite turns into an error."""
+    assert run(["draw", str(graph_path), "--method", "bfs", "--r", "1e308",
                 "--out-svg", str(tmp_path / "d.svg")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: NonPositiveWeight: ")
@@ -398,6 +410,35 @@ def test_gallery_xy_morph_cell_matches_library(graph_path, tmp_path):
     emb = load_graph(graph_path)
     _, drawing = xy_morph(emb, regular_polygon(emb.outer_face), 0.0)
     assert cell == f"{edge_length_ratio(drawing, emb):.6f}"
+
+
+def test_gallery_solves_tutte_once_per_row(graph_path, tri_path, tmp_path, monkeypatch):
+    """The tutte column and the spreads and the morph after it share one
+    reference solve per graph."""
+    solved = record_solves(monkeypatch)
+    assert run(["gallery", str(graph_path), str(tri_path), "--out-dir", str(tmp_path / "gal")]) == 0
+    # the unit weightings solved, by edge count: one for each graph (m = 27, 36)
+    assert [len(w) for w in solved if np.all(w == 1.0)] == [27, 36]
+
+
+def test_methods_on_a_warm_embedding_match_a_fresh_one():
+    """The stored reference changes no output bit: a second run
+    of every method on one embedding equals the first run on another."""
+    def outputs(emb):
+        poly = regular_polygon(emb.outer_face)
+        got = []
+        for r in ("best", "3"):
+            params = argparse.Namespace(angle=30.0, t=0.25, a=1.0, r=r)
+            for method in METHODS.values():
+                drawing, chosen = method(emb, poly, params)
+                got += [drawing.positions.tobytes(), chosen]
+        for row in kaleidoscope(emb, poly, 15.0):
+            got += [row.ratio, row.drawing.positions.tobytes()]
+        return got + [xy_morph(emb, poly, 0.7)[0].tobytes()]
+
+    warm = generate_planar(40, 3 * 40 - 6, seed=5)
+    outputs(warm)
+    assert outputs(warm) == outputs(generate_planar(40, 3 * 40 - 6, seed=5))
 
 
 @pytest.mark.parametrize("path", ["graph_path", "tri_path"])

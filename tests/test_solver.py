@@ -30,6 +30,7 @@ from stressdraw import (
     edge_key,
     equilibrium_residual,
     generate_planar,
+    kaleidoscope,
     morph_weights,
     regular_polygon,
     schnyder_depths,
@@ -296,9 +297,66 @@ def test_pattern_built_once_per_embedding(monkeypatch):
     monkeypatch.setattr(graph, "_build_laplacian_pattern", lambda emb: calls.append(emb) or build(emb))
     emb = generate_planar(20, 50, seed=66)
     poly = regular_polygon(emb.outer_face)
-    xy_morph(emb, poly, 0.4)  # a reference, two spreads and the blend: four solves
+    xy_morph(emb, poly, 0.4)  # the reference and the blend: two solves
     solve_stress(emb, depth_weights(bfs_depths(emb), 1.0, 5.0), poly)
     assert calls == [emb]
+
+
+def _references_solved(monkeypatch) -> list[OuterPolygon]:
+    """The polygon of every reference solver._reference solves from now on."""
+    solved: list[OuterPolygon] = []
+    monkeypatch.setattr(solver, "tutte", lambda emb, poly: solved.append(poly) or tutte(emb, poly))
+    return solved
+
+
+def test_reference_solved_once_per_embedding_and_polygon(monkeypatch):
+    """The spread-type methods share one stored reference per embedding: a
+    polygon of equal content, built anew, solves none; one of other
+    content, a larger radius or turned corners, solves it again and
+    replaces it."""
+    solved = _references_solved(monkeypatch)
+    emb = generate_planar(30, 84, seed=1)
+    poly = regular_polygon(emb.outer_face)
+    spread_pipeline(emb, poly, 0.3)
+    spread_pipeline(emb, regular_polygon(emb.outer_face), 1.1)
+    xy_morph(emb, regular_polygon(emb.outer_face), 0.2)
+    kaleidoscope(emb, regular_polygon(emb.outer_face), 30.0)
+    uniform_pipeline(emb)
+    assert solved == [poly]
+    others = [regular_polygon(emb.outer_face, 2.0),
+              OuterPolygon(poly.order, poly.positions @ np.array([[0.6, 0.8], [-0.8, 0.6]])), poly]
+    for other in others:
+        xy_morph(emb, other, 0.2)
+        xy_morph(emb, other, 0.2)
+    assert solved == [poly, *others]
+
+
+def test_stored_reference_is_read_only_and_tutte_is_fresh():
+    emb = generate_planar(30, 84, seed=1)
+    poly = regular_polygon(emb.outer_face)
+    ref = solver._reference(emb, poly)
+    assert not ref.positions.flags.writeable
+    assert solver._reference(emb, regular_polygon(emb.outer_face)) is ref
+    drawings = [tutte(emb, poly), tutte(emb, poly)]
+    assert drawings[0].positions is not drawings[1].positions
+    for d in drawings:
+        assert d.positions.flags.writeable
+        assert d.positions.tobytes() == ref.positions.tobytes()
+
+
+def test_a_failed_reference_is_not_stored(monkeypatch):
+    """A polygon whose solve raises is tried afresh on every call and
+    leaves the stored reference in place."""
+    solved = _references_solved(monkeypatch)
+    emb = generate_planar(30, 84, seed=1)
+    poly = regular_polygon(emb.outer_face)
+    bad = OuterPolygon(poly.order[1:], poly.positions[1:])
+    spread_pipeline(emb, poly)
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            spread_pipeline(emb, bad)
+    spread_pipeline(emb, poly)
+    assert solved == [poly, bad, bad]
 
 
 def test_pattern_follows_the_outer_face():

@@ -85,6 +85,12 @@ def test_bfs_depths_reject_a_disconnected_graph():
         bfs_depths(two_triangles)
 
 
+def test_depth_weights_overflow_to_a_zero_weight():
+    """A power past float64 gives the weight 0.0 without a warning."""
+    w = depth_weights(np.array([1, 2]), a=1.0, r=1e308)
+    assert w.tolist() == [1e-308, 0.0]
+
+
 def test_depth_weights_decay():
     w = depth_weights(np.array([1, 2, 3]), a=1.0, r=5.0)
     assert abs(w[0] - 0.2) < 1e-15

@@ -241,6 +241,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_options(args: argparse.Namespace) -> None:
+    """BadParams unless --radius and --a, where the subcommand takes them,
+    are positive and finite: checked before any graph is read."""
+    for name in ("radius", "a"):
+        value = getattr(args, name, 1.0)
+        if not 0 < value < math.inf:
+            raise BadParams(f"{name} must be positive and finite, got {value}")
+
+
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
@@ -250,6 +259,7 @@ def run(argv: list[str] | None = None) -> int:
         "gallery": cmd_gallery,
     }[args.command]
     try:
+        _check_options(args)
         return handler(args)
     except InputError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

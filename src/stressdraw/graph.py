@@ -527,15 +527,31 @@ def _merged_face(
 ) -> list[int] | None:
     """The face left by deleting edge uv from a 3-connected plane graph
     (faces: cycles in traversal order; face_of: the face of each directed
-    edge), or None when the graph would lose 3-connectivity. Only that face
-    is new, so it alone must meet the faces around it properly."""
+    edge), or None when the graph would lose 3-connectivity.
+
+    Only that face is new, and every other pair of faces already meets
+    properly (see _faces_meet_properly). So the graph stays 3-connected
+    when the merged face is a simple cycle and each face around it shares
+    with it at most one vertex, or exactly the two ends of an edge that
+    lies on both: one side of that edge in the face, the other in f1 or
+    f2, the faces that merge."""
     f1, f2 = face_of[(u, v)], face_of[(v, u)]
     c1, c2 = faces[f1], faces[f2]
     i, j = c1.index(u), c2.index(v)
     # u, the v->u face after u, v, the u->v face after v
     merged = [u] + (c2[j:] + c2[:j])[2:] + [v] + (c1[i:] + c1[:i])[2:]
-    around = {face_of[(a, b)] for a in merged for b in rot[a]} - {f1, f2}
-    return merged if _faces_meet_properly([merged] + [faces[g] for g in around]) else None
+    on_merged = set(merged)
+    if len(on_merged) != len(merged):
+        return None
+    for g in {face_of[(a, b)] for a in merged for b in rot[a]} - {f1, f2}:
+        shared = [w for w in faces[g] if w in on_merged]
+        if len(shared) > 2:
+            return None
+        if len(shared) == 2:
+            a, b = shared
+            if {face_of.get((a, b)), face_of.get((b, a))} not in ({g, f1}, {g, f2}):
+                return None
+    return merged
 
 
 def _generate_once(n: int, m: int, rng: random.Random) -> tuple[list[list[int]], int]:
@@ -578,9 +594,9 @@ def generate_planar(
 
     Grows a random triangulation by repeated vertex insertion into a
     uniformly random face, then deletes uniformly random edges until m
-    remain, skipping any deletion that would drop a degree below 3 or whose
-    merged face fails the face test of validate_three_connected. Deterministic
-    for a fixed seed. When deletion stalls, up to `attempts` (>= 1) fresh
+    remain, skipping any deletion that would drop a degree below 3 or lose
+    3-connectivity, which only the merged face can show (_merged_face).
+    Deterministic for a fixed seed. When deletion stalls, up to `attempts` (>= 1) fresh
     tries run on derived sub-seeds; if none reaches m exactly, the closest
     achieved edge count above m is returned with a logged warning, or
     GenerationStalled is raised when strict.

@@ -34,31 +34,38 @@ class DrawingMetrics:
     max_edge_length: float
 
 
-def _finite_positions(d) -> np.ndarray:
-    """The drawing's (n, 2) positions; PreconditionError names a vertex with
-    a NaN or infinite coordinate, which no metric can measure."""
-    pts = d.positions
-    finite = np.isfinite(pts)
-    if not finite.all():
-        v = int(np.flatnonzero(~finite.all(axis=1))[0])
-        raise PreconditionError(f"vertex {v} has non-finite position {tuple(pts[v].tolist())}")
+def _finite_positions(pts: np.ndarray) -> np.ndarray:
+    """pts, the (n, 2) positions of a drawing or the (b, n, 2) positions of
+    b drawings; PreconditionError names the first vertex, of the first
+    drawing, with a NaN or infinite coordinate, which no metric can
+    measure."""
+    if not np.isfinite(pts).all():
+        at = tuple(np.argwhere(~np.isfinite(pts).all(axis=-1))[0])
+        raise PreconditionError(f"vertex {at[-1]} has non-finite position {tuple(pts[at].tolist())}")
     return pts
 
 
-def _length_range(d, emb: PlanarEmbedding) -> tuple[float, float]:
-    """Shortest and longest edge length; ZeroLengthEdge when the shortest is 0."""
-    ends = _finite_positions(d)[emb.edge_array]
-    lengths = np.hypot(*(ends[:, 0] - ends[:, 1]).T)
-    shortest = float(lengths.min())
-    if shortest == 0.0:
+def _length_range(positions: np.ndarray, emb: PlanarEmbedding) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest and longest edge length of each of b drawings, from their
+    (b, n, 2) positions: two (b,) arrays. A shortest length of 0 is
+    returned as it is; _ratios rejects it."""
+    x, y = np.moveaxis(_finite_positions(positions), -1, 0)
+    lo, hi = emb.edge_array.T
+    lengths = np.hypot(x[:, lo] - x[:, hi], y[:, lo] - y[:, hi])
+    return lengths.min(axis=1), lengths.max(axis=1)
+
+
+def _ratios(shortest: np.ndarray, longest: np.ndarray) -> list[float]:
+    """Longest edge length divided by shortest, per drawing;
+    ZeroLengthEdge when a drawing's shortest edge has length 0."""
+    if not shortest.all():
         raise ZeroLengthEdge("drawing contains an edge of zero length")
-    return shortest, float(lengths.max())
+    return (longest / shortest).tolist()
 
 
 def edge_length_ratio(d, emb: PlanarEmbedding) -> float:
     """Longest edge length divided by shortest; always >= 1."""
-    shortest, longest = _length_range(d, emb)
-    return longest / shortest
+    return _ratios(*_length_range(d.positions[None], emb))[0]
 
 
 def crossing_count(d, emb: PlanarEmbedding) -> int:
@@ -72,7 +79,7 @@ def crossing_count(d, emb: PlanarEmbedding) -> int:
     has |det| > CROSSING_EPS, far above the float error, so it crosses in
     exact arithmetic too, which a certified drawing never does.
     """
-    pts = _finite_positions(d)
+    pts = _finite_positions(d.positions)
     ends = emb.edge_array
     m = len(ends)
     if m < 2:
@@ -170,7 +177,7 @@ def faces_convex(d, emb: PlanarEmbedding) -> bool:
     the radius into [0.5, 1): exact, so the verdict is the unscaled one
     wherever that neither overflows nor underflows, and scale-free beyond.
     """
-    pts = _finite_positions(d)
+    pts = _finite_positions(d.positions)
     index = emb._face_index
     if not len(index.corner_starts):
         return True
@@ -185,13 +192,13 @@ def faces_convex(d, emb: PlanarEmbedding) -> bool:
 
 
 def compute_metrics(d, emb: PlanarEmbedding) -> DrawingMetrics:
-    shortest, longest = _length_range(d, emb)
+    shortest, longest = _length_range(d.positions[None], emb)
     return DrawingMetrics(
-        edge_length_ratio=longest / shortest,
+        edge_length_ratio=_ratios(shortest, longest)[0],
         crossing_count=crossing_count(d, emb),
         all_faces_convex=faces_convex(d, emb),
-        min_edge_length=shortest,
-        max_edge_length=longest,
+        min_edge_length=float(shortest[0]),
+        max_edge_length=float(longest[0]),
     )
 
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import BadParams, EdgeSetMismatch
 from .graph import PlanarEmbedding
-from .metrics import edge_length_ratio
-from .solver import Drawing, OuterPolygon, _reference, solve_stress, solve_stresses
+from .metrics import _length_range, _ratios
+from .solver import Drawing, OuterPolygon, _reference, _solve_chunks, solve_stress
 from .spread import _check_direction, _direction_plans, _plan_weights
 
 
@@ -76,11 +76,11 @@ def kaleidoscope(
     own direction); every distinct direction is planned once. The
     directions, in the order the rows first use them, are planned in one
     batch, which solves nothing, and the rows' blends are solved in one
-    solve_stresses batch. The reference, tutte(emb, poly), is solved once
-    per embedding and polygon, so a sweep solves one system per row, plus
-    the reference when the embedding does not hold it yet. A direction
-    that cannot be planned raises before any blend is solved
-    (spread_pipeline).
+    solve_stresses batch and measured a chunk at a time. The reference,
+    tutte(emb, poly), is solved once per embedding and polygon, so a sweep
+    solves one system per row, plus the reference when the embedding does
+    not hold it yet. A direction that cannot be planned raises before any
+    blend is solved (spread_pipeline).
     """
     if not 0.0 < step_degrees <= 90.0:
         raise BadParams(f"step must lie in (0, 90], got {step_degrees}")
@@ -96,10 +96,11 @@ def kaleidoscope(
     directions = list(dict.fromkeys(chain.from_iterable(pairs)))
     weights = dict(zip(directions, _plan_weights(_direction_plans(emb, poly, ref, directions))))
     blends = (morph_weights(weights[a], weights[b]) for a, b in pairs)
-    return [
-        KaleidoscopeRow(deg, edge_length_ratio(d, emb), d)
-        for deg, d in zip(angles, solve_stresses(emb, blends, poly))
-    ]
+    rows: list[KaleidoscopeRow] = []
+    for positions, drawings in _solve_chunks(emb, blends, poly):
+        ratios = _ratios(*_length_range(positions, emb))
+        rows += map(KaleidoscopeRow, angles[len(rows):], ratios, drawings)
+    return rows
 
 
 def best_row(rows: list[KaleidoscopeRow]) -> KaleidoscopeRow:

@@ -25,15 +25,17 @@ from .errors import (
     ResidualExceeded,
     SingularSystem,
 )
-from .graph import SPD_LU, PlanarEmbedding
+from .graph import SPD_LU, PlanarEmbedding, _LaplacianPattern
 
 # Hard cap on the equilibrium residual, relative to the polygon radius.
 RESIDUAL_RTOL = 1e-8
 # Most system rows factored at once: solve_stresses factors a chunk of
 # max(1, BATCH_ROWS // k) weightings of a k-row system together. SuperLU
 # preallocates in proportion to the nonzeros it factors, so the cap bounds
-# the memory a batch takes while a chunk still shares the per-call cost.
-BATCH_ROWS = 2048
+# the memory a batch takes; it is set so that a sweep or a decay scan of a
+# graph of up to about 400 vertices is one call, whose fixed cost is paid
+# once.
+BATCH_ROWS = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,19 +94,20 @@ def _net_pull(
     head: np.ndarray,
     slot: np.ndarray,
     size: int,
-    positions: np.ndarray,
+    xy: np.ndarray,
 ) -> np.ndarray:
-    """Per-slot sums of the pulls along half-edges, a (size, 2) array.
+    """Per-slot sums of the pulls along half-edges, a (2, size) array: the
+    x sums, then the y sums.
 
-    w holds (b, h) weights for b drawings and positions their (b, n, 2)
-    vertex positions. Half-edge i runs from vertex tail[i] to vertex
-    head[i]; in drawing j it pulls with w[j, i] * (p[head[i]] - p[tail[i]])
-    on slot[j, i]. Every slot adds its pulls in half-edge order, so the sums
-    of one drawing do not depend on the others beside it.
+    w holds (b, h) weights for b drawings and xy their coordinates, a
+    (2, b, n) array: the x of every vertex of each drawing, then the y.
+    Half-edge i runs from vertex tail[i] to vertex head[i]; in drawing j it
+    pulls with w[j, i] * (p[head[i]] - p[tail[i]]) on slot[j, i]. Every
+    slot adds its pulls in half-edge order, so the sums of one drawing do
+    not depend on the others beside it.
     """
-    return np.column_stack([
-        np.bincount(slot.ravel(), (w * (p[:, head] - p[:, tail])).ravel(), size)
-        for p in (positions[..., 0], positions[..., 1])
+    return np.stack([
+        np.bincount(slot.ravel(), (w * (c[:, head] - c[:, tail])).ravel(), size) for c in xy
     ])
 
 
@@ -125,8 +128,8 @@ def equilibrium_residual(
     lo, hi = emb.edge_array.T
     tail, head = np.concatenate((lo, hi)), np.concatenate((hi, lo))
     w = np.tile(np.asarray(weights, dtype=float), 2)[None]
-    force = _net_pull(w, tail, head, tail, emb.n, np.asarray(positions)[None])
-    force[list(pinned)] = 0.0
+    force = _net_pull(w, tail, head, tail, emb.n, np.ascontiguousarray(np.transpose(positions))[:, None])
+    force[:, list(pinned)] = 0.0
     return float(np.abs(force).max())
 
 
@@ -147,17 +150,23 @@ def _check_weight_count(emb: PlanarEmbedding, weights: np.ndarray) -> None:
         raise NonPositiveWeight(f"need {m} edge weights, got shape {np.shape(weights)}")
 
 
-def _row_weights(emb: PlanarEmbedding, weights: np.ndarray) -> np.ndarray:
-    """The weight of every edge seen from each interior end, one entry per
-    half-edge of the system pattern; NonPositiveWeight unless there are m
-    weights and each of those is positive and finite."""
-    _check_weight_count(emb, weights)
+def _chunk_weights(emb: PlanarEmbedding, weightings: list[np.ndarray]) -> np.ndarray:
+    """The (b, h) row weights of b weightings: each one's weight of every
+    edge seen from each interior end, one entry per half-edge of the system
+    pattern. NonPositiveWeight names the first weighting, in order, that is
+    not m numbers or has one that is not positive and finite."""
+    m = len(emb.edge_array)
+    shapes = [np.shape(w) for w in weightings]
+    good = next((j for j, shape in enumerate(shapes) if shape != (m,)), len(shapes))
     half = emb._laplacian_pattern.half
-    w = np.asarray(weights, dtype=float)[half]
-    bad = np.flatnonzero(~((w > 0) & np.isfinite(w)))
-    if bad.size:
-        u, v = emb.edge_array[half[bad[0]]].tolist()
-        raise NonPositiveWeight(f"edge {(u, v)} needs a positive finite weight, got {float(w[bad[0]])!r}")
+    w = np.array(weightings[:good], dtype=float).reshape(good, m)[:, half]
+    ok = (w > 0) & np.isfinite(w)
+    if not ok.all():
+        j, i = np.argwhere(~ok)[0]
+        u, v = emb.edge_array[half[i]].tolist()
+        raise NonPositiveWeight(f"edge {(u, v)} needs a positive finite weight, got {float(w[j, i])!r}")
+    if good < len(shapes):
+        raise NonPositiveWeight(f"need {m} edge weights, got shape {shapes[good]}")
     return w
 
 
@@ -171,13 +180,17 @@ def solve_stresses(
     drawings in order.
 
     The weightings are read lazily, max(1, BATCH_ROWS // k) at a time for
-    k interior vertices. A chunk's systems, in the embedding's cached
-    minimum-degree pattern, sit along the diagonal of one CSC matrix that
-    one sparse LU factors without pivoting (SPD_LU); all right-hand sides
-    are solved at once, then refined up to three times. With positive
-    weights and the outer face pinned each system is an irreducibly
-    diagonally dominant symmetric M-matrix, hence positive definite, and
-    LU without pivoting is then backward stable like Cholesky.
+    k interior vertices. With BATCH_ROWS = 8192 the 19 rows of a 5-degree
+    sweep share one factorization up to k = 431, the 15 bases of a decay
+    scan up to k = 546: at those sizes the Python around a chunk costs
+    more than its factorization, so such a batch pays it once. A chunk's
+    systems, in the embedding's cached minimum-degree pattern, sit along
+    the diagonal of one CSC matrix that one sparse LU factors without
+    pivoting (SPD_LU); all right-hand sides are solved at once, then
+    refined up to three times. With positive weights and the outer face
+    pinned each system is an irreducibly diagonally dominant symmetric
+    M-matrix, hence positive definite, and LU without pivoting is then
+    backward stable like Cholesky.
 
     One force function, the net pull on each interior vertex, gives the
     right-hand side (the pull with the interior at 0), each refinement gap
@@ -194,60 +207,91 @@ def solve_stresses(
     does not list each outer-face vertex exactly once, or whose positions
     are not one row of two per entry, raises PreconditionError.
     """
+    for _positions, drawings in _solve_chunks(emb, weightings, poly):
+        yield from drawings
+
+
+def _solve_chunks(
+    emb: PlanarEmbedding,
+    weightings: Iterable[np.ndarray],
+    poly: OuterPolygon,
+) -> Iterator[tuple[np.ndarray, list[Drawing]]]:
+    """solve_stresses a chunk at a time: the (b, n, 2) positions of each
+    chunk and its b drawings, views of them, so that a caller can measure
+    a whole chunk at once. A drawing over the residual bound cuts its chunk
+    short before it, and the next step raises ResidualExceeded.
+
+    The block-diagonal layout is built once, for the first chunk, and
+    sliced for a shorter last one.
+    """
     pinned = _pinned(emb, poly)
-    per = max(1, BATCH_ROWS // max(len(emb._laplacian_pattern.interior), 1))
+    pattern = emb._laplacian_pattern
+    k = len(pattern.interior)
+    tol = RESIDUAL_RTOL * poly.radius
     todo = iter(weightings)
-    while chunk := [_row_weights(emb, w) for w in islice(todo, per)]:
-        yield from _solve_chunk(emb, np.array(chunk), poly, pinned)
+    blocks = None
+    while chunk := list(islice(todo, max(1, BATCH_ROWS // max(k, 1)))):
+        w = _chunk_weights(emb, chunk)
+        if blocks is None:
+            blocks = _block_layout(pattern, len(w))
+        positions, residual = _solve_chunk(emb, w, poly, pinned, tol, blocks)
+        over = np.flatnonzero(~(residual <= tol)) if k else ()  # a NaN residual fails too
+        end = int(over[0]) if len(over) else len(w)
+        yield positions[:end], [Drawing(p, poly, r) for p, r in zip(positions, residual[:end].tolist())]
+        if len(over):
+            raise ResidualExceeded(f"equilibrium residual {residual[end]:.3e} exceeds {tol:.3e}")
+
+
+def _block_layout(pattern: _LaplacianPattern, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For b systems along the diagonal: the system row of each half-edge's
+    pull in each system, a (b, h) array, and the CSC row indices, a
+    (b, nnz) array, and column pointers of the whole matrix. The first
+    b' < b rows of each, and the first b' * k + 1 pointers, lay out b'
+    systems."""
+    k = len(pattern.interior)
+    shift = np.arange(b)[:, None]
+    # the slots index bincount, which takes intp; the matrix keeps scipy's int32
+    indptr = np.zeros(b * k + 1, dtype=np.intc)
+    indptr[1:] = (pattern.indptr[1:] + shift * len(pattern.indices)).ravel()
+    return shift * k + pattern.row, (pattern.indices + shift * k).astype(np.intc), indptr
 
 
 def _solve_chunk(
-    emb: PlanarEmbedding, w: np.ndarray, poly: OuterPolygon, pinned: list[int],
-) -> Iterator[Drawing]:
-    """The drawings of the (b, h) row weights w, factored as one
-    block-diagonal system."""
+    emb: PlanarEmbedding, w: np.ndarray, poly: OuterPolygon, pinned: list[int], tol: float,
+    blocks: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (b, n, 2) positions and the (b,) residuals of the (b, h) row
+    weights w, factored as one block-diagonal system."""
     pattern = emb._laplacian_pattern
     b, k = len(w), len(pattern.interior)
-    positions = np.zeros((b, emb.n, 2))
-    positions[:, pinned] = poly.positions
+    xy = np.zeros((2, b, emb.n))
+    xy[:, :, pinned] = np.transpose(poly.positions)[:, None]
     if not k:
-        yield from (Drawing(p, poly, 0.0) for p in positions)
-        return
-    shift = np.arange(b, dtype=np.intc)[:, None]
-    slot = shift * k + pattern.row  # the system row of each half-edge's pull
+        return np.stack(xy, axis=-1), np.zeros(b)
+    slot, indices, indptr = blocks[0][:b], blocks[1][:b].ravel(), blocks[2][: b * k + 1]
     values = np.concatenate(
         (-w[:, pattern.inner], np.bincount(slot.ravel(), w.ravel(), b * k).reshape(b, k)), axis=1,
     )
-    indptr = np.zeros(b * k + 1, dtype=np.intc)
-    indptr[1:] = (pattern.indptr[1:] + shift * len(pattern.indices)).ravel()
-    system = csc_matrix(
-        (values[:, pattern.perm].ravel(), (pattern.indices + shift * k).ravel(), indptr),
-        shape=(b * k, b * k),
-    )
+    system = csc_matrix((values[:, pattern.perm].ravel(), indices, indptr), shape=(b * k, b * k))
     try:
         lu = splu(system, permc_spec="NATURAL", **SPD_LU)
     except RuntimeError as exc:
         raise SingularSystem(f"interior system could not be factorized: {exc}") from exc
-    tol = RESIDUAL_RTOL * poly.radius
     # the pull with the interior at 0 is the right-hand side; only the
     # half-edges to pinned vertices add to it (the rest add +0.0)
     edge = pattern.boundary
-    rhs = _net_pull(w[:, edge], pattern.tail[edge], pattern.head[edge], slot[:, edge], b * k, positions)
-    sol = lu.solve(rhs)
+    rhs = _net_pull(w[:, edge], pattern.tail[edge], pattern.head[edge], slot[:, edge], b * k, xy)
+    sol = lu.solve(rhs.T).T
     for passes in range(4):
-        positions[:, pattern.interior] = sol.reshape(b, k, 2)
-        gap = _net_pull(w, pattern.tail, pattern.head, slot, b * k, positions)
-        residual = np.abs(gap).reshape(b, -1).max(axis=1)
+        xy[:, :, pattern.interior] = sol.reshape(2, b, k)
+        gap = _net_pull(w, pattern.tail, pattern.head, slot, b * k, xy).reshape(2, b, k)
+        residual = np.abs(gap).max(axis=(0, 2))
         done = residual <= 0.01 * tol
         if passes == 3 or done.all():
             break
-        gap.reshape(b, -1)[done] = 0.0
-        sol += lu.solve(gap)
-
-    for p, r in zip(positions, residual.tolist()):
-        if not r <= tol:  # a NaN residual fails too
-            raise ResidualExceeded(f"equilibrium residual {r:.3e} exceeds {tol:.3e}")
-        yield Drawing(p, poly, r)
+        gap[:, done] = 0.0
+        sol += lu.solve(gap.reshape(2, -1).T).T
+    return np.stack(xy, axis=-1), residual
 
 
 def solve_stress(

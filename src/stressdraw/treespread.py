@@ -5,7 +5,8 @@ the outer boundary carry exponentially less pull, which counteracts the
 central collapse of unit-weight drawings. BFS depth measures hops from
 the outer face; Schnyder depth measures position within one of the three
 trees of a realizer of a triangulation. best_r solves the weightings of
-all its decay bases in one solve_stresses batch.
+all its decay bases in one solve_stresses batch and measures them a chunk
+at a time.
 """
 from __future__ import annotations
 
@@ -20,8 +21,8 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import BadParams, InvalidEmbedding, NotTriangulation, StressDrawError, ZeroLengthEdge
 from .graph import PlanarEmbedding
-from .metrics import edge_length_ratio
-from .solver import Drawing, OuterPolygon, solve_stress, solve_stresses
+from .metrics import _length_range
+from .solver import Drawing, OuterPolygon, _solve_chunks, solve_stress
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +223,9 @@ def best_r(
 
     Ties go to the smallest base. Returns (r, drawing, ratio). r_hi must be
     an integer of at least 2. The bases' weightings are fed lazily to one
-    solve_stresses batch. A base whose drawing has a zero-length edge has
-    no ratio and is skipped; when every base is, ZeroLengthEdge is raised.
+    solve_stresses batch, and its drawings are measured a chunk at a time.
+    A base whose drawing has a zero-length edge has no ratio and is
+    skipped; when every base is, ZeroLengthEdge is raised.
     """
     try:
         r_hi = operator.index(r_hi)
@@ -237,17 +239,15 @@ def best_r(
         depths = schnyder_depths(emb)
     else:
         raise BadParams(f"unknown tree-spread method {method!r}")
-    bases = range(2, r_hi + 1)
-    drawings = solve_stresses(emb, (depth_weights(depths, a, float(r)) for r in bases), poly)
+    weightings = (depth_weights(depths, a, float(r)) for r in range(2, r_hi + 1))
     best: tuple[int, Drawing, float] | None = None
-    for r, d in zip(bases, drawings):
-        try:
-            rho = edge_length_ratio(d, emb)
-        except ZeroLengthEdge:
-            if best is None and r == r_hi:
-                raise  # no base has a ratio
-            continue
-        if best is None or rho < best[2]:
-            best = (r, d, rho)
-    assert best is not None
+    r = 1
+    for positions, drawings in _solve_chunks(emb, weightings, poly):
+        shortest, longest = _length_range(positions, emb)
+        for d, lo, hi in zip(drawings, shortest.tolist(), longest.tolist()):
+            r += 1
+            if lo != 0 and (best is None or hi / lo < best[2]):
+                best = (r, d, hi / lo)
+    if best is None:
+        raise ZeroLengthEdge("drawing contains an edge of zero length")
     return best

@@ -47,8 +47,8 @@ from stressdraw.solver import (
     RESIDUAL_RTOL,
     Drawing,
     OuterPolygon,
+    _solve_chunks,
     equilibrium_residual,
-    solve_stresses,
 )
 from stressdraw.spread import StOrientation
 
@@ -776,18 +776,19 @@ def wheel(k: int) -> PlanarEmbedding:
 
 
 def record_solves(monkeypatch) -> list[np.ndarray]:
-    """The list of every weighting solve_stresses reads from now on, in
-    order, however it is reached (solve_stress and tutte go through it).
-    The modules import it by name, so every stressdraw namespace that
-    binds it gets the recording wrapper."""
+    """The list of every weighting solved from now on, in order, however
+    it is reached: solver._solve_chunks reads them all (solve_stresses,
+    solve_stress and tutte go through it, and so do the scans that measure
+    a chunk at a time). The modules import it by name, so every stressdraw
+    namespace that binds it gets the recording wrapper."""
     solved: list[np.ndarray] = []
 
     def recorded(emb, weightings, poly):
-        return solve_stresses(emb, (solved.append(w) or w for w in weightings), poly)
+        return _solve_chunks(emb, (solved.append(w) or w for w in weightings), poly)
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("stressdraw") and getattr(mod, "solve_stresses", None) is solve_stresses:
-            monkeypatch.setattr(mod, "solve_stresses", recorded)
+        if name.startswith("stressdraw") and getattr(mod, "_solve_chunks", None) is _solve_chunks:
+            monkeypatch.setattr(mod, "_solve_chunks", recorded)
     return solved
 
 

@@ -322,7 +322,7 @@ NON_FINITE = [
     (["--method", "yspread", "--angle=-inf"], 2, "BadParams"),
     (["--method", "bfs", "--a", "inf"], 2, "BadParams"),
     (["--method", "bfs", "--r", "inf"], 2, "BadParams"),
-    (["--method", "tutte", "--radius", "inf"], 3, "PreconditionError"),
+    (["--method", "tutte", "--radius", "inf"], 2, "BadParams"),
 ]
 
 
@@ -358,6 +358,25 @@ def test_kaleidoscope_rejects_bad_step(graph_path, capsys):
     assert run(["kaleidoscope", str(graph_path), "--step", "0",
                 "--out-csv", "unused.csv"]) == 2
     assert "BadParams" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [["--a", "0"], ["--radius", "-1"], ["--radius", "nan"]], ids=" ".join)
+def test_gallery_rejects_a_bad_radius_or_scale(graph_path, tmp_path, capsys, option):
+    """A bad --a or --radius exits 2 before any graph is read, as it does
+    for draw, rather than failing every row."""
+    out_dir = tmp_path / "gal"
+    assert run(["gallery", str(graph_path), "--out-dir", str(out_dir), *option]) == 2
+    assert f"error: BadParams: {option[0][2:]} must be positive and finite" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("option", [["--radius", "0"], ["--radius", "inf"]], ids=" ".join)
+def test_kaleidoscope_rejects_a_bad_radius(tmp_path, capsys, option):
+    """The radius is checked before the graph is read: a missing graph
+    file is not reached."""
+    assert run(["kaleidoscope", str(tmp_path / "missing.json"), *option,
+                "--out-csv", str(tmp_path / "rows.csv")]) == 2
+    assert "error: BadParams: radius must be positive and finite" in capsys.readouterr().err
 
 
 def test_gallery_summary_and_failure_row(graph_path, tri_path, tmp_path, capsys):

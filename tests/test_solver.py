@@ -12,6 +12,7 @@ from conftest import (
     dict_regular_polygon,
     flip_edges,
     max_position_gap,
+    record_solves,
     scratch_factor,
     scratch_solve_stress,
     scratch_system,
@@ -25,9 +26,12 @@ from stressdraw import (
     ResidualExceeded,
     SingularSystem,
     StressDrawError,
+    ZeroLengthEdge,
+    best_r,
     bfs_depths,
     depth_weights,
     edge_key,
+    edge_length_ratio,
     equilibrium_residual,
     generate_planar,
     kaleidoscope,
@@ -40,6 +44,7 @@ from stressdraw import (
     tutte,
     uniform_pipeline,
     unit_weights,
+    worst_case_graph,
     xy_morph,
 )
 from stressdraw import solver
@@ -602,3 +607,67 @@ def test_weightings_are_read_one_chunk_at_a_time():
     assert read == []
     next(drawings)
     assert len(read) == per
+
+
+# ---------------------------------------------------------------------------
+# scans measured a chunk at a time
+# ---------------------------------------------------------------------------
+
+def _scan_outputs(emb, poly, methods):
+    """Every row of a 5-degree sweep, the best_r result of each method and
+    the x-spread, as bytes, ratios and bases."""
+    rows = kaleidoscope(emb, poly, 5.0)
+    for row in rows:
+        assert row.ratio == edge_length_ratio(row.drawing, emb)
+    got = [(r.angle_degrees, r.ratio, r.drawing.residual, r.drawing.positions.tobytes()) for r in rows]
+    for method in methods:
+        r, d, ratio = best_r(emb, poly, method)
+        assert ratio == edge_length_ratio(d, emb)
+        got.append((r, ratio, d.residual, d.positions.tobytes()))
+    spread = spread_pipeline(emb, poly, 0.3).drawing
+    return got + [(spread.residual, spread.positions.tobytes())]
+
+
+@pytest.mark.parametrize("emb, methods", [
+    (generate_planar(40, 3 * 40 - 6, seed=91), ("bfs", "schnyder")),
+    (generate_planar(50, 125, seed=92), ("bfs",)),
+    (worst_case_graph(15), ("bfs", "schnyder")),
+], ids=["tri40", "g50", "nested15"])
+def test_chunked_scans_match_one_chunk(monkeypatch, emb, methods):
+    """In chunks of four weightings, the 19 rows of a sweep and the 15
+    bases of a decay scan split 4 + 4 + 4 + 4 + 3 and 4 + 4 + 4 + 3, and
+    every output equals the one-chunk result bit for bit. On nested15 the
+    bases 11, 13, 15 and 16 of bfs have a zero-length edge and are
+    skipped; of the Schnyder bases only 14 and 15, in the last chunk, have
+    none, and 14 wins."""
+    poly = regular_polygon(emb.outer_face)
+    whole = _scan_outputs(emb, poly, methods)
+    assert 19 * len(emb._laplacian_pattern.interior) <= solver.BATCH_ROWS  # one chunk by default
+    monkeypatch.setattr(solver, "BATCH_ROWS", 4 * len(emb._laplacian_pattern.interior))
+    assert _scan_outputs(emb, poly, methods) == whole
+
+
+def test_a_zero_length_row_raises_before_the_next_chunk_is_solved(monkeypatch):
+    """A sweep row with a zero-length edge raises when its chunk is
+    measured: the weightings of later chunks are never read."""
+    from stressdraw import morph
+
+    emb = worst_case_graph(20)
+    poly = regular_polygon(emb.outer_face)
+    collapsed = depth_weights(bfs_depths(emb), 1.0, 4.0)
+    with pytest.raises(ZeroLengthEdge):
+        edge_length_ratio(solve_stress(emb, collapsed, poly), emb)
+    blend = morph.morph_weights
+    blends = []
+
+    def second_collapses(w0, w1, t=0.5):
+        blends.append(1)
+        return collapsed if len(blends) == 2 else blend(w0, w1, t)
+
+    monkeypatch.setattr(morph, "morph_weights", second_collapses)
+    monkeypatch.setattr(solver, "BATCH_ROWS", 4 * len(emb._laplacian_pattern.interior))
+    solver._reference(emb, poly)
+    solved = record_solves(monkeypatch)
+    with pytest.raises(ZeroLengthEdge, match="zero length"):
+        kaleidoscope(emb, poly, 5.0)
+    assert len(solved) == len(blends) == 4

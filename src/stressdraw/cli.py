@@ -2,8 +2,9 @@
 
 Subcommands: generate (random or worst-case graphs), draw (one method, SVG
 plus metrics), kaleidoscope (angle sweep CSV), gallery (method-by-graph
-ratio table). Exit codes: 0 success, 2 bad input or parameters, 3 violated
-algorithmic precondition, 4 numeric failure.
+ratio table). Exit codes: 0 success; on a package error, the exit_code of
+its tier (2 bad input or parameters, 3 violated algorithmic precondition,
+4 numeric failure); 2 when a file cannot be read or written.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import os
 import sys
 import tempfile
 
-from .errors import BadParams, InputError, NumericError, PreconditionError, StressDrawError
+from .errors import BadParams, StressDrawError
 from .graph import (
     PlanarEmbedding,
     generate_planar,
@@ -22,7 +23,7 @@ from .graph import (
     save_graph,
     worst_case_graph,
 )
-from .metrics import compute_metrics, metrics_json
+from .metrics import compute_metrics, edge_length_ratio, metrics_json
 from .morph import best_row, kaleidoscope, rows_to_csv, worst_row, xy_morph
 from .solver import Drawing, OuterPolygon, _reference, regular_polygon
 from .spread import spread_pipeline
@@ -159,11 +160,11 @@ def _gallery_row(emb: PlanarEmbedding, name: str, out_dir: str, radius: float, a
     drawings = {label: METHODS[method](emb, poly, params) for label, method in GALLERY_COLUMNS}
     cells = [name]
     for label, (drawing, _r) in drawings.items():
-        met = compute_metrics(drawing, emb)
+        ratio = edge_length_ratio(drawing, emb)
         _write_text(
             os.path.join(out_dir, f"{name}.{label}.svg"), render_svg(drawing, emb)
         )
-        cells.append(f"{met.edge_length_ratio:.6f}")
+        cells.append(f"{ratio:.6f}")
     cells.append(str(drawings["bfs_spread"][1]))
     return ",".join(cells)
 
@@ -261,15 +262,9 @@ def run(argv: list[str] | None = None) -> int:
     try:
         _check_options(args)
         return handler(args)
-    except InputError as exc:
+    except StressDrawError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 The three intermediate bases group errors by how the command line reports
-them: bad input (exit code 2), violated algorithmic preconditions (3), and
-numeric failures inside a solve or construction (4).
+them: bad input, violated algorithmic preconditions, and numeric failures
+inside a solve or construction. Each carries the exit code the command
+line returns for it.
 """
 from __future__ import annotations
 
@@ -14,13 +15,19 @@ class StressDrawError(Exception):
 class InputError(StressDrawError):
     """Malformed files, out-of-range parameters, broken data invariants."""
 
+    exit_code = 2
+
 
 class PreconditionError(StressDrawError):
     """An operation was applied to data that violates its preconditions."""
 
+    exit_code = 3
+
 
 class NumericError(StressDrawError):
     """A solve or geometric construction failed numerically."""
+
+    exit_code = 4
 
 
 # --- input -----------------------------------------------------------------

@@ -48,16 +48,6 @@ def edge_key(u: int, v: int) -> Edge:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Face:
-    """One face cycle, listed in traversal order."""
-
-    vertices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-
-@dataclass(frozen=True)
 class PlanarEmbedding:
     """Rotation system plus a designated outer face.
 
@@ -119,7 +109,7 @@ class PlanarEmbedding:
         return _check_rotation(self)
 
     @cached_property
-    def faces(self) -> list[Face]:
+    def faces(self) -> list[tuple[int, ...]]:
         """traverse_faces(self), computed once."""
         return traverse_faces(self)
 
@@ -140,7 +130,7 @@ class PlanarEmbedding:
         """Position of outer_face, up to rotation and reflection, in faces."""
         key = _cycle_key(self.outer_face)
         for i, face in enumerate(self.faces):
-            if _cycle_key(face.vertices) == key:
+            if _cycle_key(face) == key:
                 return i
         raise InvalidEmbedding("outer face is not a face of the embedding")
 
@@ -253,7 +243,7 @@ def _build_face_index(emb: PlanarEmbedding) -> _FaceIndex:
     faces, outer = emb.faces, emb.outer_index
     lengths = np.fromiter(map(len, faces), dtype=np.intp, count=len(faces))
     flat = np.fromiter(
-        chain.from_iterable(f.vertices for f in faces), dtype=np.intp, count=int(lengths.sum())
+        chain.from_iterable(faces), dtype=np.intp, count=int(lengths.sum())
     )
     face_of = np.repeat(np.arange(len(faces)), lengths)
     starts = np.cumsum(lengths) - lengths
@@ -321,8 +311,9 @@ def _check_rotation(emb: PlanarEmbedding) -> list[dict[int, int]]:
     return index
 
 
-def traverse_faces(emb: PlanarEmbedding) -> list[Face]:
-    """Walk every directed edge once and collect the face cycles.
+def traverse_faces(emb: PlanarEmbedding) -> list[tuple[int, ...]]:
+    """Walk every directed edge once and collect the face cycles, each a
+    tuple of its vertices in traversal order.
 
     From directed edge (u, v) the walk continues with (v, w) where w is the
     successor of u in the rotation of v. With counterclockwise rotations
@@ -332,7 +323,7 @@ def traverse_faces(emb: PlanarEmbedding) -> list[Face]:
     """
     pos = emb._rotation_index
     used: set[tuple[int, int]] = set()
-    faces: list[Face] = []
+    faces: list[tuple[int, ...]] = []
     for v0 in range(emb.n):
         for w0 in emb.rotation[v0]:
             if (v0, w0) in used:
@@ -344,7 +335,7 @@ def traverse_faces(emb: PlanarEmbedding) -> list[Face]:
                 cycle.append(v)
                 rot = emb.rotation[w]
                 v, w = w, rot[(pos[w][v] + 1) % len(rot)]
-            faces.append(Face(tuple(cycle)))
+            faces.append(tuple(cycle))
     if emb.n - emb.m + len(faces) != 2:
         raise EulerViolation(
             f"n={emb.n} m={emb.m} f={len(faces)} violates n - m + f = 2"
@@ -376,7 +367,7 @@ def validate_three_connected(emb: PlanarEmbedding) -> bool:
     faces = emb.faces  # raises unless the rotation is a simple sphere embedding
     if emb.m == 3 * n - 6:
         return True
-    return _faces_meet_properly([f.vertices for f in faces])
+    return _faces_meet_properly(faces)
 
 
 def _faces_meet_properly(faces: Sequence[Sequence[int]]) -> bool:
@@ -489,8 +480,8 @@ def worst_case_graph(k: int) -> PlanarEmbedding:
     )
     target = {u, w, 0}
     for face in emb.faces:
-        if len(face) == 3 and set(face.vertices) == target:
-            return _with_outer_face(emb, face.vertices)
+        if len(face) == 3 and set(face) == target:
+            return _with_outer_face(emb, face)
     raise AssertionError("outer triangle not found in worst-case construction")
 
 
@@ -638,7 +629,7 @@ def generate_planar(
         outer_face=(),
     )
     longest = max(map(len, emb.faces))
-    outer = min((f.vertices for f in emb.faces if len(f) == longest), key=_cycle_key)
+    outer = min((f for f in emb.faces if len(f) == longest), key=_cycle_key)
     emb = _with_outer_face(emb, outer)
     validate(emb)
     return emb

@@ -25,7 +25,7 @@ from .errors import (
     ResidualExceeded,
     SingularSystem,
 )
-from .graph import SPD_LU, PlanarEmbedding, _LaplacianPattern
+from .graph import SPD_LU, PlanarEmbedding
 
 # Hard cap on the equilibrium residual, relative to the polygon radius.
 RESIDUAL_RTOL = 1e-8
@@ -220,21 +220,14 @@ def _solve_chunks(
     chunk and its b drawings, views of them, so that a caller can measure
     a whole chunk at once. A drawing over the residual bound cuts its chunk
     short before it, and the next step raises ResidualExceeded.
-
-    The block-diagonal layout is built once, for the first chunk, and
-    sliced for a shorter last one.
     """
     pinned = _pinned(emb, poly)
-    pattern = emb._laplacian_pattern
-    k = len(pattern.interior)
+    k = len(emb._laplacian_pattern.interior)
     tol = RESIDUAL_RTOL * poly.radius
     todo = iter(weightings)
-    blocks = None
     while chunk := list(islice(todo, max(1, BATCH_ROWS // max(k, 1)))):
         w = _chunk_weights(emb, chunk)
-        if blocks is None:
-            blocks = _block_layout(pattern, len(w))
-        positions, residual = _solve_chunk(emb, w, poly, pinned, tol, blocks)
+        positions, residual = _solve_chunk(emb, w, poly, pinned, tol)
         over = np.flatnonzero(~(residual <= tol)) if k else ()  # a NaN residual fails too
         end = int(over[0]) if len(over) else len(w)
         yield positions[:end], [Drawing(p, poly, r) for p, r in zip(positions, residual[:end].tolist())]
@@ -242,23 +235,8 @@ def _solve_chunks(
             raise ResidualExceeded(f"equilibrium residual {residual[end]:.3e} exceeds {tol:.3e}")
 
 
-def _block_layout(pattern: _LaplacianPattern, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For b systems along the diagonal: the system row of each half-edge's
-    pull in each system, a (b, h) array, and the CSC row indices, a
-    (b, nnz) array, and column pointers of the whole matrix. The first
-    b' < b rows of each, and the first b' * k + 1 pointers, lay out b'
-    systems."""
-    k = len(pattern.interior)
-    shift = np.arange(b)[:, None]
-    # the slots index bincount, which takes intp; the matrix keeps scipy's int32
-    indptr = np.zeros(b * k + 1, dtype=np.intc)
-    indptr[1:] = (pattern.indptr[1:] + shift * len(pattern.indices)).ravel()
-    return shift * k + pattern.row, (pattern.indices + shift * k).astype(np.intc), indptr
-
-
 def _solve_chunk(
     emb: PlanarEmbedding, w: np.ndarray, poly: OuterPolygon, pinned: list[int], tol: float,
-    blocks: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (b, n, 2) positions and the (b,) residuals of the (b, h) row
     weights w, factored as one block-diagonal system."""
@@ -268,7 +246,13 @@ def _solve_chunk(
     xy[:, :, pinned] = np.transpose(poly.positions)[:, None]
     if not k:
         return np.stack(xy, axis=-1), np.zeros(b)
-    slot, indices, indptr = blocks[0][:b], blocks[1][:b].ravel(), blocks[2][: b * k + 1]
+    # system s's pattern shifted along the diagonal by s * k; the slots index
+    # bincount, which takes intp, and the matrix keeps scipy's int32
+    shift = np.arange(b)[:, None]
+    slot = shift * k + pattern.row
+    indices = (pattern.indices + shift * k).astype(np.intc).ravel()
+    indptr = np.zeros(b * k + 1, dtype=np.intc)
+    indptr[1:] = (pattern.indptr[1:] + shift * len(pattern.indices)).ravel()
     values = np.concatenate(
         (-w[:, pattern.inner], np.bincount(slot.ravel(), w.ravel(), b * k).reshape(b, k)), axis=1,
     )

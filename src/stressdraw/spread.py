@@ -50,7 +50,7 @@ from .errors import (
     ZeroGap,
 )
 from .graph import PlanarEmbedding
-from .solver import Drawing, OuterPolygon, _reference, solve_stresses
+from .solver import Drawing, OuterPolygon, _reference, solve_stress
 
 # Pinned x-values closer than this fraction of the largest |pinned x| are
 # one value: a turned regular polygon puts equal corners ~1e-16 apart.
@@ -82,21 +82,21 @@ class StOrientation:
     """Edges oriented along the tie-broken x-order, with one BFS tree out of
     the source and one into the sink.
 
-    order lists the vertices in that order and rank is its inverse, both
-    (n,) arrays; pinned marks the outer-face vertices, (n,) bool. Edge i of
-    emb.edges() points from tail[i] to head[i], (m,) arrays with
-    rank[tail] < rank[head]; out_deg and in_deg count the edges leaving and
-    entering each vertex. t1_parent holds every non-source vertex's tree
-    predecessor (an in-neighbor), tn_parent every non-sink vertex's tree
-    successor (an out-neighbor), both (n,) arrays with -1 at the root. BFS
-    ties are broken toward the lowest vertex id. t1_sum sums out_deg over
-    each vertex's subtree of the source tree, tn_sum in_deg over its
-    subtree of the sink tree, (n,) arrays that count_paths reads.
+    order lists the vertices in that order, from the source order[0] to
+    the sink order[-1], and rank is its inverse, both (n,) arrays; pinned
+    marks the outer-face vertices, (n,) bool. Edge i of emb.edges() points
+    from tail[i] to head[i], (m,) arrays with rank[tail] < rank[head];
+    out_deg and in_deg count the edges leaving and entering each vertex.
+    t1_parent holds every non-source vertex's tree predecessor (an
+    in-neighbor), tn_parent every non-sink vertex's tree successor (an
+    out-neighbor), both (n,) arrays with -1 at the root. BFS ties are
+    broken toward the lowest vertex id. t1_sum sums out_deg over each
+    vertex's subtree of the source tree, tn_sum in_deg over its subtree of
+    the sink tree, (n,) arrays that count_paths reads.
 
     The spread pipeline orients d directions as one batch: an
     StOrientation whose fields carry a leading axis of length d, row j
-    holding direction j's arrays. source and sink belong to a single
-    orientation.
+    holding direction j's arrays.
     """
 
     order: np.ndarray
@@ -110,14 +110,6 @@ class StOrientation:
     tn_parent: np.ndarray
     t1_sum: np.ndarray
     tn_sum: np.ndarray
-
-    @property
-    def source(self) -> int:
-        return int(self.order[0])
-
-    @property
-    def sink(self) -> int:
-        return int(self.order[-1])
 
 
 _FIELDS = tuple(f.name for f in fields(StOrientation))
@@ -402,23 +394,21 @@ def _plan_weights(plans: _Plans) -> np.ndarray:
     return _spread_weights(o, targets, counts)
 
 
-def _spreads(emb: PlanarEmbedding, poly: OuterPolygon, plans: _Plans) -> list[SpreadResult]:
-    """The spread of each plan, all solved in one batch.
+def _spread(emb: PlanarEmbedding, poly: OuterPolygon, plans: _Plans) -> SpreadResult:
+    """The spread of a one-direction plan.
 
-    The weights come from _plan_weights, so every plan is checked before
-    anything is solved, and one solve_stresses batch draws them. Each
-    drawing, turned by its plan's turn, must match its targets within
-    TARGET_RTOL * radius; a miss raises ResidualExceeded.
+    The weights come from _plan_weights, so the plan is checked before
+    anything is solved. The drawing, turned by the plan's turn, must match
+    its targets within TARGET_RTOL * radius; a miss raises
+    ResidualExceeded.
     """
     o, targets, turns = plans
-    weights = _plan_weights(plans)
-    results = []
-    for j, drawing in enumerate(solve_stresses(emb, weights, poly)):
-        miss = float(np.abs(_turn(drawing.positions, turns[j])[:, 0] - targets[j]).max())
-        if not miss <= TARGET_RTOL * poly.radius:
-            raise ResidualExceeded(f"drawing misses its targets by {miss:.3e}")
-        results.append(SpreadResult(weights[j], drawing, targets[j], _take(o, j)))
-    return results
+    weights = _plan_weights(plans)[0]
+    drawing = solve_stress(emb, weights, poly)
+    miss = float(np.abs(_turn(drawing.positions, turns[0])[:, 0] - targets[0]).max())
+    if not miss <= TARGET_RTOL * poly.radius:
+        raise ResidualExceeded(f"drawing misses its targets by {miss:.3e}")
+    return SpreadResult(weights, drawing, targets[0], _take(o, 0))
 
 
 def spread_pipeline(
@@ -443,4 +433,4 @@ def spread_pipeline(
     balance (ResidualExceeded), else the first with a bad gap.
     """
     _check_direction(direction)
-    return _spreads(emb, poly, _direction_plans(emb, poly, _reference(emb, poly), [direction]))[0]
+    return _spread(emb, poly, _direction_plans(emb, poly, _reference(emb, poly), [direction]))

@@ -14,12 +14,13 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import BadParams, InvalidEmbedding, NotTriangulation, StressDrawError, ZeroLengthEdge
+from .errors import BadParams, InvalidEmbedding, NotTriangulation, ZeroLengthEdge
 from .graph import PlanarEmbedding
 from .metrics import _length_range
 from .solver import Drawing, OuterPolygon, _solve_chunks, solve_stress
@@ -143,7 +144,7 @@ def schnyder_wood(emb: PlanarEmbedding) -> SchnyderWood:
         if fan[-1] != right:
             fan = [fan[0]] + fan[1:][::-1]
         if fan[-1] != right:
-            raise StressDrawError("boundary fan does not close the ring")
+            raise NotTriangulation("boundary fan does not close the ring")
         alive[u] = on_ring[u] = False
         if u != r3:
             parent[0][u], parent[1][u] = left, right
@@ -170,7 +171,7 @@ def schnyder_wood(emb: PlanarEmbedding) -> SchnyderWood:
     color = np.zeros(emb.m, dtype=np.intp)
     color[np.searchsorted(edge_codes, lo * n + hi)] = tree + 1
     if np.count_nonzero(color) != emb.m - 3:
-        raise StressDrawError("realizer construction left edges or colors unassigned")
+        raise NotTriangulation("realizer construction left edges or colors unassigned")
     return SchnyderWood((r1, r2, r3), color, parents)
 
 
@@ -225,7 +226,9 @@ def best_r(
     an integer of at least 2. The bases' weightings are fed lazily to one
     solve_stresses batch, and its drawings are measured a chunk at a time.
     A base whose drawing has a zero-length edge has no ratio and is
-    skipped; when every base is, ZeroLengthEdge is raised.
+    skipped, and so is every base from the first whose decay power
+    overflows to a zero weight; when every base is, ZeroLengthEdge is
+    raised.
     """
     try:
         r_hi = operator.index(r_hi)
@@ -239,7 +242,8 @@ def best_r(
         depths = schnyder_depths(emb)
     else:
         raise BadParams(f"unknown tree-spread method {method!r}")
-    weightings = (depth_weights(depths, a, float(r)) for r in range(2, r_hi + 1))
+    # r**depth grows with r: every base after the first with a zero weight has one
+    weightings = takewhile(np.all, (depth_weights(depths, a, float(r)) for r in range(2, r_hi + 1)))
     best: tuple[int, Drawing, float] | None = None
     r = 1
     for positions, drawings in _solve_chunks(emb, weightings, poly):

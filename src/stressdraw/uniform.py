@@ -17,11 +17,11 @@ import math
 
 import numpy as np
 
-from .errors import NoValidTopBottom, PreconditionError, StressDrawError
+from .errors import NoValidTopBottom, NumericError, PreconditionError
 from .graph import PlanarEmbedding, edge_key
 from .metrics import _convex_ring_turn
 from .solver import OuterPolygon, _reference, regular_polygon
-from .spread import SpreadResult, _Plans, _spreads, _take, st_orient
+from .spread import SpreadResult, _Plans, _spread, _st_orient
 
 # steepest slope angle used by the caps around the leftmost/rightmost vertex
 CAP_ANGLE_DEG = 80.0
@@ -45,7 +45,7 @@ def convex_outer_placement(outer: tuple[int, ...], x: np.ndarray) -> OuterPolygo
     or an x missing or not finite at an outer vertex, raises
     PreconditionError. The finished polygon must pass the exact
     strict-convexity ring test of the crossing certificate, or
-    StressDrawError is raised.
+    NumericError is raised.
     """
     k = len(outer)
     if k < 3:
@@ -94,25 +94,22 @@ def convex_outer_placement(outer: tuple[int, ...], x: np.ndarray) -> OuterPolygo
         key=lambda ji: (ends[chain1[ji[0]]], ends[chain2[ji[1] + 1]]),
     )
 
-    for t in range(j):
-        ang = math.radians(CAP_ANGLE_DEG * (j - t) / j)
-        a, b = chain1[t], chain1[t + 1]
-        y[b] = y[a] + math.tan(ang) * (xs[b] - xs[a])
-    for t in range(i):
-        ang = math.radians(-CAP_ANGLE_DEG * (i - t) / i)
-        a, b = chain2[t], chain2[t + 1]
-        y[b] = y[a] + math.tan(ang) * (xs[b] - xs[a])
+    # each chain, its designated edge, and the sign of its left cap's slopes
+    chains = ((chain1, j, 1.0), (chain2, i, -1.0))
+    for chain, h, sign in chains:
+        for t in range(h):
+            ang = math.radians(sign * CAP_ANGLE_DEG * (h - t) / h)
+            a, b = chain[t], chain[t + 1]
+            y[b] = y[a] + math.tan(ang) * (xs[b] - xs[a])
 
     # right cap against a provisional baseline y(rightmost) = 0
     base = [0.0] * k
-    for t in range(p - 1, j, -1):
-        ang = math.radians(-CAP_ANGLE_DEG * (t - j) / (p - 1 - j))
-        a, b = chain1[t], chain1[t + 1]
-        base[a] = base[b] - math.tan(ang) * (xs[b] - xs[a])
-    for t in range(q - 1, i, -1):
-        ang = math.radians(CAP_ANGLE_DEG * (t - i) / (q - 1 - i))
-        a, b = chain2[t], chain2[t + 1]
-        base[a] = base[b] - math.tan(ang) * (xs[b] - xs[a])
+    for chain, h, sign in chains:
+        last = len(chain) - 2
+        for t in range(last, h, -1):
+            ang = math.radians(-sign * CAP_ANGLE_DEG * (t - h) / (last - h))
+            a, b = chain[t], chain[t + 1]
+            base[a] = base[b] - math.tan(ang) * (xs[b] - xs[a])
 
     # increasing linear remap that levels both designated edges at once;
     # gaps are positive because each side owns at least one steep edge
@@ -121,7 +118,7 @@ def convex_outer_placement(outer: tuple[int, ...], x: np.ndarray) -> OuterPolygo
     alpha = top_gap / base_gap
     beta = y[chain1[j]] - alpha * base[chain1[j + 1]]
     if not alpha > 0:
-        raise StressDrawError(f"right-chain remap scale must be positive, got {alpha!r}")
+        raise NumericError(f"right-chain remap scale must be positive, got {alpha!r}")
     for a in chain1[j + 1:] + chain2[i + 1:]:
         y[a] = alpha * base[a] + beta
     y[chain1[j + 1]] = y[chain1[j]]
@@ -139,7 +136,7 @@ def _convex_polygon(outer: tuple[int, ...], xs: list[float], y: list[float]) -> 
     poly = OuterPolygon(tuple(outer), np.array(list(zip(xs, y))))
     shift = -math.frexp(float(np.abs(poly.positions).max()))[1]
     if not _convex_ring_turn(np.ldexp(poly.positions, shift)):
-        raise StressDrawError("constructed outer polygon is not strictly convex")
+        raise NumericError("constructed outer polygon is not strictly convex")
     return poly
 
 
@@ -160,7 +157,7 @@ def uniform_pipeline(emb: PlanarEmbedding) -> SpreadResult:
     constructed one.
     """
     ref = _reference(emb, regular_polygon(emb.outer_face))
-    o = st_orient(ref.positions[:, 0], emb)
+    o = _st_orient(ref.positions[None, :, 0], emb)
     targets = o.rank + 1.0
-    poly = convex_outer_placement(emb.outer_face, targets)
-    return _spreads(emb, poly, _Plans(_take(o, None), targets[None], [0.0]))[0]
+    poly = convex_outer_placement(emb.outer_face, targets[0])
+    return _spread(emb, poly, _Plans(o, targets, [0.0]))

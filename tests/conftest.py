@@ -627,12 +627,12 @@ def scratch_certified_planar(pts: np.ndarray, emb: PlanarEmbedding) -> bool:
         return False
     lengths = np.array([len(f) for f in faces])
     flat = np.fromiter(
-        (v for f in faces for v in f.vertices), dtype=np.intp, count=int(lengths.sum())
+        (v for f in faces for v in f), dtype=np.intp, count=int(lengths.sum())
     )
     face_of = np.repeat(np.arange(len(faces)), lengths)
     if lengths.min() < 3 or np.unique(face_of * emb.n + flat).size != flat.size:
         return False
-    turn = arctan2_ring_turn(pts[np.array(faces[outer].vertices)])
+    turn = arctan2_ring_turn(pts[np.array(faces[outer])])
     if turn == 0:
         return False
     starts = np.cumsum(lengths) - lengths
@@ -650,7 +650,7 @@ def scratch_faces_convex(d: Drawing, emb: PlanarEmbedding) -> bool:
     cross products stay normal floats."""
     pts = d.positions
     tol = CONVEXITY_RTOL * d.polygon.radius ** 2
-    inner = [f.vertices for i, f in enumerate(emb.faces) if i != emb.outer_index]
+    inner = [f for i, f in enumerate(emb.faces) if i != emb.outer_index]
     if not inner:
         return True
     corners = [(f[j - 2], f[j - 1], f[j]) for f in inner for j in range(len(f))]

@@ -31,6 +31,7 @@ from stressdraw import (
     validate_three_connected,
     xy_morph,
 )
+from stressdraw import cli, errors, metrics
 from stressdraw.cli import GALLERY_COLUMNS, METHODS, run
 from stressdraw.spread import _plan_weights
 
@@ -252,6 +253,28 @@ def test_draw_missing_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# every error class of the package, each with the exit code of its tier
+TIER_CODES = {errors.InputError: 2, errors.PreconditionError: 3, errors.NumericError: 4}
+ERROR_CLASSES = [
+    c for c in vars(errors).values()
+    if isinstance(c, type) and issubclass(c, errors.StressDrawError) and c is not errors.StressDrawError
+]
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_run_exits_with_the_code_of_the_error_tier(error, monkeypatch, capsys):
+    """Each error class raised inside run exits with its tier's code and
+    prints one `error: Name: message` line, nothing on stdout."""
+    [code] = [code for tier, code in TIER_CODES.items() if issubclass(error, tier)]
+
+    def fail(args):
+        raise error("what went wrong")
+
+    monkeypatch.setattr(cli, "cmd_generate", fail)
+    assert run(["generate", "--out", "unused.json"]) == code
+    assert capsys.readouterr() == ("", f"error: {error.__name__}: what went wrong\n")
+
+
 def test_kaleidoscope_csv_and_svgs(graph_path, tmp_path, capsys):
     csv_path = tmp_path / "rows.csv"
     best = tmp_path / "best.svg"
@@ -429,6 +452,19 @@ def test_gallery_xy_morph_cell_matches_library(graph_path, tmp_path):
     emb = load_graph(graph_path)
     _, drawing = xy_morph(emb, regular_polygon(emb.outer_face), 0.0)
     assert cell == f"{edge_length_ratio(drawing, emb):.6f}"
+
+
+def test_gallery_measures_only_the_ratio(graph_path, tri_path, tmp_path, monkeypatch):
+    """A gallery row prints only each drawing's edge-length ratio, so it
+    runs neither the crossing count nor the convexity check."""
+    def fail(*args):
+        raise AssertionError("gallery ran a check it does not print")
+
+    monkeypatch.setattr(metrics, "crossing_count", fail)
+    monkeypatch.setattr(metrics, "faces_convex", fail)
+    out_dir = tmp_path / "gal"
+    assert run(["gallery", str(graph_path), str(tri_path), "--out-dir", str(out_dir)]) == 0
+    assert "FAILED" not in (out_dir / "summary.csv").read_text(encoding="utf-8")
 
 
 def test_gallery_solves_tutte_once_per_row(graph_path, tri_path, tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ from stressdraw import (
     EulerViolation,
     GenerationStalled,
     InfeasibleParams,
+    InputError,
     InvalidEmbedding,
     MalformedRotation,
     PlanarEmbedding,
@@ -42,7 +43,7 @@ from stressdraw import (
 
 def _face_key(face):
     # rotation-invariant but orientation-preserving key
-    cyc = tuple(face.vertices) if hasattr(face, "vertices") else tuple(face)
+    cyc = tuple(face)
     i = cyc.index(min(cyc))
     return cyc[i:] + cyc[:i]
 
@@ -186,7 +187,7 @@ def test_shared_edge_two_cut():
     emb = _plane(points, edges)
     assert (emb.n, emb.m, len(emb.faces)) == (6, 11, 7)
     assert not brute_three_connected(emb)
-    assert not graph._faces_meet_properly([f.vertices for f in emb.faces])
+    assert not graph._faces_meet_properly(emb.faces)
     assert not validate_three_connected(emb)
     # the same graph under a rotation that traces a single face is not a
     # sphere embedding, so there are no faces to decide from
@@ -494,7 +495,7 @@ def test_thinning_decision_matches_disjoint_paths_oracle():
     outcomes = []
     for n, m, seed in _thinning_population():
         emb = generate_planar(n, m, seed=seed)
-        faces = {i: list(f.vertices) for i, f in enumerate(emb.faces)}
+        faces = {i: list(f) for i, f in enumerate(emb.faces)}
         face_of = {(f[j - 1], v): i for i, f in faces.items() for j, v in enumerate(f)}
         adj = [set(r) for r in emb.rotation]
         for u, v in emb.edges():
@@ -506,7 +507,7 @@ def test_thinning_decision_matches_disjoint_paths_oracle():
             assert (merged is not None) == disjoint_paths_at_least(adj, u, v, 3), (n, m, seed, u, v)
             if merged is not None:
                 rotation = tuple(tuple(w for w in r if w in a) for r, a in zip(emb.rotation, adj))
-                keys = {graph._cycle_key(f.vertices) for f in PlanarEmbedding(n, rotation, ()).faces}
+                keys = {graph._cycle_key(f) for f in PlanarEmbedding(n, rotation, ()).faces}
                 assert graph._cycle_key(tuple(merged)) in keys
             adj[u].add(v)
             adj[v].add(u)
@@ -565,3 +566,48 @@ def test_from_dict_rejects_non_integer_ids(data, error):
     from_dict(_k4_json())
     with pytest.raises(error):
         from_dict(data)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+MUTATED_BASE = json.dumps(to_dict(generate_planar(9, 20, seed=1)))
+
+
+def _slots(doc):
+    """(container, key) for every value nested in doc, doc itself excluded."""
+    if isinstance(doc, (dict, list)):
+        for key, value in list(doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield doc, key
+            yield from _slots(value)
+
+
+@given(data=st.data())
+def test_mutated_graph_json_raises_only_input_errors(data):
+    """A valid graph's JSON after one to four random edits (a value
+    replaced, deleted or inserted, or two list entries swapped) loads or
+    raises an InputError subclass, never any other exception."""
+    doc = json.loads(MUTATED_BASE)
+    for _ in range(data.draw(st.integers(1, 4))):
+        slots = list(_slots(doc))
+        edit = data.draw(st.sampled_from(["replace", "delete", "insert", "swap"]))
+        if not slots:
+            doc = data.draw(JSON_VALUES)
+            continue
+        container, key = data.draw(st.sampled_from(slots))
+        if edit == "delete":
+            del container[key]
+        elif edit == "insert" and isinstance(container, list):
+            container.insert(key, data.draw(JSON_VALUES))
+        elif edit == "swap" and isinstance(container, list):
+            other = data.draw(st.integers(0, len(container) - 1))
+            container[key], container[other] = container[other], container[key]
+        else:
+            container[key] = data.draw(JSON_VALUES)
+    try:
+        from_dict(doc)
+    except InputError:
+        pass

@@ -328,7 +328,7 @@ def _bowtie():
     """Two triangles sharing vertex 0, drawn side by side: the outer face
     0-2-1-0-4-3 passes vertex 0 twice, so the face index is not simple."""
     emb = PlanarEmbedding(5, ((3, 2, 1, 4), (0, 2), (1, 0), (0, 4), (3, 0)), ())
-    emb = PlanarEmbedding(emb.n, emb.rotation, max(emb.faces, key=len).vertices)
+    emb = PlanarEmbedding(emb.n, emb.rotation, max(emb.faces, key=len))
     pos = np.array([(0.0, 0.0), (-2.0, -1.0), (-2.0, 1.0), (2.0, 1.0), (2.0, -1.0)])
     return emb, Drawing(pos, OuterPolygon(emb.outer_face, pos[list(emb.outer_face)]), 0.0)
 
@@ -391,12 +391,12 @@ def test_face_index_follows_the_outer_face():
     """A twin embedding with another outer face gets its own index, which
     leaves out its own outer face, and both certify their Tutte drawings."""
     emb = generate_planar(20, 45, seed=67)
-    other = next(f.vertices for f in emb.faces if set(f.vertices) != set(emb.outer_face))
+    other = next(f for f in emb.faces if set(f) != set(emb.outer_face))
     twin = _with_outer_face(emb, other)
     for e in (emb, twin, emb):
         index = e._face_index
-        inner = [f.vertices for i, f in enumerate(e.faces) if i != e.outer_index]
-        assert index.ring.tolist() == list(e.faces[e.outer_index].vertices)
+        inner = [f for i, f in enumerate(e.faces) if i != e.outer_index]
+        assert index.ring.tolist() == list(e.faces[e.outer_index])
         assert index.fans.T.tolist() == [[f[0], f[j], f[j + 1]] for f in inner for j in range(1, len(f) - 1)]
         assert index.corners.T.tolist() == [[f[j - 2], f[j - 1], f[j]] for f in inner for j in range(len(f))]
         assert index.corners.shape == (3, 2 * e.m - len(e.outer_face))

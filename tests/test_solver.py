@@ -368,7 +368,7 @@ def test_pattern_follows_the_outer_face():
     """Equal n and m, different outer faces: each embedding gets its own
     pattern, and each solve matches the scratch assembly."""
     emb = generate_planar(20, 54, seed=67)
-    other = next(f.vertices for f in emb.faces if set(f.vertices) != set(emb.outer_face))
+    other = next(f for f in emb.faces if set(f) != set(emb.outer_face))
     twin = PlanarEmbedding(emb.n, emb.rotation, other)
     assert (twin.n, twin.m) == (emb.n, emb.m)
     for e in (emb, twin, emb):

@@ -53,7 +53,7 @@ from stressdraw.spread import (
     _direction_plans,
     _plan_weights,
     _spread_weights,
-    _spreads,
+    _spread,
     _st_orient,
     _take,
     _target_x,
@@ -90,12 +90,12 @@ def test_st_orient_k4(k4):
     x = tutte(k4, poly).positions[:, 0]
     o = st_orient(x, k4)
     assert set(o.order.tolist()) == set(range(4))
-    assert o.rank[o.source] == 0
-    assert o.rank[o.sink] == 3
+    assert o.rank[o.order[0]] == 0
+    assert o.rank[o.order[-1]] == 3
     for u, v in zip(o.tail.tolist(), o.head.tolist()):
         assert o.rank[u] < o.rank[v]
-    assert o.out_deg[o.sink] == 0
-    assert o.in_deg[o.source] == 0
+    assert o.out_deg[o.order[-1]] == 0
+    assert o.in_deg[o.order[0]] == 0
 
 
 def test_st_orient_acyclic_on_octahedron(octahedron):
@@ -107,7 +107,7 @@ def test_st_orient_acyclic_on_octahedron(octahedron):
         assert o.rank[u] < o.rank[v]
     # every non-extreme vertex has both kinds of incident edges
     for v in range(6):
-        if v not in (o.source, o.sink):
+        if v not in (o.order[0], o.order[-1]):
             assert o.out_deg[v] > 0 and o.in_deg[v] > 0
 
 
@@ -544,10 +544,10 @@ def test_sweep_raises_before_it_solves_a_direction(monkeypatch):
     alone = _raised(lambda: st_orient(turn(ref.positions, -math.pi / 2)[:, 0], emb))
     assert alone[0] is NotStOrientation
     solved = []
-    solve = spread.solve_stresses
-    monkeypatch.setattr(spread, "solve_stresses", lambda *a: (solved.append(d) or d for d in solve(*a)))
+    solve = spread.solve_stress
+    monkeypatch.setattr(spread, "solve_stress", lambda *a: solved.append(a) or solve(*a))
     sweep = [0.0, math.radians(45.0), math.pi / 2, math.radians(135.0)]
-    assert _raised(lambda: _spreads(emb, poly, _direction_plans(emb, poly, ref, sweep))) == alone
+    assert _raised(lambda: _spread(emb, poly, _direction_plans(emb, poly, ref, sweep))) == alone
     assert solved == []
     # with path vertex 1 pulled left, target_x rejects 0 degrees, but
     # st_orient rejects 90 degrees: orientation errors come first

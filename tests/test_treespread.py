@@ -11,6 +11,7 @@ from conftest import (
     dict_schnyder_wood,
     flip_edges,
     max_position_gap,
+    record_solves,
 )
 
 from stressdraw import (
@@ -189,7 +190,7 @@ def _oracle_embeddings():
             yield PlanarEmbedding(n, emb.rotation, emb.outer_face[::-1])
             inner = [f for i, f in enumerate(emb.faces) if i != emb.outer_index]
             for face in inner[:: len(inner) // 2][:2]:
-                yield PlanarEmbedding(n, emb.rotation, face.vertices)
+                yield PlanarEmbedding(n, emb.rotation, face)
     for k in range(1, 61):
         yield worst_case_graph(k)
 
@@ -300,6 +301,18 @@ def test_best_r_raises_when_no_base_has_a_ratio():
     poly = regular_polygon(emb.outer_face)
     with pytest.raises(ZeroLengthEdge, match="zero length"):
         best_r(emb, poly, "bfs")
+
+
+def test_best_r_stops_at_the_first_base_whose_power_overflows(monkeypatch):
+    """The deepest Schnyder edge of worst_case_graph(257) has depth 256, so
+    16**256 overflows to a zero weight: the scan solves bases 2..15 only,
+    and raises ZeroLengthEdge, since each of them collapses an edge."""
+    emb = worst_case_graph(257)
+    poly = regular_polygon(emb.outer_face)
+    solved = record_solves(monkeypatch)
+    with pytest.raises(ZeroLengthEdge, match="zero length"):
+        best_r(emb, poly, "schnyder", r_hi=16)
+    assert len(solved) == 14
 
 
 def test_best_r_rejects_bad_range(octahedron):

@@ -10,6 +10,7 @@ import pytest
 from conftest import dict_polygon, dict_strictly_convex, pair_scan_placement
 
 from stressdraw import (
+    NumericError,
     OuterPolygon,
     PreconditionError,
     StressDrawError,
@@ -134,7 +135,7 @@ def test_placement_matches_pair_scan_oracle():
     same polygon to the last bit, or the same error, on cycles of 3 to 40
     with convex-position integer ranks, convex-position reals, ties among
     a few integers, and random reals, the ids scattered over 0..k+3.
-    Three equal x now raise StressDrawError, where the dicts lost a vertex
+    Three equal x now raise NumericError, where the dicts lost a vertex
     and raised KeyError."""
     rng = random.Random(3)
     for case in range(2000):
@@ -150,7 +151,7 @@ def test_placement_matches_pair_scan_oracle():
         x[list(outer)] = values
         got = _outcome(convex_outer_placement, outer, x)
         if k == 3 and len(set(values)) == 1:
-            assert got == (StressDrawError, "constructed outer polygon is not strictly convex")
+            assert got == (NumericError, "constructed outer polygon is not strictly convex")
             continue
         assert got == _outcome(pair_scan_placement, outer, x), (outer, values)
 
@@ -162,7 +163,7 @@ def test_placement_matches_pair_scan_oracle():
     ((0, 1, 5), [1.0, 2.0, 3.0], PreconditionError, "x has 3 entries, none for outer vertex 5"),
     ((0, 1, -1), [1.0, 2.0, 3.0], PreconditionError, "x has 3 entries, none for outer vertex -1"),
     ((0, 1, 0, 2), [1.0, 2.0, 3.0], PreconditionError, r"outer cycle \[0, 1, 0, 2\] repeats a vertex"),
-    ((0, 1, 2), [2.0, 2.0, 2.0], StressDrawError, "constructed outer polygon is not strictly convex"),
+    ((0, 1, 2), [2.0, 2.0, 2.0], NumericError, "constructed outer polygon is not strictly convex"),
 ], ids=["nan", "inf", "minus-inf", "short-x", "negative-id", "repeat", "three-equal"])
 def test_placement_rejects_x_it_cannot_place(outer, x, error, message):
     """Bad x raises the package's own errors, with plain float reprs."""

@@ -93,7 +93,3 @@ class ResidualExceeded(NumericError):
     """A solved drawing misses its residual or target tolerance, or a
     spread plan's path counts do not balance, so no solve could meet its
     targets."""
-
-
-class NoValidTopBottom(NumericError):
-    """No admissible horizontal top/bottom edge pair exists for the outer cycle."""

@@ -71,23 +71,24 @@ def edge_length_ratio(d, emb: PlanarEmbedding) -> float:
 def crossing_count(d, emb: PlanarEmbedding) -> int:
     """Number of properly crossing edge pairs, shared endpoints excluded.
 
-    Coordinates are first normalized to a unit box so the CROSSING_EPS
-    degeneracy cutoff is scale-free. A drawing whose faces certify it
-    crossing-free (_certified_planar, O(m)) has count 0. Any other drawing
-    gets all-pairs strict orientation tests, vectorized over blocks of
-    rows; touching or collinear contacts never count. A pair counted there
-    has |det| > CROSSING_EPS, far above the float error, so it crosses in
-    exact arithmetic too, which a certified drawing never does.
+    A drawing whose faces certify it crossing-free (_certified_planar,
+    O(m)) has count 0; the certificate reads the stored floats, scaled by
+    a power of two (_binade_scaled). Any other drawing gets all-pairs
+    strict orientation tests, vectorized over blocks of rows, on a copy
+    normalized to a unit box so the CROSSING_EPS degeneracy cutoff is
+    scale-free; touching or collinear contacts never count. A pair counted there has |det| > CROSSING_EPS,
+    far above the float error, so it crosses in exact arithmetic too,
+    which a certified drawing never does.
     """
     pts = _finite_positions(d.positions)
     ends = emb.edge_array
     m = len(ends)
     if m < 2:
         return 0
+    if _certified_planar(_binade_scaled(pts), emb):
+        return 0
     span = max(float(np.ptp(pts[:, 0])), float(np.ptp(pts[:, 1])), 1e-300)
     pts = (pts - pts.min(axis=0)) / span
-    if _certified_planar(pts, emb):
-        return 0
     ax, ay = pts[ends[:, 0]].T
     bx, by = pts[ends[:, 1]].T
     dx, dy = bx - ax, by - ay
@@ -115,6 +116,14 @@ def crossing_count(d, emb: PlanarEmbedding) -> int:
         )
         count += int(np.count_nonzero(opposite_ij & opposite_ji & ~shared & (j > i)))
     return count
+
+
+def _binade_scaled(pts: np.ndarray) -> np.ndarray:
+    """pts times the power of two that brings the largest |coordinate| into
+    [0.5, 1): exact unless a coordinate lies over 1021 binades below the
+    largest, so exact signs of the copy are those of pts, and the
+    orientation products cannot overflow."""
+    return np.ldexp(pts, -math.frexp(float(np.abs(pts).max()))[1])
 
 
 def _orientation(o: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:

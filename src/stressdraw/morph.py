@@ -68,8 +68,8 @@ def kaleidoscope(
     poly: OuterPolygon,
     step_degrees: float = 5.0,
 ) -> list[KaleidoscopeRow]:
-    """The xy-morph and its edge-length ratio at angles 0, step, ..., 90
-    inclusive.
+    """The xy-morph and its edge-length ratio at angles 0, step, 2 * step,
+    ... below 90 - 1e-9, and at 90: one row per angle, 90 included once.
 
     Each row blends the spread weights along its angle and the angle + 90
     degrees, so directions meet across rows (0 + 90 is the 90-degree row's
@@ -85,13 +85,8 @@ def kaleidoscope(
     if not 0.0 < step_degrees <= 90.0:
         raise BadParams(f"step must lie in (0, 90], got {step_degrees}")
     ref = _reference(emb, poly)
-    angles: list[float] = []
-    k = 0
-    while k * step_degrees <= 90.0 + 1e-9:
-        angles.append(min(k * step_degrees, 90.0))
-        k += 1
-    if angles[-1] < 90.0:
-        angles.append(90.0)
+    # a multiple of step within 1e-9 of 90 is the 90-degree row itself
+    angles = [k * step_degrees for k in range(math.ceil((90.0 - 1e-9) / step_degrees))] + [90.0]
     pairs = [(math.radians(deg), math.radians(deg) + math.pi / 2) for deg in angles]
     directions = list(dict.fromkeys(chain.from_iterable(pairs)))
     weights = dict(zip(directions, _plan_weights(_direction_plans(emb, poly, ref, directions))))

@@ -17,9 +17,9 @@ import math
 
 import numpy as np
 
-from .errors import NoValidTopBottom, NumericError, PreconditionError
+from .errors import NumericError, PreconditionError
 from .graph import PlanarEmbedding, edge_key
-from .metrics import _convex_ring_turn
+from .metrics import _binade_scaled, _convex_ring_turn
 from .solver import OuterPolygon, _reference, regular_polygon
 from .spread import SpreadResult, _Plans, _spread, _st_orient
 
@@ -42,8 +42,9 @@ def convex_outer_placement(outer: tuple[int, ...], x: np.ndarray) -> OuterPolygo
     with slope angles evenly spaced up to +-80 degrees, mirrored on the
     right, and the right cap's y-values get an increasing linear remap so
     both designated edges come out level. A cycle that repeats a vertex,
-    or an x missing or not finite at an outer vertex, raises
-    PreconditionError. The finished polygon must pass the exact
+    an x missing or not finite at an outer vertex, or chains whose x do
+    not increase strictly raise PreconditionError; so do equal x all
+    round, for a triangle too. The finished polygon must pass the exact
     strict-convexity ring test of the crossing certificate, or
     NumericError is raised.
     """
@@ -63,31 +64,29 @@ def convex_outer_placement(outer: tuple[int, ...], x: np.ndarray) -> OuterPolygo
     li, ri = xs.index(min(xs)), xs.index(max(xs))
     y = [0.0] * k
 
+    # positions of the two chains from the leftmost to the rightmost vertex,
+    # both empty when every x is equal. A triangle's chains increase
+    # strictly unless two of its x tie, which its placement allows
+    p, q = (ri - li) % k, (li - ri) % k
+    chain1 = [(li + t) % k for t in range(p + 1)]
+    chain2 = [(li - t) % k for t in range(q + 1)]
+    if li == ri or (k > 3 and any(
+        xs[b] <= xs[a] for chain in (chain1, chain2) for a, b in zip(chain, chain[1:])
+    )):
+        raise PreconditionError(
+            "outer chain x-coordinates must increase strictly; "
+            "x does not come from a convex-position drawing"
+        )
     if k == 3:
         y[-li - ri] = (xs[ri] - xs[li]) / 2.0  # the apex: its position is 3 - li - ri
         return _convex_polygon(outer, xs, y)
 
-    # positions of the two chains from the leftmost to the rightmost vertex
-    p, q = (ri - li) % k, (li - ri) % k
-    chain1 = [(li + t) % k for t in range(p + 1)]
-    chain2 = [(li - t) % k for t in range(q + 1)]
-    for chain in (chain1, chain2):
-        if any(xs[b] <= xs[a] for a, b in zip(chain, chain[1:])):
-            raise PreconditionError(
-                "outer chain x-coordinates must increase strictly; "
-                "x does not come from a convex-position drawing"
-            )
-
     # designated horizontal edges: edge j of chain1, edge i of chain2. The
-    # caps get j + i and s - j - i steep edges, s = p + q - 2, at least one
-    # each. Only j + i in {s // 2, s - s // 2} balances them best: O(p)
-    # pairs, compared by their edges' sorted ids (ends[a] for the edge from
-    # position a to a + 1)
-    s = p + q - 2
-    if s < 2:
-        raise NoValidTopBottom(
-            f"no valid horizontal edge pair on chains of {p} and {q} edges"
-        )
+    # caps get j + i and s - j - i steep edges, s = p + q - 2 = k - 2 >= 2,
+    # at least one each, so a pair always exists. Only j + i in
+    # {s // 2, s - s // 2} balances them best: O(p) pairs, compared by their
+    # edges' sorted ids (ends[a] for the edge from position a to a + 1)
+    s = k - 2
     ends = [edge_key(u, v) for u, v in zip(outer, outer[1:] + outer[:1])]
     j, i = min(
         ((j, t - j) for j in range(p) for t in range(s // 2, s - s // 2 + 1) if 0 <= t - j < q),
@@ -129,13 +128,10 @@ def convex_outer_placement(outer: tuple[int, ...], x: np.ndarray) -> OuterPolygo
 
 def _convex_polygon(outer: tuple[int, ...], xs: list[float], y: list[float]) -> OuterPolygon:
     """The polygon at (xs[i], y[i]) for position i of outer, checked strictly
-    convex. The check runs on the positions scaled by the power of two that
-    brings the largest |coordinate| into [0.5, 1), as faces_convex scales:
-    exact, so the products of the ring test neither overflow nor fall under
-    its floor at any scale float64 holds."""
+    convex, at any scale float64 holds, on its positions scaled as the
+    crossing certificate scales them."""
     poly = OuterPolygon(tuple(outer), np.array(list(zip(xs, y))))
-    shift = -math.frexp(float(np.abs(poly.positions).max()))[1]
-    if not _convex_ring_turn(np.ldexp(poly.positions, shift)):
+    if not _convex_ring_turn(_binade_scaled(poly.positions)):
         raise NumericError("constructed outer polygon is not strictly convex")
     return poly
 

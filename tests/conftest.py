@@ -30,7 +30,6 @@ from scipy.sparse.linalg import splu
 
 from stressdraw import (
     InputError,
-    NoValidTopBottom,
     NotStOrientation,
     PlanarEmbedding,
     PreconditionError,
@@ -877,8 +876,11 @@ def pair_scan_placement(outer: tuple[int, ...], x: np.ndarray) -> OuterPolygon:
             )
             if pick is None or key < pick[0]:
                 pick = (key, j, i)
-    if pick is None:
-        raise NoValidTopBottom(f"no valid horizontal edge pair on chains of {p} and {q} edges")
+    if pick is None:  # every x equal: both chains are empty
+        raise PreconditionError(
+            "outer chain x-coordinates must increase strictly; "
+            "x does not come from a convex-position drawing"
+        )
     _, j, i = pick
     y = {left: 0.0}
     for t in range(j):

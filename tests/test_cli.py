@@ -99,6 +99,14 @@ def test_generate_zero_attempts_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("size", [[], ["--n", "10"], ["--m", "24"]], ids=["neither", "no-m", "no-n"])
+def test_generate_without_size_exits_2(tmp_path, capsys, size):
+    out = tmp_path / "x.json"
+    assert run(["generate", *size, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: BadParams: generate needs --n and --m, or --worst-case K\n")
+    assert not out.exists()
+
+
 def test_draw_tutte_writes_svg(graph_path, capsys):
     assert run(["draw", str(graph_path), "--method", "tutte"]) == 0
     out = capsys.readouterr().out

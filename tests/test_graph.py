@@ -568,6 +568,60 @@ def test_from_dict_rejects_non_integer_ids(data, error):
         from_dict(data)
 
 
+def _glued_tetrahedra_json() -> dict:
+    """The two tetrahedra glued along edge {0, 1} of
+    test_shared_edge_two_cut, a sphere embedding, with outer face 0-2-1-4."""
+    points = [(0, 0), (4, 0), (2, 3), (2, 1), (2, -3), (2, -1)]
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (0, 5), (1, 4), (1, 5), (4, 5)]
+    emb = _plane(points, edges)
+    outer = next(f for f in emb.faces if sorted(f) == [0, 1, 2, 4])
+    return to_dict(PlanarEmbedding(emb.n, emb.rotation, outer))
+
+
+@pytest.mark.parametrize("data, message", [
+    (_k4_json(outer=[0, 2]), "outer face has 2 vertices"),
+    (_k4_json(outer=[0, 2, 0]), "outer face repeats a vertex"),
+    (_glued_tetrahedra_json(), "graph is not 3-connected"),
+], ids=["two-vertices", "repeat", "two-cut"])
+def test_from_dict_names_the_failed_invariant(data, message):
+    with pytest.raises(InvalidEmbedding, match=f"^{message}$"):
+        from_dict(data)
+
+
+def _networkx_rotation(emb: PlanarEmbedding) -> tuple[tuple[int, ...], ...]:
+    """The rotation of emb's graph in the embedding nx.check_planarity
+    finds: each vertex's neighbours counterclockwise."""
+    planar, found = nx.check_planarity(nx.Graph(emb.edges()))
+    assert planar
+    return tuple(tuple(list(found.neighbors_cw_order(v))[::-1]) for v in range(emb.n))
+
+
+def _any_outer_face(n: int, rotation) -> PlanarEmbedding:
+    return PlanarEmbedding(n, rotation, PlanarEmbedding(n, rotation, ()).faces[0])
+
+
+def test_validate_agrees_with_networkx_planarity():
+    """networkx's embedding of a generated graph, and its mirror, validate
+    with any traversed face outside. A 3-connected planar graph has one
+    embedding up to mirror (Whitney), so swapping two neighbours in one
+    vertex's rotation raises an InputError: 40 graphs, 20 swaps each."""
+    rng = random.Random(12)
+    for seed in range(40):
+        n = rng.randrange(12, 40)
+        emb = generate_planar(n, (3 * n - 6, round(2.5 * n))[seed % 2], seed=seed)
+        rotation = _networkx_rotation(emb)
+        for rot in (rotation, tuple(nbrs[::-1] for nbrs in rotation)):
+            validate(_any_outer_face(n, rot))
+        for _ in range(20):
+            v = rng.randrange(n)
+            nbrs = list(rotation[v])
+            i, j = rng.sample(range(len(nbrs)), 2)
+            nbrs[i], nbrs[j] = nbrs[j], nbrs[i]
+            swapped = rotation[:v] + (tuple(nbrs),) + rotation[v + 1:]
+            with pytest.raises(InputError):
+                validate(PlanarEmbedding(n, swapped, emb.outer_face))
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),

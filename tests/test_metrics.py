@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -179,11 +180,16 @@ def test_ratio_similarity_invariance(octahedron):
     assert abs(edge_length_ratio(shifted, octahedron) - base) < 1e-9
 
 
+def _unit_box(pts: np.ndarray) -> np.ndarray:
+    """The rounded copy in a unit box that crossing_count's all-pairs test reads."""
+    return (pts - pts.min(axis=0)) / max(float(np.ptp(pts[:, 0])), float(np.ptp(pts[:, 1])))
+
+
 def _certified(d, emb) -> bool:
-    """The certificate on crossing_count's unit-box coordinates."""
+    """The certificate on crossing_count's input: the stored floats scaled
+    by a power of two."""
     pts = d.positions
-    span = max(float(np.ptp(pts[:, 0])), float(np.ptp(pts[:, 1])))
-    return _certified_planar((pts - pts.min(axis=0)) / span, emb)
+    return _certified_planar(np.ldexp(pts, -math.frexp(float(np.abs(pts).max()))[1]), emb)
 
 
 def test_every_method_certifies_and_matches_brute():
@@ -355,13 +361,12 @@ def _verdict(check, *args):
 
 def test_checks_match_per_call_oracles(octahedron):
     """The indexed checks give the verdicts of the per-call face walks, on
-    the unit-box coordinates crossing_count certifies and on the drawing,
-    for the oracle drawings and every fallback case above."""
+    the drawing and on its unit-box copy, for the oracle drawings and every
+    fallback case above."""
     verdicts = set()
     for emb, d in chain(oracle_drawings(), _fallback_cases(octahedron)):
         pts = d.positions
-        unit = (pts - pts.min(axis=0)) / max(float(np.ptp(pts[:, 0])), float(np.ptp(pts[:, 1])))
-        for p in (unit, pts):
+        for p in (_unit_box(pts), pts):
             got = _certified_planar(p, emb)
             assert got == scratch_certified_planar(p, emb)
             verdicts.add(("certified", got))
@@ -425,3 +430,37 @@ def test_convexity_is_scale_free(radius):
     assert crossing_count(f, emb) == 5
     assert not faces_convex(f, emb)
     assert faces_convex(tutte(emb, f.polygon), emb)
+
+
+def _exact_sign(o, p, q) -> int:
+    """Sign of the orientation determinant of three float points, in exact
+    rational arithmetic."""
+    (ox, oy), (px, py), (qx, qy) = (map(Fraction, v) for v in (o, p, q))
+    det = (px - ox) * (qy - oy) - (py - oy) * (qx - ox)
+    return (det > 0) - (det < 0)
+
+
+@pytest.mark.parametrize("pts, planar", [
+    # vertex 3 lies a hair outside the edge 0-2 in the stored floats, inside it in the copy
+    ([(1.7761060154829345, -2.0441451261823227), (-0.0327589965479369, -2.9927348551589477),
+      (1.7448747969901746, 1.6290372073216695), (1.7541736276954312, 0.5353782879070742)], False),
+    # vertex 3 lies a hair inside the edge 0-2 in the stored floats, outside it in the copy
+    ([(0.10060926132246095, -2.6812397999384814), (-1.6884806516541004, 2.8458149047260033),
+      (-0.34414283876728025, -0.16866514745910743), (-0.011116456199952815, -2.050058506313911)], True),
+], ids=["folded", "planar"])
+def test_certificate_reads_the_stored_floats(k4, pts, planar, monkeypatch):
+    """A tetrahedron whose inner vertex sits within rounding of an outer
+    edge: the exact sign of the fan triangle (0, 2, 3) flips between the
+    stored floats and their unit-box copy, and crossing_count's certificate
+    gives the stored floats' verdict."""
+    from stressdraw import metrics
+
+    pts = np.array(pts)
+    sides = [_exact_sign(*p[[0, 2, 3]]) * _exact_sign(*p[[0, 2, 1]]) for p in (pts, _unit_box(pts))]
+    assert sides == ([1, -1] if planar else [-1, 1])  # 1: on the side of vertex 1
+    verdicts = []
+    certify = metrics._certified_planar
+    monkeypatch.setattr(metrics, "_certified_planar", lambda p, emb: verdicts.append(certify(p, emb)) or verdicts[-1])
+    poly = OuterPolygon(k4.outer_face, pts[list(k4.outer_face)])
+    assert crossing_count(Drawing(pts, poly, 0.0), k4) == 0
+    assert verdicts == [planar]

@@ -168,6 +168,17 @@ def test_kaleidoscope_appends_endpoint_when_step_misses(octahedron):
     assert [r.angle_degrees for r in rows] == [0.0, 90.0]
 
 
+@pytest.mark.parametrize("n", [39, 78, 156])
+def test_kaleidoscope_has_one_90_degree_row(octahedron, n):
+    """At step 90/n, n * step lands a hair below 90: the rows are the n
+    multiples of step below it and one 90-degree row, not a second one at
+    89.99999999999999."""
+    step = 90.0 / n
+    assert n * step < 90.0
+    rows = kaleidoscope(octahedron, regular_polygon(octahedron.outer_face), step)
+    assert [r.angle_degrees for r in rows] == [k * step for k in range(n)] + [90.0]
+
+
 def test_kaleidoscope_endpoints_agree(octahedron):
     """Sweep angle 0 and sweep angle 90 describe the same blended drawing."""
     poly = regular_polygon(octahedron.outer_face)

@@ -1,6 +1,8 @@
 """Depth-decay weights from BFS levels and Schnyder trees."""
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -324,3 +326,39 @@ def test_best_r_rejects_bad_range(octahedron):
     for r_hi in (2.5, "5", float("nan"), 4.0):
         with pytest.raises(BadParams, match="r_hi must be an integer"):
             best_r(octahedron, poly, "bfs", r_hi=r_hi)
+
+
+def _relabelled(emb: PlanarEmbedding, rng: random.Random) -> tuple[list[int], PlanarEmbedding]:
+    """A random permutation perm and emb with every vertex v renamed perm[v]."""
+    perm = list(range(emb.n))
+    rng.shuffle(perm)
+    rotation = [()] * emb.n
+    for v, nbrs in enumerate(emb.rotation):
+        rotation[perm[v]] = tuple(perm[w] for w in nbrs)
+    return perm, PlanarEmbedding(emb.n, tuple(rotation), tuple(perm[v] for v in emb.outer_face))
+
+
+def test_tree_drawings_do_not_depend_on_vertex_ids():
+    """Tutte, the BFS spread at r = 5, best_r's BFS drawing and, on
+    triangulations, the Schnyder spread at r = 2 of a relabelled graph are
+    the drawing of the graph, relabelled, within 1e-12 times the radius:
+    BFS depths are distances and a stacked triangulation has one Schnyder
+    wood. The x- and xy-spreads and uniform are left out: their orders
+    break ties by vertex id."""
+    rng = random.Random(8)
+    methods = {
+        "tutte": tutte,
+        "bfs": lambda e, p: bfs_spread(e, p, r=5.0),
+        "best_r": lambda e, p: best_r(e, p)[1],
+        "schnyder": lambda e, p: schnyder_spread(e, p, r=2.0),
+    }
+    for seed in range(24):
+        n = rng.randrange(10, 60)
+        emb = generate_planar(n, (3 * n - 6, round(2.5 * n), 2 * n)[seed % 3], seed=seed)
+        perm, twin = _relabelled(emb, rng)
+        for name, method in methods.items():
+            if name == "schnyder" and emb.m != 3 * n - 6:
+                continue
+            d = method(emb, regular_polygon(emb.outer_face))
+            twin_d = method(twin, regular_polygon(twin.outer_face))
+            assert np.abs(twin_d.positions[perm] - d.positions).max() <= 1e-12 * d.polygon.radius, (seed, name)

@@ -10,7 +10,6 @@ import pytest
 from conftest import dict_polygon, dict_strictly_convex, pair_scan_placement
 
 from stressdraw import (
-    NumericError,
     OuterPolygon,
     PreconditionError,
     StressDrawError,
@@ -28,6 +27,10 @@ from stressdraw import uniform
 from stressdraw.metrics import _convex_ring_turn
 
 TARGET_RTOL = 1e-6
+NOT_MONOTONE = (
+    "outer chain x-coordinates must increase strictly; "
+    "x does not come from a convex-position drawing"
+)
 
 
 def _x(values: dict[int, int]) -> np.ndarray:
@@ -135,8 +138,8 @@ def test_placement_matches_pair_scan_oracle():
     same polygon to the last bit, or the same error, on cycles of 3 to 40
     with convex-position integer ranks, convex-position reals, ties among
     a few integers, and random reals, the ids scattered over 0..k+3.
-    Three equal x now raise NumericError, where the dicts lost a vertex
-    and raised KeyError."""
+    Three equal x raise the chain check's PreconditionError, where the
+    dicts lost a vertex and raised KeyError."""
     rng = random.Random(3)
     for case in range(2000):
         k = rng.randrange(3, 41)
@@ -151,7 +154,7 @@ def test_placement_matches_pair_scan_oracle():
         x[list(outer)] = values
         got = _outcome(convex_outer_placement, outer, x)
         if k == 3 and len(set(values)) == 1:
-            assert got == (NumericError, "constructed outer polygon is not strictly convex")
+            assert got == (PreconditionError, NOT_MONOTONE)
             continue
         assert got == _outcome(pair_scan_placement, outer, x), (outer, values)
 
@@ -163,8 +166,13 @@ def test_placement_matches_pair_scan_oracle():
     ((0, 1, 5), [1.0, 2.0, 3.0], PreconditionError, "x has 3 entries, none for outer vertex 5"),
     ((0, 1, -1), [1.0, 2.0, 3.0], PreconditionError, "x has 3 entries, none for outer vertex -1"),
     ((0, 1, 0, 2), [1.0, 2.0, 3.0], PreconditionError, r"outer cycle \[0, 1, 0, 2\] repeats a vertex"),
-    ((0, 1, 2), [2.0, 2.0, 2.0], NumericError, "constructed outer polygon is not strictly convex"),
-], ids=["nan", "inf", "minus-inf", "short-x", "negative-id", "repeat", "three-equal"])
+    ((0, 1, 2), [2.0, 2.0, 2.0], PreconditionError, NOT_MONOTONE),
+    ((0, 1, 2, 3), [2.0] * 4, PreconditionError, NOT_MONOTONE),
+    ((4, 0, 3, 1, 2), [-1.5] * 5, PreconditionError, NOT_MONOTONE),
+    (tuple(range(7)), [0.0] * 7, PreconditionError, NOT_MONOTONE),
+    ((0, 1, 2, 3), [1.0, 3.0, 2.0, 4.0], PreconditionError, NOT_MONOTONE),
+], ids=["nan", "inf", "minus-inf", "short-x", "negative-id", "repeat",
+        "three-equal", "four-equal", "five-equal", "seven-equal", "zigzag"])
 def test_placement_rejects_x_it_cannot_place(outer, x, error, message):
     """Bad x raises the package's own errors, with plain float reprs."""
     with pytest.raises(error, match=f"^{message}$") as info:

@@ -81,10 +81,10 @@ def _parse_r(raw: str) -> float:
 def _decay(emb: PlanarEmbedding, poly: OuterPolygon, p: argparse.Namespace,
            method: str) -> tuple[Drawing, int | None]:
     if p.r == "best":
-        r, drawing, _rho = best_r(emb, poly, method, p.a)
+        r, drawing, _rho = best_r(emb, poly, method)
         return drawing, r
     spread = bfs_spread if method == "bfs" else schnyder_spread
-    return spread(emb, poly, p.a, _parse_r(p.r)), None
+    return spread(emb, poly, r=_parse_r(p.r)), None
 
 
 def _spread(emb: PlanarEmbedding, poly: OuterPolygon, direction: float) -> tuple[Drawing, int | None]:
@@ -106,7 +106,7 @@ METHODS = {
 
 def cmd_draw(args: argparse.Namespace) -> int:
     emb = load_graph(args.graph)
-    poly = regular_polygon(emb.outer_face, args.radius)
+    poly = regular_polygon(emb.outer_face)
     drawing, chosen_r = METHODS[args.method](emb, poly, args)
     met = compute_metrics(drawing, emb)
 
@@ -134,7 +134,7 @@ def cmd_draw(args: argparse.Namespace) -> int:
 
 def cmd_kaleidoscope(args: argparse.Namespace) -> int:
     emb = load_graph(args.graph)
-    rows = kaleidoscope(emb, regular_polygon(emb.outer_face, args.radius), args.step)
+    rows = kaleidoscope(emb, regular_polygon(emb.outer_face), args.step)
     _write_text(args.out_csv, rows_to_csv(rows))
     best = best_row(rows)
     worst = worst_row(rows)
@@ -154,9 +154,9 @@ GALLERY_COLUMNS = (("tutte", "tutte"), ("x_spread", "xspread"), ("y_spread", "ys
                    ("xy_morph", "xymorph"), ("bfs_spread", "bfs"))
 
 
-def _gallery_row(emb: PlanarEmbedding, name: str, out_dir: str, radius: float, a: float) -> str:
-    poly = regular_polygon(emb.outer_face, radius)
-    params = argparse.Namespace(angle=0.0, t=0.5, a=a, r="best")
+def _gallery_row(emb: PlanarEmbedding, name: str, out_dir: str) -> str:
+    poly = regular_polygon(emb.outer_face)
+    params = argparse.Namespace(angle=0.0, t=0.5, r="best")
     drawings = {label: METHODS[method](emb, poly, params) for label, method in GALLERY_COLUMNS}
     cells = [name]
     for label, (drawing, _r) in drawings.items():
@@ -176,7 +176,7 @@ def cmd_gallery(args: argparse.Namespace) -> int:
         name = os.path.splitext(os.path.basename(path))[0]
         try:
             emb = load_graph(path)
-            lines.append(_gallery_row(emb, name, args.out_dir, args.radius, args.a))
+            lines.append(_gallery_row(emb, name, args.out_dir))
         except (StressDrawError, OSError) as exc:
             # record the failure and keep going with the remaining graphs
             print(f"gallery: {path} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -197,9 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stressdraw",
         description="Convex planar drawings from weighted stress embeddings.",
     )
+    # options are spelled out in full: --a would otherwise abbreviate --angle
     sub = ap.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="generate a 3-connected planar graph as JSON")
+    g = sub.add_parser("generate", allow_abbrev=False,
+                       help="generate a 3-connected planar graph as JSON")
     g.add_argument("--n", type=int, help="vertex count")
     g.add_argument("--m", type=int, help="edge count")
     g.add_argument("--seed", type=int, default=0)
@@ -214,41 +216,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     g.add_argument("--out", required=True)
 
-    d = sub.add_parser("draw", help="draw one graph with one method")
+    d = sub.add_parser("draw", allow_abbrev=False, help="draw one graph with one method")
     d.add_argument("graph", help="graph JSON path")
     d.add_argument("--method", required=True, choices=list(METHODS))
     d.add_argument("--angle", type=float, default=0.0, help="spread direction, degrees")
     d.add_argument("--t", type=float, default=0.5, help="morph parameter in [0, 1]")
-    d.add_argument("--a", type=float, default=1.0, help="depth weight scale")
     d.add_argument("--r", default="5", help="depth decay base > 1, or 'best'")
-    d.add_argument("--radius", type=float, default=1.0, help="outer polygon radius")
     d.add_argument("--out-svg", help="default: <graph>.<method>.svg")
     d.add_argument("--out-metrics", help="metrics JSON path")
     d.add_argument("--out-coords", help="coordinates JSON path")
 
-    k = sub.add_parser("kaleidoscope", help="sweep morph angles, write angle/ratio CSV")
+    k = sub.add_parser("kaleidoscope", allow_abbrev=False,
+                       help="sweep morph angles, write angle/ratio CSV")
     k.add_argument("graph")
     k.add_argument("--step", type=float, default=5.0, help="angle step, degrees")
-    k.add_argument("--radius", type=float, default=1.0)
     k.add_argument("--out-csv", required=True)
     k.add_argument("--best-svg", help="render the lowest-ratio angle here")
     k.add_argument("--worst-svg", help="render the highest-ratio angle here")
 
-    ga = sub.add_parser("gallery", help="run all methods over several graphs")
+    ga = sub.add_parser("gallery", allow_abbrev=False, help="run all methods over several graphs")
     ga.add_argument("graphs", nargs="+", help="graph JSON paths")
     ga.add_argument("--out-dir", required=True)
-    ga.add_argument("--radius", type=float, default=1.0)
-    ga.add_argument("--a", type=float, default=1.0)
     return ap
-
-
-def _check_options(args: argparse.Namespace) -> None:
-    """BadParams unless --radius and --a, where the subcommand takes them,
-    are positive and finite: checked before any graph is read."""
-    for name in ("radius", "a"):
-        value = getattr(args, name, 1.0)
-        if not 0 < value < math.inf:
-            raise BadParams(f"{name} must be positive and finite, got {value}")
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -260,7 +249,6 @@ def run(argv: list[str] | None = None) -> int:
         "gallery": cmd_gallery,
     }[args.command]
     try:
-        _check_options(args)
         return handler(args)
     except StressDrawError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

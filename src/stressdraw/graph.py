@@ -521,19 +521,18 @@ def _merged_face(
     edge), or None when the graph would lose 3-connectivity.
 
     Only that face is new, and every other pair of faces already meets
-    properly (see _faces_meet_properly). So the graph stays 3-connected
-    when the merged face is a simple cycle and each face around it shares
-    with it at most one vertex, or exactly the two ends of an edge that
-    lies on both: one side of that edge in the face, the other in f1 or
-    f2, the faces that merge."""
+    properly (see _faces_meet_properly). It is a simple cycle, since f1
+    and f2, the faces beside uv, are simple cycles sharing only u and v
+    while the graph is 3-connected. So the graph stays 3-connected when
+    each face around it shares with it at most one vertex, or exactly the
+    two ends of an edge that lies on both: one side of that edge in the
+    face, the other in f1 or f2."""
     f1, f2 = face_of[(u, v)], face_of[(v, u)]
     c1, c2 = faces[f1], faces[f2]
     i, j = c1.index(u), c2.index(v)
     # u, the v->u face after u, v, the u->v face after v
     merged = [u] + (c2[j:] + c2[:j])[2:] + [v] + (c1[i:] + c1[:i])[2:]
     on_merged = set(merged)
-    if len(on_merged) != len(merged):
-        return None
     for g in {face_of[(a, b)] for a in merged for b in rot[a]} - {f1, f2}:
         shared = [w for w in faces[g] if w in on_merged]
         if len(shared) > 2:

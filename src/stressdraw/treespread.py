@@ -217,7 +217,6 @@ def best_r(
     emb: PlanarEmbedding,
     poly: OuterPolygon,
     method: str = "bfs",
-    a: float = 1.0,
     r_hi: int = 16,
 ) -> tuple[int, Drawing, float]:
     """Integer decay base in [2, r_hi] minimizing the edge-length ratio.
@@ -243,7 +242,7 @@ def best_r(
     else:
         raise BadParams(f"unknown tree-spread method {method!r}")
     # r**depth grows with r: every base after the first with a zero weight has one
-    weightings = takewhile(np.all, (depth_weights(depths, a, float(r)) for r in range(2, r_hi + 1)))
+    weightings = takewhile(np.all, (depth_weights(depths, r=float(r)) for r in range(2, r_hi + 1)))
     best: tuple[int, Drawing, float] | None = None
     r = 1
     for positions, drawings in _solve_chunks(emb, weightings, poly):

@@ -402,6 +402,8 @@ def test_worst_case_small_k():
     emb = worst_case_graph(1)
     assert emb.n == 3
     validate(emb)
+    # a triangle: a cycle, so not 3-connected
+    assert not validate_three_connected(emb)
     with pytest.raises(InfeasibleParams):
         worst_case_graph(0)
 
@@ -578,13 +580,16 @@ def _glued_tetrahedra_json() -> dict:
     return to_dict(PlanarEmbedding(emb.n, emb.rotation, outer))
 
 
-@pytest.mark.parametrize("data, message", [
-    (_k4_json(outer=[0, 2]), "outer face has 2 vertices"),
-    (_k4_json(outer=[0, 2, 0]), "outer face repeats a vertex"),
-    (_glued_tetrahedra_json(), "graph is not 3-connected"),
-], ids=["two-vertices", "repeat", "two-cut"])
-def test_from_dict_names_the_failed_invariant(data, message):
-    with pytest.raises(InvalidEmbedding, match=f"^{message}$"):
+@pytest.mark.parametrize("data, error, message", [
+    (_k4_json(outer=[0, 2]), InvalidEmbedding, "outer face has 2 vertices"),
+    (_k4_json(outer=[0, 2, 0]), InvalidEmbedding, "outer face repeats a vertex"),
+    (_glued_tetrahedra_json(), InvalidEmbedding, "graph is not 3-connected"),
+    ({"n": 2, "rotation": [[1], [0]], "outer_face": [0, 1]}, MalformedRotation,
+     "need at least 3 vertices, got 2"),
+    (_k4_json(outer="021"), InvalidEmbedding, "outer_face must be a list"),
+], ids=["two-vertices", "repeat", "two-cut", "n-2", "outer-string"])
+def test_from_dict_names_the_failed_invariant(data, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
         from_dict(data)
 
 

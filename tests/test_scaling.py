@@ -1,4 +1,5 @@
-"""Scaling the outer polygon's radius by a power of two scales the drawing."""
+"""Scaling the outer polygon's radius by a power of two scales the drawing;
+scaling the decay weights by one leaves it as it is."""
 from __future__ import annotations
 
 import math
@@ -55,6 +56,24 @@ def test_fixed_weight_drawings_scale_with_the_radius(build):
         assert got.keys() == base.keys()
         for name, want in base.items():
             assert got[name].tobytes() == np.ldexp(want, s).tobytes(), (name, s)
+
+
+@pytest.mark.parametrize("build", GRAPHS.values(), ids=GRAPHS.keys())
+def test_decay_drawings_ignore_the_weight_scale(build):
+    """Depth weights 2**s / r**depth give the drawing of 1 / r**depth bit
+    for bit, and its residual times 2**s: the equilibrium system is
+    homogeneous in the weights."""
+    emb = build()
+    poly = regular_polygon(emb.outer_face)
+    spreads = {"bfs": (bfs_spread, 5.0)}
+    if emb.m == 3 * emb.n - 6:
+        spreads["schnyder"] = (schnyder_spread, 2.0)
+    for name, (spread, r) in spreads.items():
+        base = spread(emb, poly, 1.0, r)
+        for s in range(-60, 15):
+            got = spread(emb, poly, 2.0**s, r)
+            assert got.positions.tobytes() == base.positions.tobytes(), (name, s)
+            assert got.residual == math.ldexp(base.residual, s), (name, s)
 
 
 SPREADS = {

@@ -19,6 +19,7 @@ from conftest import (
 from stressdraw import (
     BadParams,
     InvalidEmbedding,
+    NonPositiveWeight,
     NotTriangulation,
     PlanarEmbedding,
     bfs_depths,
@@ -89,9 +90,14 @@ def test_bfs_depths_reject_a_disconnected_graph():
 
 
 def test_depth_weights_overflow_to_a_zero_weight():
-    """A power past float64 gives the weight 0.0 without a warning."""
-    w = depth_weights(np.array([1, 2]), a=1.0, r=1e308)
-    assert w.tolist() == [1e-308, 0.0]
+    """A power past float64, or a quotient below it, gives the weight 0.0
+    without a warning, and the solve names that weight as a plain float."""
+    emb = generate_planar(12, 27, 3)
+    poly = regular_polygon(emb.outer_face)
+    for a, r, want in ((1.0, 1e308, [1e-308, 0.0]), (1e-300, 1e100, [0.0, 0.0])):
+        assert depth_weights(np.array([1, 2]), a=a, r=r).tolist() == want
+        with pytest.raises(NonPositiveWeight, match=r"got 0\.0$"):
+            bfs_spread(emb, poly, a, r)
 
 
 def test_depth_weights_decay():

@@ -3,6 +3,7 @@ where the locale matters."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -163,6 +164,18 @@ def test_draw_bfs_best_r_skips_bases_without_a_ratio(tmp_path, capsys):
     assert run(["generate", "--worst-case", "20", "--out", str(p)]) == 0
     assert run(["draw", str(p), "--method", "bfs", "--r", "best"]) == 0
     assert "method=bfs r=2 " in capsys.readouterr().out
+
+
+def test_draw_reports_a_vanishing_weight_as_a_float(graph_path, tmp_path, capsys, monkeypatch):
+    """A decay weight that underflows to zero is named as a plain float. The
+    command draws with scale 1, where a / r**depth cannot underflow, so the
+    library's bfs_spread is called with scale 1e-300."""
+    monkeypatch.setattr(cli, "bfs_spread", functools.partial(stressdraw.bfs_spread, a=1e-300))
+    assert run(["draw", str(graph_path), "--method", "bfs", "--r", "1e100",
+                "--out-svg", str(tmp_path / "d.svg")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: NonPositiveWeight: ")
+    assert err.endswith("got 0.0\n")
 
 
 def test_draw_reports_an_overflowing_decay_power_as_a_zero_weight(graph_path, tmp_path, capsys):
@@ -361,6 +374,20 @@ def test_draw_rejects_non_finite_parameters(graph_path, tmp_path, capsys, argv, 
     assert run(["draw", str(graph_path), *argv, "--out-svg", str(tmp_path / "d.svg")]) == code
     assert f"error: {error}:" in capsys.readouterr().err
     assert not (tmp_path / "d.svg").exists()
+
+
+@pytest.mark.parametrize("radius", ["1e300", "1e-170"])
+def test_draw_at_extreme_radius(graph_path, tmp_path, capsys, monkeypatch, radius):
+    """The convexity tolerance neither overflows at a huge radius nor
+    underflows at a tiny one: the Tutte drawing is reported as it is. The
+    command draws on the radius-1 polygon, so the library's polygon is
+    scaled under it."""
+    monkeypatch.setattr(cli, "regular_polygon",
+                        lambda face: regular_polygon(face, float(radius)))
+    out = tmp_path / "d.svg"
+    assert run(["draw", str(graph_path), "--method", "tutte", "--out-svg", str(out)]) == 0
+    assert "crossing_count=0 all_faces_convex=true" in capsys.readouterr().out
+    assert out.read_text(encoding="utf-8").count("<circle") == 12
 
 
 def test_kaleidoscope_deterministic(graph_path, tmp_path):

@@ -2,17 +2,17 @@
 
 A graph lives here as a rotation system: for every vertex, the cyclic order
 of its neighbors as seen in the plane (counterclockwise by convention).
-Faces are recovered by walking directed edges with the successor rule, and
-one traversed face is designated as the outer face. Everything downstream
-assumes simple, connected, 3-connected input; the lone tolerated exception
-is the triangle, which has no interior vertex to solve for.
+It is held once more as half-edge arrays, the faces are the cycles of
+their successor rule, and one face is designated as the outer face.
+Everything downstream assumes simple, connected, 3-connected input; the
+lone tolerated exception is the triangle, which has no interior vertex to
+solve for.
 """
 from __future__ import annotations
 
 import json
 import logging
 import random
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -21,7 +21,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csc_matrix
+from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .errors import (
@@ -64,54 +65,67 @@ class PlanarEmbedding:
 
     @property
     def m(self) -> int:
-        return sum(len(r) for r in self.rotation) // 2
+        return sum(map(len, self.rotation)) // 2
 
     def edges(self) -> list[Edge]:
         """All undirected edges, canonical keys, sorted."""
         return list(map(tuple, self.edge_array.tolist()))
 
     @cached_property
+    def _half_edges(self) -> _HalfEdges:
+        """The checked rotation as half-edges, built once per embedding."""
+        return _check_rotation(self)
+
+    @cached_property
     def edge_array(self) -> np.ndarray:
         """(m, 2) int array of the edges() keys, in edges() order."""
-        tail = np.repeat(np.arange(self.n), [len(r) for r in self.rotation])
-        head = np.fromiter((w for r in self.rotation for w in r), dtype=np.intp, count=len(tail))
-        codes = np.unique(np.minimum(tail, head) * self.n + np.maximum(tail, head))
-        return np.column_stack((codes // self.n, codes % self.n))
+        tail, head = self._arcs
+        return np.column_stack((tail, head))[tail < head]
 
     @cached_property
     def _arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """Every edge in both directions, as (from, to) arrays sorted by
         from and then to: the neighbor lists in increasing id order."""
-        lo, hi = self.edge_array.T
-        frm, to = np.concatenate((lo, hi)), np.concatenate((hi, lo))
-        by = np.lexsort((to, frm))
-        return frm[by], to[by]
+        he = self._half_edges
+        return he.tail[he.order], he.head[he.order]
 
     @cached_property
     def _connected(self) -> bool:
-        """Whether a search along the rotation from vertex 0 reaches every
-        vertex, found once per embedding. A plain breadth-first search
-        answers faster than building a scipy csgraph for it, from n = 60
-        to n = 10**4."""
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            for w in self.rotation[queue.popleft()]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n
+        """Whether the graph is connected: one strong component, as the rotation is symmetric."""
+        he = self._half_edges
+        adjacency = csr_matrix((np.ones(len(he.head)), he.head, he.offsets), shape=(self.n, self.n))
+        return connected_components(adjacency, connection="strong", return_labels=False) == 1
 
     @cached_property
-    def _rotation_index(self) -> list[dict[int, int]]:
-        """_rotation_index[v][w]: position of w in rotation[v]. Building it
-        checks the rotation system, once per embedding."""
-        return _check_rotation(self)
+    def _face_cycles(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cycle, bounds): the cycles of the face successor, face f being
+        cycle[bounds[f]:bounds[f + 1]]. Each is labelled by its least
+        half-edge, listed from it, and the labels order the faces. Raises
+        EulerViolation unless n - m + f = 2."""
+        nxt = self._half_edges.next
+        ids = np.arange(len(nxt))
+        # least[h] is the least of the 2**k half-edges from h on, ahead[h]
+        # steps on; once a doubling changes nothing, least[h] labels h's face
+        least, ahead, jump, span = ids, np.zeros_like(ids), nxt, 1
+        while (take := least[jump] < least).any():
+            least, ahead = np.where(take, least[jump], least), np.where(take, ahead[jump] + span, ahead)
+            jump, span = jump[jump], 2 * span
+        leader = least == ids
+        if self.n - self.m + (f := int(leader.sum())) != 2:
+            raise EulerViolation(f"n={self.n} m={self.m} f={f} violates n - m + f = 2")
+        face = (np.cumsum(leader) - 1)[least]
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(face))))
+        length = np.diff(bounds)[face]
+        cycle = np.empty_like(ids)
+        cycle[bounds[face] + (length - ahead) % length] = ids
+        return cycle, bounds
 
     @cached_property
     def faces(self) -> list[tuple[int, ...]]:
-        """traverse_faces(self), computed once."""
-        return traverse_faces(self)
+        """The vertices of each face in traversal order (see traverse_faces)."""
+        cycle, bounds = self._face_cycles
+        flat, ends = self._half_edges.tail[cycle].tolist(), bounds.tolist()
+        return [tuple(flat[a:b]) for a, b in zip(ends, ends[1:])]
 
     @cached_property
     def _laplacian_pattern(self) -> _LaplacianPattern:
@@ -127,12 +141,31 @@ class PlanarEmbedding:
 
     @cached_property
     def outer_index(self) -> int:
-        """Position of outer_face, up to rotation and reflection, in faces."""
-        key = _cycle_key(self.outer_face)
-        for i, face in enumerate(self.faces):
-            if _cycle_key(face) == key:
-                return i
+        """Position in faces of the first face that equals outer_face up to
+        rotation and reflection. Only the faces of the half-edges outer[0]
+        -> outer[1] and outer[1] -> outer[0] can."""
+        he, (cycle, bounds) = self._half_edges, self._face_cycles
+        key, ends = _cycle_key(self.outer_face), self.outer_face[:2]
+        arcs = [he.offsets[u] + self.rotation[u].index(v) for u, v in ((ends, ends[::-1]) if len(ends) == 2 else ())
+                if _is_vertex_id(u) and 0 <= u < self.n and v in self.rotation[u]]
+        for f in sorted(np.searchsorted(bounds, [np.flatnonzero(cycle == h)[0] for h in arcs], side="right") - 1):
+            if _cycle_key(tuple(he.tail[cycle[bounds[f]:bounds[f + 1]]].tolist())) == key:
+                return int(f)
         raise InvalidEmbedding("outer face is not a face of the embedding")
+
+
+class _HalfEdges(NamedTuple):
+    """The rotation system as flat arrays: half-edge offsets[v] + i leaves
+    tail = v for head = rotation[v][i]. order lists the half-edges sorted by
+    (tail, head). next[h], the half-edge after h on its face, leaves head[h]
+    for the successor of tail[h] around head[h]: the rotation successor of
+    h's twin."""
+
+    offsets: np.ndarray
+    tail: np.ndarray
+    head: np.ndarray
+    order: np.ndarray
+    next: np.ndarray
 
 
 class _LaplacianPattern(NamedTuple):
@@ -240,13 +273,9 @@ class _FaceIndex(NamedTuple):
 
 
 def _build_face_index(emb: PlanarEmbedding) -> _FaceIndex:
-    faces, outer = emb.faces, emb.outer_index
-    lengths = np.fromiter(map(len, faces), dtype=np.intp, count=len(faces))
-    flat = np.fromiter(
-        chain.from_iterable(faces), dtype=np.intp, count=int(lengths.sum())
-    )
-    face_of = np.repeat(np.arange(len(faces)), lengths)
-    starts = np.cumsum(lengths) - lengths
+    (cycle, bounds), outer = emb._face_cycles, emb.outer_index
+    flat, starts, lengths = emb._half_edges.tail[cycle], bounds[:-1], np.diff(bounds)
+    face_of = np.repeat(np.arange(len(lengths)), lengths)
     simple = bool(lengths.min() >= 3 and np.unique(face_of * emb.n + flat).size == flat.size)
     first, size = starts[face_of], lengths[face_of]
     corner = np.arange(len(flat)) - first
@@ -283,64 +312,60 @@ def _is_vertex_id(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)  # JSON true is no id
 
 
-def _check_rotation(emb: PlanarEmbedding) -> list[dict[int, int]]:
-    """Raise MalformedRotation unless the rotation is a simple symmetric
-    adjacency structure; return each vertex's neighbor positions."""
-    if emb.n < 3:
-        raise MalformedRotation(f"need at least 3 vertices, got {emb.n}")
-    if len(emb.rotation) != emb.n:
+def _check_rotation(emb: PlanarEmbedding) -> _HalfEdges:
+    """The rotation as half-edges, or MalformedRotation unless it is a simple
+    symmetric adjacency structure. An empty rotation, an entry that is no
+    vertex id in range, a self-loop or a neighbor's second entry is reported
+    vertex by vertex, then by position, before any asymmetry."""
+    n = emb.n
+    if n < 3:
+        raise MalformedRotation(f"need at least 3 vertices, got {n}")
+    if len(emb.rotation) != n:
         raise MalformedRotation("rotation table length differs from n")
-    index: list[dict[int, int]] = []
-    for v, rot in enumerate(emb.rotation):
-        if not rot:
-            raise MalformedRotation(f"vertex {v} has no neighbors")
-        pos: dict[int, int] = {}
-        for i, w in enumerate(rot):
-            if not _is_vertex_id(w) or not 0 <= w < emb.n:
-                raise MalformedRotation(f"vertex {v} lists invalid neighbor {w!r}")
-            if w == v:
-                raise MalformedRotation(f"self-loop at vertex {v}")
-            if w in pos:
-                raise MalformedRotation(f"parallel edge {v}-{w}")
-            pos[w] = i
-        index.append(pos)
-    for v, rot in enumerate(emb.rotation):
-        for w in rot:
-            if v not in index[w]:
-                raise MalformedRotation(f"edge {v}-{w} is not symmetric")
-    return index
+    degree = np.fromiter(map(len, emb.rotation), dtype=np.int64, count=n)
+    offsets = np.concatenate(([0], np.cumsum(degree)))
+    flat = list(chain.from_iterable(emb.rotation))
+    tail = np.repeat(np.arange(n), degree)
+    # an entry that is no id gets its own value past n, which repeats nothing
+    head = np.array([w if _is_vertex_id(w) and 0 <= w < n else n + i for i, w in enumerate(flat)], dtype=np.int64)
+    code = tail * (n + len(flat)) + head
+    order = np.argsort(code, kind="stable")
+    repeat = np.zeros(len(flat), dtype=bool)
+    repeat[order[1:]] = np.diff(code[order]) == 0
+    faults = np.flatnonzero((head >= n) | (tail == head) | repeat)
+    empty = np.flatnonzero(degree == 0)
+    if len(empty) and (not len(faults) or empty[0] < tail[faults[0]]):
+        raise MalformedRotation(f"vertex {empty[0]} has no neighbors")
+    if len(faults):
+        v, w = int(tail[faults[0]]), flat[faults[0]]
+        raise MalformedRotation(f"vertex {v} lists invalid neighbor {w!r}" if head[faults[0]] >= n
+                                else f"self-loop at vertex {v}" if w == v else f"parallel edge {v}-{w}")
+    # the codes are distinct, so the rotation is symmetric when the reversed
+    # half-edges sort to the same codes; then order[i] is the twin of by_reverse[i]
+    reverse = head * (n + len(flat)) + tail
+    by_reverse = np.argsort(reverse)
+    if not np.array_equal(code[order], reverse[by_reverse]):
+        h = np.flatnonzero(~np.isin(reverse, code))[0]
+        raise MalformedRotation(f"edge {tail[h]}-{flat[h]} is not symmetric")
+    # the rotation successor of the twin leaves head for the neighbor after tail
+    nxt = np.empty_like(order)
+    nxt[by_reverse] = order + 1
+    wrap = nxt == offsets[head + 1]
+    nxt[wrap] = offsets[head[wrap]]
+    return _HalfEdges(offsets, tail, head, order, nxt)
 
 
 def traverse_faces(emb: PlanarEmbedding) -> list[tuple[int, ...]]:
-    """Walk every directed edge once and collect the face cycles, each a
-    tuple of its vertices in traversal order.
+    """emb.faces: every face as a tuple of its vertices in traversal order.
 
-    From directed edge (u, v) the walk continues with (v, w) where w is the
-    successor of u in the rotation of v. With counterclockwise rotations
-    this traces interior faces counterclockwise and the outer face
-    clockwise. Raises EulerViolation when the face count contradicts
-    n - m + f = 2, i.e. the rotation system is not a sphere embedding.
+    From directed edge (u, v) a face continues with (v, w), w the successor
+    of u in the rotation of v, so with counterclockwise rotations interior
+    faces run counterclockwise and the outer face clockwise. Faces come in
+    the order of their first directed edges in rotation order, each from
+    that edge. Raises EulerViolation unless n - m + f = 2, i.e. unless the
+    rotation system is a sphere embedding.
     """
-    pos = emb._rotation_index
-    used: set[tuple[int, int]] = set()
-    faces: list[tuple[int, ...]] = []
-    for v0 in range(emb.n):
-        for w0 in emb.rotation[v0]:
-            if (v0, w0) in used:
-                continue
-            cycle: list[int] = []
-            v, w = v0, w0
-            while (v, w) not in used:
-                used.add((v, w))
-                cycle.append(v)
-                rot = emb.rotation[w]
-                v, w = w, rot[(pos[w][v] + 1) % len(rot)]
-            faces.append(tuple(cycle))
-    if emb.n - emb.m + len(faces) != 2:
-        raise EulerViolation(
-            f"n={emb.n} m={emb.m} f={len(faces)} violates n - m + f = 2"
-        )
-    return faces
+    return list(emb.faces)
 
 
 def validate_three_connected(emb: PlanarEmbedding) -> bool:
@@ -352,22 +377,20 @@ def validate_three_connected(emb: PlanarEmbedding) -> bool:
     from its faces in O(m) (see _faces_meet_properly). A rotation of
     minimum degree 3 that is malformed raises MalformedRotation before the
     connectivity search reads it; a connected one that is not a sphere
-    embedding raises EulerViolation from emb.faces. A simple sphere
+    embedding raises EulerViolation from its faces. A simple sphere
     embedding with m = 3n - 6 edges has only triangular faces, and such a
     triangulation with n >= 4 is 3-connected, so it skips the face test.
     """
     n = emb.n
-    if n < 4:
+    if n < 4 or min(map(len, emb.rotation), default=0) < 3:
         return False
-    if min(map(len, emb.rotation), default=0) < 3:
-        return False
-    emb._rotation_index  # raises on a malformed rotation before the search reads it
+    emb._half_edges  # raises on a malformed rotation before the search reads it
     if not emb._connected:
         return False
-    faces = emb.faces  # raises unless the rotation is a simple sphere embedding
+    emb._face_cycles  # raises unless the rotation is a simple sphere embedding
     if emb.m == 3 * n - 6:
         return True
-    return _faces_meet_properly(faces)
+    return _faces_meet_properly(emb.faces)
 
 
 def _faces_meet_properly(faces: Sequence[Sequence[int]]) -> bool:
@@ -428,10 +451,10 @@ def validate(emb: PlanarEmbedding) -> None:
     the traversed faces, and 3-connectedness (triangles pass as the
     degenerate base case).
     """
-    emb._rotation_index  # raises on a malformed rotation
+    emb._half_edges  # raises on a malformed rotation
     if not emb._connected:
         raise InvalidEmbedding("graph is disconnected")
-    emb.faces  # raises on an Euler violation
+    emb._face_cycles  # raises on an Euler violation
     if len(emb.outer_face) < 3:
         raise InvalidEmbedding(f"outer face has {len(emb.outer_face)} vertices")
     if not all(map(_is_vertex_id, emb.outer_face)):
@@ -460,37 +483,21 @@ def worst_case_graph(k: int) -> PlanarEmbedding:
     if k < 1:
         raise InfeasibleParams(f"k must be >= 1, got {k}")
     u, w = k, k + 1  # apexes; path vertices are 0 .. k-1
-    rotation: list[list[int]] = []
     if k == 1:
         rotation = [[u, w], [w, 0], [0, u]]
     else:
-        for j in range(k):
-            if j == 0:
-                rotation.append([1, u, w])
-            elif j == k - 1:
-                rotation.append([u, k - 2, w])
-            else:
-                rotation.append([j + 1, u, j - 1, w])
-        rotation.append([w] + list(range(k)))          # u: arc to w, then path
-        rotation.append(list(range(k - 1, -1, -1)) + [u])  # w: path reversed, then u
-    emb = PlanarEmbedding(
-        n=k + 2,
-        rotation=tuple(tuple(r) for r in rotation),
-        outer_face=(),
-    )
-    target = {u, w, 0}
-    for face in emb.faces:
-        if len(face) == 3 and set(face) == target:
-            return _with_outer_face(emb, face)
-    raise AssertionError("outer triangle not found in worst-case construction")
+        # p_j: the next path vertex, u, the previous one, w; each end lacks one
+        rotation = [[1, u, w], *([j + 1, u, j - 1, w] for j in range(1, k - 1)), [u, k - 2, w]]
+        rotation += [[w, *range(k)], [*range(k - 1, -1, -1), u]]  # u: w, then the path; w: it reversed, u
+    emb = PlanarEmbedding(k + 2, tuple(map(tuple, rotation)), ())
+    return _with_outer_face(emb, next(f for f in emb.faces if len(f) == 3 and set(f) == {u, w, 0}))
 
 
 def _with_outer_face(emb: PlanarEmbedding, outer: tuple[int, ...]) -> PlanarEmbedding:
-    """emb with another outer face, keeping the checked rotation and the
-    cached traversal: both depend only on the rotation system."""
+    """emb with another outer face, keeping the checked half-edges and the
+    faces: both depend only on the rotation system."""
     out = replace(emb, outer_face=outer)
-    out.__dict__["_rotation_index"] = emb._rotation_index
-    out.__dict__["faces"] = emb.faces
+    out.__dict__.update((k, emb.__dict__[k]) for k in ("_half_edges", "_face_cycles", "faces") if k in emb.__dict__)
     return out
 
 
@@ -622,11 +629,7 @@ def generate_planar(
             m,
             achieved,
         )
-    emb = PlanarEmbedding(
-        n=n,
-        rotation=tuple(tuple(r) for r in rot),
-        outer_face=(),
-    )
+    emb = PlanarEmbedding(n, tuple(map(tuple, rot)), ())
     longest = max(map(len, emb.faces))
     outer = min((f for f in emb.faces if len(f) == longest), key=_cycle_key)
     emb = _with_outer_face(emb, outer)
@@ -662,11 +665,7 @@ def from_dict(data: object) -> PlanarEmbedding:
         raise InvalidEmbedding("rotation must be a list of lists")
     if not isinstance(outer, list):
         raise InvalidEmbedding("outer_face must be a list")
-    emb = PlanarEmbedding(
-        n=n,
-        rotation=tuple(tuple(r) for r in rotation),
-        outer_face=tuple(outer),
-    )
+    emb = PlanarEmbedding(n, tuple(map(tuple, rotation)), tuple(outer))
     validate(emb)
     return emb
 

@@ -38,9 +38,8 @@ def bfs_depths(emb: PlanarEmbedding) -> np.ndarray:
     from the nearest of them. An edge's depth is min(level(u), level(v)) + 1;
     outer-face edges therefore get depth 1.
     """
-    frm, to = emb._arcs
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(frm, minlength=emb.n))))
-    arcs = csr_matrix((np.ones(len(to)), to, indptr), shape=(emb.n, emb.n))
+    he = emb._half_edges
+    arcs = csr_matrix((np.ones(len(he.head)), he.head, he.offsets), shape=(emb.n, emb.n))
     level = dijkstra(arcs, indices=list(emb.outer_face), unweighted=True, min_only=True)
     if not np.isfinite(level).all():
         raise InvalidEmbedding("graph is disconnected")
@@ -98,9 +97,8 @@ def _require_triangulation(emb: PlanarEmbedding) -> None:
         raise NotTriangulation(
             f"outer face must be a triangle, got length {len(emb.outer_face)}"
         )
-    for face in emb.faces:
-        if len(face) != 3:
-            raise NotTriangulation("every face must be a triangle")
+    if (np.diff(emb._face_cycles[1]) != 3).any():
+        raise NotTriangulation("every face must be a triangle")
 
 
 def schnyder_wood(emb: PlanarEmbedding) -> SchnyderWood:

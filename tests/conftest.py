@@ -7,10 +7,12 @@ against something honest. The dict-based spread construction, the
 quadratic Schnyder peel with its dict-based wood and depths, the uncached
 solve, the per-call face walks of the drawing checks, the line-by-line
 SVG writer, the dict-form outer polygon with its float convexity loop,
-the queue BFS, and the quadratic outer-face forms (the all-rotations cycle
-key, the pair-scan placement and the arctan2 winding sum) are kept as
-differential oracles for their replacements, which must agree with them to
-the last bit.
+the queue BFS, the quadratic outer-face forms (the all-rotations cycle
+key, the pair-scan placement and the arctan2 winding sum) and the
+embedding's views before its half-edge arrays (the loop rotation check, the
+face walk over a set of directed edges, and the sorted edges, arcs and
+outer-face scan) are kept as differential oracles for their replacements,
+which must agree with them to the last bit.
 """
 from __future__ import annotations
 
@@ -29,7 +31,10 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from stressdraw import (
+    EulerViolation,
     InputError,
+    InvalidEmbedding,
+    MalformedRotation,
     NotStOrientation,
     PlanarEmbedding,
     PreconditionError,
@@ -918,3 +923,87 @@ def _dict_convex_polygon(outer, xs: dict[int, float], y: dict[int, float]) -> Ou
     if not arctan2_ring_turn(poly.positions):
         raise StressDrawError("constructed outer polygon is not strictly convex")
     return poly
+
+
+# ---------------------------------------------------------------------------
+# the embedding's views as they were built before the half-edge arrays: a
+# loop over each rotation, a walk over a set of directed edges, edges from
+# np.unique, arcs from a lexsort, and a canonical-key scan of every face
+# ---------------------------------------------------------------------------
+
+def loop_check_rotation(emb: PlanarEmbedding) -> list[dict[int, int]]:
+    """Raise MalformedRotation unless the rotation is a simple symmetric
+    adjacency structure; return each vertex's neighbor positions."""
+    if emb.n < 3:
+        raise MalformedRotation(f"need at least 3 vertices, got {emb.n}")
+    if len(emb.rotation) != emb.n:
+        raise MalformedRotation("rotation table length differs from n")
+    index: list[dict[int, int]] = []
+    for v, rot in enumerate(emb.rotation):
+        if not rot:
+            raise MalformedRotation(f"vertex {v} has no neighbors")
+        pos: dict[int, int] = {}
+        for i, w in enumerate(rot):
+            if not isinstance(w, int) or isinstance(w, bool) or not 0 <= w < emb.n:
+                raise MalformedRotation(f"vertex {v} lists invalid neighbor {w!r}")
+            if w == v:
+                raise MalformedRotation(f"self-loop at vertex {v}")
+            if w in pos:
+                raise MalformedRotation(f"parallel edge {v}-{w}")
+            pos[w] = i
+        index.append(pos)
+    for v, rot in enumerate(emb.rotation):
+        for w in rot:
+            if v not in index[w]:
+                raise MalformedRotation(f"edge {v}-{w} is not symmetric")
+    return index
+
+
+def walk_faces(emb: PlanarEmbedding) -> list[tuple[int, ...]]:
+    """Walk every directed edge once, in rotation order, and collect the
+    face cycles: from (u, v) on to (v, w), w the successor of u around v."""
+    pos = loop_check_rotation(emb)
+    used: set[tuple[int, int]] = set()
+    faces: list[tuple[int, ...]] = []
+    for v0 in range(emb.n):
+        for w0 in emb.rotation[v0]:
+            if (v0, w0) in used:
+                continue
+            cycle: list[int] = []
+            v, w = v0, w0
+            while (v, w) not in used:
+                used.add((v, w))
+                cycle.append(v)
+                rot = emb.rotation[w]
+                v, w = w, rot[(pos[w][v] + 1) % len(rot)]
+            faces.append(tuple(cycle))
+    m = sum(len(r) for r in emb.rotation) // 2
+    if emb.n - m + len(faces) != 2:
+        raise EulerViolation(f"n={emb.n} m={m} f={len(faces)} violates n - m + f = 2")
+    return faces
+
+
+def unique_edge_array(emb: PlanarEmbedding) -> np.ndarray:
+    """The sorted canonical edge keys, by np.unique of their codes."""
+    tail = np.repeat(np.arange(emb.n), [len(r) for r in emb.rotation])
+    head = np.fromiter((w for r in emb.rotation for w in r), dtype=np.intp, count=len(tail))
+    codes = np.unique(np.minimum(tail, head) * emb.n + np.maximum(tail, head))
+    return np.column_stack((codes // emb.n, codes % emb.n))
+
+
+def lexsort_arcs(emb: PlanarEmbedding) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge both ways, as (from, to) sorted by from, then to."""
+    lo, hi = unique_edge_array(emb).T
+    frm, to = np.concatenate((lo, hi)), np.concatenate((hi, lo))
+    by = np.lexsort((to, frm))
+    return frm[by], to[by]
+
+
+def scan_outer_index(emb: PlanarEmbedding, faces: list[tuple[int, ...]]) -> int:
+    """The first of faces that equals emb.outer_face up to rotation and
+    reflection, by the all-rotations key of each face."""
+    key = rotations_cycle_key(emb.outer_face)
+    for i, face in enumerate(faces):
+        if rotations_cycle_key(face) == key:
+            return i
+    raise InvalidEmbedding("outer face is not a face of the embedding")

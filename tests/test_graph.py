@@ -129,10 +129,9 @@ def test_three_connected_positive(k4, octahedron, two_ring_wheel):
 def test_validate_searches_connectivity_once(monkeypatch):
     """validate and the 3-connectivity test it runs share one search per
     embedding; two disjoint tetrahedra keep the disconnected message."""
-    import collections
-
     searches = []
-    monkeypatch.setattr(graph, "deque", lambda *a: searches.append(a) or collections.deque(*a))
+    search = graph.connected_components
+    monkeypatch.setattr(graph, "connected_components", lambda *a, **k: searches.append(a) or search(*a, **k))
     emb = generate_planar(30, 70, seed=3)
     searches.clear()
     fresh = PlanarEmbedding(emb.n, emb.rotation, emb.outer_face)

@@ -25,7 +25,7 @@ def _workflow_commands() -> list[list[str]]:
 
 def test_workflow_commands_parse():
     commands = _workflow_commands()
-    assert len(commands) == 14
+    assert len(commands) == 15
     parser = build_parser()
     for argv in commands:
         try:

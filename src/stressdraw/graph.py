@@ -97,11 +97,11 @@ class PlanarEmbedding:
         return connected_components(adjacency, connection="strong", return_labels=False) == 1
 
     @cached_property
-    def _face_cycles(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cycle, bounds): the cycles of the face successor, face f being
-        cycle[bounds[f]:bounds[f + 1]]. Each is labelled by its least
-        half-edge, listed from it, and the labels order the faces. Raises
-        EulerViolation unless n - m + f = 2."""
+    def _face_cycles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cycle, bounds, face): face f is the cycle of the face successor
+        cycle[bounds[f]:bounds[f + 1]], and half-edge h lies on face[h]. Each
+        is labelled by its least half-edge, listed from it, and the labels
+        order the faces. Raises EulerViolation unless n - m + f = 2."""
         nxt = self._half_edges.next
         ids = np.arange(len(nxt))
         # least[h] is the least of the 2**k half-edges from h on, ahead[h]
@@ -118,12 +118,20 @@ class PlanarEmbedding:
         length = np.diff(bounds)[face]
         cycle = np.empty_like(ids)
         cycle[bounds[face] + (length - ahead) % length] = ids
-        return cycle, bounds
+        return cycle, bounds, face
+
+    @cached_property
+    def _simple_faces(self) -> bool:
+        """Whether every face is a cycle of at least three distinct
+        vertices: no (vertex, face) pair occurs twice."""
+        _, bounds, face = self._face_cycles
+        pairs = face * self.n + self._half_edges.tail
+        return bool(np.diff(bounds).min() >= 3 and np.unique(pairs).size == pairs.size)
 
     @cached_property
     def faces(self) -> list[tuple[int, ...]]:
         """The vertices of each face in traversal order (see traverse_faces)."""
-        cycle, bounds = self._face_cycles
+        cycle, bounds, _ = self._face_cycles
         flat, ends = self._half_edges.tail[cycle].tolist(), bounds.tolist()
         return [tuple(flat[a:b]) for a, b in zip(ends, ends[1:])]
 
@@ -144,7 +152,7 @@ class PlanarEmbedding:
         """Position in faces of the first face that equals outer_face up to
         rotation and reflection. Only the faces of the half-edges outer[0]
         -> outer[1] and outer[1] -> outer[0] can."""
-        he, (cycle, bounds) = self._half_edges, self._face_cycles
+        he, (cycle, bounds, _) = self._half_edges, self._face_cycles
         key, ends = _cycle_key(self.outer_face), self.outer_face[:2]
         arcs = [he.offsets[u] + self.rotation[u].index(v) for u, v in ((ends, ends[::-1]) if len(ends) == 2 else ())
                 if _is_vertex_id(u) and 0 <= u < self.n and v in self.rotation[u]]
@@ -273,10 +281,9 @@ class _FaceIndex(NamedTuple):
 
 
 def _build_face_index(emb: PlanarEmbedding) -> _FaceIndex:
-    (cycle, bounds), outer = emb._face_cycles, emb.outer_index
+    (cycle, bounds, face), outer = emb._face_cycles, emb.outer_index
     flat, starts, lengths = emb._half_edges.tail[cycle], bounds[:-1], np.diff(bounds)
-    face_of = np.repeat(np.arange(len(lengths)), lengths)
-    simple = bool(lengths.min() >= 3 and np.unique(face_of * emb.n + flat).size == flat.size)
+    face_of = face[cycle]
     first, size = starts[face_of], lengths[face_of]
     corner = np.arange(len(flat)) - first
     inner = face_of != outer
@@ -288,7 +295,7 @@ def _build_face_index(emb: PlanarEmbedding) -> _FaceIndex:
     inner_lengths = np.delete(lengths, outer)
     return _FaceIndex(
         flat[starts[outer]:starts[outer] + lengths[outer]], fans, corners,
-        np.cumsum(inner_lengths) - inner_lengths, simple,
+        np.cumsum(inner_lengths) - inner_lengths, emb._simple_faces,
     )
 
 
@@ -374,8 +381,9 @@ def validate_three_connected(emb: PlanarEmbedding) -> bool:
     Requires n >= 4; a triangle counts as not 3-connected even though the
     rest of the package tolerates it as the degenerate no-interior case.
     The rotation must traverse to a sphere embedding, and the answer comes
-    from its faces in O(m) (see _faces_meet_properly). A rotation of
-    minimum degree 3 that is malformed raises MalformedRotation before the
+    from its faces in O(m), by counting the 4-cycles of the vertex-face
+    incidence graph (see _faces_meet_properly). A rotation of minimum
+    degree 3 that is malformed raises MalformedRotation before the
     connectivity search reads it; a connected one that is not a sphere
     embedding raises EulerViolation from its faces. A simple sphere
     embedding with m = 3n - 6 edges has only triangular faces, and such a
@@ -390,57 +398,46 @@ def validate_three_connected(emb: PlanarEmbedding) -> bool:
     emb._face_cycles  # raises unless the rotation is a simple sphere embedding
     if emb.m == 3 * n - 6:
         return True
-    return _faces_meet_properly(emb.faces)
+    return _faces_meet_properly(emb)
 
 
-def _faces_meet_properly(faces: Sequence[Sequence[int]]) -> bool:
-    """Whether every face is a simple cycle and any two faces share at most
-    one vertex, or exactly the two ends of an edge that lies on both.
+def _faces_meet_properly(emb: PlanarEmbedding) -> bool:
+    """Whether every face is a simple cycle and no two faces share two
+    vertices other than the ends of an edge that lies on both.
 
     With n >= 4, minimum degree 3 and a connected sphere embedding, this is
     3-connectivity: a 2-cut {u, v} lies on a closed curve through two faces
-    that both hold u and v. Two faces sharing u and v form a 4-cycle
-    face-u-face-v in the vertex-face incidence graph. Each 4-cycle is found
-    from its first node in decreasing-degree order, by counting the paths
-    of length two to the nodes after it (Chiba & Nishizeki 1985); the
-    incidence graph of a plane graph is planar, so this takes time linear
-    in the total length of the faces passed, even around high-degree hubs.
-    Vertices are nodes v >= 0, face i is node ~i.
+    that both hold u and v. It is one count on R, the vertex-face incidence
+    graph of the (tail, face) pairs of the half-edges. When every face is a
+    simple cycle, no pair occurs twice and each edge uv has two distinct
+    side faces f and g, so each edge gives its own 4-cycle u-f-v-g: R has
+    at least m 4-cycles. Any other is two faces sharing two vertices that
+    are not the ends of an edge on both, so R has exactly m iff the faces
+    meet properly. The one exception, two faces sharing three vertices, is
+    the lone triangle, which validate_three_connected rejects (n < 4).
+
+    With R's nodes ranked by decreasing degree and U keeping each node's
+    edges to nodes ranked after it, W = U @ R counts the paths x-y-z with y
+    ranked after x; with z after x too, a 4-cycle is two such paths from its
+    first node to the opposite one, counted once (Chiba & Nishizeki 1985).
+    The work, the sum over R's edges of the lower degree, is linear in m as
+    R is planar, even around high-degree hubs.
     """
-    inc: dict[int, Sequence[int]] = {}  # face -> its vertices, vertex -> a list of its faces
-    sides: dict[Edge, list[int]] = {}  # the faces along each edge
-    for f, vs in enumerate(faces):
-        if len(set(vs)) != len(vs):
-            return False
-        f = ~f
-        inc[f] = vs
-        u = vs[-1]
-        for v in vs:
-            if v in inc:
-                inc[v].append(f)
-            else:
-                inc[v] = [f]
-            sides.setdefault((u, v) if u < v else (v, u), []).append(f)
-            u = v
-    order = sorted(inc, key=lambda x: -len(inc[x]))
-    rank = dict(zip(order, range(len(order))))
-    for x in order:
-        rx = rank[x]
-        common: dict[int, list[int]] = {}
-        for y in inc[x]:
-            if rank[y] > rx:
-                for z in inc[y]:
-                    if rank[z] > rx:
-                        common.setdefault(z, []).append(y)
-        for z, ys in common.items():
-            if len(ys) == 1:
-                continue
-            if len(ys) > 2:
-                return False
-            pair, shared = ((x, z), ys) if x >= 0 else (ys, (x, z))
-            if sorted(sides.get(edge_key(*pair), ())) != sorted(shared):
-                return False
-    return True
+    if not emb._simple_faces:
+        return False
+    he, (cycle, bounds, face) = emb._half_edges, emb._face_cycles
+    # R as CSR: vertex v's row holds the faces of its half-edges, face f's
+    # row the tails along it; face f is node n + f
+    indptr = np.concatenate((he.offsets, bounds[1:] + len(face)))
+    indices = np.concatenate((face + emb.n, he.tail[cycle]))
+    rank = np.empty_like(indptr[1:])
+    rank[np.argsort(-np.diff(indptr), kind="stable")] = np.arange(len(rank))
+    up = rank[indices] > np.repeat(rank, np.diff(indptr))
+    shape, ones = (len(rank),) * 2, np.ones(len(indices), dtype=np.int64)
+    u = csr_matrix((ones[up], indices[up], np.concatenate(([0], np.cumsum(up)))[indptr]), shape)
+    w = u @ csr_matrix((ones, indices, indptr), shape)
+    paths = w.data[rank[w.indices] > np.repeat(rank, np.diff(w.indptr))]
+    return int((paths * (paths - 1)).sum()) == 2 * emb.m
 
 
 def validate(emb: PlanarEmbedding) -> None:
@@ -527,10 +524,10 @@ def _merged_face(
     (faces: cycles in traversal order; face_of: the face of each directed
     edge), or None when the graph would lose 3-connectivity.
 
-    Only that face is new, and every other pair of faces already meets
-    properly (see _faces_meet_properly). It is a simple cycle, since f1
-    and f2, the faces beside uv, are simple cycles sharing only u and v
-    while the graph is 3-connected. So the graph stays 3-connected when
+    Only that face is new, and no other two faces share two vertices but
+    the ends of an edge on both (_faces_meet_properly). It is a simple
+    cycle, since f1 and f2, the faces beside uv, are simple cycles sharing
+    only u and v while the graph is 3-connected. So it stays 3-connected when
     each face around it shares with it at most one vertex, or exactly the
     two ends of an edge that lies on both: one side of that edge in the
     face, the other in f1 or f2."""

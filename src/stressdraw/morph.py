@@ -84,9 +84,11 @@ def kaleidoscope(
     """
     if not 0.0 < step_degrees <= 90.0:
         raise BadParams(f"step must lie in (0, 90], got {step_degrees}")
-    ref = _reference(emb, poly)
     # a multiple of step within 1e-9 of 90 is the 90-degree row itself
-    angles = [k * step_degrees for k in range(math.ceil((90.0 - 1e-9) / step_degrees))] + [90.0]
+    if not math.isfinite(below := (90.0 - 1e-9) / step_degrees):
+        raise BadParams(f"step {step_degrees} gives {below} rows below 90 degrees")
+    ref = _reference(emb, poly)
+    angles = [k * step_degrees for k in range(math.ceil(below))] + [90.0]
     pairs = [(math.radians(deg), math.radians(deg) + math.pi / 2) for deg in angles]
     directions = list(dict.fromkeys(chain.from_iterable(pairs)))
     weights = dict(zip(directions, _plan_weights(_direction_plans(emb, poly, ref, directions))))

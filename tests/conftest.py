@@ -12,7 +12,8 @@ key, the pair-scan placement and the arctan2 winding sum) and the
 embedding's views before its half-edge arrays (the loop rotation check, the
 face walk over a set of directed edges, and the sorted edges, arcs and
 outer-face scan) are kept as differential oracles for their replacements,
-which must agree with them to the last bit.
+which must agree with them to the last bit. The dict-based 4-cycle search
+over face tuples is kept as the oracle of the face test's sparse count.
 """
 from __future__ import annotations
 
@@ -1007,3 +1008,53 @@ def scan_outer_index(emb: PlanarEmbedding, faces: list[tuple[int, ...]]) -> int:
         if rotations_cycle_key(face) == key:
             return i
     raise InvalidEmbedding("outer face is not a face of the embedding")
+
+
+def dict_faces_meet_properly(faces) -> bool:
+    """graph._faces_meet_properly over face tuples: every face a simple
+    cycle, and two faces share at most one vertex, or exactly the two ends
+    of an edge that lies on both. Each 4-cycle face-u-face-v of the
+    vertex-face incidence graph is found from its first node in
+    decreasing-degree order, by grouping the paths of length two to the
+    nodes after it. Vertices are nodes v >= 0, face i is node ~i."""
+    inc: dict[int, list[int]] = {}  # face -> its vertices, vertex -> a list of its faces
+    sides: dict[tuple[int, int], list[int]] = {}  # the faces along each edge
+    for f, vs in enumerate(faces):
+        if len(set(vs)) != len(vs):
+            return False
+        f = ~f
+        inc[f] = vs
+        u = vs[-1]
+        for v in vs:
+            inc.setdefault(v, []).append(f)
+            sides.setdefault(edge_key(u, v), []).append(f)
+            u = v
+    order = sorted(inc, key=lambda x: -len(inc[x]))
+    rank = dict(zip(order, range(len(order))))
+    for x in order:
+        rx = rank[x]
+        common: dict[int, list[int]] = {}
+        for y in inc[x]:
+            if rank[y] > rx:
+                for z in inc[y]:
+                    if rank[z] > rx:
+                        common.setdefault(z, []).append(y)
+        for z, ys in common.items():
+            if len(ys) == 1:
+                continue
+            if len(ys) > 2:
+                return False
+            pair, shared = ((x, z), ys) if x >= 0 else (ys, (x, z))
+            if sorted(sides.get(edge_key(*pair), ())) != sorted(shared):
+                return False
+    return True
+
+
+def relabelled(emb: PlanarEmbedding, rng: random.Random) -> tuple[list[int], PlanarEmbedding]:
+    """A random permutation perm and emb with every vertex v renamed perm[v]."""
+    perm = list(range(emb.n))
+    rng.shuffle(perm)
+    rotation = [()] * emb.n
+    for v, nbrs in enumerate(emb.rotation):
+        rotation[perm[v]] = tuple(perm[w] for w in nbrs)
+    return perm, PlanarEmbedding(emb.n, tuple(rotation), tuple(perm[v] for v in emb.outer_face))

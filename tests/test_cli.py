@@ -406,6 +406,17 @@ def test_kaleidoscope_rejects_bad_step(graph_path, capsys):
     assert "BadParams" in capsys.readouterr().err
 
 
+def test_kaleidoscope_rejects_a_subnormal_step(graph_path, tmp_path, capsys):
+    """A step so small that the row count overflows is a bad parameter,
+    exit 2, not a traceback, and nothing is written."""
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["kaleidoscope", str(graph_path), "--step", "5e-324", "--out-csv", str(out / "k.csv"),
+                "--best-svg", str(out / "best.svg")]) == 2
+    assert "BadParams: step 5e-324 gives inf rows" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 # a subcommand and a scale option it no longer takes: every drawing is at
 # radius 1 with decay scale 1
 SCALE_OPTIONS = [

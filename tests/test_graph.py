@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import brute_three_connected, disjoint_paths_at_least, rotations_cycle_key, wheel
+from conftest import (
+    brute_three_connected,
+    dict_faces_meet_properly,
+    disjoint_paths_at_least,
+    rotations_cycle_key,
+    wheel,
+)
 
 from stressdraw import graph
 from stressdraw import (
@@ -154,7 +160,7 @@ def test_triangulations_skip_the_face_test(monkeypatch):
     cases = [generate_planar(n, 3 * n - 6, seed=n) for n in (4, 12, 40)]
     cases += [worst_case_graph(k) for k in (2, 5, 30)]
     sparse = generate_planar(20, 45, seed=7)
-    monkeypatch.setattr(graph, "_faces_meet_properly", lambda faces: tests.append(1) or meet(faces))
+    monkeypatch.setattr(graph, "_faces_meet_properly", lambda emb: tests.append(1) or meet(emb))
     for emb in cases:
         assert emb.m == 3 * emb.n - 6
         assert validate_three_connected(PlanarEmbedding(emb.n, emb.rotation, emb.outer_face))
@@ -186,7 +192,7 @@ def test_shared_edge_two_cut():
     emb = _plane(points, edges)
     assert (emb.n, emb.m, len(emb.faces)) == (6, 11, 7)
     assert not brute_three_connected(emb)
-    assert not graph._faces_meet_properly(emb.faces)
+    assert not graph._faces_meet_properly(emb)
     assert not validate_three_connected(emb)
     # the same graph under a rotation that traces a single face is not a
     # sphere embedding, so there are no faces to decide from
@@ -206,8 +212,29 @@ def test_three_connectivity_matches_brute_oracle(two_ring_wheel):
         n = 6 + i
         m = min(3 * n - 6, (3 * n) // 2 + i)
         cases.append(generate_planar(n, m, seed=100 + i))
+    # edge deletions that keep every degree at least 3: six of ten leave a 2-cut
+    thinned = [_thinned_triangulation(10 + i, 300 + i, 0.4, keep_degree=True) for i in range(10)]
+    assert sum(map(brute_three_connected, thinned)) == 4
+    cases += thinned + [wheel(k) for k in range(3, 12)] + [worst_case_graph(k) for k in (2, 3, 5, 17, 40)]
     for emb in cases:
-        assert validate_three_connected(emb) == brute_three_connected(emb)
+        truth = brute_three_connected(emb)
+        assert _nx_three_connected(emb) == truth
+        _assert_verdicts(emb, truth)
+
+
+def _nx_three_connected(emb: PlanarEmbedding) -> bool:
+    g = nx.Graph(emb.edges())
+    g.add_nodes_from(range(emb.n))
+    return nx.node_connectivity(g) >= 3
+
+
+def _assert_verdicts(emb: PlanarEmbedding, truth: bool) -> None:
+    """validate_three_connected gives truth, and so do the face test's
+    4-cycle count and its dict oracle wherever they decide 3-connectivity,
+    on connected embeddings of minimum degree 3, triangulations included."""
+    assert validate_three_connected(emb) == truth
+    if min(map(len, emb.rotation)) >= 3 and emb._connected:
+        assert graph._faces_meet_properly(emb) == dict_faces_meet_properly(emb.faces) == truth
 
 
 def _thinned_triangulation(n: int, seed: int, share: float, keep_degree: bool) -> PlanarEmbedding:
@@ -231,15 +258,13 @@ def _thinned_triangulation(n: int, seed: int, share: float, keep_degree: bool) -
        keep_degree=st.booleans())
 def test_three_connectivity_matches_brute_on_thinned_triangulations(n, seed, share, keep_degree):
     emb = _thinned_triangulation(n, seed, share, keep_degree)
-    assert validate_three_connected(emb) == brute_three_connected(emb)
+    _assert_verdicts(emb, brute_three_connected(emb))
 
 
 @given(n=st.integers(12, 40), seed=st.integers(0, 10**6), share=st.floats(0.0, 0.5))
 def test_three_connectivity_matches_networkx(n, seed, share):
     emb = _thinned_triangulation(n, seed, share, keep_degree=True)
-    g = nx.Graph(emb.edges())
-    g.add_nodes_from(range(n))
-    assert validate_three_connected(emb) == (nx.node_connectivity(g) >= 3)
+    _assert_verdicts(emb, _nx_three_connected(emb))
 
 
 def _plane(points, edges, outer=()) -> PlanarEmbedding:

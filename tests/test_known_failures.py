@@ -1,4 +1,6 @@
-"""Known failures on the nested family, as strict xfails.
+"""Known failures, as strict xfails: the nested family, the 30-degree
+x-spread at n = 3 * 10**4, and the drawings of a relabelled triangulation
+that has several Schnyder woods.
 
 Each test asserts what the method must give, and is marked with the error
 it raises today and the ROADMAP item that owns the fix. Strict marks make a
@@ -8,20 +10,24 @@ failure fail it too.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from conftest import turn
+from conftest import flip_edges, relabelled, turn
 
 from stressdraw import (
     NotStOrientation,
+    ResidualExceeded,
     ZeroLengthEdge,
     crossing_count,
     edge_length_ratio,
     faces_convex,
+    generate_planar,
     morph_weights,
     regular_polygon,
+    schnyder_spread,
     spread_pipeline,
     tutte,
     worst_case_graph,
@@ -73,3 +79,40 @@ def test_xy_morph_on_the_nested_family_blends_exact_spreads():
     assert np.array_equal(weights, morph_weights(spreads[0].weights, spreads[1].weights))
     assert crossing_count(drawing, emb) == 0
     assert faces_convex(drawing, emb)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=ResidualExceeded,
+    reason="equilibrium residual 5.792e-08 exceeds 1.000e-08: the gate is absolute while "
+           "the spread weights span ten decades (ROADMAP item 7)",
+)
+def test_x_spread_at_thirty_degrees_hits_its_targets_at_n_3e4():
+    emb = generate_planar(30_000, 90_000 - 6, 1)
+    poly = regular_polygon(emb.outer_face)
+    direction = math.radians(30)
+    res = spread_pipeline(emb, poly, direction)
+    frame = turn(res.drawing.positions, -direction)
+    assert np.abs(frame[:, 0] - res.targets).max() <= TARGET_RTOL * poly.radius
+
+
+RELABEL_METHODS = {
+    "schnyder": lambda emb, poly: schnyder_spread(emb, poly, r=2.0),
+    "xspread": lambda emb, poly: spread_pipeline(emb, poly, 0.0).drawing,
+}
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the Schnyder peel and the st-order break ties by vertex id (ROADMAP item 17)",
+)
+@pytest.mark.parametrize("method", RELABEL_METHODS)
+def test_drawings_of_a_flipped_triangulation_do_not_depend_on_vertex_ids(method):
+    """A flipped triangulation has several Schnyder woods; drawn after a
+    relabelling, it must give the drawing of the graph, relabelled, within
+    1e-12 times the radius. Today the two move by 0.066 and 0.049."""
+    emb = flip_edges(generate_planar(15, 39, 15), 60, 15)
+    perm, twin = relabelled(emb, random.Random(15))
+    draw = RELABEL_METHODS[method]
+    d = draw(emb, regular_polygon(emb.outer_face))
+    twin_d = draw(twin, regular_polygon(twin.outer_face))
+    assert np.abs(twin_d.positions[perm] - d.positions).max() <= 1e-12 * d.polygon.radius

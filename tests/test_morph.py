@@ -201,6 +201,9 @@ def test_kaleidoscope_rejects_bad_step(octahedron):
     for step in (0.0, -5.0, 91.0):
         with pytest.raises(BadParams):
             kaleidoscope(octahedron, poly, step_degrees=step)
+    # a subnormal step has no finite row count
+    with pytest.raises(BadParams, match=r"^step 5e-324 gives inf rows"):
+        kaleidoscope(octahedron, poly, step_degrees=5e-324)
 
 
 def test_best_and_worst_rows():

@@ -14,6 +14,7 @@ from conftest import (
     flip_edges,
     max_position_gap,
     record_solves,
+    relabelled,
 )
 
 from stressdraw import (
@@ -334,16 +335,6 @@ def test_best_r_rejects_bad_range(octahedron):
             best_r(octahedron, poly, "bfs", r_hi=r_hi)
 
 
-def _relabelled(emb: PlanarEmbedding, rng: random.Random) -> tuple[list[int], PlanarEmbedding]:
-    """A random permutation perm and emb with every vertex v renamed perm[v]."""
-    perm = list(range(emb.n))
-    rng.shuffle(perm)
-    rotation = [()] * emb.n
-    for v, nbrs in enumerate(emb.rotation):
-        rotation[perm[v]] = tuple(perm[w] for w in nbrs)
-    return perm, PlanarEmbedding(emb.n, tuple(rotation), tuple(perm[v] for v in emb.outer_face))
-
-
 def test_tree_drawings_do_not_depend_on_vertex_ids():
     """Tutte, the BFS spread at r = 5, best_r's BFS drawing and, on
     triangulations, the Schnyder spread at r = 2 of a relabelled graph are
@@ -361,7 +352,7 @@ def test_tree_drawings_do_not_depend_on_vertex_ids():
     for seed in range(24):
         n = rng.randrange(10, 60)
         emb = generate_planar(n, (3 * n - 6, round(2.5 * n), 2 * n)[seed % 3], seed=seed)
-        perm, twin = _relabelled(emb, rng)
+        perm, twin = relabelled(emb, rng)
         for name, method in methods.items():
             if name == "schnyder" and emb.m != 3 * n - 6:
                 continue

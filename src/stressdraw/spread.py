@@ -12,17 +12,16 @@ Solving the stress system with those weights reproduces the targets
 exactly, because every canonical path contributes a balanced +1/-1 to the
 x-equilibrium of each vertex it passes through.
 
-Every step works on numpy arrays over the embedding's edge array: the
-orientation is a pair of (m,) tail/head arrays aligned with emb.edges(),
-each BFS tree an (n,) parent array, and targets, path counts and weights
-come out as (n,), (m,) and (m,) arrays. Spreads of several directions of
-one reference, as the kaleidoscope and the xy-morph need, are planned as
-one batch: each step runs once over (d, n) and (d, m) arrays, one row per
-direction, and one breadth-first search grows all 2d trees. st_orient,
-target_x, count_paths and spread_weights are the d = 1 case of that code.
-Each step checks every row before it returns and raises, for the first
-row it rejects, the error the single-direction function raises; so a
-batch that cannot plan a direction raises before it solves any.
+Every step plans d directions of one reference at once, as numpy arrays
+with one row per direction over the embedding's edge array: the
+orientation is a pair of (d, m) tail/head arrays aligned with emb.edges(),
+each BFS tree a (d, n) parent array, and targets, path counts and weights
+come out as (d, n), (d, m) and (d, m) arrays. One breadth-first search
+grows all 2d trees. A single spread is the batch of one direction; the
+kaleidoscope and the xy-morph plan all of theirs in one batch. Each step
+checks every row before it returns and raises the error of the first row
+it rejects, the one that row raises as a batch of its own; so a batch that
+cannot plan a direction raises before it solves any.
 
 The targets hold exactly when the integer path counts balance at every
 interior vertex, and each plan checks that exactly. So the sweeps, which
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -82,21 +81,19 @@ class StOrientation:
     """Edges oriented along the tie-broken x-order, with one BFS tree out of
     the source and one into the sink.
 
-    order lists the vertices in that order, from the source order[0] to
-    the sink order[-1], and rank is its inverse, both (n,) arrays; pinned
-    marks the outer-face vertices, (n,) bool. Edge i of emb.edges() points
-    from tail[i] to head[i], (m,) arrays with rank[tail] < rank[head];
-    out_deg and in_deg count the edges leaving and entering each vertex.
-    t1_parent holds every non-source vertex's tree predecessor (an
-    in-neighbor), tn_parent every non-sink vertex's tree successor (an
-    out-neighbor), both (n,) arrays with -1 at the root. BFS ties are
-    broken toward the lowest vertex id. t1_sum sums out_deg over each
-    vertex's subtree of the source tree, tn_sum in_deg over its subtree of
-    the sink tree, (n,) arrays that count_paths reads.
-
-    The spread pipeline orients d directions as one batch: an
-    StOrientation whose fields carry a leading axis of length d, row j
-    holding direction j's arrays.
+    Every field carries a leading axis of length d, row j holding
+    direction j's arrays. order lists the vertices in that order, from the
+    source order[j, 0] to the sink order[j, -1], and rank is its inverse,
+    both (d, n) arrays; pinned marks the outer-face vertices, (d, n) bool.
+    Edge i of emb.edges() points from tail[j, i] to head[j, i], (d, m)
+    arrays with rank[j, tail[j]] < rank[j, head[j]]; out_deg and in_deg
+    count the edges leaving and entering each vertex. t1_parent holds
+    every non-source vertex's tree predecessor (an in-neighbor), tn_parent
+    every non-sink vertex's tree successor (an out-neighbor), both (d, n)
+    arrays with -1 at the root. BFS ties are broken toward the lowest
+    vertex id. t1_sum sums out_deg over each vertex's subtree of the source
+    tree, tn_sum in_deg over its subtree of the sink tree, (d, n) arrays
+    that count_paths reads.
     """
 
     order: np.ndarray
@@ -110,15 +107,6 @@ class StOrientation:
     tn_parent: np.ndarray
     t1_sum: np.ndarray
     tn_sum: np.ndarray
-
-
-_FIELDS = tuple(f.name for f in fields(StOrientation))
-
-
-def _take(o: StOrientation, key: int | None) -> StOrientation:
-    """o with every field indexed by key along the leading axis: row j of a
-    batch, or (key None) a single orientation as a batch of one."""
-    return StOrientation(*(getattr(o, name)[key] for name in _FIELDS))
 
 
 def _bfs_trees(
@@ -174,9 +162,18 @@ def _bfs_trees(
     return parent[0], parent[1], total[0], total[1]
 
 
-def _st_orient(xs: np.ndarray, emb: PlanarEmbedding) -> StOrientation:
-    """st_orient of every row of the (d, n) array xs as one batch; the
-    first row that st_orient rejects raises its NotStOrientation."""
+def st_orient(xs: np.ndarray, emb: PlanarEmbedding) -> StOrientation:
+    """Orient edges along the x-order of every row of the (d, n) array xs
+    and grow each row's two BFS trees, as one batch.
+
+    Ties follow one rule. Pinned (outer-face) x-values chained by gaps of at
+    most GENERAL_POSITION_RTOL times the largest |pinned x| count as the
+    lowest of them; among equal values the pinned vertices come first, then
+    the rest, each by x, then by id. So no interior vertex lands between
+    tied pinned ones. The first row whose order leaves a vertex other than
+    the ends without an incoming or an outgoing edge raises
+    NotStOrientation.
+    """
     d, n = xs.shape
     rows = np.arange(d)[:, None]
     pinned = np.zeros((d, n), dtype=bool)
@@ -214,20 +211,6 @@ def _st_orient(xs: np.ndarray, emb: PlanarEmbedding) -> StOrientation:
     return StOrientation(order, rank, pinned, tail, head, out_deg, in_deg, *trees)
 
 
-def st_orient(x: np.ndarray, emb: PlanarEmbedding) -> StOrientation:
-    """Orient edges along the x-order of an (n,) array and grow the two BFS
-    trees.
-
-    Ties follow one rule. Pinned (outer-face) x-values chained by gaps of at
-    most GENERAL_POSITION_RTOL times the largest |pinned x| count as the
-    lowest of them; among equal values the pinned vertices come first, then
-    the rest, each by x, then by id. So no interior vertex lands between
-    tied pinned ones. An order in which a vertex other than the ends lacks
-    an incoming or an outgoing edge raises NotStOrientation.
-    """
-    return _take(_st_orient(np.asarray(x)[None], emb), 0)
-
-
 # ---------------------------------------------------------------------------
 # targets, path counts, weights
 # ---------------------------------------------------------------------------
@@ -239,9 +222,15 @@ _TARGET_ERRORS = (
 )
 
 
-def _target_x(order: np.ndarray, xs: np.ndarray, pinned: Iterable[int]) -> np.ndarray:
-    """target_x for every row of the (d, n) order and x, as a (d, n) array;
-    the first row that target_x rejects raises its PreconditionError."""
+def target_x(o: StOrientation, xs: np.ndarray, pinned: Iterable[int]) -> np.ndarray:
+    """Target x for every vertex of every row of the (d, n) array xs, a
+    (d, n) array: the pinned vertices keep their x, and each maximal run of
+    L interior vertices in row j's order between consecutive pinned values
+    a < b is spaced evenly at a + i*(b-a)/(L+1), i = 1..L. The first row
+    whose order does not start and end at a pinned vertex, or whose pinned
+    values around an interior run do not increase, raises
+    PreconditionError."""
+    order = o.order
     d, n = order.shape
     rows = np.arange(d)[:, None]
     is_pinned = np.zeros(n, dtype=bool)
@@ -266,25 +255,9 @@ def _target_x(order: np.ndarray, xs: np.ndarray, pinned: Iterable[int]) -> np.nd
     return targets
 
 
-def target_x(o: StOrientation, x: np.ndarray, pinned: Iterable[int]) -> np.ndarray:
-    """Target x for every vertex, an (n,) array: the pinned vertices keep
-    their x, each maximal run of L interior vertices between consecutive
-    pinned values a < b is spaced evenly at a + j*(b-a)/(L+1), j = 1..L."""
-    return _target_x(o.order[None], np.asarray(x)[None], pinned)[0]
-
-
-def _count_paths(o: StOrientation) -> np.ndarray:
-    """count_paths of every row of a batch, a (d, m) array."""
-    t, h = o.tail, o.head
-    n = o.order.shape[1]
-    tf, hf = _flat(t, n), _flat(h, n)
-    return (1 + np.where(o.t1_parent.ravel()[hf] == t, o.t1_sum.ravel()[hf], 0)
-            + np.where(o.tn_parent.ravel()[tf] == h, o.tn_sum.ravel()[tf], 0))
-
-
 def count_paths(o: StOrientation) -> np.ndarray:
-    """Number of canonical source-to-sink paths through each edge, an (m,)
-    int array aligned with o.tail and o.head.
+    """Number of canonical source-to-sink paths through each edge of every
+    row, a (d, m) int array aligned with o.tail and o.head.
 
     The canonical path of edge e = (a, b) walks the source tree from the
     source to a, crosses e, then walks the sink tree from b to the sink.
@@ -294,12 +267,22 @@ def count_paths(o: StOrientation) -> np.ndarray:
     summed over the subtree below u (o.tn_sum). st_orient sums both while
     it grows the trees, bottom-up in one vector step per tree level.
     """
-    return _count_paths(_take(o, None))[0]
+    t, h = o.tail, o.head
+    n = o.order.shape[1]
+    tf, hf = _flat(t, n), _flat(h, n)
+    return (1 + np.where(o.t1_parent.ravel()[hf] == t, o.t1_sum.ravel()[hf], 0)
+            + np.where(o.tn_parent.ravel()[tf] == h, o.tn_sum.ravel()[tf], 0))
 
 
-def _spread_weights(o: StOrientation, targets: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """spread_weights of every row of a batch, as a (d, m) array; the first
-    row with a bad gap raises its ZeroGap."""
+def spread_weights(o: StOrientation, targets: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Weight each edge of every row with path count / target gap, a (d, m)
+    array in the order of the embedding's edges(), from (d, n) targets and
+    (d, m) counts.
+
+    An edge between two pinned vertices with zero gap (tied corners) gets
+    its path count instead: the solve never reads it. The first row with
+    any other gap <= 0 raises ZeroGap.
+    """
     t, h = o.tail, o.head
     n = targets.shape[1]
     tf, hf = _flat(t, n), _flat(h, n)
@@ -311,21 +294,6 @@ def _spread_weights(o: StOrientation, targets: np.ndarray, counts: np.ndarray) -
         k, i = np.argwhere(bad)[0]
         raise ZeroGap(f"edge ({t[k, i]}, {h[k, i]}) has non-positive target gap {float(gap[k, i])!r}")
     return counts / np.where(tied, 1.0, gap)
-
-
-def spread_weights(
-    o: StOrientation,
-    targets: np.ndarray,
-    counts: np.ndarray,
-) -> np.ndarray:
-    """Weight each edge with path count / target gap, as an (m,) array in
-    the order of the embedding's edges().
-
-    An edge between two pinned vertices with zero gap (tied corners) gets
-    its path count instead: the solve never reads it. Any other gap <= 0
-    raises ZeroGap.
-    """
-    return _spread_weights(_take(o, None), np.asarray(targets)[None], np.asarray(counts)[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +308,6 @@ class SpreadResult:
     weights: np.ndarray        # (m,), aligned with emb.edges()
     drawing: Drawing           # solved against the pinned polygon, drawing.polygon
     targets: np.ndarray        # (n,) x-targets in the frame turned by -direction
-    orientation: StOrientation
 
 
 class _Plans(NamedTuple):
@@ -367,8 +334,8 @@ def _direction_plans(
     direction before target_x's."""
     turns = [-direction for direction in directions]
     xs = np.array([_turn(reference.positions, turn)[:, 0] for turn in turns])
-    o = _st_orient(xs, emb)
-    return _Plans(o, _target_x(o.order, xs, poly.order), turns)
+    o = st_orient(xs, emb)
+    return _Plans(o, target_x(o, xs, poly.order), turns)
 
 
 def _plan_weights(plans: _Plans) -> np.ndarray:
@@ -382,7 +349,7 @@ def _plan_weights(plans: _Plans) -> np.ndarray:
     read. Then the first plan with a bad gap raises its ZeroGap.
     """
     o, targets, _ = plans
-    counts = _count_paths(o)
+    counts = count_paths(o)
     d, n = targets.shape
     flow = (np.bincount(_flat(o.tail, n).ravel(), counts.ravel(), d * n)
             - np.bincount(_flat(o.head, n).ravel(), counts.ravel(), d * n)).reshape(d, n)
@@ -391,7 +358,7 @@ def _plan_weights(plans: _Plans) -> np.ndarray:
         k, v = np.argwhere(bad)[0]
         raise ResidualExceeded(
             f"path counts do not balance at vertex {v}: {int(flow[k, v]):+d} more leave than enter")
-    return _spread_weights(o, targets, counts)
+    return spread_weights(o, targets, counts)
 
 
 def _spread(emb: PlanarEmbedding, poly: OuterPolygon, plans: _Plans) -> SpreadResult:
@@ -402,13 +369,13 @@ def _spread(emb: PlanarEmbedding, poly: OuterPolygon, plans: _Plans) -> SpreadRe
     its targets within TARGET_RTOL * radius; a miss raises
     ResidualExceeded.
     """
-    o, targets, turns = plans
+    _, targets, turns = plans
     weights = _plan_weights(plans)[0]
     drawing = solve_stress(emb, weights, poly)
     miss = float(np.abs(_turn(drawing.positions, turns[0])[:, 0] - targets[0]).max())
     if not miss <= TARGET_RTOL * poly.radius:
         raise ResidualExceeded(f"drawing misses its targets by {miss:.3e}")
-    return SpreadResult(weights, drawing, targets[0], _take(o, 0))
+    return SpreadResult(weights, drawing, targets[0])
 
 
 def spread_pipeline(

@@ -6,10 +6,10 @@ outer vertex sits at x equal to its st-index, two designated edges (one per
 chain) are horizontal, and the remaining edges fan around the leftmost and
 rightmost vertices with steep, strictly monotone slopes. Interior vertices
 then land on their indices through the usual path-count weighting. The
-st-indices are read straight off the orientation as the (n,) array
-rank + 1. The polygon takes time linear in the outer face's length, and
-it is checked with the same exact orientation signs and winding test that
-certify a drawing crossing-free.
+st-indices are read straight off the orientation, a batch of one
+direction, as rank + 1. The polygon takes time linear in the outer face's
+length, and it is checked with the same exact orientation signs and
+winding test that certify a drawing crossing-free.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .errors import NumericError, PreconditionError
 from .graph import PlanarEmbedding, edge_key
 from .metrics import _binade_scaled, _convex_ring_turn
 from .solver import OuterPolygon, _reference, regular_polygon
-from .spread import SpreadResult, _Plans, _spread, _st_orient
+from .spread import SpreadResult, _Plans, _spread, st_orient
 
 # steepest slope angle used by the caps around the leftmost/rightmost vertex
 CAP_ANGLE_DEG = 80.0
@@ -153,7 +153,7 @@ def uniform_pipeline(emb: PlanarEmbedding) -> SpreadResult:
     constructed one.
     """
     ref = _reference(emb, regular_polygon(emb.outer_face))
-    o = _st_orient(ref.positions[None, :, 0], emb)
+    o = st_orient(ref.positions[None, :, 0], emb)
     targets = o.rank + 1.0
     poly = convex_outer_placement(emb.outer_face, targets[0])
     return _spread(emb, poly, _Plans(o, targets, [0.0]))

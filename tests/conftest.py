@@ -14,6 +14,8 @@ face walk over a set of directed edges, and the sorted edges, arcs and
 outer-face scan) are kept as differential oracles for their replacements,
 which must agree with them to the last bit. The dict-based 4-cycle search
 over face tuples is kept as the oracle of the face test's sparse count.
+Two exact oracles, in fractions.Fraction, back the known failures: the
+all-pairs crossing count and the unit-weight drawing.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ import random
 import sys
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -192,24 +195,86 @@ def brute_crossing_count(positions: np.ndarray, emb: PlanarEmbedding) -> int:
     return int(np.count_nonzero(crossing & disjoint))
 
 
+def exact_crossing_count(positions: np.ndarray, emb: PlanarEmbedding) -> int:
+    """Properly crossing edge pairs with exact signs: every pair of edges
+    with no shared endpoint is tested, and counts when both ends of each
+    edge lie strictly on opposite sides of the other edge's line. A sign
+    comes from the float determinant when it clears the static error bound
+    (metrics._orientation), and from fractions.Fraction otherwise; touching
+    and collinear contacts never count."""
+    ends = np.array(emb.edges())
+
+    def sign(o, p, q):
+        s = _orientation(o, p, q)
+        for t in np.flatnonzero(s == 0):
+            (ox, oy), (px, py), (qx, qy) = (map(Fraction, v.tolist()) for v in (o[t], p[t], q[t]))
+            det = (px - ox) * (qy - oy) - (py - oy) * (qx - ox)
+            s[t] = (det > 0) - (det < 0)
+        return s
+
+    count = 0
+    for first in range(len(ends) - 1):  # edge `first` against every later edge
+        j = np.arange(first + 1, len(ends))
+        j = j[(ends[j] != ends[first, 0]).all(axis=1) & (ends[j] != ends[first, 1]).all(axis=1)]
+        a, b = (np.broadcast_to(positions[ends[first, end]], (len(j), 2)) for end in (0, 1))
+        c, e = positions[ends[j, 0]], positions[ends[j, 1]]
+        crossing = (sign(a, b, c) * sign(a, b, e) < 0) & (sign(c, e, a) * sign(c, e, b) < 0)
+        count += int(np.count_nonzero(crossing))
+    return count
+
+
+def exact_tutte_positions(emb: PlanarEmbedding, poly: OuterPolygon) -> list[tuple[Fraction, Fraction]]:
+    """The unit-weight equilibrium drawing in exact rational arithmetic: the
+    pinned vertices at their polygon corners, each interior vertex at the
+    mean of its neighbors, by Gaussian elimination in fractions.Fraction
+    over the interior rows. Returns one (x, y) pair of Fractions per vertex."""
+    pinned = {v: tuple(map(Fraction, xy.tolist())) for v, xy in zip(poly.order, poly.positions)}
+    inner = [v for v in range(emb.n) if v not in pinned]
+    col = {v: c for c, v in enumerate(inner)}
+    k = len(inner)
+    # each row: the Laplacian's interior columns, then the pinned neighbors' pull in x and y
+    rows = []
+    for v in inner:
+        row = [Fraction(0)] * k + [Fraction(0), Fraction(0)]
+        row[col[v]] = Fraction(len(emb.rotation[v]))
+        for w in emb.rotation[v]:
+            if w in col:
+                row[col[w]] -= 1
+            else:
+                row[k] += pinned[w][0]
+                row[k + 1] += pinned[w][1]
+        rows.append(row)
+    for c in range(k):  # the interior block is positive definite: no pivot is 0
+        pivot = rows[c]
+        for r in range(k):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / pivot[c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], pivot)]
+    pos = dict(pinned)
+    for c, v in enumerate(inner):
+        pos[v] = (rows[c][k] / rows[c][c], rows[c][k + 1] / rows[c][c])
+    return [pos[v] for v in range(emb.n)]
+
+
 def enumerate_canonical_paths(o: StOrientation) -> np.ndarray:
-    """Count, for every directed edge (o.tail[i], o.head[i]), how many
-    canonical paths contain it, by materializing each path: source-tree
-    walk up to the tail, the edge itself, then the sink-tree walk down
-    from the head."""
-    t1_parent, tn_parent = o.t1_parent.tolist(), o.tn_parent.tolist()
-    index = {e: i for i, e in enumerate(zip(o.tail.tolist(), o.head.tolist()))}
-    counts = np.zeros(len(index), dtype=np.int64)
-    for a, b in index:
-        up = [a]
-        while t1_parent[up[-1]] >= 0:
-            up.append(t1_parent[up[-1]])
-        down = [b]
-        while tn_parent[down[-1]] >= 0:
-            down.append(tn_parent[down[-1]])
-        path = up[::-1] + down
-        for step in zip(path, path[1:]):
-            counts[index[step]] += 1
+    """Count, for every row j and directed edge (o.tail[j, i], o.head[j, i]),
+    how many canonical paths contain it, a (d, m) array, by materializing
+    each path: source-tree walk up to the tail, the edge itself, then the
+    sink-tree walk down from the head."""
+    counts = np.zeros(o.tail.shape, dtype=np.int64)
+    for j in range(len(counts)):
+        t1_parent, tn_parent = o.t1_parent[j].tolist(), o.tn_parent[j].tolist()
+        index = {e: i for i, e in enumerate(zip(o.tail[j].tolist(), o.head[j].tolist()))}
+        for a, b in index:
+            up = [a]
+            while t1_parent[up[-1]] >= 0:
+                up.append(t1_parent[up[-1]])
+            down = [b]
+            while tn_parent[down[-1]] >= 0:
+                down.append(tn_parent[down[-1]])
+            path = up[::-1] + down
+            for step in zip(path, path[1:]):
+                counts[j, index[step]] += 1
     return counts
 
 

@@ -142,7 +142,7 @@ def test_criterion_04_path_counts_match_enumeration(capsys):
             emb = sd.generate_planar(n, m, seed=3000 + i)
             poly = sd.regular_polygon(emb.outer_face)
             x = sd.tutte(emb, poly).positions[:, 0]
-            o = sd.st_orient(x, emb)
+            o = sd.st_orient(x[None], emb)
             assert np.array_equal(sd.count_paths(o), enumerate_canonical_paths(o))
 
 

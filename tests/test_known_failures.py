@@ -1,11 +1,13 @@
 """Known failures, as strict xfails: the nested family, the 30-degree
-x-spread at n = 3 * 10**4, and the drawings of a relabelled triangulation
-that has several Schnyder woods.
+x-spread at n = 3 * 10**4, the drawings of a relabelled triangulation
+that has several Schnyder woods, and the crossing count of a folded
+drawing.
 
 Each test asserts what the method must give, and is marked with the error
 it raises today and the ROADMAP item that owns the fix. Strict marks make a
 fix fail the suite until its mark is removed, and raises= makes any other
-failure fail it too.
+failure fail it too. A check against an exact oracle also runs where the
+method is right today, so the oracle is shown to pass there.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import flip_edges, relabelled, turn
+from conftest import exact_crossing_count, exact_tutte_positions, flip_edges, relabelled, turn
 
 from stressdraw import (
     NotStOrientation,
@@ -33,6 +35,8 @@ from stressdraw import (
     worst_case_graph,
     xy_morph,
 )
+from stressdraw.metrics import _certified_planar
+from stressdraw.solver import Drawing
 from stressdraw.spread import TARGET_RTOL
 
 
@@ -44,6 +48,33 @@ from stressdraw.spread import TARGET_RTOL
 def test_tutte_ratio_on_the_nested_family_is_finite():
     emb = worst_case_graph(31)
     assert math.isfinite(edge_length_ratio(tutte(emb, regular_polygon(emb.outer_face)), emb))
+
+
+def _ratio(drawing, emb):
+    """edge_length_ratio of the drawing, or ZeroLengthEdge where it raises that."""
+    try:
+        return edge_length_ratio(drawing, emb)
+    except ZeroLengthEdge:
+        return ZeroLengthEdge
+
+
+@pytest.mark.parametrize("k", [10, pytest.param(33, marks=pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ratio 3.513e+31 where the rounded exact drawing has 2 zero-length edges "
+           "(ROADMAP items 5, 16 and 18)",
+))])
+def test_tutte_ratio_is_the_rounded_exact_drawings(k):
+    """tutte on worst_case_graph(k) has the edge-length ratio, within 1e-9,
+    of the exact drawing rounded to float64, or raises ZeroLengthEdge where
+    that drawing has a zero-length edge."""
+    emb = worst_case_graph(k)
+    poly = regular_polygon(emb.outer_face)
+    want = _ratio(Drawing(np.array(exact_tutte_positions(emb, poly), dtype=float), poly, 0.0), emb)
+    got = _ratio(tutte(emb, poly), emb)
+    if want is ZeroLengthEdge:
+        assert got is ZeroLengthEdge, got
+    else:
+        assert got is not ZeroLengthEdge and math.isclose(got, want, rel_tol=1e-9), (got, want)
 
 
 def _hits_targets(res, emb, poly, direction) -> None:
@@ -116,3 +147,30 @@ def test_drawings_of_a_flipped_triangulation_do_not_depend_on_vertex_ids(method)
     d = draw(emb, regular_polygon(emb.outer_face))
     twin_d = draw(twin, regular_polygon(twin.outer_face))
     assert np.abs(twin_d.positions[perm] - d.positions).max() <= 1e-12 * d.polygon.radius
+
+
+def _schnyder_r2(seed: int):
+    emb = generate_planar(600, 1794, seed)
+    return emb, schnyder_spread(emb, regular_polygon(emb.outer_face), r=2.0)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="crossing_count forgives crossings under CROSSING_EPS: 0 where the exact count "
+           "is 23 (ROADMAP item 4)",
+)
+def test_crossing_count_of_a_folded_schnyder_drawing_is_exact():
+    """schnyder r = 2 on generate_planar(600, 1794, 3101) has 4 inverted
+    fan triangles, in float and in exact signs; its proper crossings,
+    counted with exact signs, are 23."""
+    emb, d = _schnyder_r2(3101)
+    assert crossing_count(d, emb) == exact_crossing_count(d.positions, emb)
+
+
+def test_exact_crossing_count_is_zero_on_a_certified_drawing():
+    """schnyder r = 2 on generate_planar(600, 1794, 3001), once listed as
+    folded, orients every fan triangle strictly: the certificate holds, and
+    the exact oracle finds no crossing either."""
+    emb, d = _schnyder_r2(3001)
+    assert _certified_planar(d.positions, emb)
+    assert exact_crossing_count(d.positions, emb) == 0 == crossing_count(d, emb)

@@ -48,16 +48,7 @@ from stressdraw import (
 )
 from stressdraw import spread
 from stressdraw.solver import Drawing
-from stressdraw.spread import (
-    _count_paths,
-    _direction_plans,
-    _plan_weights,
-    _spread_weights,
-    _spread,
-    _st_orient,
-    _take,
-    _target_x,
-)
+from stressdraw.spread import _direction_plans, _plan_weights, _spread
 
 TARGET_RTOL = 1e-6
 
@@ -87,63 +78,65 @@ def _house_graph():
 
 def test_st_orient_k4(k4):
     poly = regular_polygon(k4.outer_face)
-    x = tutte(k4, poly).positions[:, 0]
+    x = tutte(k4, poly).positions[None, :, 0]
     o = st_orient(x, k4)
-    assert set(o.order.tolist()) == set(range(4))
-    assert o.rank[o.order[0]] == 0
-    assert o.rank[o.order[-1]] == 3
-    for u, v in zip(o.tail.tolist(), o.head.tolist()):
-        assert o.rank[u] < o.rank[v]
-    assert o.out_deg[o.order[-1]] == 0
-    assert o.in_deg[o.order[0]] == 0
+    order, rank = o.order[0], o.rank[0]
+    assert set(order.tolist()) == set(range(4))
+    assert rank[order[0]] == 0
+    assert rank[order[-1]] == 3
+    for u, v in zip(o.tail[0].tolist(), o.head[0].tolist()):
+        assert rank[u] < rank[v]
+    assert o.out_deg[0, order[-1]] == 0
+    assert o.in_deg[0, order[0]] == 0
 
 
 def test_st_orient_acyclic_on_octahedron(octahedron):
     poly = regular_polygon(octahedron.outer_face)
-    x = tutte(octahedron, poly).positions[:, 0]
+    x = tutte(octahedron, poly).positions[None, :, 0]
     o = st_orient(x, octahedron)
-    assert sorted(o.rank.tolist()) == list(range(6))
-    for u, v in zip(o.tail.tolist(), o.head.tolist()):
-        assert o.rank[u] < o.rank[v]
+    order, rank = o.order[0], o.rank[0]
+    assert sorted(rank.tolist()) == list(range(6))
+    for u, v in zip(o.tail[0].tolist(), o.head[0].tolist()):
+        assert rank[u] < rank[v]
     # every non-extreme vertex has both kinds of incident edges
     for v in range(6):
-        if v not in (o.order[0], o.order[-1]):
-            assert o.out_deg[v] > 0 and o.in_deg[v] > 0
+        if v not in (order[0], order[-1]):
+            assert o.out_deg[0, v] > 0 and o.in_deg[0, v] > 0
 
 
 def test_st_orient_rejects_interior_extreme():
     emb = PlanarEmbedding(3, ((1,), (0, 2), (1,)), (0, 2))
     with pytest.raises(NotStOrientation):
-        st_orient(np.array([0.5, 0.0, 1.0]), emb)
+        st_orient(np.array([[0.5, 0.0, 1.0]]), emb)
 
 
 def test_targets_single_interior():
     emb = PlanarEmbedding(3, ((1,), (0, 2), (1,)), (0, 2))
     poly = OuterPolygon((0, 2), np.array([(0.0, 0.0), (1.0, 0.0)]))
-    x = np.array([0.0, 0.3, 1.0])
+    x = np.array([[0.0, 0.3, 1.0]])
     o = st_orient(x, emb)
-    t = target_x(o, x, poly.order)
+    t = target_x(o, x, poly.order)[0]
     assert t[0] == 0.0 and t[2] == 1.0
     assert abs(t[1] - 0.5) < 1e-12
 
 
 def test_targets_even_spacing_on_path():
     emb, poly, x = _path_graph()
-    o = st_orient(x, emb)
-    t = target_x(o, x, poly.order)
+    o = st_orient(x[None], emb)
+    t = target_x(o, x[None], poly.order)[0]
     want = {0: 0.0, 1: 0.25, 2: 0.5, 3: 0.75, 4: 1.0}
     for v, x in want.items():
         assert abs(t[v] - x) < 1e-12
     counts = count_paths(o)
-    assert all(c == 4 for c in counts.tolist())
+    assert all(c == 4 for c in counts[0].tolist())
 
 
 def test_house_graph_counts_frozen():
     emb, _, x = _house_graph()
-    o = st_orient(x, emb)
+    o = st_orient(x[None], emb)
     counts = count_paths(o)
-    directed = zip(o.tail.tolist(), o.head.tolist())
-    assert dict(zip(directed, counts.tolist())) == {
+    directed = zip(o.tail[0].tolist(), o.head[0].tolist())
+    assert dict(zip(directed, counts[0].tolist())) == {
         (0, 1): 3, (0, 2): 2, (1, 2): 1, (1, 3): 2, (2, 3): 3}
     assert np.array_equal(counts, enumerate_canonical_paths(o))
 
@@ -151,7 +144,7 @@ def test_house_graph_counts_frozen():
 def test_counts_match_enumeration_on_fixtures(k4, octahedron, two_ring_wheel):
     for emb in (k4, octahedron, two_ring_wheel):
         poly = regular_polygon(emb.outer_face)
-        x = tutte(emb, poly).positions[:, 0]
+        x = tutte(emb, poly).positions[None, :, 0]
         o = st_orient(x, emb)
         assert np.array_equal(count_paths(o), enumerate_canonical_paths(o))
 
@@ -159,38 +152,39 @@ def test_counts_match_enumeration_on_fixtures(k4, octahedron, two_ring_wheel):
 def test_count_sum_identity(octahedron):
     """Total of per-edge counts equals the total length of all canonical paths."""
     poly = regular_polygon(octahedron.outer_face)
-    x = tutte(octahedron, poly).positions[:, 0]
+    x = tutte(octahedron, poly).positions[None, :, 0]
     o = st_orient(x, octahedron)
     counts = count_paths(o)
+    t1_parent, tn_parent = o.t1_parent[0], o.tn_parent[0]
     lengths = 0
-    for a, b in zip(o.tail.tolist(), o.head.tolist()):
+    for a, b in zip(o.tail[0].tolist(), o.head[0].tolist()):
         up = [a]
-        while o.t1_parent[up[-1]] >= 0:
-            up.append(o.t1_parent[up[-1]])
+        while t1_parent[up[-1]] >= 0:
+            up.append(t1_parent[up[-1]])
         down = [b]
-        while o.tn_parent[down[-1]] >= 0:
-            down.append(o.tn_parent[down[-1]])
+        while tn_parent[down[-1]] >= 0:
+            down.append(tn_parent[down[-1]])
         lengths += len(up) + len(down) - 1
     assert counts.sum() == lengths
 
 
 def test_spread_weights_formula():
     emb, poly, x = _house_graph()
-    o = st_orient(x, emb)
-    t = target_x(o, x, poly.order)
+    o = st_orient(x[None], emb)
+    t = target_x(o, x[None], poly.order)
     counts = count_paths(o)
     w = spread_weights(o, t, counts)
-    assert w.shape == (emb.m,)
-    gap = t[1] - t[0]
-    assert abs(w[emb.edges().index((0, 1))] - 3.0 / gap) < 1e-12
-    assert all(v > 0 for v in w)
+    assert w.shape == (1, emb.m)
+    gap = t[0, 1] - t[0, 0]
+    assert abs(w[0, emb.edges().index((0, 1))] - 3.0 / gap) < 1e-12
+    assert all(v > 0 for v in w[0])
 
 
 def test_spread_weights_zero_gap():
     emb, poly, x = _house_graph()
-    o = st_orient(x, emb)
+    o = st_orient(x[None], emb)
     counts = count_paths(o)
-    t = np.array([0.0, 0.5, 0.5, 3.0])
+    t = np.array([[0.0, 0.5, 0.5, 3.0]])
     with pytest.raises(ZeroGap):
         spread_weights(o, t, counts)
 
@@ -295,8 +289,8 @@ def test_st_orient_keeps_tied_corners_consecutive():
     consecutive, lowest x first."""
     emb = _square_wheel()
     x = np.array([-1.0, 1.0, 1.0 - 4e-16, -1.0 + 4e-16, -1.0 + 2e-16])
-    for orient in (st_orient, dict_st_orient):
-        assert list(orient(x, emb).order) == [0, 3, 4, 2, 1]
+    assert st_orient(x[None], emb).order.tolist() == [[0, 3, 4, 2, 1]]
+    assert list(dict_st_orient(x, emb).order) == [0, 3, 4, 2, 1]
 
 
 def test_exactly_tied_corners_get_finite_weights():
@@ -305,14 +299,15 @@ def test_exactly_tied_corners_get_finite_weights():
     emb = _square_wheel()
     poly = OuterPolygon((0, 1, 2, 3), np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]))
     x = np.array([-1.0, 1.0, 1.0, -1.0, 0.0])
-    o = st_orient(x, emb)
-    assert o.order.tolist() == [0, 3, 4, 1, 2]
-    t = target_x(o, x, poly.order)
+    o = st_orient(x[None], emb)
+    assert o.order.tolist() == [[0, 3, 4, 1, 2]]
+    t = target_x(o, x[None], poly.order)
     counts = count_paths(o)
     w = spread_weights(o, t, counts)
-    gap = t[o.head] - t[o.tail]
+    t, counts, w, tail, head = t[0], counts[0], w[0], o.tail[0], o.head[0]
+    gap = t[head] - t[tail]
     tied = gap == 0
-    assert sorted(map(sorted, zip(o.tail[tied].tolist(), o.head[tied].tolist()))) == [[0, 3], [1, 2]]
+    assert sorted(map(sorted, zip(tail[tied].tolist(), head[tied].tolist()))) == [[0, 3], [1, 2]]
     assert np.array_equal(w[tied], counts[tied])
     assert np.array_equal(w[~tied], counts[~tied] / gap[~tied])
     old = dict_st_orient(x, emb)
@@ -326,10 +321,10 @@ def test_st_orient_orders_coincident_interior_points():
     """Interior vertices on the same x are ordered by id, not rejected."""
     emb, poly, _ = _path_graph()
     x = np.array([0.0, 0.5, 0.5, 0.5, 1.0])
-    o = st_orient(x, emb)
-    assert o.order.tolist() == [0, 1, 2, 3, 4] == list(dict_st_orient(x, emb).order)
-    assert np.allclose(target_x(o, x, poly.order), [0.0, 0.25, 0.5, 0.75, 1.0], rtol=0, atol=1e-15)
-    assert count_paths(o).tolist() == [4, 4, 4, 4]
+    o = st_orient(x[None], emb)
+    assert o.order[0].tolist() == [0, 1, 2, 3, 4] == list(dict_st_orient(x, emb).order)
+    assert np.allclose(target_x(o, x[None], poly.order), [[0.0, 0.25, 0.5, 0.75, 1.0]], rtol=0, atol=1e-15)
+    assert count_paths(o).tolist() == [[4, 4, 4, 4]]
 
 
 # ---------------------------------------------------------------------------
@@ -349,35 +344,47 @@ def test_spread_matches_dict_oracle(n, m, seed):
     emb = generate_planar(n, m, seed=seed)
     poly = regular_polygon(emb.outer_face)
     ref = tutte(emb, poly)
-    for direction in (0.0, math.radians(37.0), math.pi / 2):
+    directions = (0.0, math.radians(37.0), math.pi / 2)
+    o = _direction_plans(emb, poly, ref, directions).orientation
+    counts = count_paths(o)
+    for j, direction in enumerate(directions):
         res = spread_pipeline(emb, poly, direction)
         x = turn(ref.positions, -direction)[:, 0]
         corners = turn(poly.positions, -direction)
         assert np.array_equal(x[list(poly.order)], corners[:, 0])
-        old = dict_st_orient(x, emb)
-        o = res.orientation
-        assert o.order.tolist() == list(old.order)
-        assert o.rank.tolist() == [old.rank[v] for v in range(n)]
-        directed = list(zip(o.tail.tolist(), o.head.tolist()))
-        assert sorted(directed) == old.directed_edges()
-        assert o.out_deg.tolist() == [len(w) for w in old.out_nbrs]
-        assert o.in_deg.tolist() == [len(w) for w in old.in_nbrs]
-        assert o.t1_parent.tolist() == [old.t1_parent.get(v, -1) for v in range(n)]
-        assert o.tn_parent.tolist() == [old.tn_parent.get(v, -1) for v in range(n)]
-        old_counts = dict_count_paths(old)
-        assert np.array_equal(count_paths(o), [old_counts[e] for e in directed])
-        old_targets = dict_target_x(old, x, poly.order)
-        assert np.array_equal(res.targets, [old_targets[v] for v in range(n)])
-        old_weights = dict_spread_weights(old, old_targets, old_counts)
-        assert np.array_equal(res.weights, old_weights)
+        old_weights = _assert_row_matches_dict(o, j, counts[j], res.targets, res.weights, x, emb, poly)
         scratch = scratch_solve_stress(emb, old_weights, poly)
         assert np.array_equal(res.drawing.positions, scratch.positions)
         assert res.drawing.residual == scratch.residual
 
 
+def _assert_row_matches_dict(o, j, counts, targets, weights, x, emb, poly) -> np.ndarray:
+    """Row j of the orientation o and the given (m,) counts, (n,) targets
+    and (m,) weights equal the dict-based construction from the x-values x;
+    returns the oracle's weights."""
+    n = emb.n
+    old = dict_st_orient(x, emb)
+    assert o.order[j].tolist() == list(old.order)
+    assert o.rank[j].tolist() == [old.rank[v] for v in range(n)]
+    assert o.pinned[j].tolist() == [v in old.pinned for v in range(n)]
+    directed = list(zip(o.tail[j].tolist(), o.head[j].tolist()))
+    assert sorted(directed) == old.directed_edges()
+    assert o.out_deg[j].tolist() == [len(w) for w in old.out_nbrs]
+    assert o.in_deg[j].tolist() == [len(w) for w in old.in_nbrs]
+    assert o.t1_parent[j].tolist() == [old.t1_parent.get(v, -1) for v in range(n)]
+    assert o.tn_parent[j].tolist() == [old.tn_parent.get(v, -1) for v in range(n)]
+    old_counts = dict_count_paths(old)
+    assert np.array_equal(counts, [old_counts[e] for e in directed])
+    old_targets = dict_target_x(old, x, poly.order)
+    assert np.array_equal(targets, [old_targets[v] for v in range(n)])
+    old_weights = dict_spread_weights(old, old_targets, old_counts)
+    assert np.array_equal(weights, old_weights)
+    return old_weights
+
+
 def _orient_both(emb, xs):
     x = np.array(xs)
-    return lambda: st_orient(x, emb), lambda: dict_st_orient(x, emb)
+    return lambda: st_orient(x[None], emb), lambda: dict_st_orient(x, emb)
 
 
 def _targets_both(pins):
@@ -385,15 +392,15 @@ def _targets_both(pins):
     emb, _, x = _path_graph()
     pinned_x = x.copy()
     pinned_x[list(pins)] = list(pins.values())
-    return (lambda: target_x(st_orient(x, emb), pinned_x, pins),
+    return (lambda: target_x(st_orient(x[None], emb), pinned_x[None], pins),
             lambda: dict_target_x(dict_st_orient(x, emb), pinned_x, pins))
 
 
 def _zero_gap_both():
     emb, _, x = _house_graph()
     t = [0.0, 0.5, 0.5, 3.0]
-    o, old = st_orient(x, emb), dict_st_orient(x, emb)
-    return (lambda: spread_weights(o, np.array(t), count_paths(o)),
+    o, old = st_orient(x[None], emb), dict_st_orient(x, emb)
+    return (lambda: spread_weights(o, np.array([t]), count_paths(o)),
             lambda: dict_spread_weights(old, dict(enumerate(t)), dict_count_paths(old)))
 
 
@@ -447,8 +454,8 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 @pytest.mark.parametrize("build", BATCH_GRAPHS.values(), ids=BATCH_GRAPHS.keys())
 def test_batched_plans_match_one_direction_at_a_time(build):
     """Each row of a 37-direction batch, from the orientation and both BFS
-    trees to the targets, counts and weights, is bit for bit what the
-    single-direction functions give for that direction."""
+    trees to the targets, counts and weights, is to the last bit what the
+    dict-based construction gives for that direction alone."""
     emb = build()
     if emb.m < 3 * emb.n - 6:
         assert len(emb.outer_face) >= 4
@@ -456,20 +463,12 @@ def test_batched_plans_match_one_direction_at_a_time(build):
     ref = tutte(emb, poly)
     plans = _direction_plans(emb, poly, ref, SWEEP)
     assert plans.turns == [-d for d in SWEEP]
-    batch = plans.orientation
-    counts = _count_paths(batch)
-    weights = _spread_weights(batch, plans.targets, counts)
+    o = plans.orientation
+    counts = count_paths(o)
+    weights = spread_weights(o, plans.targets, counts)
     for j, direction in enumerate(SWEEP):
         x = turn(ref.positions, -direction)[:, 0]
-        o = st_orient(x, emb)
-        row = _take(batch, j)
-        for name in ("order", "rank", "pinned", "tail", "head", "out_deg", "in_deg",
-                     "t1_parent", "tn_parent", "t1_sum", "tn_sum"):
-            assert _same_bits(getattr(row, name), getattr(o, name)), (direction, name)
-        targets, one_counts = target_x(o, x, poly.order), count_paths(o)
-        assert _same_bits(plans.targets[j], targets)
-        assert _same_bits(counts[j], one_counts)
-        assert _same_bits(weights[j], spread_weights(o, targets, one_counts))
+        _assert_row_matches_dict(o, j, counts[j], plans.targets[j], weights[j], x, emb, poly)
 
 
 @pytest.mark.parametrize("build", BATCH_GRAPHS.values(), ids=BATCH_GRAPHS.keys())
@@ -482,7 +481,7 @@ def test_path_counts_balance_on_every_row(build):
     poly = regular_polygon(emb.outer_face)
     plans = _direction_plans(emb, poly, tutte(emb, poly), SWEEP)
     o = plans.orientation
-    counts = _count_paths(o)
+    counts = count_paths(o)
     for j in range(len(SWEEP)):
         flow = np.zeros(emb.n, dtype=np.int64)
         np.add.at(flow, o.tail[j], counts[j])
@@ -490,7 +489,7 @@ def test_path_counts_balance_on_every_row(build):
         ends = np.zeros(emb.n, dtype=np.int64)
         ends[o.order[j, 0]], ends[o.order[j, -1]] = emb.m, -emb.m
         assert np.array_equal(flow, ends), SWEEP[j]
-    assert _same_bits(_plan_weights(plans), _spread_weights(o, plans.targets, counts))
+    assert _same_bits(_plan_weights(plans), spread_weights(o, plans.targets, counts))
 
 
 @pytest.mark.parametrize("delta", [1, -1])
@@ -501,7 +500,7 @@ def test_unbalanced_counts_raise_before_any_solve(monkeypatch, delta):
     one embedding and polygon solve the reference once between them."""
     emb = generate_planar(30, 84, seed=1)
     poly = regular_polygon(emb.outer_face)
-    count = spread._count_paths
+    count = spread.count_paths
     broken = []
 
     def off_by_one(o):
@@ -516,7 +515,7 @@ def test_unbalanced_counts_raise_before_any_solve(monkeypatch, delta):
                       f"{delta if v == t else -delta:+d} more leave than enter")
         return counts
 
-    monkeypatch.setattr(spread, "_count_paths", off_by_one)
+    monkeypatch.setattr(spread, "count_paths", off_by_one)
     solved = record_solves(monkeypatch)
     for call in (
         lambda: kaleidoscope(emb, poly, 5.0),
@@ -541,7 +540,7 @@ def test_sweep_raises_before_it_solves_a_direction(monkeypatch):
     emb = worst_case_graph(31)
     poly = regular_polygon(emb.outer_face)
     ref = tutte(emb, poly)
-    alone = _raised(lambda: st_orient(turn(ref.positions, -math.pi / 2)[:, 0], emb))
+    alone = _raised(lambda: st_orient(turn(ref.positions, -math.pi / 2)[None, :, 0], emb))
     assert alone[0] is NotStOrientation
     solved = []
     solve = spread.solve_stress
@@ -560,32 +559,31 @@ def test_sweep_raises_before_it_solves_a_direction(monkeypatch):
 
 
 def test_batch_steps_raise_the_first_rejected_rows_error():
-    """Each batched step raises, for the first row it rejects, the error
-    the single-direction function raises for that row, in class and
-    message."""
+    """Each step raises, for the first row it rejects, the error that row
+    raises as a batch of its own, in class and message."""
     good, bad, worse = np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 1.0]), np.array([1.0, 0.0, 0.5])
-    alone = _raised(lambda: st_orient(bad, _PATH3))
-    assert alone != _raised(lambda: st_orient(worse, _PATH3))
-    assert _raised(lambda: _st_orient(np.array([good, bad, worse]), _PATH3)) == alone
+    alone = _raised(lambda: st_orient(bad[None], _PATH3))
+    assert alone != _raised(lambda: st_orient(worse[None], _PATH3))
+    assert _raised(lambda: st_orient(np.array([good, bad, worse]), _PATH3)) == alone
 
     emb, poly, x = _path_graph()
-    o = st_orient(x, emb)
+    o = st_orient(x[None], emb)
     falling = x.copy()
     falling[4] = -1.0
-    left = replace(o, order=np.array([1, 0, 2, 3, 4]))  # interior vertex 1 first
-    alone = _raised(lambda: target_x(o, falling, poly.order))
-    assert alone != _raised(lambda: target_x(left, x, poly.order))
-    orders = np.array([o.order, o.order, left.order])
-    assert _raised(lambda: _target_x(orders, np.array([x, falling, x]), poly.order)) == alone
+    left = replace(o, order=np.array([[1, 0, 2, 3, 4]]))  # interior vertex 1 first
+    alone = _raised(lambda: target_x(o, falling[None], poly.order))
+    assert alone != _raised(lambda: target_x(left, x[None], poly.order))
+    rows = replace(o, order=np.concatenate((o.order, o.order, left.order)))
+    assert _raised(lambda: target_x(rows, np.array([x, falling, x]), poly.order)) == alone
 
     emb, poly, x = _house_graph()
-    o = st_orient(x, emb)
-    t, counts = target_x(o, x, poly.order), count_paths(o)
+    o = st_orient(x[None], emb)
+    t, counts = target_x(o, x[None], poly.order), count_paths(o)
     tied, back = np.array([0.0, 0.5, 0.5, 3.0]), np.array([0.0, 2.0, 1.0, 3.0])
-    alone = _raised(lambda: spread_weights(o, tied, counts))
-    assert alone != _raised(lambda: spread_weights(o, back, counts))
-    batch = _st_orient(np.array([x] * 3), emb)
-    assert _raised(lambda: _spread_weights(batch, np.array([t, tied, back]), np.array([counts] * 3))) == alone
+    alone = _raised(lambda: spread_weights(o, tied[None], counts))
+    assert alone != _raised(lambda: spread_weights(o, back[None], counts))
+    batch = st_orient(np.array([x] * 3), emb)
+    assert _raised(lambda: spread_weights(batch, np.array([t[0], tied, back]), np.repeat(counts, 3, axis=0))) == alone
 
 
 def _depth(parent: np.ndarray) -> int:
@@ -603,9 +601,9 @@ def test_counts_match_enumeration_on_a_deep_tree():
     """At 90 degrees the sink tree of worst_case_graph(30) is 29 levels
     deep: the bottom-up sums take one step per level."""
     emb = worst_case_graph(30)
-    x = turn(tutte(emb, regular_polygon(emb.outer_face)).positions, -math.pi / 2)[:, 0]
+    x = turn(tutte(emb, regular_polygon(emb.outer_face)).positions, -math.pi / 2)[None, :, 0]
     o = st_orient(x, emb)
-    assert _depth(o.tn_parent) == 29
+    assert _depth(o.tn_parent[0]) == 29
     assert np.array_equal(count_paths(o), enumerate_canonical_paths(o))
 
 
@@ -613,7 +611,7 @@ def test_array_results_compare_by_identity(octahedron):
     """Results holding arrays answer == with a bool (identity), where the
     field-wise comparison would raise on the arrays."""
     poly = regular_polygon(octahedron.outer_face)
-    x = tutte(octahedron, poly).positions[:, 0]
+    x = tutte(octahedron, poly).positions[None, :, 0]
     for make in (lambda: tutte(octahedron, poly), lambda: st_orient(x, octahedron),
                  lambda: spread_pipeline(octahedron, poly), lambda: uniform_pipeline(octahedron),
                  lambda: schnyder_wood(octahedron)):

@@ -53,7 +53,7 @@ class PlanarEmbedding:
     """Rotation system plus a designated outer face.
 
     rotation[v] holds the neighbors of v in cyclic (counterclockwise)
-    order. outer_face is one of the cycles produced by traverse_faces,
+    order. outer_face is one of the cycles in faces,
     up to rotation and reflection.
     Edges and faces are computed once per object; position i of every (m,)
     weight array in the package belongs to edge i of edge_array.
@@ -130,7 +130,16 @@ class PlanarEmbedding:
 
     @cached_property
     def faces(self) -> list[tuple[int, ...]]:
-        """The vertices of each face in traversal order (see traverse_faces)."""
+        """Every face as a tuple of its vertices in traversal order.
+
+        From directed edge (u, v) a face continues with (v, w), w the
+        successor of u in the rotation of v, so with counterclockwise
+        rotations interior faces run counterclockwise and the outer face
+        clockwise. Faces come in the order of their first directed edges
+        in rotation order, each from that edge. Raises EulerViolation
+        unless n - m + f = 2, i.e. unless the rotation system is a sphere
+        embedding.
+        """
         cycle, bounds, _ = self._face_cycles
         flat, ends = self._half_edges.tail[cycle].tolist(), bounds.tolist()
         return [tuple(flat[a:b]) for a, b in zip(ends, ends[1:])]
@@ -360,19 +369,6 @@ def _check_rotation(emb: PlanarEmbedding) -> _HalfEdges:
     wrap = nxt == offsets[head + 1]
     nxt[wrap] = offsets[head[wrap]]
     return _HalfEdges(offsets, tail, head, order, nxt)
-
-
-def traverse_faces(emb: PlanarEmbedding) -> list[tuple[int, ...]]:
-    """emb.faces: every face as a tuple of its vertices in traversal order.
-
-    From directed edge (u, v) a face continues with (v, w), w the successor
-    of u in the rotation of v, so with counterclockwise rotations interior
-    faces run counterclockwise and the outer face clockwise. Faces come in
-    the order of their first directed edges in rotation order, each from
-    that edge. Raises EulerViolation unless n - m + f = 2, i.e. unless the
-    rotation system is a sphere embedding.
-    """
-    return list(emb.faces)
 
 
 def validate_three_connected(emb: PlanarEmbedding) -> bool:

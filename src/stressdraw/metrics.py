@@ -34,11 +34,14 @@ class DrawingMetrics:
     max_edge_length: float
 
 
-def _finite_positions(pts: np.ndarray) -> np.ndarray:
+def _finite_positions(pts: np.ndarray, n: int) -> np.ndarray:
     """pts, the (n, 2) positions of a drawing or the (b, n, 2) positions of
-    b drawings; PreconditionError names the first vertex, of the first
-    drawing, with a NaN or infinite coordinate, which no metric can
-    measure."""
+    b drawings, checked to be n finite rows of two. Positions of another
+    shape raise PreconditionError, and so does a NaN or infinite
+    coordinate, which no metric can measure, naming the first vertex, of
+    the first drawing, that has one."""
+    if np.shape(pts)[-2:] != (n, 2):
+        raise PreconditionError(f"positions need shape {(n, 2)}, got {np.shape(pts)}")
     if not np.isfinite(pts).all():
         at = tuple(np.argwhere(~np.isfinite(pts).all(axis=-1))[0])
         raise PreconditionError(f"vertex {at[-1]} has non-finite position {tuple(pts[at].tolist())}")
@@ -46,18 +49,19 @@ def _finite_positions(pts: np.ndarray) -> np.ndarray:
 
 
 def _length_range(positions: np.ndarray, emb: PlanarEmbedding) -> tuple[np.ndarray, np.ndarray]:
-    """Shortest and longest edge length of each of b drawings, from their
-    (b, n, 2) positions: two (b,) arrays. A shortest length of 0 is
-    returned as it is; _ratios rejects it."""
-    x, y = np.moveaxis(_finite_positions(positions), -1, 0)
+    """Shortest and longest edge length of a drawing, from its (n, 2)
+    positions, or of each of b drawings, from their (b, n, 2) positions:
+    two arrays of shape () or (b,). A shortest length of 0 is returned as
+    it is; _ratios rejects it."""
+    x, y = np.moveaxis(_finite_positions(positions, emb.n), -1, 0)
     lo, hi = emb.edge_array.T
-    lengths = np.hypot(x[:, lo] - x[:, hi], y[:, lo] - y[:, hi])
-    return lengths.min(axis=1), lengths.max(axis=1)
+    lengths = np.hypot(x[..., lo] - x[..., hi], y[..., lo] - y[..., hi])
+    return lengths.min(axis=-1), lengths.max(axis=-1)
 
 
-def _ratios(shortest: np.ndarray, longest: np.ndarray) -> list[float]:
-    """Longest edge length divided by shortest, per drawing;
-    ZeroLengthEdge when a drawing's shortest edge has length 0."""
+def _ratios(shortest: np.ndarray, longest: np.ndarray) -> float | list[float]:
+    """Longest edge length divided by shortest, of one drawing or per
+    drawing; ZeroLengthEdge when a drawing's shortest edge has length 0."""
     if not shortest.all():
         raise ZeroLengthEdge("drawing contains an edge of zero length")
     return (longest / shortest).tolist()
@@ -65,7 +69,7 @@ def _ratios(shortest: np.ndarray, longest: np.ndarray) -> list[float]:
 
 def edge_length_ratio(d, emb: PlanarEmbedding) -> float:
     """Longest edge length divided by shortest; always >= 1."""
-    return _ratios(*_length_range(d.positions[None], emb))[0]
+    return _ratios(*_length_range(d.positions, emb))
 
 
 def crossing_count(d, emb: PlanarEmbedding) -> int:
@@ -80,7 +84,7 @@ def crossing_count(d, emb: PlanarEmbedding) -> int:
     far above the float error, so it crosses in exact arithmetic too,
     which a certified drawing never does.
     """
-    pts = _finite_positions(d.positions)
+    pts = _finite_positions(d.positions, emb.n)
     ends = emb.edge_array
     m = len(ends)
     if m < 2:
@@ -186,7 +190,7 @@ def faces_convex(d, emb: PlanarEmbedding) -> bool:
     the radius into [0.5, 1): exact, so the verdict is the unscaled one
     wherever that neither overflows nor underflows, and scale-free beyond.
     """
-    pts = _finite_positions(d.positions)
+    pts = _finite_positions(d.positions, emb.n)
     index = emb._face_index
     if not len(index.corner_starts):
         return True
@@ -201,13 +205,13 @@ def faces_convex(d, emb: PlanarEmbedding) -> bool:
 
 
 def compute_metrics(d, emb: PlanarEmbedding) -> DrawingMetrics:
-    shortest, longest = _length_range(d.positions[None], emb)
+    shortest, longest = _length_range(d.positions, emb)
     return DrawingMetrics(
-        edge_length_ratio=_ratios(shortest, longest)[0],
+        edge_length_ratio=_ratios(shortest, longest),
         crossing_count=crossing_count(d, emb),
         all_faces_convex=faces_convex(d, emb),
-        min_edge_length=float(shortest[0]),
-        max_edge_length=float(longest[0]),
+        min_edge_length=float(shortest),
+        max_edge_length=float(longest),
     )
 
 

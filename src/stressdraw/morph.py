@@ -1,11 +1,11 @@
 """Per-edge interpolation between spread weightings, and the angle sweep.
 
 Both only blend spread weights, so neither solves a spread: each plans
-its directions in one batch (spread._plan_weights), which checks exactly
-that every direction's path counts balance, and then solves only its
-blends, the sweep all of its rows in one solve_stresses batch. A
-direction that cannot be planned raises before anything past the
-reference is solved.
+its directions in one batch (spread._direction_plans), whose
+spread_weights checks exactly that every direction's path counts
+balance, and then solves only its blends, the sweep all of its rows in
+one solve_stresses batch. A direction that cannot be planned raises
+before anything past the reference is solved.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from .errors import BadParams, EdgeSetMismatch
 from .graph import PlanarEmbedding
 from .metrics import _length_range, _ratios
 from .solver import Drawing, OuterPolygon, _reference, _solve_chunks, solve_stress
-from .spread import _check_direction, _direction_plans, _plan_weights
+from .spread import _check_direction, _direction_plans
 
 
 def morph_weights(
@@ -51,7 +51,7 @@ def xy_morph(
     """
     _check_direction(angle)
     ref = _reference(emb, poly)
-    w0, w1 = _plan_weights(_direction_plans(emb, poly, ref, [angle, angle + math.pi / 2]))
+    _, _, (w0, w1) = _direction_plans(emb, ref, [angle, angle + math.pi / 2])
     weights = morph_weights(w0, w1, t)
     return weights, solve_stress(emb, weights, poly)
 
@@ -91,7 +91,7 @@ def kaleidoscope(
     angles = [k * step_degrees for k in range(math.ceil(below))] + [90.0]
     pairs = [(math.radians(deg), math.radians(deg) + math.pi / 2) for deg in angles]
     directions = list(dict.fromkeys(chain.from_iterable(pairs)))
-    weights = dict(zip(directions, _plan_weights(_direction_plans(emb, poly, ref, directions))))
+    weights = dict(zip(directions, _direction_plans(emb, ref, directions)[2]))
     blends = (morph_weights(weights[a], weights[b]) for a, b in pairs)
     rows: list[KaleidoscopeRow] = []
     for positions, drawings in _solve_chunks(emb, blends, poly):

@@ -24,7 +24,7 @@ it rejects, the one that row raises as a batch of its own; so a batch that
 cannot plan a direction raises before it solves any.
 
 The targets hold exactly when the integer path counts balance at every
-interior vertex, and each plan checks that exactly. So the sweeps, which
+interior vertex, and spread_weights checks that exactly. So the sweeps, which
 only blend the weights, solve no spread: they plan every direction and
 solve only their blends. spread_pipeline and uniform_pipeline, which
 return the spread drawing, solve it and also check it against the
@@ -33,9 +33,7 @@ targets within TARGET_RTOL.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -70,6 +68,14 @@ def _flat(v: np.ndarray, n: int) -> np.ndarray:
     """Row j's vertex v of the (d, k) array v as the index j*n + v into a
     raveled (d, n) array."""
     return v + n * np.arange(len(v))[:, None]
+
+
+def _check_shape(name: str, a: np.ndarray, axes: str, d: int | None, k: int) -> None:
+    """PreconditionError unless a is a (d, k) array, any d >= 1 when d is
+    None; axes names the two axes."""
+    got = np.shape(a)
+    if len(got) != 2 or got[1] != k or got[0] < 1 or d not in (None, got[0]):
+        raise PreconditionError(f"{name} needs shape {axes} = ({d or 'd >= 1'}, {k}), got {got}")
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +178,13 @@ def st_orient(xs: np.ndarray, emb: PlanarEmbedding) -> StOrientation:
     the rest, each by x, then by id. So no interior vertex lands between
     tied pinned ones. The first row whose order leaves a vertex other than
     the ends without an incoming or an outgoing edge raises
-    NotStOrientation.
+    NotStOrientation. xs of another shape than (d, n), d >= 1, or with a
+    NaN or infinite x raises PreconditionError naming the first such x.
     """
+    _check_shape("xs", xs, "(d, n)", None, emb.n)
+    if not (finite := np.isfinite(xs)).all():
+        k, v = np.argwhere(~finite)[0]
+        raise PreconditionError(f"vertex {v} has non-finite x {float(xs[k, v])!r}")
     d, n = xs.shape
     rows = np.arange(d)[:, None]
     pinned = np.zeros((d, n), dtype=bool)
@@ -222,22 +233,22 @@ _TARGET_ERRORS = (
 )
 
 
-def target_x(o: StOrientation, xs: np.ndarray, pinned: Iterable[int]) -> np.ndarray:
+def target_x(o: StOrientation, xs: np.ndarray) -> np.ndarray:
     """Target x for every vertex of every row of the (d, n) array xs, a
-    (d, n) array: the pinned vertices keep their x, and each maximal run of
-    L interior vertices in row j's order between consecutive pinned values
-    a < b is spaced evenly at a + i*(b-a)/(L+1), i = 1..L. The first row
-    whose order does not start and end at a pinned vertex, or whose pinned
-    values around an interior run do not increase, raises
-    PreconditionError."""
+    (d, n) array: the pinned vertices (o.pinned) keep their x, and each
+    maximal run of L interior vertices in row j's order between
+    consecutive pinned values a < b is spaced evenly at
+    a + i*(b-a)/(L+1), i = 1..L. xs of another shape than o.order raises
+    PreconditionError; so does the first row whose order does not start
+    and end at a pinned vertex, or whose pinned values around an interior
+    run do not increase."""
     order = o.order
     d, n = order.shape
+    _check_shape("xs", xs, "(d, n)", d, n)
     rows = np.arange(d)[:, None]
-    is_pinned = np.zeros(n, dtype=bool)
-    is_pinned[list(pinned)] = True
-    targets = np.where(is_pinned, xs, 0.0)
-    in_order = is_pinned[order]
-    c = np.count_nonzero(is_pinned)
+    targets = np.where(o.pinned, xs, 0.0)
+    in_order = o.pinned[rows, order]
+    c = np.count_nonzero(o.pinned[0])
     at = np.nonzero(in_order)[1].reshape(d, c)  # positions of the pinned vertices in order
     ends = targets[rows, order[rows, at]]
     step = at[:, 1:] - at[:, :-1]  # one more than the interior vertices between
@@ -277,15 +288,28 @@ def count_paths(o: StOrientation) -> np.ndarray:
 def spread_weights(o: StOrientation, targets: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Weight each edge of every row with path count / target gap, a (d, m)
     array in the order of the embedding's edges(), from (d, n) targets and
-    (d, m) counts.
+    (d, m) counts; arrays of other shapes raise PreconditionError.
 
-    An edge between two pinned vertices with zero gap (tied corners) gets
-    its path count instead: the solve never reads it. The first row with
-    any other gap <= 0 raises ZeroGap.
+    Those weights put an interior vertex exactly on its target when as
+    many counted paths leave it as enter it, which is checked exactly on
+    the counts (integer counts sum exactly below 2**53): the first row
+    with an unbalanced interior vertex raises ResidualExceeded naming it,
+    before any gap is read. An edge between two pinned vertices with zero
+    gap (tied corners) gets its path count instead: the solve never reads
+    it. The first row with any other gap <= 0 raises ZeroGap.
     """
     t, h = o.tail, o.head
-    n = targets.shape[1]
+    d, n = o.order.shape
+    _check_shape("targets", targets, "(d, n)", d, n)
+    _check_shape("counts", counts, "(d, m)", d, t.shape[1])
     tf, hf = _flat(t, n), _flat(h, n)
+    flow = (np.bincount(tf.ravel(), counts.ravel(), d * n)
+            - np.bincount(hf.ravel(), counts.ravel(), d * n)).reshape(d, n)
+    bad = (flow != 0) & ~o.pinned
+    if bad.any():
+        k, v = np.argwhere(bad)[0]
+        raise ResidualExceeded(
+            f"path counts do not balance at vertex {v}: {int(flow[k, v]):+d} more leave than enter")
     gap = targets.ravel()[hf] - targets.ravel()[tf]
     pinned = o.pinned.ravel()
     tied = (gap == 0) & pinned[tf] & pinned[hf]
@@ -310,72 +334,37 @@ class SpreadResult:
     targets: np.ndarray        # (n,) x-targets in the frame turned by -direction
 
 
-class _Plans(NamedTuple):
-    """The spread plans of d directions: their orientations as one batch,
-    (d, n) targets, and the turn that takes each drawing into its frame."""
-
-    orientation: StOrientation
-    targets: np.ndarray
-    turns: list[float]
-
-
 def _check_direction(direction: float) -> None:
     if not math.isfinite(direction):
         raise BadParams(f"direction must be finite, got {direction!r}")
 
 
 def _direction_plans(
-    emb: PlanarEmbedding, poly: OuterPolygon, reference: Drawing, directions: Iterable[float],
-) -> _Plans:
-    """The plan of each direction: the reference's positions turned by
+    emb: PlanarEmbedding, reference: Drawing, directions: list[float],
+) -> tuple[StOrientation, np.ndarray, np.ndarray]:
+    """The orientation, the (d, n) targets and the (d, m) spread weights of
+    d directions, solving nothing. The reference's positions turned by
     -direction, so the direction becomes the x-axis, give the x-order
     (ties broken as in st_orient) and the pinned targets. Each step raises
     for the first direction it rejects: st_orient's error for any
-    direction before target_x's."""
-    turns = [-direction for direction in directions]
-    xs = np.array([_turn(reference.positions, turn)[:, 0] for turn in turns])
+    direction before target_x's, and target_x's before spread_weights'."""
+    xs = np.array([_turn(reference.positions, -direction)[:, 0] for direction in directions])
     o = st_orient(xs, emb)
-    return _Plans(o, target_x(o, xs, poly.order), turns)
+    targets = target_x(o, xs)
+    return o, targets, spread_weights(o, targets, count_paths(o))
 
 
-def _plan_weights(plans: _Plans) -> np.ndarray:
-    """The spread weights of every plan, a (d, m) array, solving nothing.
-
-    Each edge is weighted by path count / target gap. Those weights put an
-    interior vertex exactly on its target when as many counted paths leave
-    it as enter it, which is checked exactly on the integer counts (their
-    float sums stay below 2**53): the first plan with an unbalanced
-    interior vertex raises ResidualExceeded naming it, before any gap is
-    read. Then the first plan with a bad gap raises its ZeroGap.
-    """
-    o, targets, _ = plans
-    counts = count_paths(o)
-    d, n = targets.shape
-    flow = (np.bincount(_flat(o.tail, n).ravel(), counts.ravel(), d * n)
-            - np.bincount(_flat(o.head, n).ravel(), counts.ravel(), d * n)).reshape(d, n)
-    bad = (flow != 0) & ~o.pinned
-    if bad.any():
-        k, v = np.argwhere(bad)[0]
-        raise ResidualExceeded(
-            f"path counts do not balance at vertex {v}: {int(flow[k, v]):+d} more leave than enter")
-    return spread_weights(o, targets, counts)
-
-
-def _spread(emb: PlanarEmbedding, poly: OuterPolygon, plans: _Plans) -> SpreadResult:
-    """The spread of a one-direction plan.
-
-    The weights come from _plan_weights, so the plan is checked before
-    anything is solved. The drawing, turned by the plan's turn, must match
-    its targets within TARGET_RTOL * radius; a miss raises
-    ResidualExceeded.
-    """
-    _, targets, turns = plans
-    weights = _plan_weights(plans)[0]
+def _spread(
+    emb: PlanarEmbedding, poly: OuterPolygon, weights: np.ndarray, targets: np.ndarray, direction: float,
+) -> SpreadResult:
+    """The spread of one direction, from its (m,) weights and (n,)
+    targets: the drawing, turned by -direction, must match the targets
+    within TARGET_RTOL * radius; a miss raises ResidualExceeded."""
     drawing = solve_stress(emb, weights, poly)
-    miss = float(np.abs(_turn(drawing.positions, turns[0])[:, 0] - targets[0]).max())
+    miss = float(np.abs(_turn(drawing.positions, -direction)[:, 0] - targets).max())
     if not miss <= TARGET_RTOL * poly.radius:
         raise ResidualExceeded(f"drawing misses its targets by {miss:.3e}")
-    return SpreadResult(weights, drawing, targets[0])
+    return SpreadResult(weights, drawing, targets)
 
 
 def spread_pipeline(
@@ -400,4 +389,5 @@ def spread_pipeline(
     balance (ResidualExceeded), else the first with a bad gap.
     """
     _check_direction(direction)
-    return _spread(emb, poly, _direction_plans(emb, poly, _reference(emb, poly), [direction]))
+    _, targets, weights = _direction_plans(emb, _reference(emb, poly), [direction])
+    return _spread(emb, poly, weights[0], targets[0], direction)

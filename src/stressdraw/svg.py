@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import PlanarEmbedding
+from .metrics import _finite_positions
 from .solver import Drawing
 
 VIEW = 1000.0
@@ -12,13 +13,12 @@ DOT_RADIUS = 3.0
 STROKE_WIDTH = 1.0
 
 
-def _fit(drawing: Drawing) -> np.ndarray:
+def _fit(pts: np.ndarray) -> np.ndarray:
     """Map world coordinates into the viewBox, preserving aspect ratio.
 
     Uniform scale, bounding box centered, y flipped so up stays up. Only a
     drawing of zero extent, a single point, gets a stand-in span.
     """
-    pts = drawing.positions
     xmin, ymin = pts.min(axis=0).tolist()
     xmax, ymax = pts.max(axis=0).tolist()
     span = max(xmax - xmin, ymax - ymin) or 1e-12
@@ -31,8 +31,12 @@ def _fit(drawing: Drawing) -> np.ndarray:
 
 
 def render_svg(drawing: Drawing, emb: PlanarEmbedding) -> str:
+    """The drawing as SVG text. Positions that are not n finite rows of
+    two raise PreconditionError (metrics._finite_positions): a NaN
+    coordinate has no place in the viewBox."""
+    pts = _finite_positions(drawing.positions, emb.n)
     # each vertex's coordinates are formatted once, for its dot and its edge ends
-    x, y = (["%.3f" % c for c in col] for col in _fit(drawing).T.tolist())
+    x, y = (["%.3f" % c for c in col] for col in _fit(pts).T.tolist())
     line = f' stroke="black" stroke-width="{STROKE_WIDTH:g}"/>\n'
     dot = f' r="{DOT_RADIUS:g}" fill="black"/>\n'
     return (

@@ -21,7 +21,7 @@ from .errors import NumericError, PreconditionError
 from .graph import PlanarEmbedding, edge_key
 from .metrics import _binade_scaled, _convex_ring_turn
 from .solver import OuterPolygon, _reference, regular_polygon
-from .spread import SpreadResult, _Plans, _spread, st_orient
+from .spread import SpreadResult, _spread, count_paths, spread_weights, st_orient
 
 # steepest slope angle used by the caps around the leftmost/rightmost vertex
 CAP_ANGLE_DEG = 80.0
@@ -156,4 +156,4 @@ def uniform_pipeline(emb: PlanarEmbedding) -> SpreadResult:
     o = st_orient(ref.positions[None, :, 0], emb)
     targets = o.rank + 1.0
     poly = convex_outer_placement(emb.outer_face, targets[0])
-    return _spread(emb, poly, _Plans(o, targets, [0.0]))
+    return _spread(emb, poly, spread_weights(o, targets, count_paths(o))[0], targets[0], 0.0)

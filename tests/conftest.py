@@ -662,7 +662,7 @@ def method_drawings(sizes, seed: int):
         tri = i % 3 == 0
         emb = generate_planar(n, 3 * n - 6 if tri else (5 * n) // 2, seed=seed + i)
         poly = regular_polygon(emb.outer_face)
-        params = argparse.Namespace(angle=0.0, t=0.5, a=1.0, r="2")
+        params = argparse.Namespace(angle=0.0, t=0.5, r="2")
         for name, method in METHODS.items():
             if name != "schnyder" or tri:
                 yield emb, method(emb, poly, params)[0]

@@ -34,7 +34,7 @@ from stressdraw import (
 )
 from stressdraw import cli, errors, metrics
 from stressdraw.cli import GALLERY_COLUMNS, METHODS, run
-from stressdraw.spread import _plan_weights
+from stressdraw.spread import _direction_plans
 
 
 @pytest.fixture
@@ -341,11 +341,11 @@ def test_kaleidoscope_svgs_reuse_the_sweep(tmp_path, monkeypatch):
         calls["tutte"] += 1
         return tutte(*a, **k)
 
-    def counted_plans(plans):
-        calls["directions"] += len(plans.turns)
-        return _plan_weights(plans)
+    def counted_plans(emb, reference, directions):
+        calls["directions"] += len(directions)
+        return _direction_plans(emb, reference, directions)
 
-    for name, fn, wrapper in (("tutte", tutte, counted_tutte), ("_plan_weights", _plan_weights, counted_plans)):
+    for name, fn, wrapper in (("tutte", tutte, counted_tutte), ("_direction_plans", _direction_plans, counted_plans)):
         for mod in [m for key, m in sys.modules.items() if key.startswith("stressdraw")]:
             if getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, wrapper)
@@ -521,7 +521,7 @@ def test_methods_on_a_warm_embedding_match_a_fresh_one():
         poly = regular_polygon(emb.outer_face)
         got = []
         for r in ("best", "3"):
-            params = argparse.Namespace(angle=30.0, t=0.25, a=1.0, r=r)
+            params = argparse.Namespace(angle=30.0, t=0.25, r=r)
             for method in METHODS.values():
                 drawing, chosen = method(emb, poly, params)
                 got += [drawing.positions.tobytes(), chosen]

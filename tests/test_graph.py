@@ -38,7 +38,6 @@ from stressdraw import (
     save_graph,
     schnyder_depths,
     to_dict,
-    traverse_faces,
     tutte,
     uniform_pipeline,
     validate,
@@ -55,14 +54,14 @@ def _face_key(face):
 
 
 def test_k4_has_four_triangular_faces(k4):
-    faces = traverse_faces(k4)
+    faces = k4.faces
     assert len(faces) == 4
     assert all(len(f) == 3 for f in faces)
     assert k4.n - k4.m + len(faces) == 2
 
 
 def test_octahedron_faces_and_euler(octahedron):
-    faces = traverse_faces(octahedron)
+    faces = octahedron.faces
     assert len(faces) == 8
     assert all(len(f) == 3 for f in faces)
     assert octahedron.n - octahedron.m + len(faces) == 2
@@ -71,7 +70,7 @@ def test_octahedron_faces_and_euler(octahedron):
 
 
 def test_two_ring_wheel_faces(two_ring_wheel):
-    faces = traverse_faces(two_ring_wheel)
+    faces = two_ring_wheel.faces
     assert sorted(len(f) for f in faces) == [3, 3, 3, 3, 4, 4, 4, 4, 4]
     assert two_ring_wheel.n - two_ring_wheel.m + len(faces) == 2
 
@@ -418,7 +417,7 @@ def test_worst_case_shape():
     validate(emb)
     assert validate_three_connected(emb)
     assert len(emb.outer_face) == 3
-    faces = traverse_faces(emb)
+    faces = emb.faces
     assert all(len(f) == 3 for f in faces)
 
 
@@ -441,7 +440,7 @@ def test_generate_deterministic():
 
 def test_generate_triangulation_all_faces_triangles():
     emb = generate_planar(14, 3 * 14 - 6, seed=9)
-    assert all(len(f) == 3 for f in traverse_faces(emb))
+    assert all(len(f) == 3 for f in emb.faces)
 
 
 def test_generate_hits_requested_edge_count():
@@ -455,7 +454,7 @@ def test_generate_hits_requested_edge_count():
 
 def test_generate_outer_face_is_largest():
     emb = generate_planar(18, 40, seed=4)
-    sizes = [len(f) for f in traverse_faces(emb)]
+    sizes = [len(f) for f in emb.faces]
     assert len(emb.outer_face) == max(sizes)
 
 

@@ -52,7 +52,7 @@ def assert_views_match(emb: PlanarEmbedding, rng: random.Random) -> None:
         assert got.dtype == arcs.dtype and np.array_equal(got, arcs)
     if isinstance(faces, tuple):
         return
-    assert graph.traverse_faces(fresh) == faces
+    assert fresh.faces == faces
     for outer in _outer_faces(emb, faces, rng):
         other = graph._with_outer_face(fresh, outer)
         assert _result(lambda: other.outer_index) == _result(lambda: scan_outer_index(other, faces)), outer

@@ -30,12 +30,14 @@ from stressdraw import (
     compute_metrics,
     crossing_count,
     edge_length_ratio,
+    equilibrium_residual,
     faces_convex,
     generate_planar,
     metrics_json,
     regular_polygon,
     render_svg,
     tutte,
+    unit_weights,
     validate,
 )
 from stressdraw.graph import _with_outer_face
@@ -157,16 +159,33 @@ def _one_inf_vertex(pos, emb):
 
 
 @pytest.mark.parametrize("spoil", [_nan_interior, _one_inf_vertex], ids=["nan-interior", "inf-vertex"])
-@pytest.mark.parametrize("metric", [compute_metrics, edge_length_ratio, crossing_count, faces_convex])
+@pytest.mark.parametrize("metric", [compute_metrics, edge_length_ratio, crossing_count, faces_convex, render_svg])
 def test_non_finite_positions_rejected(metric, spoil):
     """A drawing with a NaN or infinite coordinate has no crossing count,
-    convexity or ratio; the error names the first such vertex."""
+    convexity, ratio or SVG; the error names the first such vertex."""
     emb = generate_planar(30, 84, 1)
     d = tutte(emb, regular_polygon(emb.outer_face))
     pos = d.positions.copy()
     v = spoil(pos, emb)
     with pytest.raises(PreconditionError, match=f"vertex {v} has non-finite position"):
         metric(Drawing(pos, d.polygon, d.residual), emb)
+
+
+@pytest.mark.parametrize("measure", [compute_metrics, edge_length_ratio, crossing_count, faces_convex, render_svg])
+def test_positions_of_the_wrong_shape_rejected(measure):
+    """Positions that are not n rows of two raise the PreconditionError
+    that equilibrium_residual raises for them."""
+    emb = generate_planar(30, 84, 1)
+    d = tutte(emb, regular_polygon(emb.outer_face))
+    for pos in (d.positions[:-1], np.vstack((d.positions, d.positions[:1])), d.positions[:, :1],
+                d.positions.ravel()):
+        want = f"positions need shape (30, 2), got {pos.shape}"
+        with pytest.raises(PreconditionError) as info:
+            equilibrium_residual(emb, unit_weights(emb), pos, emb.outer_face)
+        assert str(info.value) == want
+        with pytest.raises(PreconditionError) as info:
+            measure(Drawing(pos, d.polygon, d.residual), emb)
+        assert str(info.value) == want
 
 
 def test_ratio_similarity_invariance(octahedron):

@@ -110,17 +110,17 @@ def test_kaleidoscope_spreads_each_direction_once(monkeypatch, step, spreads):
     is solved: the weightings solved are the reference and one blend per
     row. Every row's drawing and ratio equal the xy-morph at its angle."""
     from stressdraw import morph
-    from stressdraw.spread import _plan_weights
+    from stressdraw.spread import _direction_plans
 
     emb = generate_planar(14, 32, seed=31)
     poly = regular_polygon(emb.outer_face)
     calls = []
 
-    def counted(plans):
-        calls.extend(-turn for turn in plans.turns)  # a plan turns by -direction
-        return _plan_weights(plans)
+    def counted(emb, reference, directions):
+        calls.extend(directions)
+        return _direction_plans(emb, reference, directions)
 
-    monkeypatch.setattr(morph, "_plan_weights", counted)
+    monkeypatch.setattr(morph, "_direction_plans", counted)
     solved = record_solves(monkeypatch)
     rows = kaleidoscope(emb, poly, step)
     assert len(calls) == len(set(calls)) == spreads

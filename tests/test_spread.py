@@ -46,9 +46,9 @@ from stressdraw import (
     worst_case_graph,
     xy_morph,
 )
-from stressdraw import spread
+from stressdraw import spread, uniform
 from stressdraw.solver import Drawing
-from stressdraw.spread import _direction_plans, _plan_weights, _spread
+from stressdraw.spread import _direction_plans
 
 TARGET_RTOL = 1e-6
 
@@ -115,7 +115,7 @@ def test_targets_single_interior():
     poly = OuterPolygon((0, 2), np.array([(0.0, 0.0), (1.0, 0.0)]))
     x = np.array([[0.0, 0.3, 1.0]])
     o = st_orient(x, emb)
-    t = target_x(o, x, poly.order)[0]
+    t = target_x(o, x)[0]
     assert t[0] == 0.0 and t[2] == 1.0
     assert abs(t[1] - 0.5) < 1e-12
 
@@ -123,7 +123,7 @@ def test_targets_single_interior():
 def test_targets_even_spacing_on_path():
     emb, poly, x = _path_graph()
     o = st_orient(x[None], emb)
-    t = target_x(o, x[None], poly.order)[0]
+    t = target_x(o, x[None])[0]
     want = {0: 0.0, 1: 0.25, 2: 0.5, 3: 0.75, 4: 1.0}
     for v, x in want.items():
         assert abs(t[v] - x) < 1e-12
@@ -171,7 +171,7 @@ def test_count_sum_identity(octahedron):
 def test_spread_weights_formula():
     emb, poly, x = _house_graph()
     o = st_orient(x[None], emb)
-    t = target_x(o, x[None], poly.order)
+    t = target_x(o, x[None])
     counts = count_paths(o)
     w = spread_weights(o, t, counts)
     assert w.shape == (1, emb.m)
@@ -187,6 +187,47 @@ def test_spread_weights_zero_gap():
     t = np.array([[0.0, 0.5, 0.5, 3.0]])
     with pytest.raises(ZeroGap):
         spread_weights(o, t, counts)
+
+
+def test_spread_weights_reject_unbalanced_counts():
+    """Counts that do not balance at an interior vertex, here in the second
+    row of a batch, raise ResidualExceeded naming the lowest such vertex:
+    no solve could put that vertex on its target."""
+    emb, poly, x = _house_graph()
+    o = st_orient(np.array([x, x]), emb)
+    t, counts = target_x(o, np.array([x, x])), count_paths(o)
+    i = int(np.flatnonzero((o.tail[1] == 1) & (o.head[1] == 2))[0])
+    counts[1, i] += 1  # one more path leaves 1 and enters 2
+    with pytest.raises(ResidualExceeded, match=r"^path counts do not balance at vertex 1: \+1 more leave than enter$"):
+        spread_weights(o, t, counts)
+    counts[1, i] -= 2
+    with pytest.raises(ResidualExceeded, match=r"^path counts do not balance at vertex 1: -1 more leave than enter$"):
+        spread_weights(o, t, counts)
+
+
+def test_steps_reject_arrays_of_the_wrong_shape_or_non_finite_x():
+    """Each step raises PreconditionError for an array of another shape
+    than the (d, n) or (d, m) it reads, and st_orient for a NaN or
+    infinite x, naming the first."""
+    emb, _, x = _house_graph()
+    o = st_orient(x[None], emb)
+    t, counts = target_x(o, x[None]), count_paths(o)
+    inf = np.array([x, x])
+    inf[1, 2:] = np.inf
+    for call, message in (
+        (lambda: st_orient(x, emb), "xs needs shape (d, n) = (d >= 1, 4), got (4,)"),
+        (lambda: st_orient(x[None, None], emb), "xs needs shape (d, n) = (d >= 1, 4), got (1, 1, 4)"),
+        (lambda: st_orient(x[None, :3], emb), "xs needs shape (d, n) = (d >= 1, 4), got (1, 3)"),
+        (lambda: st_orient(np.empty((0, 4)), emb), "xs needs shape (d, n) = (d >= 1, 4), got (0, 4)"),
+        (lambda: st_orient(np.full((1, 4), np.nan), emb), "vertex 0 has non-finite x nan"),
+        (lambda: st_orient(inf, emb), "vertex 2 has non-finite x inf"),
+        (lambda: target_x(o, x), "xs needs shape (d, n) = (1, 4), got (4,)"),
+        (lambda: target_x(o, np.array([x, x])), "xs needs shape (d, n) = (1, 4), got (2, 4)"),
+        (lambda: spread_weights(o, t[0], counts), "targets needs shape (d, n) = (1, 4), got (4,)"),
+        (lambda: spread_weights(o, t, counts[:, 1:]), "counts needs shape (d, m) = (1, 5), got (1, 4)"),
+        (lambda: spread_weights(o, t, counts[0]), "counts needs shape (d, m) = (1, 5), got (5,)"),
+    ):
+        assert _raised(call) == (PreconditionError, message)
 
 
 def test_pipeline_hits_targets_exactly(k4, octahedron):
@@ -301,7 +342,7 @@ def test_exactly_tied_corners_get_finite_weights():
     x = np.array([-1.0, 1.0, 1.0, -1.0, 0.0])
     o = st_orient(x[None], emb)
     assert o.order.tolist() == [[0, 3, 4, 1, 2]]
-    t = target_x(o, x[None], poly.order)
+    t = target_x(o, x[None])
     counts = count_paths(o)
     w = spread_weights(o, t, counts)
     t, counts, w, tail, head = t[0], counts[0], w[0], o.tail[0], o.head[0]
@@ -323,7 +364,7 @@ def test_st_orient_orders_coincident_interior_points():
     x = np.array([0.0, 0.5, 0.5, 0.5, 1.0])
     o = st_orient(x[None], emb)
     assert o.order[0].tolist() == [0, 1, 2, 3, 4] == list(dict_st_orient(x, emb).order)
-    assert np.allclose(target_x(o, x[None], poly.order), [[0.0, 0.25, 0.5, 0.75, 1.0]], rtol=0, atol=1e-15)
+    assert np.allclose(target_x(o, x[None]), [[0.0, 0.25, 0.5, 0.75, 1.0]], rtol=0, atol=1e-15)
     assert count_paths(o).tolist() == [[4, 4, 4, 4]]
 
 
@@ -345,7 +386,7 @@ def test_spread_matches_dict_oracle(n, m, seed):
     poly = regular_polygon(emb.outer_face)
     ref = tutte(emb, poly)
     directions = (0.0, math.radians(37.0), math.pi / 2)
-    o = _direction_plans(emb, poly, ref, directions).orientation
+    o = _direction_plans(emb, ref, directions)[0]
     counts = count_paths(o)
     for j, direction in enumerate(directions):
         res = spread_pipeline(emb, poly, direction)
@@ -392,7 +433,8 @@ def _targets_both(pins):
     emb, _, x = _path_graph()
     pinned_x = x.copy()
     pinned_x[list(pins)] = list(pins.values())
-    return (lambda: target_x(st_orient(x[None], emb), pinned_x[None], pins),
+    mask = np.isin(np.arange(emb.n), list(pins))[None]
+    return (lambda: target_x(replace(st_orient(x[None], emb), pinned=mask), pinned_x[None]),
             lambda: dict_target_x(dict_st_orient(x, emb), pinned_x, pins))
 
 
@@ -461,14 +503,11 @@ def test_batched_plans_match_one_direction_at_a_time(build):
         assert len(emb.outer_face) >= 4
     poly = regular_polygon(emb.outer_face)
     ref = tutte(emb, poly)
-    plans = _direction_plans(emb, poly, ref, SWEEP)
-    assert plans.turns == [-d for d in SWEEP]
-    o = plans.orientation
+    o, targets, weights = _direction_plans(emb, ref, SWEEP)
     counts = count_paths(o)
-    weights = spread_weights(o, plans.targets, counts)
     for j, direction in enumerate(SWEEP):
         x = turn(ref.positions, -direction)[:, 0]
-        _assert_row_matches_dict(o, j, counts[j], plans.targets[j], weights[j], x, emb, poly)
+        _assert_row_matches_dict(o, j, counts[j], targets[j], weights[j], x, emb, poly)
 
 
 @pytest.mark.parametrize("build", BATCH_GRAPHS.values(), ids=BATCH_GRAPHS.keys())
@@ -479,8 +518,7 @@ def test_path_counts_balance_on_every_row(build):
     weights are the spread weights of its counts."""
     emb = build()
     poly = regular_polygon(emb.outer_face)
-    plans = _direction_plans(emb, poly, tutte(emb, poly), SWEEP)
-    o = plans.orientation
+    o, targets, weights = _direction_plans(emb, tutte(emb, poly), SWEEP)
     counts = count_paths(o)
     for j in range(len(SWEEP)):
         flow = np.zeros(emb.n, dtype=np.int64)
@@ -489,7 +527,7 @@ def test_path_counts_balance_on_every_row(build):
         ends = np.zeros(emb.n, dtype=np.int64)
         ends[o.order[j, 0]], ends[o.order[j, -1]] = emb.m, -emb.m
         assert np.array_equal(flow, ends), SWEEP[j]
-    assert _same_bits(_plan_weights(plans), spread_weights(o, plans.targets, counts))
+    assert _same_bits(weights, spread_weights(o, targets, counts))
 
 
 @pytest.mark.parametrize("delta", [1, -1])
@@ -497,7 +535,8 @@ def test_unbalanced_counts_raise_before_any_solve(monkeypatch, delta):
     """A path count off by one on an edge with an interior end, in the last
     planned direction, raises ResidualExceeded naming the lowest interior
     end, before anything past the reference is solved: the four calls on
-    one embedding and polygon solve the reference once between them."""
+    one embedding and polygon solve the reference once between them. The
+    counts are broken in every module that binds count_paths."""
     emb = generate_planar(30, 84, seed=1)
     poly = regular_polygon(emb.outer_face)
     count = spread.count_paths
@@ -515,7 +554,8 @@ def test_unbalanced_counts_raise_before_any_solve(monkeypatch, delta):
                       f"{delta if v == t else -delta:+d} more leave than enter")
         return counts
 
-    monkeypatch.setattr(spread, "count_paths", off_by_one)
+    for mod in (spread, uniform):
+        monkeypatch.setattr(mod, "count_paths", off_by_one)
     solved = record_solves(monkeypatch)
     for call in (
         lambda: kaleidoscope(emb, poly, 5.0),
@@ -536,26 +576,26 @@ def _raised(call) -> tuple[type, str]:
 
 def test_sweep_raises_before_it_solves_a_direction(monkeypatch):
     """worst_case_graph(31) has no st-order at 90 degrees: a sweep through
-    it raises st_orient's error for that direction and solves none."""
+    it raises st_orient's error for that direction and solves nothing past
+    the reference."""
     emb = worst_case_graph(31)
     poly = regular_polygon(emb.outer_face)
     ref = tutte(emb, poly)
     alone = _raised(lambda: st_orient(turn(ref.positions, -math.pi / 2)[None, :, 0], emb))
     assert alone[0] is NotStOrientation
-    solved = []
-    solve = spread.solve_stress
-    monkeypatch.setattr(spread, "solve_stress", lambda *a: solved.append(a) or solve(*a))
+    solved = record_solves(monkeypatch)
     sweep = [0.0, math.radians(45.0), math.pi / 2, math.radians(135.0)]
-    assert _raised(lambda: _spread(emb, poly, _direction_plans(emb, poly, ref, sweep))) == alone
-    assert solved == []
+    assert _raised(lambda: _direction_plans(emb, ref, sweep)) == alone
+    assert _raised(lambda: kaleidoscope(emb, poly, 45.0)) == alone
+    assert all(_same_bits(w, unit_weights(emb)) for w in solved)
     # with path vertex 1 pulled left, target_x rejects 0 degrees, but
     # st_orient rejects 90 degrees: orientation errors come first
     pulled = ref.positions.copy()
     pulled[1, 0] -= 3.0
     pulled = Drawing(pulled, poly, 0.0)
-    assert _raised(lambda: _direction_plans(emb, poly, pulled, [0.0])) == (
+    assert _raised(lambda: _direction_plans(emb, pulled, [0.0])) == (
         PreconditionError, "leftmost vertex is interior; drawing is not pinned-convex")
-    assert _raised(lambda: _direction_plans(emb, poly, pulled, [math.radians(105.0), 0.0, math.pi / 2])) == alone
+    assert _raised(lambda: _direction_plans(emb, pulled, [math.radians(105.0), 0.0, math.pi / 2])) == alone
 
 
 def test_batch_steps_raise_the_first_rejected_rows_error():
@@ -571,14 +611,14 @@ def test_batch_steps_raise_the_first_rejected_rows_error():
     falling = x.copy()
     falling[4] = -1.0
     left = replace(o, order=np.array([[1, 0, 2, 3, 4]]))  # interior vertex 1 first
-    alone = _raised(lambda: target_x(o, falling[None], poly.order))
-    assert alone != _raised(lambda: target_x(left, x[None], poly.order))
-    rows = replace(o, order=np.concatenate((o.order, o.order, left.order)))
-    assert _raised(lambda: target_x(rows, np.array([x, falling, x]), poly.order)) == alone
+    alone = _raised(lambda: target_x(o, falling[None]))
+    assert alone != _raised(lambda: target_x(left, x[None]))
+    rows = replace(o, order=np.concatenate((o.order, o.order, left.order)), pinned=np.repeat(o.pinned, 3, axis=0))
+    assert _raised(lambda: target_x(rows, np.array([x, falling, x]))) == alone
 
     emb, poly, x = _house_graph()
     o = st_orient(x[None], emb)
-    t, counts = target_x(o, x[None], poly.order), count_paths(o)
+    t, counts = target_x(o, x[None]), count_paths(o)
     tied, back = np.array([0.0, 0.5, 0.5, 3.0]), np.array([0.0, 2.0, 1.0, 3.0])
     alone = _raised(lambda: spread_weights(o, tied[None], counts))
     assert alone != _raised(lambda: spread_weights(o, back[None], counts))

@@ -24,11 +24,11 @@ from .graph import (
     worst_case_graph,
 )
 from .metrics import compute_metrics, edge_length_ratio, metrics_json
-from .morph import best_row, kaleidoscope, rows_to_csv, worst_row, xy_morph
-from .solver import Drawing, OuterPolygon, _reference, regular_polygon
+from .morph import best_row, kaleidoscope, rows_to_csv, xy_morph
+from .solver import Drawing, OuterPolygon, _reference, regular_polygon, solve_stress
 from .spread import spread_pipeline
 from .svg import render_svg
-from .treespread import best_r, bfs_spread, schnyder_spread
+from .treespread import best_r, bfs_depths, depth_weights, schnyder_depths
 from .uniform import uniform_pipeline
 
 
@@ -83,8 +83,9 @@ def _decay(emb: PlanarEmbedding, poly: OuterPolygon, p: argparse.Namespace,
     if p.r == "best":
         r, drawing, _rho = best_r(emb, poly, method)
         return drawing, r
-    spread = bfs_spread if method == "bfs" else schnyder_spread
-    return spread(emb, poly, r=_parse_r(p.r)), None
+    r = _parse_r(p.r)
+    depths = bfs_depths(emb) if method == "bfs" else schnyder_depths(emb)
+    return solve_stress(emb, depth_weights(depths, r=r), poly), None
 
 
 def _spread(emb: PlanarEmbedding, poly: OuterPolygon, direction: float) -> tuple[Drawing, int | None]:
@@ -137,7 +138,7 @@ def cmd_kaleidoscope(args: argparse.Namespace) -> int:
     rows = kaleidoscope(emb, regular_polygon(emb.outer_face), args.step)
     _write_text(args.out_csv, rows_to_csv(rows))
     best = best_row(rows)
-    worst = worst_row(rows)
+    worst = max(rows, key=lambda r: (r.ratio, -r.angle_degrees))
     for path, row in ((args.best_svg, best), (args.worst_svg, worst)):
         if path:
             _write_text(path, render_svg(row.drawing, emb))

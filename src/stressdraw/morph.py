@@ -104,10 +104,6 @@ def best_row(rows: list[KaleidoscopeRow]) -> KaleidoscopeRow:
     return min(rows, key=lambda r: (r.ratio, r.angle_degrees))
 
 
-def worst_row(rows: list[KaleidoscopeRow]) -> KaleidoscopeRow:
-    return max(rows, key=lambda r: (r.ratio, -r.angle_degrees))
-
-
 def rows_to_csv(rows: list[KaleidoscopeRow]) -> str:
     lines = ["angle_degrees,edge_length_ratio"]
     lines += [f"{r.angle_degrees:.6f},{r.ratio:.6f}" for r in rows]

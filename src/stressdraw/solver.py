@@ -141,6 +141,13 @@ def _pinned(emb: PlanarEmbedding, poly: OuterPolygon) -> list[int]:
         raise PreconditionError(
             f"polygon positions need shape {(len(pinned), 2)}, got {np.shape(poly.positions)}"
         )
+    bad = np.flatnonzero(~np.isfinite(poly.positions).all(axis=1))
+    if len(bad):
+        i = int(bad[0])
+        raise PreconditionError(
+            f"polygon corner {i} (vertex {pinned[i]}) needs finite positions, "
+            f"got {poly.positions[i].tolist()}"
+        )
     return pinned
 
 
@@ -205,7 +212,8 @@ def solve_stresses(
     is exactly zero raises SingularSystem. Only ResidualExceeded comes
     after the drawings of its own chunk before it. A polygon whose order
     does not list each outer-face vertex exactly once, or whose positions
-    are not one row of two per entry, raises PreconditionError.
+    are not one row of two finite numbers per entry, raises
+    PreconditionError before anything is solved.
     """
     for _positions, drawings in _solve_chunks(emb, weightings, poly):
         yield from drawings
@@ -287,14 +295,10 @@ def solve_stress(
     return next(solve_stresses(emb, [weights], poly))
 
 
-def unit_weights(emb: PlanarEmbedding) -> np.ndarray:
-    return np.ones(len(emb.edge_array))
-
-
 def tutte(emb: PlanarEmbedding, poly: OuterPolygon) -> Drawing:
     """Classic barycentric drawing: every edge weight equal to one. Each
     call solves it afresh."""
-    return solve_stress(emb, unit_weights(emb), poly)
+    return solve_stress(emb, np.ones(len(emb.edge_array)), poly)
 
 
 def _reference(emb: PlanarEmbedding, poly: OuterPolygon) -> Drawing:

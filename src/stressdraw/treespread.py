@@ -62,15 +62,6 @@ def depth_weights(
         return a / float(r) ** np.asarray(depths)
 
 
-def bfs_spread(
-    emb: PlanarEmbedding,
-    poly: OuterPolygon,
-    a: float = 1.0,
-    r: float = 5.0,
-) -> Drawing:
-    return solve_stress(emb, depth_weights(bfs_depths(emb), a, r), poly)
-
-
 # ---------------------------------------------------------------------------
 # Schnyder wood of a triangulation
 # ---------------------------------------------------------------------------
@@ -204,6 +195,9 @@ def schnyder_spread(
     a: float = 1.0,
     r: float = 5.0,
 ) -> Drawing:
+    """solve_stress of depth_weights(schnyder_depths(emb), a, r). Nothing in
+    the package calls it; it stays for bench/workloads.py:126, the
+    benchmark's schnyder-r5 operation, and the a it passes."""
     return solve_stress(emb, depth_weights(schnyder_depths(emb), a, r), poly)
 
 

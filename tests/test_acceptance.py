@@ -70,7 +70,7 @@ def suite_drawings(suite):
             "yspread": sd.spread_pipeline(
                 emb, poly, math.pi / 2.0),
             "xymorph": sd.xy_morph(emb, poly, 0.0, 0.5)[1],
-            "bfs": sd.bfs_spread(emb, poly, r=5.0),
+            "bfs": sd.solve_stress(emb, sd.depth_weights(sd.bfs_depths(emb), r=5.0), poly),
             "uniform": sd.uniform_pipeline(emb),
         }
         if emb.m == 3 * emb.n - 6:
@@ -90,7 +90,7 @@ def test_criterion_01_equilibrium_residual_and_speed(suite, capsys):
         for (emb, poly), d in zip(suite, drawings):
             assert d.residual <= RESIDUAL_RTOL * poly.radius
             recomputed = sd.equilibrium_residual(
-                emb, sd.unit_weights(emb), d.positions, set(poly.order))
+                emb, np.ones(emb.m), d.positions, set(poly.order))
             assert recomputed <= RESIDUAL_RTOL * poly.radius
 
 

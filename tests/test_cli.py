@@ -169,8 +169,8 @@ def test_draw_bfs_best_r_skips_bases_without_a_ratio(tmp_path, capsys):
 def test_draw_reports_a_vanishing_weight_as_a_float(graph_path, tmp_path, capsys, monkeypatch):
     """A decay weight that underflows to zero is named as a plain float. The
     command draws with scale 1, where a / r**depth cannot underflow, so the
-    library's bfs_spread is called with scale 1e-300."""
-    monkeypatch.setattr(cli, "bfs_spread", functools.partial(stressdraw.bfs_spread, a=1e-300))
+    library's depth_weights is called with scale 1e-300."""
+    monkeypatch.setattr(cli, "depth_weights", functools.partial(stressdraw.depth_weights, a=1e-300))
     assert run(["draw", str(graph_path), "--method", "bfs", "--r", "1e100",
                 "--out-svg", str(tmp_path / "d.svg")]) == 3
     err = capsys.readouterr().err
@@ -546,3 +546,24 @@ def test_gallery_svgs_match_draw(path, tmp_path, request):
         best = ["--r", "best"] if method == "bfs" else []
         assert run(["draw", str(graph), "--method", method, *best, "--out-svg", str(svg)]) == 0
         assert svg.read_bytes() == (out_dir / f"{graph.stem}.{label}.svg").read_bytes(), label
+
+
+def test_the_cli_imports_only_what_a_draw_uses():
+    """A cold draw is almost all import: importing the command line in a
+    fresh interpreter loads no public scipy subpackage but scipy.sparse and
+    scipy.linalg, and neither networkx nor hypothesis."""
+    code = (
+        "import json, sys, stressdraw.cli\n"
+        "names = [n for n, mod in sys.modules.items() if n.count('.') == 1 and hasattr(mod, '__path__')]\n"
+        "print(json.dumps([sorted(n for n in names if n.startswith('scipy.')),"
+        " sorted({n.split('.')[0] for n in sys.modules} & {'networkx', 'hypothesis'})]))\n"
+    )
+    env = dict(os.environ)
+    package_root = str(Path(stressdraw.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+    scipy_packages, optional = json.loads(done.stdout)
+    public = [n for n in scipy_packages if not n.split(".")[1].startswith("_")]
+    assert set(public) <= {"scipy.linalg", "scipy.sparse"}, public
+    assert optional == []

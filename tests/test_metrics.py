@@ -37,7 +37,6 @@ from stressdraw import (
     regular_polygon,
     render_svg,
     tutte,
-    unit_weights,
     validate,
 )
 from stressdraw.graph import _with_outer_face
@@ -181,7 +180,7 @@ def test_positions_of_the_wrong_shape_rejected(measure):
                 d.positions.ravel()):
         want = f"positions need shape (30, 2), got {pos.shape}"
         with pytest.raises(PreconditionError) as info:
-            equilibrium_residual(emb, unit_weights(emb), pos, emb.outer_face)
+            equilibrium_residual(emb, np.ones(emb.m), pos, emb.outer_face)
         assert str(info.value) == want
         with pytest.raises(PreconditionError) as info:
             measure(Drawing(pos, d.polygon, d.residual), emb)

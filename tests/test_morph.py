@@ -20,13 +20,13 @@ from stressdraw import (
     morph_weights,
     regular_polygon,
     rows_to_csv,
+    save_graph,
     spread_pipeline,
     tutte,
-    unit_weights,
     worst_case_graph,
-    worst_row,
     xy_morph,
 )
+from stressdraw import cli
 
 
 def test_morph_endpoints_are_exact():
@@ -139,7 +139,7 @@ def test_xy_morph_solves_only_its_blend(monkeypatch, octahedron):
     solved = record_solves(monkeypatch)
     w, _ = xy_morph(octahedron, poly, 0.3)
     assert len(solved) == 2 and solved[1] is w
-    assert np.array_equal(solved[0], unit_weights(octahedron))
+    assert np.array_equal(solved[0], np.ones(octahedron.m))
 
 
 def test_sweeps_search_once(monkeypatch):
@@ -206,16 +206,22 @@ def test_kaleidoscope_rejects_bad_step(octahedron):
         kaleidoscope(octahedron, poly, step_degrees=5e-324)
 
 
-def test_best_and_worst_rows():
+def test_best_and_worst_rows(tmp_path, capsys):
+    """best_row is the lowest ratio, and the kaleidoscope command's worst
+    row the highest; ties resolve toward the smaller angle."""
     emb = generate_planar(16, 38, seed=33)
     poly = regular_polygon(emb.outer_face)
     rows = kaleidoscope(emb, poly, step_degrees=15.0)
-    b, w = best_row(rows), worst_row(rows)
+    b = best_row(rows)
     assert b.ratio == min(r.ratio for r in rows)
-    assert w.ratio == max(r.ratio for r in rows)
-    # ties resolve toward the smaller angle
     first_best = next(r for r in rows if r.ratio == b.ratio)
     assert b.angle_degrees == first_best.angle_degrees
+    path = tmp_path / "g.json"
+    save_graph(emb, path)
+    assert cli.run(["kaleidoscope", str(path), "--step", "15", "--out-csv", str(tmp_path / "rows.csv")]) == 0
+    top = max(r.ratio for r in rows)
+    w = next(r for r in rows if r.ratio == top)
+    assert f" worst_angle={w.angle_degrees:g} worst_ratio={w.ratio:.6f}\n" in capsys.readouterr().out
 
 
 def test_rows_to_csv_format(octahedron):

@@ -10,10 +10,13 @@ import pytest
 from stressdraw import (
     ResidualExceeded,
     best_r,
-    bfs_spread,
+    bfs_depths,
+    depth_weights,
     generate_planar,
     regular_polygon,
+    schnyder_depths,
     schnyder_spread,
+    solve_stress,
     spread_pipeline,
     tutte,
     worst_case_graph,
@@ -36,7 +39,7 @@ def _drawings(emb, radius: float) -> tuple[dict, tuple]:
     r, best, ratio = best_r(emb, poly, "bfs")
     got = {
         "tutte": tutte(emb, poly).positions,
-        "bfs": bfs_spread(emb, poly, r=5.0).positions,
+        "bfs": solve_stress(emb, depth_weights(bfs_depths(emb), r=5.0), poly).positions,
         "best_r": best.positions,
     }
     if emb.m == 3 * emb.n - 6:
@@ -65,13 +68,13 @@ def test_decay_drawings_ignore_the_weight_scale(build):
     homogeneous in the weights."""
     emb = build()
     poly = regular_polygon(emb.outer_face)
-    spreads = {"bfs": (bfs_spread, 5.0)}
+    decays = {"bfs": (bfs_depths(emb), 5.0)}
     if emb.m == 3 * emb.n - 6:
-        spreads["schnyder"] = (schnyder_spread, 2.0)
-    for name, (spread, r) in spreads.items():
-        base = spread(emb, poly, 1.0, r)
+        decays["schnyder"] = (schnyder_depths(emb), 2.0)
+    for name, (depths, r) in decays.items():
+        base = solve_stress(emb, depth_weights(depths, 1.0, r), poly)
         for s in range(-60, 15):
-            got = spread(emb, poly, 2.0**s, r)
+            got = solve_stress(emb, depth_weights(depths, 2.0**s, r), poly)
             assert got.positions.tobytes() == base.positions.tobytes(), (name, s)
             assert got.residual == math.ldexp(base.residual, s), (name, s)
 

@@ -43,7 +43,6 @@ from stressdraw import (
     spread_pipeline,
     tutte,
     uniform_pipeline,
-    unit_weights,
     worst_case_graph,
     xy_morph,
 )
@@ -125,7 +124,7 @@ def test_single_interior_weighted_average():
 
 def test_octahedron_matches_dense_oracle(octahedron):
     poly = regular_polygon(octahedron.outer_face)
-    w = unit_weights(octahedron)
+    w = np.ones(octahedron.m)
     d = tutte(octahedron, poly)
     oracle = dense_stress_positions(octahedron, w, poly)
     assert max_position_gap(d.positions, oracle) < 1e-9
@@ -144,7 +143,7 @@ def test_weighted_octahedron_matches_dense_oracle(octahedron):
 
 def test_residual_field_is_recomputable(octahedron):
     poly = regular_polygon(octahedron.outer_face)
-    w = unit_weights(octahedron)
+    w = np.ones(octahedron.m)
     d = tutte(octahedron, poly)
     r = equilibrium_residual(octahedron, w, d.positions, set(poly.order))
     assert d.residual == r
@@ -187,13 +186,13 @@ def test_residual_rejects_a_weight_count_that_is_not_m(octahedron, shape):
 def test_residual_rejects_positions_that_are_not_n_rows_of_two(octahedron, shape):
     poly = regular_polygon(octahedron.outer_face)
     with pytest.raises(PreconditionError, match=r"positions need shape \(6, 2\)"):
-        equilibrium_residual(octahedron, unit_weights(octahedron), np.zeros(shape), poly.order)
+        equilibrium_residual(octahedron, np.ones(octahedron.m), np.zeros(shape), poly.order)
 
 
 def test_scale_equivariance(octahedron):
     """Scaling every weight by the same constant leaves positions fixed."""
     poly = regular_polygon(octahedron.outer_face)
-    w = unit_weights(octahedron)
+    w = np.ones(octahedron.m)
     base = solve_stress(octahedron, w, poly)
     scaled = solve_stress(octahedron, 3.7 * w, poly)
     assert max_position_gap(base.positions, scaled.positions) < 1e-12
@@ -201,7 +200,7 @@ def test_scale_equivariance(octahedron):
 
 def test_weight_validation(k4):
     poly = regular_polygon(k4.outer_face)
-    w = unit_weights(k4)
+    w = np.ones(k4.m)
     i = k4.edges().index(edge_key(0, 3))
     for bad in (0.0, -1.0, float("nan")):
         broken = w.copy()
@@ -216,7 +215,7 @@ def test_weight_validation(k4):
 def test_polygon_must_pin_exactly_the_outer_face(k4):
     poly = OuterPolygon((0, 1), np.array([(0.0, 1.0), (1.0, 0.0)]))
     with pytest.raises(PreconditionError):
-        solve_stress(k4, unit_weights(k4), poly)
+        solve_stress(k4, np.ones(k4.m), poly)
 
 
 def test_polygon_must_list_each_outer_vertex_once_with_one_row_each():
@@ -230,7 +229,35 @@ def test_polygon_must_list_each_outer_vertex_once_with_one_row_each():
     ]
     for poly in bad:
         with pytest.raises(PreconditionError, match="^polygon"):
-            solve_stress(emb, unit_weights(emb), poly)
+            solve_stress(emb, np.ones(emb.m), poly)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_non_finite_polygon_corner_raises_before_any_solve(k, monkeypatch):
+    """The first NaN or infinite corner, in polygon order, is named before
+    anything is solved, by every method that takes a polygon: on
+    worst_case_graph(2) the residual gate would compare nan with nan, and
+    the triangle worst_case_graph(1), with no interior vertex, would be
+    drawn with a NaN vertex and residual 0.0."""
+    emb = worst_case_graph(k)
+    solved = record_solves(monkeypatch)
+    draws = [
+        lambda poly: tutte(emb, poly),
+        lambda poly: next(solve_stresses(emb, [np.ones(emb.m)], poly)),
+        lambda poly: spread_pipeline(emb, poly, 0.0),
+        lambda poly: xy_morph(emb, poly),
+        lambda poly: kaleidoscope(emb, poly, 45.0),
+        lambda poly: best_r(emb, poly, "bfs"),
+    ]
+    for bad in (math.nan, math.inf, -math.inf):
+        rows = regular_polygon(emb.outer_face).positions.copy()
+        rows[1, 0], rows[2, 1] = bad, math.nan
+        poly = OuterPolygon(emb.outer_face, rows)
+        want = rf"^polygon corner 1 \(vertex {emb.outer_face[1]}\) needs finite positions, got \[{bad}, "
+        for draw in draws:
+            with pytest.raises(PreconditionError, match=want):
+                draw(poly)
+    assert solved == []
 
 
 def test_no_interior_vertices():
@@ -244,7 +271,7 @@ def test_no_interior_vertices():
 def test_tutte_is_unit_weight_solve(octahedron):
     poly = regular_polygon(octahedron.outer_face)
     a = tutte(octahedron, poly)
-    b = solve_stress(octahedron, unit_weights(octahedron), poly)
+    b = solve_stress(octahedron, np.ones(octahedron.m), poly)
     assert np.array_equal(a.positions, b.positions)
 
 
@@ -373,7 +400,7 @@ def test_pattern_follows_the_outer_face():
     assert (twin.n, twin.m) == (emb.n, emb.m)
     for e in (emb, twin, emb):
         poly = regular_polygon(e.outer_face)
-        got, want = tutte(e, poly), scratch_solve_stress(e, unit_weights(e), poly)
+        got, want = tutte(e, poly), scratch_solve_stress(e, np.ones(e.m), poly)
         assert np.array_equal(got.positions, want.positions)
         assert set(e._laplacian_pattern.interior.tolist()) == set(range(e.n)) - set(e.outer_face)
     assert emb._laplacian_pattern is not twin._laplacian_pattern
@@ -399,7 +426,7 @@ def test_interior_cut_off_from_the_outer_face_is_a_singular_system():
     singular for any weights, found when its elimination order is."""
     emb = PlanarEmbedding(5, ((1, 2), (2, 0), (0, 1), (4,), (3,)), (0, 1, 2))
     with pytest.raises(SingularSystem):
-        solve_stress(emb, unit_weights(emb), regular_polygon(emb.outer_face))
+        solve_stress(emb, np.ones(emb.m), regular_polygon(emb.outer_face))
 
 
 def test_weights_spanning_600_decades_exceed_the_residual():
@@ -422,7 +449,7 @@ def test_ordered_solve_matches_colamd_pivoted_solve(n, m, seed):
     emb = generate_planar(n, m, seed=seed)
     poly = regular_polygon(emb.outer_face)
     for w in (
-        unit_weights(emb),
+        np.ones(emb.m),
         spread_pipeline(emb, poly, 0.0).weights,
         spread_pipeline(emb, poly, math.radians(37.0)).weights,
         depth_weights(bfs_depths(emb), 1.0, 5.0),
@@ -544,7 +571,7 @@ def test_a_block_needing_refinement_leaves_the_others_alone(monkeypatch):
 
 def _broken(emb, poly, kind):
     if kind == "non-positive":
-        w = unit_weights(emb)
+        w = np.ones(emb.m)
         w[emb._laplacian_pattern.half[0]] = -1.0
         return w
     return _stiff_weights(emb, 10, seed=1)

@@ -42,7 +42,6 @@ from stressdraw import (
     target_x,
     tutte,
     uniform_pipeline,
-    unit_weights,
     worst_case_graph,
     xy_morph,
 )
@@ -565,7 +564,7 @@ def test_unbalanced_counts_raise_before_any_solve(monkeypatch, delta):
     ):
         assert _raised(call) == (ResidualExceeded, broken[-1])
     assert len(solved) == 1
-    assert all(_same_bits(w, unit_weights(emb)) for w in solved)
+    assert all(_same_bits(w, np.ones(emb.m)) for w in solved)
 
 
 def _raised(call) -> tuple[type, str]:
@@ -587,7 +586,7 @@ def test_sweep_raises_before_it_solves_a_direction(monkeypatch):
     sweep = [0.0, math.radians(45.0), math.pi / 2, math.radians(135.0)]
     assert _raised(lambda: _direction_plans(emb, ref, sweep)) == alone
     assert _raised(lambda: kaleidoscope(emb, poly, 45.0)) == alone
-    assert all(_same_bits(w, unit_weights(emb)) for w in solved)
+    assert all(_same_bits(w, np.ones(emb.m)) for w in solved)
     # with path vertex 1 pulled left, target_x rejects 0 degrees, but
     # st_orient rejects 90 degrees: orientation errors come first
     pulled = ref.positions.copy()

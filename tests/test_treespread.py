@@ -24,7 +24,6 @@ from stressdraw import (
     NotTriangulation,
     PlanarEmbedding,
     bfs_depths,
-    bfs_spread,
     best_r,
     crossing_count,
     depth_weights,
@@ -36,6 +35,7 @@ from stressdraw import (
     schnyder_depths,
     schnyder_spread,
     schnyder_wood,
+    solve_stress,
     ZeroLengthEdge,
     tutte,
     worst_case_graph,
@@ -98,7 +98,7 @@ def test_depth_weights_overflow_to_a_zero_weight():
     for a, r, want in ((1.0, 1e308, [1e-308, 0.0]), (1e-300, 1e100, [0.0, 0.0])):
         assert depth_weights(np.array([1, 2]), a=a, r=r).tolist() == want
         with pytest.raises(NonPositiveWeight, match=r"got 0\.0$"):
-            bfs_spread(emb, poly, a, r)
+            solve_stress(emb, depth_weights(bfs_depths(emb), a, r), poly)
 
 
 def test_depth_weights_decay():
@@ -122,7 +122,7 @@ def test_bfs_spread_reduces_to_tutte_on_uniform_depths(k4):
     """All depths equal means the decayed weights are a constant multiple
     of unit weights, and constant scaling does not move the solve."""
     poly = regular_polygon(k4.outer_face)
-    a = bfs_spread(k4, poly)
+    a = solve_stress(k4, depth_weights(bfs_depths(k4)), poly)
     b = tutte(k4, poly)
     assert max_position_gap(a.positions, b.positions) < 1e-12
 
@@ -130,7 +130,7 @@ def test_bfs_spread_reduces_to_tutte_on_uniform_depths(k4):
 def test_bfs_spread_planar_on_generated():
     emb = generate_planar(30, 3 * 30 - 6, seed=42)
     poly = regular_polygon(emb.outer_face)
-    d = bfs_spread(emb, poly, r=4.0)
+    d = solve_stress(emb, depth_weights(bfs_depths(emb), r=4.0), poly)
     assert crossing_count(d, emb) == 0
     assert faces_convex(d, emb)
 
@@ -275,7 +275,7 @@ def test_best_r_matches_explicit_scan():
     r, d, ratio = best_r(emb, poly, method="bfs", r_hi=9)
     scan = []
     for cand in range(2, 10):
-        dd = bfs_spread(emb, poly, r=float(cand))
+        dd = solve_stress(emb, depth_weights(bfs_depths(emb), r=float(cand)), poly)
         scan.append((edge_length_ratio(dd, emb), cand))
     best_ratio, best_cand = min(scan)
     assert ratio == best_ratio
@@ -292,11 +292,12 @@ def test_best_r_skips_bases_with_a_zero_length_edge(k, method):
     picks among the other bases, as an explicit scan that skips it does."""
     emb = worst_case_graph(k)
     poly = regular_polygon(emb.outer_face)
-    spread = bfs_spread if method == "bfs" else schnyder_spread
+    depths = bfs_depths(emb) if method == "bfs" else schnyder_depths(emb)
     scan = []
     for cand in range(2, 17):
         try:
-            scan.append((edge_length_ratio(spread(emb, poly, r=float(cand)), emb), cand))
+            drawing = solve_stress(emb, depth_weights(depths, r=float(cand)), poly)
+            scan.append((edge_length_ratio(drawing, emb), cand))
         except ZeroLengthEdge:
             pass
     assert 0 < len(scan) < 15
@@ -345,7 +346,7 @@ def test_tree_drawings_do_not_depend_on_vertex_ids():
     rng = random.Random(8)
     methods = {
         "tutte": tutte,
-        "bfs": lambda e, p: bfs_spread(e, p, r=5.0),
+        "bfs": lambda e, p: solve_stress(e, depth_weights(bfs_depths(e), r=5.0), p),
         "best_r": lambda e, p: best_r(e, p)[1],
         "schnyder": lambda e, p: schnyder_spread(e, p, r=2.0),
     }

@@ -60,9 +60,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     else:
         if args.n is None or args.m is None:
             raise BadParams("generate needs --n and --m, or --worst-case K")
-        emb = generate_planar(
-            args.n, args.m, args.seed, attempts=args.attempts, strict=args.strict
-        )
+        emb = generate_planar(args.n, args.m, args.seed, strict=args.strict)
     save_graph(emb, args.out)
     print(
         f"wrote {args.out}: n={emb.n} m={emb.m} "
@@ -210,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--worst-case", type=int, metavar="K",
         help="emit the k-path double-apex graph instead of a random one",
     )
-    g.add_argument("--attempts", type=int, default=8)
     g.add_argument(
         "--strict", action="store_true",
         help="fail when the target edge count cannot be hit exactly",

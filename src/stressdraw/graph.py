@@ -36,6 +36,9 @@ from .errors import (
 
 log = logging.getLogger(__name__)
 
+# Fresh tries generate_planar makes, on derived sub-seeds, when thinning stalls.
+_ATTEMPTS = 8
+
 Edge = tuple[int, int]
 
 
@@ -577,7 +580,6 @@ def generate_planar(
     n: int,
     m: int,
     seed: int,
-    attempts: int = 8,
     strict: bool = False,
 ) -> PlanarEmbedding:
     """Random simple 3-connected planar embedding with n vertices, m edges.
@@ -586,10 +588,10 @@ def generate_planar(
     uniformly random face, then deletes uniformly random edges until m
     remain, skipping any deletion that would drop a degree below 3 or lose
     3-connectivity, which only the merged face can show (_merged_face).
-    Deterministic for a fixed seed. When deletion stalls, up to `attempts` (>= 1) fresh
-    tries run on derived sub-seeds; if none reaches m exactly, the closest
-    achieved edge count above m is returned with a logged warning, or
-    GenerationStalled is raised when strict.
+    Deterministic for a fixed seed. When deletion stalls, up to _ATTEMPTS
+    fresh tries run on derived sub-seeds; if none reaches m exactly, the
+    closest achieved edge count above m is returned with a logged warning,
+    or GenerationStalled is raised when strict.
 
     Feasible range: n >= 4 and ceil(3n/2) <= m <= 3n - 6. Requests at the
     bottom of the range usually stall and return more edges: at
@@ -600,10 +602,8 @@ def generate_planar(
     lo, hi = (3 * n + 1) // 2, 3 * n - 6
     if not lo <= m <= hi:
         raise InfeasibleParams(f"need {lo} <= m <= {hi} for n={n}, got m={m}")
-    if attempts < 1:
-        raise InfeasibleParams(f"need attempts >= 1, got {attempts}")
     best: tuple[list[list[int]], int] | None = None
-    for attempt in range(attempts):
+    for attempt in range(_ATTEMPTS):
         rng = random.Random(seed * 1000003 + attempt)
         rot, achieved = _generate_once(n, m, rng)
         if best is None or achieved < best[1]:
@@ -615,7 +615,7 @@ def generate_planar(
     if achieved != m:
         if strict:
             raise GenerationStalled(
-                f"could not thin to m={m} after {attempts} attempts; best was {achieved}"
+                f"could not thin to m={m} after {_ATTEMPTS} attempts; best was {achieved}"
             )
         log.warning(
             "generation stalled: requested m=%d, returning closest achievable m=%d",

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BadParams, EdgeSetMismatch
 from .graph import PlanarEmbedding
 from .metrics import _length_range, _ratios
-from .solver import Drawing, OuterPolygon, _reference, _solve_chunks, solve_stress
+from .solver import Drawing, OuterPolygon, _reference, solve_stress, solve_stresses
 from .spread import _check_direction, _direction_plans
 
 
@@ -94,7 +94,7 @@ def kaleidoscope(
     weights = dict(zip(directions, _direction_plans(emb, ref, directions)[2]))
     blends = (morph_weights(weights[a], weights[b]) for a, b in pairs)
     rows: list[KaleidoscopeRow] = []
-    for positions, drawings in _solve_chunks(emb, blends, poly):
+    for positions, drawings in solve_stresses(emb, blends, poly):
         ratios = _ratios(*_length_range(positions, emb))
         rows += map(KaleidoscopeRow, angles[len(rows):], ratios, drawings)
     return rows

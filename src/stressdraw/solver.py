@@ -26,6 +26,7 @@ from .errors import (
     SingularSystem,
 )
 from .graph import SPD_LU, PlanarEmbedding
+from .metrics import _binade_scaled, _convex_ring_turn, _orientation
 
 # Hard cap on the equilibrium residual, relative to the polygon radius.
 RESIDUAL_RTOL = 1e-8
@@ -43,8 +44,10 @@ class OuterPolygon:
     """Strictly convex positions for the outer face, in cyclic order.
 
     positions is a (k, 2) float array whose row i is the position of
-    order[i]; order lists each outer-face vertex once, which solve_stresses
-    checks. centroid and radius are computed on first use, once.
+    order[i]; order lists each outer-face vertex once, and the rows, read
+    in the outer face's cyclic order, form a strictly convex ring that
+    winds once, which solve_stresses checks. centroid and radius are
+    computed on first use, once.
     """
 
     order: tuple[int, ...]
@@ -122,7 +125,9 @@ def equilibrium_residual(
     solve_stresses computes it, so a drawing's residual field recomputes
     bit for bit. Weights that are not m numbers raise NonPositiveWeight,
     positions that are not n rows of two PreconditionError."""
-    _check_weight_count(emb, weights)
+    m = len(emb.edge_array)
+    if np.shape(weights) != (m,):
+        raise NonPositiveWeight(f"need {m} edge weights, got shape {np.shape(weights)}")
     if np.shape(positions) != (emb.n, 2):
         raise PreconditionError(f"positions need shape {(emb.n, 2)}, got {np.shape(positions)}")
     lo, hi = emb.edge_array.T
@@ -135,8 +140,12 @@ def equilibrium_residual(
 
 def _pinned(emb: PlanarEmbedding, poly: OuterPolygon) -> list[int]:
     pinned = list(poly.order)
-    if len(set(pinned)) != len(pinned) or set(pinned) != set(emb.outer_face):
-        raise PreconditionError("polygon order does not list each outer-face vertex once")
+    corner = np.arange(len(pinned))  # the polygon row of each outer-face vertex, in face order
+    if tuple(pinned) != emb.outer_face:
+        at = dict(zip(pinned, range(len(pinned))))
+        if len(at) != len(pinned) or at.keys() != set(emb.outer_face):
+            raise PreconditionError("polygon order does not list each outer-face vertex once")
+        corner = [at[v] for v in emb.outer_face]
     if np.shape(poly.positions) != (len(pinned), 2):
         raise PreconditionError(
             f"polygon positions need shape {(len(pinned), 2)}, got {np.shape(poly.positions)}"
@@ -148,13 +157,16 @@ def _pinned(emb: PlanarEmbedding, poly: OuterPolygon) -> list[int]:
             f"polygon corner {i} (vertex {pinned[i]}) needs finite positions, "
             f"got {poly.positions[i].tolist()}"
         )
+    ring = _binade_scaled(poly.positions[corner])
+    if not _convex_ring_turn(ring):
+        # the first corner that does not turn, or turns against most of them
+        turns = _orientation(np.roll(ring, 1, axis=0), ring, np.roll(ring, -1, axis=0))
+        i = corner[int(np.argmax((turns == 0) | (turns != np.sign(turns.sum()))))]
+        raise PreconditionError(
+            f"polygon corner {i} (vertex {pinned[i]}): the corners, in the outer face's order, "
+            "must form a strictly convex ring that winds once"
+        )
     return pinned
-
-
-def _check_weight_count(emb: PlanarEmbedding, weights: np.ndarray) -> None:
-    m = len(emb.edge_array)
-    if np.shape(weights) != (m,):
-        raise NonPositiveWeight(f"need {m} edge weights, got shape {np.shape(weights)}")
 
 
 def _chunk_weights(emb: PlanarEmbedding, weightings: list[np.ndarray]) -> np.ndarray:
@@ -181,10 +193,12 @@ def solve_stresses(
     emb: PlanarEmbedding,
     weightings: Iterable[np.ndarray],
     poly: OuterPolygon,
-) -> Iterator[Drawing]:
+) -> Iterator[tuple[np.ndarray, list[Drawing]]]:
     """Solve the weighted equilibrium system with the outer face pinned,
-    once per (m,) weighting aligned with emb.edges(), yielding the
-    drawings in order.
+    once per (m,) weighting aligned with emb.edges(), and yield a chunk at
+    a time: the (b, n, 2) positions of its b weightings, in order, and
+    their b drawings, views of them, so that a caller can measure a whole
+    chunk at once.
 
     The weightings are read lazily, max(1, BATCH_ROWS // k) at a time for
     k interior vertices. With BATCH_ROWS = 8192 the 19 rows of a 5-degree
@@ -203,44 +217,26 @@ def solve_stresses(
     right-hand side (the pull with the interior at 0), each refinement gap
     and the residual. A system whose gap is within 1 % of the residual
     bound RESIDUAL_RTOL * poly.radius gets an exactly zero correction, so
-    each drawing is bit for bit the one its weighting gives alone. A
-    drawing over the bound raises ResidualExceeded.
+    each drawing is bit for bit the one its weighting gives alone.
 
-    An error ends the batch after the drawings of the earlier chunks. A
-    chunk's weightings are all checked before it is factored: weights that
-    are not m positive finite numbers raise NonPositiveWeight, a pivot that
-    is exactly zero raises SingularSystem. Only ResidualExceeded comes
-    after the drawings of its own chunk before it. A polygon whose order
-    does not list each outer-face vertex exactly once, or whose positions
-    are not one row of two finite numbers per entry, raises
+    A chunk raises as a whole, after the chunks before it: weights that
+    are not m positive finite numbers raise NonPositiveWeight, a pivot
+    that is exactly zero SingularSystem, and a drawing over the residual
+    bound ResidualExceeded. A polygon that does not pin each outer-face
+    vertex once at finite positions forming, in the outer face's cyclic
+    order, a strictly convex ring that winds once raises
     PreconditionError before anything is solved.
-    """
-    for _positions, drawings in _solve_chunks(emb, weightings, poly):
-        yield from drawings
-
-
-def _solve_chunks(
-    emb: PlanarEmbedding,
-    weightings: Iterable[np.ndarray],
-    poly: OuterPolygon,
-) -> Iterator[tuple[np.ndarray, list[Drawing]]]:
-    """solve_stresses a chunk at a time: the (b, n, 2) positions of each
-    chunk and its b drawings, views of them, so that a caller can measure
-    a whole chunk at once. A drawing over the residual bound cuts its chunk
-    short before it, and the next step raises ResidualExceeded.
     """
     pinned = _pinned(emb, poly)
     k = len(emb._laplacian_pattern.interior)
     tol = RESIDUAL_RTOL * poly.radius
     todo = iter(weightings)
     while chunk := list(islice(todo, max(1, BATCH_ROWS // max(k, 1)))):
-        w = _chunk_weights(emb, chunk)
-        positions, residual = _solve_chunk(emb, w, poly, pinned, tol)
-        over = np.flatnonzero(~(residual <= tol)) if k else ()  # a NaN residual fails too
-        end = int(over[0]) if len(over) else len(w)
-        yield positions[:end], [Drawing(p, poly, r) for p, r in zip(positions, residual[:end].tolist())]
+        positions, residual = _solve_chunk(emb, _chunk_weights(emb, chunk), poly, pinned, tol)
+        over = np.flatnonzero(~(residual <= tol))  # a NaN residual fails too
         if len(over):
-            raise ResidualExceeded(f"equilibrium residual {residual[end]:.3e} exceeds {tol:.3e}")
+            raise ResidualExceeded(f"equilibrium residual {residual[over[0]]:.3e} exceeds {tol:.3e}")
+        yield positions, [Drawing(p, poly, r) for p, r in zip(positions, residual.tolist())]
 
 
 def _solve_chunk(
@@ -292,7 +288,7 @@ def solve_stress(
     poly: OuterPolygon,
 ) -> Drawing:
     """The drawing of one weighting: solve_stresses(emb, [weights], poly)."""
-    return next(solve_stresses(emb, [weights], poly))
+    return next(solve_stresses(emb, [weights], poly))[1][0]
 
 
 def tutte(emb: PlanarEmbedding, poly: OuterPolygon) -> Drawing:

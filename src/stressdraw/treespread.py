@@ -23,7 +23,7 @@ from scipy.sparse.csgraph import dijkstra
 from .errors import BadParams, InvalidEmbedding, NotTriangulation, ZeroLengthEdge
 from .graph import PlanarEmbedding
 from .metrics import _length_range
-from .solver import Drawing, OuterPolygon, _solve_chunks, solve_stress
+from .solver import Drawing, OuterPolygon, solve_stress, solve_stresses
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,7 @@ def best_r(
     weightings = takewhile(np.all, (depth_weights(depths, r=float(r)) for r in range(2, r_hi + 1)))
     best: tuple[int, Drawing, float] | None = None
     r = 1
-    for positions, drawings in _solve_chunks(emb, weightings, poly):
+    for positions, drawings in solve_stresses(emb, weightings, poly):
         shortest, longest = _length_range(positions, emb)
         for d, lo, hi in zip(drawings, shortest.tolist(), longest.tolist()):
             r += 1

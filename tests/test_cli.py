@@ -92,11 +92,13 @@ def test_generate_strict_stall_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_generate_zero_attempts_exits_2(tmp_path, capsys):
+def test_generate_has_no_attempts_option(tmp_path, capsys):
+    """The number of tries is fixed at 8: --attempts is not an option."""
     out = tmp_path / "x.json"
-    rc = run(["generate", "--n", "10", "--m", "24", "--attempts", "0", "--out", str(out)])
-    assert rc == 2
-    assert "InfeasibleParams" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        run(["generate", "--n", "10", "--m", "24", "--attempts", "8", "--out", str(out)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --attempts 8" in capsys.readouterr().err
     assert not out.exists()
 
 

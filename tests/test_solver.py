@@ -16,6 +16,7 @@ from conftest import (
     scratch_factor,
     scratch_solve_stress,
     scratch_system,
+    wheel,
 )
 
 from stressdraw import (
@@ -111,15 +112,21 @@ def test_k4_interior_lands_at_centroid(k4):
     assert abs(d.positions[3][1] - cy) < 1e-12
 
 
-def test_single_interior_weighted_average():
-    """One free vertex between two pins solves in closed form:
-    x = (w01*0 + w12*1) / (w01 + w12) = 3/4 for weights 1 and 3."""
-    emb = PlanarEmbedding(3, ((1,), (0, 2), (1,)), (0, 2))
-    poly = OuterPolygon((0, 2), np.array([(0.0, 0.0), (1.0, 0.0)]))
-    assert emb.edges() == [(0, 1), (1, 2)]
-    d = solve_stress(emb, np.array([1.0, 3.0]), poly)
-    assert abs(d.positions[1][0] - 0.75) < 1e-12
-    assert abs(d.positions[1][1]) < 1e-12
+def test_single_interior_weighted_average(k4):
+    """One free vertex inside a pinned triangle solves in closed form:
+    p3 = (w03 p0 + w13 p1 + w23 p2) / (w03 + w13 + w23) = (4, 3) for
+    weights 1, 3 and 4 and corners (0, 0), (0, 8) and (8, 0). A free
+    vertex between two pins has no convex polygon to sit in, and raises."""
+    poly = OuterPolygon((0, 2, 1), np.array([(0.0, 0.0), (8.0, 0.0), (0.0, 8.0)]))
+    w = np.ones(k4.m)
+    for u, weight in ((0, 1.0), (1, 3.0), (2, 4.0)):
+        w[k4.edges().index(edge_key(u, 3))] = weight
+    d = solve_stress(k4, w, poly)
+    assert max_position_gap(d.positions[3:], np.array([(4.0, 3.0)])) < 1e-12
+    path = PlanarEmbedding(3, ((1,), (0, 2), (1,)), (0, 2))
+    segment = OuterPolygon((0, 2), np.array([(0.0, 0.0), (1.0, 0.0)]))
+    with pytest.raises(PreconditionError, match="strictly convex ring"):
+        solve_stress(path, np.array([1.0, 3.0]), segment)
 
 
 def test_octahedron_matches_dense_oracle(octahedron):
@@ -232,6 +239,19 @@ def test_polygon_must_list_each_outer_vertex_once_with_one_row_each():
             solve_stress(emb, np.ones(emb.m), poly)
 
 
+def _every_draw(emb):
+    """Every function that solves on a polygon, as a call on the polygon."""
+    return [
+        lambda poly: tutte(emb, poly),
+        lambda poly: solve_stress(emb, np.ones(emb.m), poly),
+        lambda poly: next(solve_stresses(emb, [np.ones(emb.m)], poly)),
+        lambda poly: spread_pipeline(emb, poly, 0.0),
+        lambda poly: xy_morph(emb, poly),
+        lambda poly: kaleidoscope(emb, poly, 45.0),
+        lambda poly: best_r(emb, poly, "bfs"),
+    ]
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_a_non_finite_polygon_corner_raises_before_any_solve(k, monkeypatch):
     """The first NaN or infinite corner, in polygon order, is named before
@@ -241,23 +261,88 @@ def test_a_non_finite_polygon_corner_raises_before_any_solve(k, monkeypatch):
     drawn with a NaN vertex and residual 0.0."""
     emb = worst_case_graph(k)
     solved = record_solves(monkeypatch)
-    draws = [
-        lambda poly: tutte(emb, poly),
-        lambda poly: next(solve_stresses(emb, [np.ones(emb.m)], poly)),
-        lambda poly: spread_pipeline(emb, poly, 0.0),
-        lambda poly: xy_morph(emb, poly),
-        lambda poly: kaleidoscope(emb, poly, 45.0),
-        lambda poly: best_r(emb, poly, "bfs"),
-    ]
     for bad in (math.nan, math.inf, -math.inf):
         rows = regular_polygon(emb.outer_face).positions.copy()
         rows[1, 0], rows[2, 1] = bad, math.nan
         poly = OuterPolygon(emb.outer_face, rows)
         want = rf"^polygon corner 1 \(vertex {emb.outer_face[1]}\) needs finite positions, got \[{bad}, "
-        for draw in draws:
+        for draw in _every_draw(emb):
             with pytest.raises(PreconditionError, match=want):
                 draw(poly)
     assert solved == []
+
+
+def _pentagon_rows(emb, case):
+    """Rows for the five outer-face corners of generate_planar(30, 70, 1)."""
+    rows = regular_polygon(emb.outer_face).positions
+    if case == "swapped":  # corners 1 and 2 change places: the ring crosses itself
+        return rows[[0, 2, 1, 3, 4]]
+    if case == "reflex":  # corner 2 pulled in to a tenth of the radius
+        return np.vstack((rows[:2], 0.1 * rows[2:3], rows[3:]))
+    # a pentagram turns the same way at every corner but winds twice
+    return np.array([(math.cos(4 * math.pi * i / 5), math.sin(4 * math.pi * i / 5)) for i in range(5)])
+
+
+@pytest.mark.parametrize("graph, case, corner", [
+    ((30, 70), "swapped", 1),
+    ((30, 70), "reflex", 2),
+    ((30, 70), "pentagram", 0),
+    ((30, 84), "collinear", 0),
+    ((3,), "collinear", 0),
+], ids=["swapped", "reflex", "pentagram", "collinear", "collinear-triangle"])
+def test_a_polygon_that_is_not_strictly_convex_raises_before_any_solve(
+    graph, case, corner, monkeypatch,
+):
+    """A polygon whose corners, in the outer face's cyclic order, are not a
+    strictly convex ring that winds once raises PreconditionError naming
+    the first bad corner, before anything is solved, from every method
+    that takes a polygon. Unchecked, the swapped pentagon was drawn with
+    residual 4.4e-16 and 26 crossings, and the reflex one and the
+    collinear triangle of generate_planar(30, 84, 1) were reported planar
+    and convex; the triangle worst_case_graph(1), which has no interior
+    vertex, gets the same check."""
+    emb = generate_planar(*graph, 1) if len(graph) == 2 else worst_case_graph(1)
+    k = len(emb.outer_face)
+    if case == "collinear":
+        rows = np.column_stack((np.arange(k, dtype=float), np.arange(k, dtype=float) / 3))
+    else:
+        rows = _pentagon_rows(emb, case)
+    poly = OuterPolygon(emb.outer_face, rows)
+    solved = record_solves(monkeypatch)
+    want = rf"^polygon corner {corner} \(vertex {emb.outer_face[corner]}\): .* strictly convex ring"
+    for draw in _every_draw(emb):
+        with pytest.raises(PreconditionError, match=want):
+            draw(poly)
+    assert solved == []
+
+
+def test_the_polygon_is_read_in_the_outer_faces_cyclic_order():
+    """Only the cyclic order of the outer face decides: a polygon listed
+    from another corner or the other way round is drawn as its regular
+    polygon is, and the regular polygon listed in another order, which is
+    convex in its own order but not in the face's, raises."""
+    emb = generate_planar(30, 70, 1)
+    poly = regular_polygon(emb.outer_face)
+    want = tutte(emb, poly).positions
+    for turn in (poly, OuterPolygon(poly.order[2:] + poly.order[:2], np.roll(poly.positions, -2, axis=0)),
+                 OuterPolygon(poly.order[::-1], poly.positions[::-1])):
+        assert np.array_equal(tutte(emb, turn).positions, want)
+    shuffled = OuterPolygon(poly.order[:1] + poly.order[2:3] + poly.order[1:2] + poly.order[3:],
+                            poly.positions)
+    with pytest.raises(PreconditionError, match="strictly convex ring"):
+        tutte(emb, shuffled)
+
+
+@pytest.mark.parametrize("k", [3, 1000, 100_000])
+def test_regular_polygons_pass_the_polygon_check(k):
+    """regular_polygon is strictly convex and winds once by exact signs, up
+    to the 10^5-gon; the wheels up to k = 1000 are drawn with the hub at
+    the centre."""
+    emb = wheel(k)
+    poly = regular_polygon(emb.outer_face)
+    assert solver._pinned(emb, poly) == list(range(k))
+    if k <= 1000:
+        assert np.abs(tutte(emb, poly).positions[k]).max() < 1e-9
 
 
 def test_no_interior_vertices():
@@ -504,12 +589,17 @@ def _weightings(emb, poly):
             + [_stiff_weights(emb, 6)])
 
 
-def _drain(drawings):
-    """The drawings an iterator yields before it raises, and the error."""
+def _drain(chunks):
+    """The drawings of the chunks solve_stresses yields before it raises,
+    in order, and the error. Each chunk's drawings are its positions, row
+    for row, without a copy."""
     out = []
     try:
-        for d in drawings:
-            out.append(d)
+        for positions, drawings in chunks:
+            assert len(drawings) == len(positions)
+            for p, d in zip(positions, drawings):
+                assert np.shares_memory(d.positions, positions) and np.array_equal(d.positions, p)
+            out += drawings
     except StressDrawError as exc:
         return out, exc
     return out, None
@@ -531,8 +621,8 @@ def test_batched_solves_match_solving_alone(monkeypatch, per):
         alone = [solve_stress(emb, w, poly) for w in ws]
         if per is not None:
             monkeypatch.setattr(solver, "BATCH_ROWS", per * len(emb._laplacian_pattern.interior))
-        got = list(solve_stresses(emb, ws, poly))
-        assert len(got) == len(ws)
+        got, error = _drain(solve_stresses(emb, ws, poly))
+        assert error is None and len(got) == len(ws)
         for g, a in zip(got, alone):
             _assert_same(g, a)
 
@@ -563,8 +653,8 @@ def test_a_block_needing_refinement_leaves_the_others_alone(monkeypatch):
         passes.append(len(solves))
     assert passes[0] == 1 < passes[1]
     solves.clear()
-    got = list(solve_stresses(emb, [easy, stiff, easy], poly))
-    assert len(solves) == passes[1]
+    got, error = _drain(solve_stresses(emb, [easy, stiff, easy], poly))
+    assert error is None and len(solves) == passes[1]
     for g, a in zip(got, [alone[0], alone[1], alone[0]]):
         _assert_same(g, a)
 
@@ -581,11 +671,11 @@ def _broken(emb, poly, kind):
 @pytest.mark.parametrize("j", [0, 1, 3, 5])
 def test_batch_raises_where_solving_one_by_one_would(monkeypatch, kind, j):
     """The j-th weighting fails, and the batch raises the error solving it
-    alone raises, in class and message. A bad weight is rejected before
-    its chunk is factored, so the batch yields only the drawings of the
-    chunks before; a residual over the bound is found after the solve, so
-    it yields the first j drawings. Either way each drawing is as alone.
-    Chunks of two weightings put j at either end of a chunk."""
+    alone raises, in class and message, for its whole chunk: a bad weight
+    before the chunk is factored, a residual over the bound after it is
+    solved. Either way the batch yields only the drawings of the chunks
+    before, each as alone. Chunks of two weightings put j at either end of
+    a chunk."""
     emb = generate_planar(40, 100, seed=81)
     poly = regular_polygon(emb.outer_face)
     good = _weightings(emb, poly)
@@ -594,7 +684,7 @@ def test_batch_raises_where_solving_one_by_one_would(monkeypatch, kind, j):
         solve_stress(emb, bad, poly)
     monkeypatch.setattr(solver, "BATCH_ROWS", 2 * len(emb._laplacian_pattern.interior))
     got, error = _drain(solve_stresses(emb, good[:j] + [bad] + good[j:], poly))
-    assert len(got) == (j - j % 2 if kind == "non-positive" else j)
+    assert len(got) == j - j % 2
     for g, w in zip(got, good):
         _assert_same(g, solve_stress(emb, w, poly))
     assert type(error) is type(alone.value)
@@ -614,7 +704,8 @@ def test_no_factorization_exceeds_the_batch_rows(monkeypatch):
         per = max(1, solver.BATCH_ROWS // k)
         rows.clear()
         ws = [depth_weights(bfs_depths(emb), 1.0, r) for r in range(2, 14)]
-        assert len(list(solve_stresses(emb, ws, poly))) == 12
+        got, error = _drain(solve_stresses(emb, ws, poly))
+        assert error is None and len(got) == 12
         assert k <= solver.BATCH_ROWS and max(rows) <= solver.BATCH_ROWS
         assert rows == [k * min(per, 12 - i) for i in range(0, 12, per)]
 
@@ -630,9 +721,9 @@ def test_weightings_are_read_one_chunk_at_a_time():
             read.append(r)
             yield depth_weights(bfs_depths(emb), 1.0, r)
 
-    drawings = solve_stresses(emb, weightings(), poly)
+    chunks = solve_stresses(emb, weightings(), poly)
     assert read == []
-    next(drawings)
+    assert len(next(chunks)[1]) == per
     assert len(read) == per
 
 

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import dict_polygon, dict_strictly_convex, pair_scan_placement
+from conftest import dict_polygon, dict_strictly_convex, pair_scan_placement, wheel
 
 from stressdraw import (
     OuterPolygon,
@@ -23,7 +23,7 @@ from stressdraw import (
     tutte,
     uniform_pipeline,
 )
-from stressdraw import uniform
+from stressdraw import solver, uniform
 from stressdraw.metrics import _convex_ring_turn
 
 TARGET_RTOL = 1e-6
@@ -44,10 +44,22 @@ def _at(poly, v: int) -> tuple[float, float]:
     return tuple(poly.positions[poly.order.index(v)].tolist())
 
 
+def _solver_accepts(poly) -> bool:
+    """Whether the solver's polygon check passes poly's corners, in order,
+    as the rim of a wheel."""
+    k = len(poly.order)
+    try:
+        solver._pinned(wheel(k), OuterPolygon(tuple(range(k)), poly.positions))
+    except PreconditionError:
+        return False
+    return True
+
+
 def _strictly_convex(poly) -> bool:
-    """The exact ring test agrees with the float loop it replaced."""
+    """The exact ring test agrees with the float loop it replaced, and
+    with the solver's polygon check."""
     verdict = _convex_ring_turn(poly.positions) != 0
-    assert verdict == dict_strictly_convex(dict_polygon(poly))
+    assert verdict == dict_strictly_convex(dict_polygon(poly)) == _solver_accepts(poly)
     return verdict
 
 
@@ -116,10 +128,13 @@ def test_placement_raises_when_the_ring_test_fails(monkeypatch):
 
 
 def _outcome(place, outer, x):
+    """The placed polygon's order and bytes, checked to pass the solver's
+    polygon check, or the error's class and message."""
     try:
         poly = place(outer, x)
     except StressDrawError as exc:
         return type(exc), str(exc)
+    assert _solver_accepts(poly)
     return poly.order, poly.positions.tobytes()
 
 
@@ -187,13 +202,15 @@ def test_placement_rejects_x_it_cannot_place(outer, x, error, message):
 ], ids=["quad", "triangle", "pentagon"])
 def test_placement_is_scale_free(outer, x):
     """x times 2**s places as x does, times 2**s to the last bit, for every
-    s in -600..600: the ring test runs on the polygon scaled to a unit box,
-    so its products neither overflow nor underflow."""
+    s in -600..600, and the solver's polygon check passes it: both ring
+    tests run on the polygon scaled to a unit box, so their products
+    neither overflow nor underflow."""
     x = np.array(x)
     base = convex_outer_placement(outer, x).positions
     for s in range(-600, 601):
         poly = convex_outer_placement(outer, np.ldexp(x, s))
         assert poly.positions.tobytes() == np.ldexp(base, s).tobytes(), s
+        assert _solver_accepts(poly), s
 
 
 def test_pipeline_octahedron_x_are_the_indices(octahedron):

@@ -21,9 +21,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
 
 from .errors import (
     EulerViolation,
@@ -31,7 +30,6 @@ from .errors import (
     InfeasibleParams,
     InvalidEmbedding,
     MalformedRotation,
-    SingularSystem,
 )
 
 log = logging.getLogger(__name__)
@@ -39,10 +37,7 @@ log = logging.getLogger(__name__)
 # Fresh tries generate_planar makes, on derived sub-seeds, when thinning stalls.
 _ATTEMPTS = 8
 
-Edge = tuple[int, int]
-
-
-def edge_key(u: int, v: int) -> Edge:
+def edge_key(u: int, v: int) -> tuple[int, int]:
     """Canonical undirected key for an edge."""
     return (u, v) if u < v else (v, u)
 
@@ -70,10 +65,6 @@ class PlanarEmbedding:
     def m(self) -> int:
         return sum(map(len, self.rotation)) // 2
 
-    def edges(self) -> list[Edge]:
-        """All undirected edges, canonical keys, sorted."""
-        return list(map(tuple, self.edge_array.tolist()))
-
     @cached_property
     def _half_edges(self) -> _HalfEdges:
         """The checked rotation as half-edges, built once per embedding."""
@@ -81,7 +72,8 @@ class PlanarEmbedding:
 
     @cached_property
     def edge_array(self) -> np.ndarray:
-        """(m, 2) int array of the edges() keys, in edges() order."""
+        """Every undirected edge once, as an (m, 2) int array of (lower id,
+        higher id) rows sorted by the lower id and then the higher."""
         tail, head = self._arcs
         return np.column_stack((tail, head))[tail < head]
 
@@ -148,12 +140,6 @@ class PlanarEmbedding:
         return [tuple(flat[a:b]) for a, b in zip(ends, ends[1:])]
 
     @cached_property
-    def _laplacian_pattern(self) -> _LaplacianPattern:
-        """Sparsity of the interior stress system, built once per embedding:
-        it depends only on the edges and the pinned outer face."""
-        return _build_laplacian_pattern(self)
-
-    @cached_property
     def _face_index(self) -> _FaceIndex:
         """Vertex triples of the planarity and convexity checks, built once
         per embedding: they depend only on the faces and the outer face."""
@@ -186,91 +172,6 @@ class _HalfEdges(NamedTuple):
     head: np.ndarray
     order: np.ndarray
     next: np.ndarray
-
-
-class _LaplacianPattern(NamedTuple):
-    """Where edge weights go in the weighted Laplacian restricted to the
-    vertices off the outer face, one system row each.
-
-    Rows are numbered in elimination order: interior[i] is the vertex of
-    row i, and the order is a minimum-degree ordering of the unit-weight
-    (Tutte) system, so the matrix factors with little fill in its natural
-    order. Half-edge i leaves interior vertex tail[i] for vertex head[i],
-    forward ones (edge_array column 0 to column 1) before backward ones; it
-    carries the weight of edge half[i] into row[i], the row of tail[i].
-    Those in inner (interior head) fill an off-diagonal entry; those in
-    boundary (pinned head) are the only ones that pull while the interior
-    sits at 0, as it does for the right-hand side. With entry
-    values listed as the off-diagonal ones of inner followed by the k row
-    sums, the CSC matrix has data values[perm], row indices `indices` and
-    column pointers `indptr`.
-    """
-
-    interior: np.ndarray
-    half: np.ndarray
-    row: np.ndarray
-    inner: np.ndarray
-    boundary: np.ndarray
-    tail: np.ndarray
-    head: np.ndarray
-    perm: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-
-
-# splu settings for the interior system, which is symmetric positive
-# definite: every pivot is taken on the diagonal, never chosen for size.
-# One-column panels and no relaxed supernodes roughly halve the time
-# SuperLU's default panel and supernode sizes take on these sparse planar
-# systems; they do not change the column order.
-SPD_LU = {"diag_pivot_thresh": 0.0, "panel_size": 1, "relax": 1, "options": {"SymmetricMode": True}}
-
-
-def _build_laplacian_pattern(emb: PlanarEmbedding) -> _LaplacianPattern:
-    edges = emb.edge_array
-    row_of = np.zeros(emb.n, dtype=np.intp)
-    row_of[list(emb.outer_face)] = -1
-    interior = np.flatnonzero(row_of == 0)
-    k = len(interior)
-    row_of[interior] = np.arange(k)
-    tail = np.concatenate((edges[:, 0], edges[:, 1]))
-    head = np.concatenate((edges[:, 1], edges[:, 0]))
-    live = np.flatnonzero(row_of[tail] >= 0)
-    row, col = row_of[tail[live]], row_of[head[live]]
-    inner = np.flatnonzero(col >= 0)
-    off_row, off_col = row[inner], col[inner]
-    if k:
-        # factor the Tutte system once for its symmetric minimum-degree
-        # order, and renumber the rows by it: perm_c[r] is the place of
-        # id-order row r in that order
-        unit = np.concatenate((-np.ones(len(inner)), np.bincount(row, minlength=k)))
-        perm, indices, indptr = _csc_layout(off_row, off_col, k)
-        try:
-            lu = splu(csc_matrix((unit[perm], indices, indptr), shape=(k, k)),
-                      permc_spec="MMD_AT_PLUS_A", **SPD_LU)
-        except RuntimeError as exc:
-            raise SingularSystem(f"interior system is singular for unit weights: {exc}") from exc
-        place = lu.perm_c
-        interior = interior[np.argsort(place)]
-        row, off_row, off_col = place[row], place[off_row], place[off_col]
-    return _LaplacianPattern(
-        interior, np.tile(np.arange(len(edges)), 2)[live], row, inner, np.flatnonzero(col < 0),
-        tail[live], head[live], *_csc_layout(off_row, off_col, k),
-    )
-
-
-def _csc_layout(rows: np.ndarray, cols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The canonical k x k CSC layout (rows sorted within each column) of
-    the off-diagonal entries at distinct (rows[i], cols[i]) followed by the
-    k diagonal ones: entry perm[j] is stored at data position j, with row
-    indices `indices` and column pointers `indptr`."""
-    rows = np.concatenate((rows, np.arange(k)))
-    cols = np.concatenate((cols, np.arange(k)))
-    perm = np.argsort(cols * k + rows)
-    # int32 indices, as scipy would store them, spare a copy per solve
-    indptr = np.zeros(k + 1, dtype=np.intc)
-    np.cumsum(np.bincount(cols, minlength=k), out=indptr[1:])
-    return perm, rows[perm].astype(np.intc), indptr
 
 
 class _FaceIndex(NamedTuple):
@@ -517,7 +418,8 @@ def _random_triangulation(n: int, rng: random.Random) -> tuple[list[list[int]], 
 
 
 def _merged_face(
-    rot: Sequence[Sequence[int]], faces: dict[int, list[int]], face_of: dict[Edge, int], u: int, v: int,
+    rot: Sequence[Sequence[int]], faces: dict[int, list[int]], face_of: dict[tuple[int, int], int],
+    u: int, v: int,
 ) -> list[int] | None:
     """The face left by deleting edge uv from a 3-connected plane graph
     (faces: cycles in traversal order; face_of: the face of each directed

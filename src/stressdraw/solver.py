@@ -14,6 +14,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csc_matrix
@@ -25,7 +26,7 @@ from .errors import (
     ResidualExceeded,
     SingularSystem,
 )
-from .graph import SPD_LU, PlanarEmbedding
+from .graph import PlanarEmbedding
 from .metrics import _binade_scaled, _convex_ring_turn, _orientation
 
 # Hard cap on the equilibrium residual, relative to the polygon radius.
@@ -75,19 +76,18 @@ class Drawing:
     residual: float
 
 
-def regular_polygon(outer_face: tuple[int, ...], radius: float = 1.0) -> OuterPolygon:
-    """Regular polygon pinning: vertex i sits at angle pi/2 + 2*pi*i/k."""
+def regular_polygon(outer_face: tuple[int, ...]) -> OuterPolygon:
+    """Regular polygon pinning on the unit circle: vertex i sits at angle
+    pi/2 + 2*pi*i/k."""
     k = len(outer_face)
     if k < 3:
         raise PreconditionError(f"outer face needs >= 3 vertices, got {k}")
     if len(set(outer_face)) != k:
         raise PreconditionError(f"outer face {list(outer_face)!r} repeats a vertex")
-    if not 0 < radius < math.inf:
-        raise PreconditionError(f"radius must be positive and finite, got {radius}")
     corners = []
     for i in range(k):
         theta = math.pi / 2 + 2 * math.pi * i / k
-        corners.append((radius * math.cos(theta), radius * math.sin(theta)))
+        corners.append((math.cos(theta), math.sin(theta)))
     return OuterPolygon(tuple(outer_face), np.array(corners))
 
 
@@ -169,6 +169,101 @@ def _pinned(emb: PlanarEmbedding, poly: OuterPolygon) -> list[int]:
     return pinned
 
 
+class _LaplacianPattern(NamedTuple):
+    """Where edge weights go in the weighted Laplacian restricted to the
+    vertices off the outer face, one system row each.
+
+    Rows are numbered in elimination order: interior[i] is the vertex of
+    row i, and the order is a minimum-degree ordering of the unit-weight
+    (Tutte) system, so the matrix factors with little fill in its natural
+    order. Half-edge i leaves interior vertex tail[i] for vertex head[i],
+    forward ones (edge_array column 0 to column 1) before backward ones; it
+    carries the weight of edge half[i] into row[i], the row of tail[i].
+    Those in inner (interior head) fill an off-diagonal entry; those in
+    boundary (pinned head) are the only ones that pull while the interior
+    sits at 0, as it does for the right-hand side. With entry
+    values listed as the off-diagonal ones of inner followed by the k row
+    sums, the CSC matrix has data values[perm], row indices `indices` and
+    column pointers `indptr`.
+    """
+
+    interior: np.ndarray
+    half: np.ndarray
+    row: np.ndarray
+    inner: np.ndarray
+    boundary: np.ndarray
+    tail: np.ndarray
+    head: np.ndarray
+    perm: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+# splu settings for the interior system, which is symmetric positive
+# definite: every pivot is taken on the diagonal, never chosen for size.
+# One-column panels and no relaxed supernodes roughly halve the time
+# SuperLU's default panel and supernode sizes take on these sparse planar
+# systems; they do not change the column order.
+SPD_LU = {"diag_pivot_thresh": 0.0, "panel_size": 1, "relax": 1, "options": {"SymmetricMode": True}}
+
+
+def _laplacian_pattern(emb: PlanarEmbedding) -> _LaplacianPattern:
+    """The pattern of emb's interior system, built on its first solve and
+    kept with the embedding: it depends only on the edges and the pinned
+    outer face, so _with_outer_face does not copy it."""
+    pattern = vars(emb).get("_laplacian_pattern")
+    if pattern is None:
+        pattern = vars(emb)["_laplacian_pattern"] = _build_laplacian_pattern(emb)
+    return pattern
+
+
+def _build_laplacian_pattern(emb: PlanarEmbedding) -> _LaplacianPattern:
+    edges = emb.edge_array
+    row_of = np.zeros(emb.n, dtype=np.intp)
+    row_of[list(emb.outer_face)] = -1
+    interior = np.flatnonzero(row_of == 0)
+    k = len(interior)
+    row_of[interior] = np.arange(k)
+    tail = np.concatenate((edges[:, 0], edges[:, 1]))
+    head = np.concatenate((edges[:, 1], edges[:, 0]))
+    live = np.flatnonzero(row_of[tail] >= 0)
+    row, col = row_of[tail[live]], row_of[head[live]]
+    inner = np.flatnonzero(col >= 0)
+    off_row, off_col = row[inner], col[inner]
+    if k:
+        # factor the Tutte system once for its symmetric minimum-degree
+        # order, and renumber the rows by it: perm_c[r] is the place of
+        # id-order row r in that order
+        unit = np.concatenate((-np.ones(len(inner)), np.bincount(row, minlength=k)))
+        perm, indices, indptr = _csc_layout(off_row, off_col, k)
+        try:
+            lu = splu(csc_matrix((unit[perm], indices, indptr), shape=(k, k)),
+                      permc_spec="MMD_AT_PLUS_A", **SPD_LU)
+        except RuntimeError as exc:
+            raise SingularSystem(f"interior system is singular for unit weights: {exc}") from exc
+        place = lu.perm_c
+        interior = interior[np.argsort(place)]
+        row, off_row, off_col = place[row], place[off_row], place[off_col]
+    return _LaplacianPattern(
+        interior, np.tile(np.arange(len(edges)), 2)[live], row, inner, np.flatnonzero(col < 0),
+        tail[live], head[live], *_csc_layout(off_row, off_col, k),
+    )
+
+
+def _csc_layout(rows: np.ndarray, cols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The canonical k x k CSC layout (rows sorted within each column) of
+    the off-diagonal entries at distinct (rows[i], cols[i]) followed by the
+    k diagonal ones: entry perm[j] is stored at data position j, with row
+    indices `indices` and column pointers `indptr`."""
+    rows = np.concatenate((rows, np.arange(k)))
+    cols = np.concatenate((cols, np.arange(k)))
+    perm = np.argsort(cols * k + rows)
+    # int32 indices, as scipy would store them, spare a copy per solve
+    indptr = np.zeros(k + 1, dtype=np.intc)
+    np.cumsum(np.bincount(cols, minlength=k), out=indptr[1:])
+    return perm, rows[perm].astype(np.intc), indptr
+
+
 def _chunk_weights(emb: PlanarEmbedding, weightings: list[np.ndarray]) -> np.ndarray:
     """The (b, h) row weights of b weightings: each one's weight of every
     edge seen from each interior end, one entry per half-edge of the system
@@ -177,7 +272,7 @@ def _chunk_weights(emb: PlanarEmbedding, weightings: list[np.ndarray]) -> np.nda
     m = len(emb.edge_array)
     shapes = [np.shape(w) for w in weightings]
     good = next((j for j, shape in enumerate(shapes) if shape != (m,)), len(shapes))
-    half = emb._laplacian_pattern.half
+    half = _laplacian_pattern(emb).half
     w = np.array(weightings[:good], dtype=float).reshape(good, m)[:, half]
     ok = (w > 0) & np.isfinite(w)
     if not ok.all():
@@ -195,8 +290,8 @@ def solve_stresses(
     poly: OuterPolygon,
 ) -> Iterator[tuple[np.ndarray, list[Drawing]]]:
     """Solve the weighted equilibrium system with the outer face pinned,
-    once per (m,) weighting aligned with emb.edges(), and yield a chunk at
-    a time: the (b, n, 2) positions of its b weightings, in order, and
+    once per (m,) weighting aligned with emb.edge_array, and yield a chunk
+    at a time: the (b, n, 2) positions of its b weightings, in order, and
     their b drawings, views of them, so that a caller can measure a whole
     chunk at once.
 
@@ -205,13 +300,14 @@ def solve_stresses(
     sweep share one factorization up to k = 431, the 15 bases of a decay
     scan up to k = 546: at those sizes the Python around a chunk costs
     more than its factorization, so such a batch pays it once. A chunk's
-    systems, in the embedding's cached minimum-degree pattern, sit along
-    the diagonal of one CSC matrix that one sparse LU factors without
-    pivoting (SPD_LU); all right-hand sides are solved at once, then
-    refined up to three times. With positive weights and the outer face
-    pinned each system is an irreducibly diagonally dominant symmetric
-    M-matrix, hence positive definite, and LU without pivoting is then
-    backward stable like Cholesky.
+    systems, in the minimum-degree pattern the solver keeps with the
+    embedding (_laplacian_pattern), sit along the diagonal of one CSC
+    matrix that one sparse LU factors without pivoting (SPD_LU); all
+    right-hand sides are solved at once, then refined up to three times.
+    With positive weights and the outer face pinned each system is an
+    irreducibly diagonally dominant symmetric M-matrix, hence positive
+    definite, and LU without pivoting is then backward stable like
+    Cholesky.
 
     One force function, the net pull on each interior vertex, gives the
     right-hand side (the pull with the interior at 0), each refinement gap
@@ -228,7 +324,7 @@ def solve_stresses(
     PreconditionError before anything is solved.
     """
     pinned = _pinned(emb, poly)
-    k = len(emb._laplacian_pattern.interior)
+    k = len(_laplacian_pattern(emb).interior)
     tol = RESIDUAL_RTOL * poly.radius
     todo = iter(weightings)
     while chunk := list(islice(todo, max(1, BATCH_ROWS // max(k, 1)))):
@@ -244,7 +340,7 @@ def _solve_chunk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (b, n, 2) positions and the (b,) residuals of the (b, h) row
     weights w, factored as one block-diagonal system."""
-    pattern = emb._laplacian_pattern
+    pattern = _laplacian_pattern(emb)
     b, k = len(w), len(pattern.interior)
     xy = np.zeros((2, b, emb.n))
     xy[:, :, pinned] = np.transpose(poly.positions)[:, None]

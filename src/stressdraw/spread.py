@@ -14,10 +14,10 @@ x-equilibrium of each vertex it passes through.
 
 Every step plans d directions of one reference at once, as numpy arrays
 with one row per direction over the embedding's edge array: the
-orientation is a pair of (d, m) tail/head arrays aligned with emb.edges(),
-each BFS tree a (d, n) parent array, and targets, path counts and weights
-come out as (d, n), (d, m) and (d, m) arrays. One breadth-first search
-grows all 2d trees. A single spread is the batch of one direction; the
+orientation is a pair of (d, m) tail/head arrays aligned with
+emb.edge_array, each BFS tree a (d, n) parent array, and targets, path
+counts and weights come out as (d, n), (d, m) and (d, m) arrays. One
+breadth-first search grows all 2d trees. A single spread is the batch of one direction; the
 kaleidoscope and the xy-morph plan all of theirs in one batch. Each step
 checks every row before it returns and raises the error of the first row
 it rejects, the one that row raises as a batch of its own; so a batch that
@@ -91,13 +91,14 @@ class StOrientation:
     direction j's arrays. order lists the vertices in that order, from the
     source order[j, 0] to the sink order[j, -1], and rank is its inverse,
     both (d, n) arrays; pinned marks the outer-face vertices, (d, n) bool.
-    Edge i of emb.edges() points from tail[j, i] to head[j, i], (d, m)
+    Edge i of emb.edge_array points from tail[j, i] to head[j, i], (d, m)
     arrays with rank[j, tail[j]] < rank[j, head[j]]; out_deg and in_deg
     count the edges leaving and entering each vertex. t1_parent holds
     every non-source vertex's tree predecessor (an in-neighbor), tn_parent
     every non-sink vertex's tree successor (an out-neighbor), both (d, n)
-    arrays with -1 at the root. BFS ties are broken toward the lowest
-    vertex id. t1_sum sums out_deg over each vertex's subtree of the source
+    arrays with -1 at the root. A vertex's tree parent is, of its
+    neighbors one BFS level nearer the root, the one the search dequeues
+    first. t1_sum sums out_deg over each vertex's subtree of the source
     tree, tn_sum in_deg over its subtree of the sink tree, (d, n) arrays
     that count_paths reads.
     """
@@ -128,8 +129,10 @@ def _bfs_trees(
     All 2d searches run as one: in row j vertex v is node jn + v along
     out-edges and node (d + j)n + v along in-edges, and node 2dn leads to
     every row's source and sink. The trees share no arc, so each keeps its
-    own dequeue order. Neighbors are listed in increasing id order, so the
-    first dequeued vertex, lowest id among equals, becomes the parent.
+    own dequeue order. A vertex's parent is the neighbor one level nearer
+    the root that the search dequeues first, which need not be the lowest
+    id among them; each vertex enqueues its neighbors in increasing id
+    order.
     """
     d, n = order.shape
     size = 2 * d * n
@@ -287,8 +290,8 @@ def count_paths(o: StOrientation) -> np.ndarray:
 
 def spread_weights(o: StOrientation, targets: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Weight each edge of every row with path count / target gap, a (d, m)
-    array in the order of the embedding's edges(), from (d, n) targets and
-    (d, m) counts; arrays of other shapes raise PreconditionError.
+    array in the order of the embedding's edge_array, from (d, n) targets
+    and (d, m) counts; arrays of other shapes raise PreconditionError.
 
     Those weights put an interior vertex exactly on its target when as
     many counted paths leave it as enter it, which is checked exactly on
@@ -329,7 +332,7 @@ class SpreadResult:
     """Everything a spread construction produced for one direction, as
     spread_pipeline or uniform_pipeline (direction 0) returns it."""
 
-    weights: np.ndarray        # (m,), aligned with emb.edges()
+    weights: np.ndarray        # (m,), aligned with emb.edge_array
     drawing: Drawing           # solved against the pinned polygon, drawing.polygon
     targets: np.ndarray        # (n,) x-targets in the frame turned by -direction
 

@@ -32,7 +32,7 @@ from .solver import Drawing, OuterPolygon, solve_stress, solve_stresses
 
 def bfs_depths(emb: PlanarEmbedding) -> np.ndarray:
     """Edge depth from a multi-source BFS out of the outer face, as an (m,)
-    int array aligned with emb.edges().
+    int array aligned with emb.edge_array.
 
     Outer vertices sit at level 0, every other vertex at its hop distance
     from the nearest of them. An edge's depth is min(level(u), level(v)) + 1;
@@ -72,8 +72,8 @@ class SchnyderWood:
 
     Interior edges are partitioned into three trees; tree c is rooted at
     roots[c - 1] (the outer vertices, in outer-face order). color is an
-    (m,) int array aligned with emb.edges() holding each edge's tree, 0 on
-    the outer triangle. Every interior vertex v has exactly one outgoing
+    (m,) int array aligned with emb.edge_array holding each edge's tree, 0
+    on the outer triangle. Every interior vertex v has exactly one outgoing
     edge per color, to parent[c - 1, v]; the (3, n) parent array holds -1
     at the outer vertices.
     """
@@ -166,7 +166,7 @@ def schnyder_wood(emb: PlanarEmbedding) -> SchnyderWood:
 
 def schnyder_depths(emb: PlanarEmbedding) -> np.ndarray:
     """Depth of every edge within its own tree of the realizer, as an (m,)
-    int array aligned with emb.edges().
+    int array aligned with emb.edge_array.
 
     An edge's depth is the number of tree edges from the root up to and
     including itself; the three outer edges are assigned depth 1. Vertex

@@ -44,17 +44,18 @@ from stressdraw import (
     PreconditionError,
     StressDrawError,
     ZeroGap,
-    edge_key,
     generate_planar,
     regular_polygon,
 )
 from stressdraw.cli import METHODS
-from stressdraw.graph import SPD_LU
+from stressdraw.graph import edge_key
 from stressdraw.metrics import CONVEXITY_RTOL, CROSSING_EPS, _orientation
 from stressdraw.solver import (
     RESIDUAL_RTOL,
+    SPD_LU,
     Drawing,
     OuterPolygon,
+    _laplacian_pattern,
     equilibrium_residual,
     solve_stresses,
 )
@@ -175,7 +176,7 @@ def brute_crossing_count(positions: np.ndarray, emb: PlanarEmbedding) -> int:
     ends of each edge strictly on opposite sides of the other edge's line,
     beyond CROSSING_EPS in a unit box, no endpoint shared. Every pair is
     tested; nothing is certified or blocked."""
-    ends = np.array(emb.edges())
+    ends = emb.edge_array
     if len(ends) < 2:
         return 0
     span = max(float(np.ptp(positions[:, 0])), float(np.ptp(positions[:, 1])), 1e-300)
@@ -202,7 +203,7 @@ def exact_crossing_count(positions: np.ndarray, emb: PlanarEmbedding) -> int:
     comes from the float determinant when it clears the static error bound
     (metrics._orientation), and from fractions.Fraction otherwise; touching
     and collinear contacts never count."""
-    ends = np.array(emb.edges())
+    ends = emb.edge_array
 
     def sign(o, p, q):
         s = _orientation(o, p, q)
@@ -530,7 +531,7 @@ def dict_schnyder_depths(emb: PlanarEmbedding) -> dict[tuple[int, int], int]:
             vdepth[(node, c)] = d
         return vdepth[(v, c)]
 
-    depths = dict.fromkeys(emb.edges(), 1)
+    depths = dict.fromkeys(map(tuple, emb.edge_array.tolist()), 1)
     for (u, v), c in colors.items():
         child = u if parent.get(u, {}).get(c) == v else v
         depths[(u, v)] = depth_of(child, c)
@@ -550,7 +551,7 @@ def scratch_system(
     positions[pinned] = poly.positions
     row_of = np.zeros(emb.n, dtype=np.intp)
     row_of[pinned] = -1
-    interior = emb._laplacian_pattern.interior if ordered else np.flatnonzero(row_of == 0)
+    interior = _laplacian_pattern(emb).interior if ordered else np.flatnonzero(row_of == 0)
     k = len(interior)
     row_of[interior] = np.arange(k)
     tail = np.concatenate((edges[:, 0], edges[:, 1]))
@@ -584,8 +585,8 @@ def scratch_solve_stress(
     """solve_stress on scratch_system(..., ordered), factored by
     scratch_factor(..., ordered), with the same refinement passes: each gap
     is the net pull sum_v w_uv (p_v - p_u) on every interior vertex, its
-    edges summed in edges() order with the ends listed first in edge_array
-    before the others, and a gap within 1 % of the residual bound, or three
+    edges summed in edge_array order, the ends in its first column before
+    the others, and a gap within 1 % of the residual bound, or three
     passes, end the refinement."""
     system, rhs, interior = scratch_system(emb, weights, poly, ordered)
     lu = scratch_factor(system, ordered)
@@ -614,10 +615,11 @@ def dense_stress_positions(
 ) -> np.ndarray:
     """Independent dense solve of the equilibrium system via numpy.
 
-    weights[i] belongs to emb.edges()[i]; the system is assembled vertex by
-    vertex from the rotation, with pinned-pinned edges never read.
+    weights[i] belongs to edge i of emb.edge_array; the system is
+    assembled vertex by vertex from the rotation, with pinned-pinned edges
+    never read.
     """
-    weight_of = dict(zip(emb.edges(), weights.tolist()))
+    weight_of = dict(zip(map(tuple, emb.edge_array.tolist()), weights.tolist()))
     pinned = dict(zip(poly.order, poly.positions.tolist()))
     interior = [v for v in range(emb.n) if v not in pinned]
     idx = {v: i for i, v in enumerate(interior)}

@@ -19,6 +19,7 @@ import pytest
 from conftest import enumerate_canonical_paths, turn
 
 import stressdraw as sd
+from stressdraw.graph import edge_key
 
 RESIDUAL_RTOL = 1e-8
 TARGET_RTOL = 1e-6
@@ -246,7 +247,7 @@ def test_criterion_09_three_tree_invariants(capsys):
             wood = sd.schnyder_wood(emb)
             outer = set(emb.outer_face)
             interior = [v for v in range(emb.n) if v not in outer]
-            colors = dict(zip(emb.edges(), wood.color.tolist()))
+            colors = dict(zip(map(tuple, emb.edge_array.tolist()), wood.color.tolist()))
             assert sum(1 for col in colors.values() if col) == emb.m - 3
             assert set(colors.values()) == {0, 1, 2, 3}
             for v in interior:
@@ -256,7 +257,7 @@ def test_criterion_09_three_tree_invariants(capsys):
                 for v in interior:
                     u, hops = v, 0
                     while u not in outer:
-                        assert colors[sd.edge_key(u, wood.parent[c - 1, u])] == c
+                        assert colors[edge_key(u, wood.parent[c - 1, u])] == c
                         u = wood.parent[c - 1, u]
                         hops += 1
                         assert hops <= n

@@ -19,6 +19,7 @@ from conftest import record_solves
 
 import stressdraw
 from stressdraw import (
+    OuterPolygon,
     best_row,
     edge_length_ratio,
     generate_planar,
@@ -385,7 +386,7 @@ def test_draw_at_extreme_radius(graph_path, tmp_path, capsys, monkeypatch, radiu
     command draws on the radius-1 polygon, so the library's polygon is
     scaled under it."""
     monkeypatch.setattr(cli, "regular_polygon",
-                        lambda face: regular_polygon(face, float(radius)))
+                        lambda face: OuterPolygon(tuple(face), float(radius) * regular_polygon(face).positions))
     out = tmp_path / "d.svg"
     assert run(["draw", str(graph_path), "--method", "tutte", "--out-svg", str(out)]) == 0
     assert "crossing_count=0 all_faces_convex=true" in capsys.readouterr().out

@@ -1,12 +1,15 @@
 """Embedding validation, face traversal, generators, serialization."""
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import logging
 import math
 import random
+import sys
 import time
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -21,6 +24,7 @@ from conftest import (
     wheel,
 )
 
+import stressdraw
 from stressdraw import graph
 from stressdraw import (
     EulerViolation,
@@ -222,7 +226,7 @@ def test_three_connectivity_matches_brute_oracle(two_ring_wheel):
 
 
 def _nx_three_connected(emb: PlanarEmbedding) -> bool:
-    g = nx.Graph(emb.edges())
+    g = nx.Graph(emb.edge_array.tolist())
     g.add_nodes_from(range(emb.n))
     return nx.node_connectivity(g) >= 3
 
@@ -243,7 +247,7 @@ def _thinned_triangulation(n: int, seed: int, share: float, keep_degree: bool) -
     fail only through a 2-cut; without, most fail through a low degree."""
     tri = generate_planar(n, 3 * n - 6, seed=seed)
     rot = [list(r) for r in tri.rotation]
-    edges = tri.edges()
+    edges = tri.edge_array.tolist()
     random.Random(seed).shuffle(edges)
     for u, v in edges[: int(share * len(edges))]:
         if keep_degree and min(len(rot[u]), len(rot[v])) <= 3:
@@ -520,7 +524,7 @@ def test_thinning_decision_matches_disjoint_paths_oracle():
         faces = {i: list(f) for i, f in enumerate(emb.faces)}
         face_of = {(f[j - 1], v): i for i, f in faces.items() for j, v in enumerate(f)}
         adj = [set(r) for r in emb.rotation]
-        for u, v in emb.edges():
+        for u, v in emb.edge_array.tolist():
             if min(len(adj[u]), len(adj[v])) <= 3:
                 continue
             merged = graph._merged_face(emb.rotation, faces, face_of, u, v)
@@ -616,7 +620,7 @@ def test_from_dict_names_the_failed_invariant(data, error, message):
 def _networkx_rotation(emb: PlanarEmbedding) -> tuple[tuple[int, ...], ...]:
     """The rotation of emb's graph in the embedding nx.check_planarity
     finds: each vertex's neighbours counterclockwise."""
-    planar, found = nx.check_planarity(nx.Graph(emb.edges()))
+    planar, found = nx.check_planarity(nx.Graph(emb.edge_array.tolist()))
     assert planar
     return tuple(tuple(list(found.neighbors_cw_order(v))[::-1]) for v in range(emb.n))
 
@@ -690,3 +694,32 @@ def test_mutated_graph_json_raises_only_input_errors(data):
         from_dict(doc)
     except InputError:
         pass
+
+
+def test_the_graph_module_imports_no_solver_machinery():
+    """graph.py holds the embedding only: past the standard library it
+    imports numpy, the two sparse tools its checks use and its own errors,
+    and the solver's system (its pattern, splu, csc_matrix, SPD_LU,
+    SingularSystem) lives in solver.py. PlanarEmbedding lists its edges
+    once, as edge_array."""
+    tree = ast.parse(Path(graph.__file__).read_text(encoding="utf-8"))
+    imported: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.name, set()) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported.setdefault(module, set()).update(alias.name for alias in node.names)
+    outside = {module: names for module, names in imported.items()
+               if module.startswith(".") or module.split(".")[0] not in sys.stdlib_module_names}
+    assert outside == {
+        "numpy": set(),
+        "scipy.sparse": {"csr_matrix"},
+        "scipy.sparse.csgraph": {"connected_components"},
+        ".errors": {"EulerViolation", "GenerationStalled", "InfeasibleParams", "InvalidEmbedding",
+                    "MalformedRotation"},
+    }
+    for name in ("SPD_LU", "_LaplacianPattern", "_build_laplacian_pattern", "_csc_layout", "Edge"):
+        assert not hasattr(graph, name), name
+    assert not hasattr(PlanarEmbedding, "edges")
+    assert not {"Edge", "edge_key"} & set(stressdraw.__all__)

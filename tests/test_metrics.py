@@ -434,7 +434,8 @@ def _folded_at(radius):
     """The Tutte drawing of generate_planar(30, 60, 1) at this radius with
     one interior vertex moved out of place: 5 crossings."""
     emb = generate_planar(30, 60, 1)
-    d = tutte(emb, regular_polygon(emb.outer_face, radius))
+    unit = regular_polygon(emb.outer_face)
+    d = tutte(emb, OuterPolygon(unit.order, radius * unit.positions))
     pos = d.positions.copy()
     pos[min(set(range(emb.n)) - set(emb.outer_face))] = (0.9 * radius, 0.0)
     return emb, Drawing(pos, d.polygon, d.residual)

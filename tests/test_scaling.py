@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from stressdraw import (
+    OuterPolygon,
     ResidualExceeded,
     best_r,
     bfs_depths,
@@ -35,7 +36,8 @@ def _drawings(emb, radius: float) -> tuple[dict, tuple]:
     """The positions of every method whose weights do not depend on the
     radius, Schnyder on triangulations only, and the decay base best_r
     picks with its ratio."""
-    poly = regular_polygon(emb.outer_face, radius)
+    unit = regular_polygon(emb.outer_face)
+    poly = OuterPolygon(unit.order, radius * unit.positions)
     r, best, ratio = best_r(emb, poly, "bfs")
     got = {
         "tutte": tutte(emb, poly).positions,
@@ -94,6 +96,7 @@ SPREADS = {
 @pytest.mark.parametrize("draw", SPREADS.values(), ids=SPREADS.keys())
 def test_spreads_scale_with_the_radius(draw):
     emb = GRAPHS["g30"]()
-    base = draw(emb, regular_polygon(emb.outer_face)).positions
-    got = draw(emb, regular_polygon(emb.outer_face, 2.0**-30)).positions
+    unit = regular_polygon(emb.outer_face)
+    base = draw(emb, unit).positions
+    got = draw(emb, OuterPolygon(unit.order, 2.0**-30 * unit.positions)).positions
     assert got.tobytes() == np.ldexp(base, -30).tobytes()

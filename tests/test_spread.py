@@ -175,7 +175,7 @@ def test_spread_weights_formula():
     w = spread_weights(o, t, counts)
     assert w.shape == (1, emb.m)
     gap = t[0, 1] - t[0, 0]
-    assert abs(w[0, emb.edges().index((0, 1))] - 3.0 / gap) < 1e-12
+    assert abs(w[0, emb.edge_array.tolist().index([0, 1])] - 3.0 / gap) < 1e-12
     assert all(v > 0 for v in w[0])
 
 
@@ -202,6 +202,23 @@ def test_spread_weights_reject_unbalanced_counts():
     counts[1, i] -= 2
     with pytest.raises(ResidualExceeded, match=r"^path counts do not balance at vertex 1: -1 more leave than enter$"):
         spread_weights(o, t, counts)
+
+
+def test_a_drawing_off_its_targets_raises(monkeypatch):
+    """A solved spread whose x misses its targets by more than TARGET_RTOL
+    * radius raises ResidualExceeded, from spread_pipeline and from
+    uniform_pipeline alike: here every vertex's x is moved off by twice
+    that."""
+    def shifted(emb, weights, poly):
+        d = solve_stress(emb, weights, poly)
+        return Drawing(d.positions + (2 * spread.TARGET_RTOL * poly.radius, 0.0), poly, d.residual)
+
+    monkeypatch.setattr(spread, "solve_stress", shifted)
+    emb = generate_planar(30, 70, 1)
+    with pytest.raises(ResidualExceeded, match=r"^drawing misses its targets by "):
+        spread_pipeline(emb, regular_polygon(emb.outer_face))
+    with pytest.raises(ResidualExceeded, match=r"^drawing misses its targets by "):
+        uniform_pipeline(emb)
 
 
 def test_steps_reject_arrays_of_the_wrong_shape_or_non_finite_x():

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import oracle_drawings, scratch_render_svg
 
-from stressdraw import generate_planar, regular_polygon, render_svg, tutte
+from stressdraw import OuterPolygon, generate_planar, regular_polygon, render_svg, tutte
 
 
 def test_render_counts_and_envelope(octahedron):
@@ -53,7 +53,8 @@ def test_tiny_drawings_fill_the_canvas(radius):
     """Drawings narrower than 1e-12 are scaled to the canvas like any other:
     the wider axis spans the margins, 20 to 980."""
     emb = generate_planar(30, 60, 1)
-    text = render_svg(tutte(emb, regular_polygon(emb.outer_face, radius)), emb)
+    unit = regular_polygon(emb.outer_face)
+    text = render_svg(tutte(emb, OuterPolygon(unit.order, radius * unit.positions)), emb)
     circles = np.array(re.findall(r'<circle cx="([-0-9.]+)" cy="([-0-9.]+)"', text), dtype=float)
     lo, hi = circles.min(axis=0), circles.max(axis=0)
     wide = int(np.argmax(hi - lo))

@@ -27,7 +27,6 @@ from stressdraw import (
     best_r,
     crossing_count,
     depth_weights,
-    edge_key,
     edge_length_ratio,
     faces_convex,
     generate_planar,
@@ -40,12 +39,13 @@ from stressdraw import (
     tutte,
     worst_case_graph,
 )
+from stressdraw.graph import edge_key
 
 
 def _by_edge(emb, values):
-    """An (m,) array as a map from edge key, through emb.edges()."""
+    """An (m,) array as a map from edge key, through emb.edge_array."""
     assert values.shape == (emb.m,)
-    return dict(zip(emb.edges(), values.tolist()))
+    return dict(zip(map(tuple, emb.edge_array.tolist()), values.tolist()))
 
 
 def test_bfs_depths_k4(k4):
